@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, ConditioningError, DomainError, NumericalError
 from .model import CoefficientProfile
-from .numerics import solve_tridiagonal, trapezoid
+from .numerics import factor_tridiagonal, trapezoid
 from .observe import ObservationSet, Weight, apply_observation
 from .transport import FluxSignal, _band_matvec, _cn_bands, solve_forward
 
@@ -269,12 +269,13 @@ def _adjoint_flux_sensitivity(problem: AssimilationProblem, impulses) -> np.ndar
     out = np.zeros(tgrid.n)
     if not g:
         return out
+    solve = factor_tridiagonal(*left_t)
     lam = np.zeros(grid.n)
     last = tgrid.n - 1
     if last in g:
         lam = lam + g[last]
     for n in range(tgrid.n - 2, -1, -1):
-        psi = solve_tridiagonal(left_t[0], left_t[1], left_t[2], lam)
+        psi = solve(lam)
         out[n] += half * psi[0]
         out[n + 1] += half * psi[0]
         lam = _band_matvec(right_t, psi)
@@ -358,15 +359,14 @@ def _make_preconditioner(problem: AssimilationProblem):
         return apply
 
     if spec.kind == "dirichlet_inverse_laplacian":
-        m = n - 2
+        if n == 2:  # both nodes pinned, nothing to solve
+            return lambda r: np.zeros(n)
         coef = w[1:-1] / (s2 * dt**2)
-        diag = 2.0 * coef
-        lower = -coef[1:]
-        upper = -coef[:-1]
+        solve = factor_tridiagonal(-coef[1:], 2.0 * coef, -coef[:-1])
 
         def apply(r):
             z = np.zeros(n)
-            z[1:-1] = solve_tridiagonal(lower, diag, upper, r[1:-1])
+            z[1:-1] = solve(r[1:-1])
             return z
 
         return apply
@@ -482,36 +482,35 @@ def map_estimate(problem: AssimilationProblem):
     raise ConditioningError(msg)
 
 
-def _forward_map_matrix(problem: AssimilationProblem) -> np.ndarray:
-    """Rows of the discrete forward map by batched hat-function responses.
+def _forward_map_rows(problem: AssimilationProblem) -> np.ndarray:
+    """Rows of the discrete forward map from one impulse-response sweep.
 
-    Column m of the propagated block is the solution driven by the hat
-    flux at node m; one banded solve per step advances all columns at
-    once.
+    The stepper's matrices are constant and the state starts at zero, so
+    a unit forcing 0.5 dt k(0) e_0 in step n, observed at node n_i, gives
+    a_i[n_i - 1 - n], where a_i[k] observes the state k + 1 steps after the
+    same forcing in step 0. The flux hat at node m forces steps m - 1 and
+    m (only one of them at the two ends), hence
+
+        row_i[m] = a_i[n_i - m] [m >= 1] + a_i[n_i - 1 - m] [m <= n_i - 1].
     """
     grid = problem.profile.grid
     tgrid = problem.prior.grid
-    nt = tgrid.n
-    dt = tgrid.spacing
-    left, right = _cn_bands(problem.profile, dt)
-    half = 0.5 * dt * problem.profile.k[0]
-
-    by_index = {}
+    rows = np.zeros((len(problem.observations), tgrid.n))
+    steps = max(problem.obs_indices, default=0)
+    left, right = _cn_bands(problem.profile, tgrid.spacing)
+    solve = factor_tridiagonal(*left)
+    # one trapezoid-weighted observation functional per row
+    obs = np.array([grid.weights * w.values for w in problem.weights])
+    a = np.empty((len(obs), steps))
+    q = np.zeros(grid.n)
+    q[0] = 0.5 * tgrid.spacing * problem.profile.k[0]
+    for k in range(steps):
+        q = solve(q if k == 0 else _band_matvec(right, q))
+        a[:, k] = obs @ q
     for i, n_i in enumerate(problem.obs_indices):
-        by_index.setdefault(n_i, []).append(i)
-
-    rows = np.zeros((len(problem.observations), nt))
-    q = np.zeros((grid.n, nt))
-    for i in by_index.get(0, []):
-        rows[i] = 0.0
-    for n in range(nt - 1):
-        rhs = _band_matvec(right, q)
-        rhs[0, n] += half
-        rhs[0, n + 1] += half
-        q = solve_tridiagonal(left[0], left[1], left[2], rhs)
-        for i in by_index.get(n + 1, []):
-            wv = grid.weights * problem.weights[i].values
-            rows[i] = wv @ q
+        response = a[i, :n_i][::-1]  # a_i[n_i - 1], ..., a_i[0]
+        rows[i, 1 : n_i + 1] += response
+        rows[i, :n_i] += response
     return rows
 
 
@@ -560,9 +559,9 @@ def _dense_prior_precision(problem: AssimilationProblem) -> np.ndarray:
 def oracle_bayes(problem: AssimilationProblem):
     """Exact dense Gaussian posterior on the time grid.
 
-    Builds the discrete forward map twice, by batched forward solves and
-    by per-observation adjoint sweeps, and insists the two agree to 1e-8
-    relative before using it; then forms the posterior precision
+    Builds the discrete forward map twice, by one impulse-response sweep
+    and by per-observation adjoint sweeps, and insists the two agree to
+    1e-8 relative before using it; then forms the posterior precision
     W C0^{-1} + G^T R^{-1} G on the admissible coordinates and factors it.
 
     Returns
@@ -586,13 +585,13 @@ def oracle_bayes(problem: AssimilationProblem):
         )
         raise CapacityError(msg)
 
-    fwd = _forward_map_matrix(problem)
+    fwd = _forward_map_rows(problem)
     adj = _forward_map_matrix_adjoint(problem)
     scale = max(float(np.abs(fwd).max()), 1e-300) if fwd.size else 1.0
     diff = (float(np.abs(fwd - adj).max()) / scale) if fwd.size else 0.0
     if diff > 1e-8:
         msg = (
-            "forward-solve and adjoint-solve constructions of the discrete "
+            "impulse-response and adjoint-solve constructions of the discrete "
             f"forward map disagree (relative {diff:.3e})"
         )
         raise NumericalError(msg)

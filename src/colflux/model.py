@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import AssumptionError
-from .numerics import ColumnGrid
+from .numerics import ColumnGrid, cumulative_trapezoid
 
 __all__ = ["CoefficientProfile", "validate_profile", "mu_weight"]
 
@@ -124,5 +123,5 @@ def mu_weight(profile: CoefficientProfile) -> np.ndarray:
     the weight is identically 1.
     """
     ratio = profile.w / profile.k
-    inner = cumulative_trapezoid(ratio, dx=profile.grid.spacing, initial=0.0)
+    inner = cumulative_trapezoid(ratio, profile.grid.spacing)
     return np.exp(inner)

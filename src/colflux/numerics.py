@@ -2,7 +2,7 @@
 and tridiagonal solves.
 
 Everything downstream (time stepping, eigensolves, covariance updates)
-reduces to the four kernels in this module, so they are kept pure,
+reduces to the kernels in this module, so they are kept pure,
 allocation-light, and safe to call concurrently.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import SingularSystemError
 
@@ -20,8 +20,10 @@ __all__ = [
     "ColumnGrid",
     "TimeGrid",
     "trapezoid",
+    "cumulative_trapezoid",
     "exp_inner",
     "exp_inner_coefficients",
+    "factor_tridiagonal",
     "solve_tridiagonal",
 ]
 
@@ -146,6 +148,17 @@ def trapezoid(values, grid, axis: int = -1):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def cumulative_trapezoid(values, dx: float) -> np.ndarray:
+    """Running trapezoid integral of uniformly spaced samples, from 0.
+
+    Entry j is the trapezoid-rule integral over the first j intervals, so
+    the result has the length of ``values`` and starts at exactly 0. Same
+    arithmetic as SciPy's ``cumulative_trapezoid(values, dx=dx, initial=0)``.
+    """
+    y = np.asarray(values, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _segment_shape_factors(x):
     # Per-segment factors for int_0^1 (g0 + (g1-g0) s) e^{x (s-1)} ds, written
     # as g0*phi + (g1-g0)*psi with phi = (1-e^{-x})/x, psi = (x-1+e^{-x})/x^2.
@@ -240,12 +253,12 @@ def exp_inner_coefficients(grid: TimeGrid, lam: float, t_obs: float) -> np.ndarr
     return c
 
 
-def solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve a tridiagonal system A x = rhs.
+def factor_tridiagonal(lower, diag, upper):
+    """Factor a tridiagonal matrix once and return a solver for it.
 
-    Thin wrapper over LAPACK's banded solver (partial pivoting). Intended
-    for diagonally dominant or symmetric positive definite systems, where
-    the residual stays at the 1e-10 * ||rhs|| level or better.
+    LU with partial pivoting (LAPACK ``dgttrf``); each call of the returned
+    ``solve(rhs)`` is one ``dgttrs`` solve against the stored factors, so a
+    sweep that solves the same matrix at every step factors it only once.
 
     Parameters
     ----------
@@ -255,13 +268,12 @@ def solve_tridiagonal(lower, diag, upper, rhs):
         Main diagonal.
     upper : array_like, shape (n-1,)
         Superdiagonal.
-    rhs : array_like, shape (n,) or (n, k)
-        One or several right-hand sides.
 
     Returns
     -------
-    numpy.ndarray
-        Solution with the same shape as ``rhs``.
+    callable
+        ``solve(rhs)`` for ``rhs`` of shape (n,) or (n, k); the solution
+        has the shape of ``rhs``.
 
     Raises
     ------
@@ -278,15 +290,38 @@ def solve_tridiagonal(lower, diag, upper, rhs):
             f"got {lower.shape[0]} and {upper.shape[0]}"
         )
         raise ValueError(msg)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != n:
-        msg = f"rhs has leading dimension {rhs.shape[0]}, expected {n}"
-        raise ValueError(msg)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+    # the LAPACK wrappers need n >= 3; decoupled identity rows appended at
+    # the end leave the arithmetic on the first n rows unchanged
+    pad = max(0, 3 - n)
+    if pad:
+        diag = np.concatenate((diag, np.ones(pad)))
+        lower = np.concatenate((lower, np.zeros(pad)))
+        upper = np.concatenate((upper, np.zeros(pad)))
+    dl, d, du, du2, ipiv, info = scipy.linalg.lapack.dgttrf(lower, diag, upper)
+    if info > 0:
+        raise SingularSystemError(f"singular matrix: zero pivot in row {info}")
+
+    def solve(rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != n:
+            msg = f"rhs has leading dimension {rhs.shape[0]}, expected {n}"
+            raise ValueError(msg)
+        b = rhs.reshape(n, -1)
+        if pad:
+            b = np.concatenate((b, np.zeros((pad, b.shape[1]))))
+        x, _ = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, b)
+        return x[:n].reshape(rhs.shape)
+
+    return solve
+
+
+def solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve a tridiagonal system A x = rhs once.
+
+    One-shot form of :func:`factor_tridiagonal`, with the same bands and
+    errors; ``rhs`` has shape (n,) or (n, k) and the solution its shape.
+    Intended for diagonally dominant or symmetric positive definite
+    systems, where the residual stays at the 1e-10 * ||rhs|| level or
+    better.
+    """
+    return factor_tridiagonal(lower, diag, upper)(rhs)

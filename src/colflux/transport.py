@@ -19,11 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import DiagnosticError, StabilityError
 from .model import CoefficientProfile
-from .numerics import ColumnGrid, TimeGrid, solve_tridiagonal, trapezoid
+from .numerics import (
+    ColumnGrid,
+    TimeGrid,
+    cumulative_trapezoid,
+    factor_tridiagonal,
+    trapezoid,
+)
 
 __all__ = [
     "FluxSignal",
@@ -182,18 +187,21 @@ def solve_forward(
     m = grid.weights
     f = flux.values
 
+    solve = factor_tridiagonal(*left)
     out = np.empty((grid.n, tgrid.n))
     out[:, 0] = q0
     q = q0.copy()
-    for n in range(tgrid.n - 1):
-        rhs = _band_matvec(right, q)
-        rhs[0] += 0.5 * dt * k0 * (f[n] + f[n + 1])
-        if source is not None:
-            rhs += 0.5 * dt * m * (source[:, n] + source[:, n + 1])
-        q = solve_tridiagonal(left[0], left[1], left[2], rhs)
-        if not np.isfinite(q).all():
-            raise StabilityError(step=n + 1)
-        out[:, n + 1] = q
+    # overflow surfaces as the StabilityError below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(tgrid.n - 1):
+            rhs = _band_matvec(right, q)
+            rhs[0] += 0.5 * dt * k0 * (f[n] + f[n + 1])
+            if source is not None:
+                rhs += 0.5 * dt * m * (source[:, n] + source[:, n + 1])
+            q = solve(rhs)
+            if not np.isfinite(q).all():
+                raise StabilityError(step=n + 1)
+            out[:, n + 1] = q
     return MixingRatioField(grid=grid, time_grid=tgrid, values=out)
 
 
@@ -209,9 +217,7 @@ def mass_balance_residual(
     accumulation-rounding level, below 1e-10 * (1 + |q0| + |F|).
     """
     totals = trapezoid(field.values, field.grid, axis=0)
-    injected = profile.k[0] * cumulative_trapezoid(
-        flux.values, dx=flux.grid.spacing, initial=0.0
-    )
+    injected = profile.k[0] * cumulative_trapezoid(flux.values, flux.grid.spacing)
     return totals - totals[0] - injected
 
 
@@ -235,9 +241,7 @@ def energy_fit(field: MixingRatioField, flux: FluxSignal, q0) -> float:
     t = field.time_grid.nodes
     norms2 = trapezoid(field.values**2, field.grid, axis=0)
     q0n2 = trapezoid(q0**2, field.grid)
-    fcum2 = cumulative_trapezoid(
-        flux.values**2, dx=flux.grid.spacing, initial=0.0
-    )
+    fcum2 = cumulative_trapezoid(flux.values**2, flux.grid.spacing)
     budget = (1.0 + t) * q0n2 + (1.0 + t**2) * fcum2
 
     def admissible(kappa: float) -> bool:

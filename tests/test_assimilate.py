@@ -1,11 +1,16 @@
 """Priors, cost/gradient consistency, the MAP solve, and the dense oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from colflux import assimilate
 from colflux.assimilate import (
     AssimilationProblem,
     PriorSpec,
+    _forward_map_matrix_adjoint,
+    _forward_map_rows,
     cost,
     gradient,
     hessian_form,
@@ -15,7 +20,7 @@ from colflux.assimilate import (
     prior_quadratic_form,
     representer_rows,
 )
-from colflux.errors import CapacityError, DomainError
+from colflux.errors import CapacityError, DomainError, NumericalError
 from colflux.model import validate_profile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.observe import ObservationSet, Weight, apply_observation, synthesize_data
@@ -346,6 +351,28 @@ class TestMapEstimate:
             f"{np.abs(flux.values - mean).max():.3e} at scale {scale:.3e}"
         )
 
+    @pytest.mark.parametrize("nt", [2, 3, 4, 5])
+    def test_smallest_time_grids(self, nt):
+        # two nodes leave nothing free under the Dirichlet prior; three to
+        # five leave the preconditioner a 1-, 2- or 3-node system
+        profile = constant_profile(17)
+        tgrid = TimeGrid(t_end=1.0, n=nt)
+        problem = AssimilationProblem(
+            profile=profile,
+            q0=np.zeros(17),
+            observations=ObservationSet(
+                times=np.array([1.0]), values=np.array([0.3]), noise_levels=np.array([0.1])
+            ),
+            weights=(Weight(grid=profile.grid, values=np.ones(17)),),
+            prior=dirichlet_prior(tgrid),
+        )
+        flux, report = map_estimate(problem)
+        mean, _ = oracle_bayes(problem)
+        assert report["converged"]
+        np.testing.assert_allclose(flux.values, mean, rtol=0.0, atol=1e-9)
+        if nt == 2:
+            np.testing.assert_array_equal(flux.values, problem.prior.mean.values)
+
     def test_converges_in_about_rank_iterations(self):
         problem = small_problem(3, nt=129)
         _, report = map_estimate(problem)
@@ -460,13 +487,82 @@ class TestOracleBayes:
     def test_forward_and_adjoint_constructions_agree(self):
         # the two independent assemblies of the discrete forward map are
         # compared inside oracle_bayes; reproduce the comparison here
-        from colflux.assimilate import (
-            _forward_map_matrix,
-            _forward_map_matrix_adjoint,
-        )
-
         problem = small_problem(3, nt=65)
-        fwd = _forward_map_matrix(problem)
+        fwd = _forward_map_rows(problem)
         adj = _forward_map_matrix_adjoint(problem)
         scale = np.abs(fwd).max()
         assert np.abs(fwd - adj).max() <= 1e-10 * scale
+
+    def test_disagreeing_constructions_raise(self, monkeypatch):
+        problem = small_problem(2, nt=33)
+        rows = _forward_map_rows(problem)
+        bumped = rows + 1e-6 * np.abs(rows).max()
+        monkeypatch.setattr(assimilate, "_forward_map_rows", lambda _: bumped)
+        with pytest.raises(NumericalError, match="disagree"):
+            oracle_bayes(problem)
+
+
+def kernel_problem(obs_indices, nt=33, nz=17):
+    """The fields the forward-map constructions read, for any node list.
+
+    ObservationSet rejects a time at node 0 and repeated times, but a time
+    within the grid tolerance of 0, or two times within it of each other,
+    still map to such nodes, so the constructions must handle them.
+    """
+    grid = ColumnGrid(h=1.0, n=nz)
+    z = grid.nodes
+    profile = validate_profile(1.0 + 0.5 * z, 0.2 * np.sin(np.pi * z), grid)
+    weights = tuple(
+        Weight(grid=grid, values=1.0 + np.cos((i + 1) * np.pi * z) + z)
+        for i in range(len(obs_indices))
+    )
+    return SimpleNamespace(
+        profile=profile,
+        prior=SimpleNamespace(grid=TimeGrid(t_end=1.0, n=nt)),
+        observations=tuple(obs_indices),
+        weights=weights,
+        obs_indices=tuple(obs_indices),
+    )
+
+
+def brute_force_rows(problem):
+    """Row i, entry m: observation i of one forward solve driven by hat m."""
+    tgrid = problem.prior.grid
+    q0 = np.zeros(problem.profile.grid.n)
+    rows = np.zeros((len(problem.obs_indices), tgrid.n))
+    for m in range(tgrid.n):
+        hat = FluxSignal(grid=tgrid, values=np.eye(tgrid.n)[m])
+        field = solve_forward(problem.profile, hat, q0)
+        for i, (w, n_i) in enumerate(zip(problem.weights, problem.obs_indices)):
+            rows[i, m] = apply_observation(w, field.column(n_i))
+    return rows
+
+
+class TestForwardMapKernel:
+    @pytest.mark.parametrize(
+        ("obs_indices", "nt"),
+        [
+            ((0, 9, 20), 33),  # an observation at the first node
+            ((5, 32), 33),  # one at the last node
+            ((12, 12, 30), 33),  # two at the same node
+            ((1,), 2),  # the smallest time grid
+            ((0, 1), 2),
+        ],
+        ids=["first-node", "last-node", "same-node", "nt2", "nt2-both-nodes"],
+    )
+    def test_matches_one_forward_solve_per_hat(self, obs_indices, nt):
+        problem = kernel_problem(obs_indices, nt=nt)
+        brute = brute_force_rows(problem)
+        scale = np.abs(brute).max()
+        assert scale > 0.0
+        kernel = _forward_map_rows(problem)
+        assert np.abs(kernel - brute).max() <= 1e-12 * scale
+        adjoint = _forward_map_matrix_adjoint(problem)
+        assert np.abs(adjoint - brute).max() <= 1e-12 * scale
+
+    def test_rows_vanish_beyond_the_observation_time(self):
+        problem = kernel_problem((0, 9, 20))
+        rows = _forward_map_rows(problem)
+        for row, n_i in zip(rows, problem.obs_indices):
+            assert not row[n_i + 1 :].any()
+        assert not rows[0].any()

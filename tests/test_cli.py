@@ -1,9 +1,14 @@
 """Config parsing, scenario runs, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import colflux
 
 from colflux.cli import (
     ExperimentConfig,
@@ -22,6 +27,15 @@ from colflux.errors import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(colflux.__file__).resolve().parents[1])
+
+
+def run_python(args, **kwargs):
+    """Run a fresh interpreter with the package under test importable."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+    )
 
 
 def small_config(scenario, out, **extra):
@@ -146,6 +160,22 @@ class TestExitCodes:
         assert report["error"] == "CapacityError"
         error_file = json.loads((tmp_path / "out" / "error.json").read_text())
         assert error_file == report
+
+    def test_stepper_overflow_reports_only_json_on_stderr(self, tmp_path):
+        # a fresh process, so nothing but the program writes to stderr; the
+        # overflow must surface as the StabilityError report, not a warning
+        config = {
+            "flux": {"kind": "sine", "amplitude": 1e308, "cycles": 1.0},
+            "grid": {"nz": 33, "nt": 65},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        args = ["-m", "colflux.cli", "simulate", "--config", str(path)]
+        proc = run_python([*args, "--out", str(tmp_path / "out")], timeout=120)
+        assert proc.returncode == 3
+        report = json.loads(proc.stderr)
+        assert report["error"] == "StabilityError"
+        assert report["exit_code"] == 3
 
     def test_blind_mode_overflow_is_a_config_error(self, tmp_path, capsys):
         config = small_config("blind", tmp_path / "out", blind={"m": 19})
@@ -281,3 +311,10 @@ class TestRunScenarioDirect:
         )
         assert manifest["seed"] == 0
         assert "colflux" in manifest["versions"]
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    code = "import sys, colflux.cli; print('scipy.integrate' in sys.modules)"
+    proc = run_python(["-c", code], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

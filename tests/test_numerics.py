@@ -4,19 +4,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colflux.errors import SingularSystemError
+from colflux.model import validate_profile
 from colflux.numerics import (
     SERIES_CUTOFF,
     ColumnGrid,
     TimeGrid,
+    cumulative_trapezoid,
     exp_inner,
     exp_inner_coefficients,
+    factor_tridiagonal,
     solve_tridiagonal,
     trapezoid,
 )
+from colflux.transport import _cn_bands
 
 
 class TestGrids:
@@ -84,6 +89,23 @@ class TestTrapezoid:
         lhs = trapezoid(a * f + b * g, grid)
         rhs = a * trapezoid(f, grid) + b * trapezoid(g, grid)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(a) + abs(b))
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1001, 16384])
+    def test_bit_identical_to_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, n))
+        dx = 1.0 / max(n - 1, 1)
+        expected = scipy.integrate.cumulative_trapezoid(y, dx=dx, initial=0.0)
+        np.testing.assert_array_equal(cumulative_trapezoid(y, dx), expected)
+
+    def test_last_entry_is_the_trapezoid_integral(self):
+        grid = TimeGrid(t_end=2.0, n=33)
+        y = np.cos(grid.nodes)
+        running = cumulative_trapezoid(y, grid.spacing)
+        assert running[0] == 0.0
+        assert abs(running[-1] - trapezoid(y, grid)) <= 1e-14
 
 
 class TestExpInner:
@@ -223,3 +245,79 @@ class TestSolveTridiagonal:
         full = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         expected = np.linalg.solve(full, rhs)
         np.testing.assert_allclose(x, expected, rtol=1e-9, atol=1e-12)
+
+
+def cn_left_bands(nz=201, nt=256):
+    """Left Crank-Nicolson bands of a variable, advective profile."""
+    grid = ColumnGrid(h=1.0, n=nz)
+    z = grid.nodes
+    profile = validate_profile(
+        0.5 + z * (1.0 - z), 0.3 * np.sin(np.pi * z), grid
+    )
+    return _cn_bands(profile, 1.0 / (nt - 1))[0]
+
+
+class TestFactorTridiagonal:
+    def test_bit_identical_to_solve_tridiagonal_on_the_cn_matrix(self):
+        left = cn_left_bands()
+        rhs = np.random.default_rng(5).standard_normal((left[1].size, 3))
+        solve = factor_tridiagonal(*left)
+        np.testing.assert_array_equal(solve(rhs), solve_tridiagonal(*left, rhs))
+        for j in range(rhs.shape[1]):
+            np.testing.assert_array_equal(
+                solve(rhs[:, j]), solve_tridiagonal(*left, rhs[:, j])
+            )
+
+    def test_one_and_two_dimensional_right_hand_sides(self):
+        left = cn_left_bands(nz=31)
+        full = np.diag(left[1]) + np.diag(left[0], -1) + np.diag(left[2], 1)
+        solve = factor_tridiagonal(*left)
+        rng = np.random.default_rng(6)
+        for shape in [(31,), (31, 1), (31, 4)]:
+            rhs = rng.standard_normal(shape)
+            x = solve(rhs)
+            assert x.shape == shape
+            np.testing.assert_allclose(full @ x, rhs, atol=1e-12)
+
+    def test_factors_are_reused_across_solves(self):
+        # the solver keeps its own copy: later solves are unaffected by
+        # changes to the bands or to earlier right-hand sides
+        lower, diag, upper = (b.copy() for b in cn_left_bands(nz=17))
+        solve = factor_tridiagonal(lower, diag, upper)
+        rhs = np.linspace(-1.0, 1.0, 17)
+        first = solve(rhs)
+        diag[:] = 1.0
+        again = solve(rhs)
+        np.testing.assert_array_equal(first, again)
+        np.testing.assert_array_equal(rhs, np.linspace(-1.0, 1.0, 17))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smallest_systems(self, n):
+        rng = np.random.default_rng(n)
+        lower = rng.standard_normal(n - 1)
+        upper = rng.standard_normal(n - 1)
+        diag = 4.0 + rng.random(n)
+        rhs = rng.standard_normal((n, 2))
+        full = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        x = factor_tridiagonal(lower, diag, upper)(rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(full, rhs), rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            ([0.0], [0.0, 1.0], [0.0]),
+            # rows 0 and 1 coincide; the zero pivot appears after a swap
+            ([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]),
+            ([], [0.0], []),
+        ],
+    )
+    def test_singular_matrix_raises(self, bands):
+        with pytest.raises(SingularSystemError):
+            factor_tridiagonal(*(np.array(b) for b in bands))
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match="off-diagonals"):
+            factor_tridiagonal(np.ones(2), np.ones(4), np.ones(3))
+        solve = factor_tridiagonal(np.ones(2), 3.0 * np.ones(3), np.ones(2))
+        with pytest.raises(ValueError, match="leading dimension"):
+            solve(np.ones(4))
