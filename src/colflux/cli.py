@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ import scipy
 
 from . import __version__
 from .assimilate import (
+    PRIOR_KINDS,
     AssimilationProblem,
     PriorSpec,
     map_estimate,
@@ -61,32 +63,6 @@ from .transport import (
     write_field_csv,
 )
 
-SCENARIOS = (
-    "validate",
-    "simulate",
-    "eigen",
-    "weights",
-    "gains",
-    "assimilate",
-    "oracle_check",
-    "blind",
-    "compare_altitude",
-)
-
-_DEFAULTS = {"nz": 1001, "nt": 1024, "n_modes": 32, "seed": 0}
-
-WEIGHT_LABELS = ("uniform", "rho_plus", "rho_minus")
-
-_FUNCTION_KINDS = {
-    "constant": ("value",),
-    "linear": ("base", "slope"),
-    "sine": ("amplitude", "cycles"),
-    "parabola": ("amplitude",),
-    "cosine": ("amplitude", "mode"),
-    "bump": ("amplitude",),
-    "samples": ("values",),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -101,10 +77,10 @@ class ExperimentConfig:
     scenario: str
     h: float = 1.0
     t_end: float = 1.0
-    nz: int = _DEFAULTS["nz"]
-    nt: int = _DEFAULTS["nt"]
-    n_modes: int = _DEFAULTS["n_modes"]
-    seed: int = _DEFAULTS["seed"]
+    nz: int = 1001
+    nt: int = 1024
+    n_modes: int = 32
+    seed: int = 0
     out_dir: str = "colflux_out"
     k_spec: dict = field(default_factory=lambda: {"kind": "constant", "value": 1.0})
     w_spec: dict = field(default_factory=lambda: {"kind": "constant", "value": 0.0})
@@ -129,255 +105,16 @@ class ExperimentConfig:
     )
 
     def canonical(self) -> dict:
-        """The config as a plain nested dict in the documented schema."""
-        return {
-            "scenario": self.scenario,
-            "model": {"h": self.h, "k": dict(self.k_spec), "w": dict(self.w_spec)},
-            "grid": {"nz": self.nz, "nt": self.nt, "t_end": self.t_end},
-            "spectral": {"n_modes": self.n_modes},
-            "prior": {
-                "kind": self.prior_kind,
-                "sigma": self.prior_sigma,
-                "mean": dict(self.prior_mean_spec),
-            },
-            "observations": {
-                "times": list(self.obs_times),
-                "weights": [
-                    w if isinstance(w, str) else dict(w) for w in self.obs_weights
-                ],
-                "noise": list(self.obs_noise),
-            },
-            "flux": dict(self.flux_spec),
-            "initial": dict(self.initial_spec),
-            "blind": {
-                "m": self.blind_m,
-                "seed_function": dict(self.blind_seed_spec),
-                # t_obs is omitted while unset: the schema has no null
-                **({} if self.blind_t_obs is None else {"t_obs": self.blind_t_obs}),
-            },
-            "seed": self.seed,
-            "out": self.out_dir,
-        }
+        """The config as a plain nested dict in the documented schema.
 
-
-def _fail(path: str, message: str):
-    raise ConfigError(f"{path}: {message}")
-
-
-def _check_keys(block: dict, allowed, path: str) -> None:
-    for key in block:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else key, "unknown key")
-
-
-def _require_number(block, key, path, default=None, positive=False, integer=False):
-    where = f"{path}.{key}" if path else key
-    if key not in block:
-        if default is None:
-            _fail(where, "missing required value")
-        return default
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(where, f"expected a number, got {v!r}")
-    if integer and int(v) != v:
-        _fail(where, f"expected an integer, got {v!r}")
-    if positive and v <= 0:
-        _fail(where, f"must be positive, got {v!r}")
-    return int(v) if integer else float(v)
-
-
-def _check_function_spec(spec, path: str) -> dict:
-    if not isinstance(spec, dict):
-        _fail(path, f"expected an object with a 'kind', got {spec!r}")
-    kind = spec.get("kind")
-    if kind not in _FUNCTION_KINDS:
-        _fail(f"{path}.kind", f"unknown kind {kind!r}; options {sorted(_FUNCTION_KINDS)}")
-    _check_keys(spec, ("kind",) + _FUNCTION_KINDS[kind], path)
-    out = {"kind": kind}
-    if kind == "samples":
-        vals = spec.get("values")
-        if not isinstance(vals, list) or not vals:
-            _fail(f"{path}.values", "expected a nonempty list of numbers")
-        out["values"] = [float(v) for v in vals]
-    else:
-        for key in _FUNCTION_KINDS[kind]:
-            out[key] = _require_number(spec, key, path, default=None)
-    return out
-
-
-def _eval_function_spec(spec: dict, nodes: np.ndarray, length: float) -> np.ndarray:
-    kind = spec["kind"]
-    if kind == "constant":
-        return np.full(nodes.shape, spec["value"])
-    if kind == "linear":
-        return spec["base"] + spec["slope"] * nodes
-    if kind == "sine":
-        return spec["amplitude"] * np.sin(np.pi * spec["cycles"] * nodes / length)
-    if kind == "parabola":
-        return spec["amplitude"] * nodes * (length - nodes)
-    if kind == "cosine":
-        return spec["amplitude"] * np.cos(spec["mode"] * np.pi * nodes / length)
-    if kind == "bump":
-        return spec["amplitude"] * np.sin(np.pi * nodes / length) ** 2
-    values = np.asarray(spec["values"], dtype=float)
-    if values.shape != nodes.shape:
-        msg = f"samples: expected {nodes.size} values, got {values.size}"
-        raise ConfigError(msg)
-    return values
-
-
-def parse_config(text: str, scenario: str | None = None) -> ExperimentConfig:
-    """Parse and validate a JSON config document.
-
-    Unknown keys anywhere are rejected with the offending path named;
-    defaults are nz=1001, nt=1024, n_modes=32, seed=0. When ``scenario``
-    is given (the CLI passes its positional argument) it is used instead
-    of the document's "scenario" key, which then becomes optional.
-
-    Raises
-    ------
-    ConfigError
-    """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(
-        raw,
-        (
-            "scenario",
-            "model",
-            "grid",
-            "spectral",
-            "prior",
-            "observations",
-            "flux",
-            "initial",
-            "blind",
-            "seed",
-            "out",
-        ),
-        "",
-    )
-
-    if scenario is None:
-        scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
-        _fail("scenario", f"expected one of {SCENARIOS}, got {scenario!r}")
-
-    kwargs = {"scenario": scenario}
-
-    model = raw.get("model", {})
-    _check_keys(model, ("h", "k", "w"), "model")
-    kwargs["h"] = _require_number(model, "h", "model", default=1.0, positive=True)
-    if "k" in model:
-        k_spec = _check_function_spec(model["k"], "model.k")
-        if k_spec["kind"] == "constant" and k_spec["value"] <= 0:
-            _fail("model.k.value", "diffusivity must be positive (assumption A2)")
-        kwargs["k_spec"] = k_spec
-    if "w" in model:
-        kwargs["w_spec"] = _check_function_spec(model["w"], "model.w")
-
-    grid = raw.get("grid", {})
-    _check_keys(grid, ("nz", "nt", "t_end"), "grid")
-    kwargs["nz"] = _require_number(
-        grid, "nz", "grid", default=_DEFAULTS["nz"], positive=True, integer=True
-    )
-    kwargs["nt"] = _require_number(
-        grid, "nt", "grid", default=_DEFAULTS["nt"], positive=True, integer=True
-    )
-    kwargs["t_end"] = _require_number(grid, "t_end", "grid", default=1.0, positive=True)
-
-    spectral = raw.get("spectral", {})
-    _check_keys(spectral, ("n_modes",), "spectral")
-    kwargs["n_modes"] = _require_number(
-        spectral, "n_modes", "spectral", default=_DEFAULTS["n_modes"],
-        positive=True, integer=True,
-    )
-
-    prior = raw.get("prior", {})
-    _check_keys(prior, ("kind", "sigma", "mean"), "prior")
-    if "kind" in prior:
-        from .assimilate import PRIOR_KINDS
-
-        if prior["kind"] not in PRIOR_KINDS:
-            _fail("prior.kind", f"expected one of {PRIOR_KINDS}, got {prior['kind']!r}")
-        kwargs["prior_kind"] = prior["kind"]
-    kwargs["prior_sigma"] = _require_number(
-        prior, "sigma", "prior", default=1.0, positive=True
-    )
-    if "mean" in prior:
-        kwargs["prior_mean_spec"] = _check_function_spec(prior["mean"], "prior.mean")
-
-    obs = raw.get("observations", {})
-    _check_keys(obs, ("times", "weights", "noise"), "observations")
-    if "times" in obs:
-        times = obs["times"]
-        if not isinstance(times, list) or not times:
-            _fail("observations.times", "expected a nonempty list")
-        kwargs["obs_times"] = tuple(float(t) for t in times)
-    if "weights" in obs:
-        weights = obs["weights"]
-        if not isinstance(weights, list):
-            _fail("observations.weights", "expected a list")
-        checked = []
-        for i, w in enumerate(weights):
-            if isinstance(w, str):
-                if w not in WEIGHT_LABELS:
-                    _fail(
-                        f"observations.weights[{i}]",
-                        f"unknown label {w!r}; options {WEIGHT_LABELS}",
-                    )
-                checked.append(w)
-            else:
-                checked.append(
-                    _check_function_spec(w, f"observations.weights[{i}]")
-                )
-        kwargs["obs_weights"] = tuple(checked)
-    if "noise" in obs:
-        noise = obs["noise"]
-        if not isinstance(noise, list):
-            _fail("observations.noise", "expected a list")
-        kwargs["obs_noise"] = tuple(float(r) for r in noise)
-    n_times = len(kwargs.get("obs_times", ExperimentConfig.obs_times))
-    for key, label in (("obs_weights", "weights"), ("obs_noise", "noise")):
-        got = kwargs.get(key, getattr(ExperimentConfig, key))
-        if len(got) != n_times:
-            _fail(
-                f"observations.{label}",
-                f"{len(got)} entries for {n_times} observation times",
-            )
-
-    if "flux" in raw:
-        kwargs["flux_spec"] = _check_function_spec(raw["flux"], "flux")
-    if "initial" in raw:
-        kwargs["initial_spec"] = _check_function_spec(raw["initial"], "initial")
-
-    blind = raw.get("blind", {})
-    _check_keys(blind, ("m", "t_obs", "seed_function"), "blind")
-    if "m" in blind:
-        kwargs["blind_m"] = _require_number(
-            blind, "m", "blind", default=None, positive=True, integer=True
-        )
-    if "t_obs" in blind:
-        kwargs["blind_t_obs"] = _require_number(
-            blind, "t_obs", "blind", default=None, positive=True
-        )
-    if "seed_function" in blind:
-        kwargs["blind_seed_spec"] = _check_function_spec(
-            blind["seed_function"], "blind.seed_function"
-        )
-
-    if "seed" in raw:
-        kwargs["seed"] = _require_number({"seed": raw["seed"]}, "seed", "", integer=True)
-    if "out" in raw:
-        if not isinstance(raw["out"], str) or not raw["out"]:
-            _fail("out", "expected a nonempty string")
-        kwargs["out_dir"] = raw["out"]
-
-    return ExperimentConfig(**kwargs)
+        ``blind.t_obs`` is omitted while unset: the schema has no null.
+        """
+        doc = {}
+        for path, name, _ in _SCHEMA:
+            if getattr(self, name) is not None:
+                _place(doc, path, getattr(self, name))
+        # through JSON, so tuples become lists and nothing is shared with self
+        return json.loads(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +450,243 @@ _SCENARIO_IMPL = {
     "blind": _scenario_blind,
     "compare_altitude": _scenario_compare_altitude,
 }
+SCENARIOS = tuple(_SCENARIO_IMPL)
+
+
+# ---------------------------------------------------------------------------
+# config schema: value checks, function specs, the table and its walk
+
+
+WEIGHT_LABELS = ("uniform", "rho_plus", "rho_minus")
+
+
+def _fail(path: str, message: str):
+    raise ConfigError(f"{path}: {message}")
+
+
+def _number(value, path: str) -> float:
+    """A finite real; JSON booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _positive(value, path: str) -> float:
+    number = _number(value, path)
+    if number <= 0:
+        _fail(path, f"must be positive, got {value!r}")
+    return number
+
+
+def _integer(value, path: str) -> int:
+    _number(value, path)
+    if int(value) != value:
+        _fail(path, f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _count(value, path: str) -> int:
+    _positive(value, path)
+    return _integer(value, path)
+
+
+def _seed(value, path: str) -> int:
+    """A Philox key: an integer in [0, 2**128)."""
+    seed = _integer(value, path)
+    if not 0 <= seed < 2**128:
+        _fail(path, f"must lie in [0, 2**128), got {value!r}")
+    return seed
+
+
+def _choice(options: tuple):
+    def check(value, path: str):
+        if value not in options:
+            _fail(path, f"expected one of {options}, got {value!r}")
+        return value
+
+    return check
+
+
+def _nonempty_string(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        _fail(path, f"expected a nonempty string, got {value!r}")
+    return value
+
+
+def _list_of(check):
+    def check_list(value, path: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            _fail(path, f"expected a nonempty list, got {value!r}")
+        return tuple(check(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+    return check_list
+
+
+def _samples(spec: dict, nodes: np.ndarray, length: float) -> np.ndarray:
+    values = np.asarray(spec["values"], dtype=float)
+    if values.shape != nodes.shape:
+        msg = f"samples: expected {nodes.size} values, got {values.size}"
+        raise ConfigError(msg)
+    return values
+
+
+#: Function-spec kinds: the check of each parameter, and the evaluator
+#: f(spec, nodes, length) on grid nodes spanning [0, length].
+_FUNCTION_KINDS = {
+    "constant": ({"value": _number}, lambda p, x, span: np.full(x.shape, p["value"])),
+    "linear": (
+        {"base": _number, "slope": _number},
+        lambda p, x, span: p["base"] + p["slope"] * x,
+    ),
+    "sine": (
+        {"amplitude": _number, "cycles": _number},
+        lambda p, x, span: p["amplitude"] * np.sin(np.pi * p["cycles"] * x / span),
+    ),
+    "parabola": (
+        {"amplitude": _number},
+        lambda p, x, span: p["amplitude"] * x * (span - x),
+    ),
+    "cosine": (
+        {"amplitude": _number, "mode": _number},
+        lambda p, x, span: p["amplitude"] * np.cos(p["mode"] * np.pi * x / span),
+    ),
+    "bump": (
+        {"amplitude": _number},
+        lambda p, x, span: p["amplitude"] * np.sin(np.pi * x / span) ** 2,
+    ),
+    "samples": ({"values": _list_of(_number)}, _samples),
+}
+
+
+def _function_spec(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, f"expected an object with a 'kind', got {value!r}")
+    kind = _choice(tuple(_FUNCTION_KINDS))(value.get("kind"), f"{path}.kind")
+    params = _FUNCTION_KINDS[kind][0]
+    for key in value:
+        if key != "kind" and key not in params:
+            _fail(f"{path}.{key}", "unknown key")
+    spec = {"kind": kind}
+    for key, check in params.items():
+        if key not in value:
+            _fail(f"{path}.{key}", "missing required value")
+        spec[key] = check(value[key], f"{path}.{key}")
+    return spec
+
+
+def _eval_function_spec(spec: dict, nodes: np.ndarray, length: float) -> np.ndarray:
+    return _FUNCTION_KINDS[spec["kind"]][1](spec, nodes, length)
+
+
+def _weight(value, path: str):
+    """A weight label, or a function spec evaluated on the column grid."""
+    if isinstance(value, str):
+        return _choice(WEIGHT_LABELS)(value, path)
+    return _function_spec(value, path)
+
+
+#: The config document as (dotted path, ExperimentConfig field, check). A
+#: check takes the value and its path, raises ConfigError naming the path,
+#: and returns the value as the field stores it. Every proper prefix of a
+#: path is a block, which must be an object; absent keys keep the field's
+#: default.
+_SCHEMA = (
+    ("scenario", "scenario", _choice(SCENARIOS)),
+    ("model.h", "h", _positive),
+    ("model.k", "k_spec", _function_spec),
+    ("model.w", "w_spec", _function_spec),
+    ("grid.nz", "nz", _count),
+    ("grid.nt", "nt", _count),
+    ("grid.t_end", "t_end", _positive),
+    ("spectral.n_modes", "n_modes", _count),
+    ("prior.kind", "prior_kind", _choice(PRIOR_KINDS)),
+    ("prior.sigma", "prior_sigma", _positive),
+    ("prior.mean", "prior_mean_spec", _function_spec),
+    ("observations.times", "obs_times", _list_of(_number)),
+    ("observations.weights", "obs_weights", _list_of(_weight)),
+    ("observations.noise", "obs_noise", _list_of(_number)),
+    ("flux", "flux_spec", _function_spec),
+    ("initial", "initial_spec", _function_spec),
+    ("blind.m", "blind_m", _count),
+    ("blind.seed_function", "blind_seed_spec", _function_spec),
+    ("blind.t_obs", "blind_t_obs", _positive),
+    ("seed", "seed", _seed),
+    ("out", "out_dir", _nonempty_string),
+)
+_LEAVES = {tuple(path.split(".")): (name, check) for path, name, check in _SCHEMA}
+_BLOCKS = {keys[:i] for keys in _LEAVES for i in range(1, len(keys))}
+
+
+def _place(doc: dict, path: str, value) -> None:
+    """Set ``value`` at dotted ``path``; a non-object block is left to the walk."""
+    *blocks, key = path.split(".")
+    for name in blocks:
+        doc = doc.setdefault(name, {})
+        if not isinstance(doc, dict):
+            return
+    doc[key] = value
+
+
+def _walk(value, keys: tuple, kwargs: dict) -> None:
+    """Check ``value`` found at ``keys`` against the schema into ``kwargs``."""
+    if keys in _LEAVES:
+        name, check = _LEAVES[keys]
+        kwargs[name] = check(value, ".".join(keys))
+    elif not isinstance(value, dict):
+        _fail(".".join(keys), f"expected an object, got {value!r}")
+    else:
+        for key, item in value.items():
+            if keys + (key,) not in _LEAVES and keys + (key,) not in _BLOCKS:
+                _fail(".".join(keys + (key,)), "unknown key")
+            _walk(item, keys + (key,), kwargs)
+
+
+def parse_config(
+    text: str, scenario: str | None = None, overrides: dict | None = None
+) -> ExperimentConfig:
+    """Parse and validate a JSON config document against the schema.
+
+    Every block must be an object, unknown keys are rejected with their
+    path, and absent keys keep the ExperimentConfig defaults. ``overrides``
+    maps schema paths to values placed in the document before the walk, so
+    they are checked alike (the CLI flags arrive this way); ``scenario`` is
+    the override at "scenario", which makes the document's key optional.
+
+    Raises
+    ------
+    ConfigError
+    """
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too many digits or levels
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    if scenario is not None:
+        _place(raw, "scenario", scenario)
+    for path, value in (overrides or {}).items():
+        _place(raw, path, value)
+
+    kwargs = {}
+    _walk(raw, (), kwargs)
+    if "scenario" not in kwargs:
+        _fail("scenario", f"missing; expected one of {SCENARIOS}")
+    config = ExperimentConfig(**kwargs)
+    if config.k_spec["kind"] == "constant" and config.k_spec["value"] <= 0:
+        _fail("model.k.value", "diffusivity must be positive (assumption A2)")
+    n_times = len(config.obs_times)
+    for label in ("weights", "noise"):
+        got = len(getattr(config, f"obs_{label}"))
+        if got != n_times:
+            message = f"{got} entries for {n_times} observation times"
+            _fail(f"observations.{label}", message)
+    return config
 
 
 def run_scenario(config: ExperimentConfig) -> int:
@@ -774,40 +748,27 @@ def main(argv=None) -> int:
         prog="colflux",
         description="Column-observation flux estimation experiments.",
     )
+    # every argument but --config is stored under its schema path and enters
+    # the document there, so the flags are checked like the document
     parser.add_argument("scenario", choices=SCENARIOS)
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--modes", type=int, help="n_modes override")
-    args = parser.parse_args(argv)
+    parser.add_argument(
+        "--modes", dest="spectral.n_modes", type=int, help="n_modes override"
+    )
+    args = vars(parser.parse_args(argv))
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-        config = parse_config(text, scenario=args.scenario)
-    except OSError as exc:
+        text = Path(args.pop("config")).read_text(encoding="utf-8")
+        config = parse_config(
+            text, overrides={k: v for k, v in args.items() if v is not None}
+        )
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         report = {"error": "ConfigError", "exit_code": 2, "message": str(exc)}
         sys.stderr.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return 2
-    except ConfigError as exc:
-        report = {"error": "ConfigError", "exit_code": 2, "message": str(exc)}
-        sys.stderr.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        return 2
-
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.modes is not None:
-        overrides["n_modes"] = args.modes
-    config = ExperimentConfig(**{**_config_kwargs(config), **overrides})
     return run_scenario(config)
-
-
-def _config_kwargs(config: ExperimentConfig) -> dict:
-    return {
-        f: getattr(config, f) for f in ExperimentConfig.__dataclass_fields__
-    }
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Config parsing, scenario runs, exit codes, and output determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import colflux
+import colflux.cli as cli
 
 from colflux.cli import (
     ExperimentConfig,
@@ -27,6 +31,7 @@ from colflux.errors import (
 )
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 SRC = str(Path(colflux.__file__).resolve().parents[1])
 
 
@@ -318,3 +323,206 @@ def test_cli_import_does_not_load_scipy_integrate():
     proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def error_report(capsys) -> dict:
+    """The one JSON document on stderr; a traceback or a second document fails."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return json.loads(err)
+
+
+class TestSchemaRegressions:
+    """Inputs that once crashed with a traceback, or were accepted wrongly."""
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"grid": 5}', "grid"),
+            ('{"prior": 3}', "prior"),
+            ('{"observations": {"noise": ["a"]}}', "observations.noise[0]"),
+            (
+                '{"observations": {"times": ["x"], "weights": ["uniform"],'
+                ' "noise": [0.1]}}',
+                "observations.times[0]",
+            ),
+            ('{"flux": {"kind": ["sine"]}}', "flux.kind"),
+            ('{"flux": {"kind": "samples", "values": ["a"]}}', "flux.values[0]"),
+            ('{"flux": {"kind": "samples", "values": [[1]]}}', "flux.values[0]"),
+            ('{"grid": {"nz": NaN}}', "grid.nz"),
+            ('{"grid": {"nt": Infinity}}', "grid.nt"),
+            ('{"seed": NaN}', "seed"),
+            ('{"observations": []}', "observations"),
+            ('{"model": [1, 2]}', "model"),
+            (
+                '{"flux": {"kind": "samples", "values": [true, false]}}',
+                "flux.values[0]",
+            ),
+            ('{"flux": {"kind": "samples", "values": [1e400]}}', "flux.values[0]"),
+            ('{"seed": -1}', "seed"),
+        ],
+    )
+    def test_bad_document_exits_2_naming_the_path(self, tmp_path, capsys, text, path):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["validate", "--config", str(config), "--out", str(out)])
+        report = error_report(capsys)
+        assert code == 2
+        assert report["error"] == "ConfigError"
+        assert report["exit_code"] == 2
+        assert report["message"].startswith(f"{path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, path",
+        [
+            ("--seed", "-5", "seed"),
+            ("--seed", str(2**128), "seed"),
+            ("--modes", "0", "spectral.n_modes"),
+            ("--out", "", "out"),
+        ],
+    )
+    def test_flags_are_checked_like_the_document(
+        self, tmp_path, capsys, flag, value, path
+    ):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config("assimilate", out)), encoding="utf-8")
+        code = main(["assimilate", "--config", str(config), flag, value])
+        report = error_report(capsys)
+        assert code == 2
+        assert report["message"].startswith(f"{path}: ")
+        assert not out.exists()  # rejected before any work ran
+
+    def test_flag_onto_a_non_object_block_names_the_block(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"spectral": 5}', encoding="utf-8")
+        code = main(["validate", "--config", str(config), "--modes", "4"])
+        assert code == 2
+        assert error_report(capsys)["message"].startswith("spectral: ")
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        assert main(["validate", "--config", str(config)]) == 2
+        assert error_report(capsys)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000, "[" * 100_000], ids=["digits", "nesting"]
+    )
+    def test_json_beyond_the_decoder_limits(self, text):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config(text)
+
+    def test_seed_range_is_the_philox_key_range(self):
+        assert parse_config('{"seed": 0}', scenario="blind").seed == 0
+        top = parse_config(json.dumps({"seed": 2**128 - 1}), scenario="blind")
+        assert top.seed == 2**128 - 1
+        for seed in (-1, 2**128, 1.5, True, 10**400):
+            with pytest.raises(ConfigError, match="^seed: "):
+                parse_config(json.dumps({"seed": seed}), scenario="blind")
+
+    def test_integral_floats_are_counts(self):
+        config = parse_config('{"grid": {"nz": 65.0}}', scenario="eigen")
+        assert config.nz == 65 and isinstance(config.nz, int)
+
+    def test_schema_has_one_path_per_field(self):
+        names = [name for _, name, _ in cli._SCHEMA]
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(names) == sorted(fields)
+
+
+# any JSON value, including the non-finite floats Python's json reads and writes
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NAMES = st.sampled_from(
+    cli.SCENARIOS + cli.WEIGHT_LABELS + colflux.assimilate.PRIOR_KINDS
+)
+# function specs with any kind and any parameters, and well-formed ones
+FUNCTION_SPECS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(sorted(cli._FUNCTION_KINDS)) | JSON_VALUES},
+    optional={
+        key: JSON_VALUES | st.lists(FINITE, min_size=1, max_size=4)
+        for key in ("value", "base", "slope", "amplitude", "cycles", "mode", "values")
+    },
+) | st.sampled_from(sorted(cli._FUNCTION_KINDS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {
+            "kind": st.just(kind),
+            **{
+                key: st.lists(FINITE, min_size=1) if key == "values" else FINITE
+                for key in cli._FUNCTION_KINDS[kind][0]
+            },
+        }
+    )
+)
+# values of the right shape for some path: an empty block, counts, positive
+# numbers; the golden config has three observations, so lists of three can
+# replace its observation lists
+PLAUSIBLE = (
+    st.builds(dict)
+    | st.integers(1, 2**129)
+    | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    | NAMES
+    | FUNCTION_SPECS
+    | st.lists(FINITE | NAMES | FUNCTION_SPECS, min_size=3, max_size=3)
+)
+VALUES = JSON_VALUES | PLAUSIBLE
+# every schema path and every block
+PATHS = sorted(
+    [path for path, _, _ in cli._SCHEMA] + [".".join(keys) for keys in cli._BLOCKS]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed=st.dictionaries(st.sampled_from(PATHS), VALUES, min_size=1, max_size=3))
+def test_any_document_parses_or_raises_config_error(placed):
+    doc = json.loads((DATA / "golden_config.json").read_text(encoding="utf-8"))
+    for path, value in placed.items():
+        cli._place(doc, path, value)
+    try:
+        config = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+    assert parse_config(json.dumps(config.canonical())) == config
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        (None, "bb1a410cb46a6b5b36847d6d112d6b60f6787fa24e8ad521991fb79510f1c120"),
+        (
+            "golden_config.json",
+            "1d75d6f6a0e7a39ab8519723ff995ec54875dd2d173cfb68d927fe8ab47343b3",
+        ),
+    ],
+)
+def test_manifest_config_hash_is_pinned(tmp_path, monkeypatch, name, expected):
+    # manifests from older runs must keep matching: the hash depends only on
+    # canonical(), so the scenario itself is replaced by a no-op here
+    monkeypatch.setitem(cli._SCENARIO_IMPL, "assimilate", lambda ws, out: [])
+    text = (DATA / name).read_text(encoding="utf-8") if name else "{}"
+    out = tmp_path / "out"
+    config = parse_config(text, scenario="assimilate", overrides={"out": str(out)})
+    assert run_scenario(config) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_hash"] == expected
+
+
+def test_readme_configuration_block_is_the_defaults():
+    section = README.read_text(encoding="utf-8").split("### Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    expected = ExperimentConfig(scenario="validate").canonical()
+    del expected["scenario"]
+    assert json.loads(block) == expected
