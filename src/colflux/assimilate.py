@@ -13,6 +13,14 @@ sweep uses the transposes of the Crank-Nicolson step matrices, so the
 directional-derivative identity holds to rounding and finite-difference
 checks are tight.
 
+The estimators work on the discrete forward map G (observations per nodal
+flux value), which each AssimilationProblem builds at most once: one
+impulse-response sweep gives every row, and N transposed backward sweeps
+give them again for the oracle's agreement check and the representers.
+CG then costs O(N nt) per iteration and sweeps the column no more.
+``cost``, ``gradient`` and ``hessian_form`` keep their own forward and
+adjoint sweeps, so they stay an independent check on the reused map.
+
 Conventions: arrays indexed by time nodes are "nodal functions"; the
 Euclidean gradient (sensitivity per nodal value) is converted to a nodal
 function by dividing by the trapezoid weights, so <grad, G> under the
@@ -24,6 +32,7 @@ entries there are reported as zero (the projected gradient).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +154,37 @@ class AssimilationProblem:
     @property
     def obs_indices(self) -> tuple:
         return self._obs_indices
+
+    # The discrete forward map G (one row per observation, one column per
+    # flux node) and the observed zero-flux response, each built on first
+    # use and shared by every estimator on this problem; the observations
+    # of a flux F are G F + free_response.
+
+    @cached_property
+    def forward_rows(self) -> np.ndarray:
+        """G from one impulse-response sweep."""
+        return _read_only(_forward_map_rows(self))
+
+    @cached_property
+    def adjoint_rows(self) -> np.ndarray:
+        """G again, from one transposed backward sweep per observation."""
+        return _read_only(_forward_map_matrix_adjoint(self))
+
+    @cached_property
+    def free_response(self) -> np.ndarray:
+        """Observations of the state released from q0 with zero flux.
+
+        A zero state stays zero, so with q0 = 0 this takes no sweep.
+        """
+        if not self.q0.any():
+            return _read_only(np.zeros(len(self.observations)))
+        zero_flux = np.zeros(self.prior.grid.n)
+        return _read_only(_forward_map(self, zero_flux))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _check_admissible(spec: PriorSpec, g: np.ndarray) -> None:
@@ -333,16 +373,6 @@ def hessian_form(problem: AssimilationProblem, g) -> float:
     return float(np.dot(scaled, scaled) + prior_quadratic_form(problem.prior, g))
 
 
-def _hessian_matvec(problem: AssimilationProblem, x: np.ndarray) -> np.ndarray:
-    """Euclidean Hessian: W C0^{-1} x + G^T R^{-1} G x (admissible x)."""
-    spec = problem.prior
-    u = _forward_map(problem, x, q0=np.zeros(problem.profile.grid.n))
-    resid = u / problem.observations.noise_levels**2
-    impulses = {i: resid[i] for i in range(len(problem.observations))}
-    misfit = _adjoint_flux_sensitivity(problem, impulses)
-    return spec.grid.weights * prior_apply_inverse(spec, x) + misfit
-
-
 def _make_preconditioner(problem: AssimilationProblem):
     """Solve (W C0^{-1}) z = r on the admissible subspace, kind by kind."""
     spec = problem.prior
@@ -424,7 +454,10 @@ def map_estimate(problem: AssimilationProblem):
     The Hessian is the prior precision plus a rank-N observation term, so
     preconditioning with the prior covariance makes CG resolve one
     observation direction per iteration; convergence in about N+1 steps is
-    the norm.
+    the norm. The data term comes from the problem's forward map: the
+    prior-mean observations are G F0 plus the free response to q0, and
+    each Hessian product W C0^{-1} p + G^T R^{-1} G p costs O(N nt), with
+    no solver sweep.
 
     Returns
     -------
@@ -440,11 +473,13 @@ def map_estimate(problem: AssimilationProblem):
     """
     spec = problem.prior
     n = spec.grid.n
-    y = problem.observations.values
-    u0 = _forward_map(problem, spec.mean.values)
-    resid_data = (y - u0) / problem.observations.noise_levels**2
-    impulses = {i: resid_data[i] for i in range(len(problem.observations))}
-    rhs = _reduce(problem, _adjoint_flux_sensitivity(problem, impulses))
+    g = problem.forward_rows
+    r2 = problem.observations.noise_levels**2
+    u0 = g @ spec.mean.values + problem.free_response
+    rhs = _reduce(problem, g.T @ ((problem.observations.values - u0) / r2))
+
+    def hessian(x):  # W C0^{-1} x + G^T R^{-1} G x, for admissible x
+        return spec.grid.weights * prior_apply_inverse(spec, x) + g.T @ (g @ x / r2)
 
     precond = _make_preconditioner(problem)
     x = np.zeros(n)
@@ -461,7 +496,7 @@ def map_estimate(problem: AssimilationProblem):
     max_iter = 2 * n
     rel = 1.0
     for it in range(1, max_iter + 1):
-        hp = _reduce(problem, _hessian_matvec(problem, p))
+        hp = _reduce(problem, hessian(p))
         alpha = rz / float(np.dot(p, hp))
         x = x + alpha * p
         r = r - alpha * hp
@@ -525,12 +560,13 @@ def _forward_map_matrix_adjoint(problem: AssimilationProblem) -> np.ndarray:
 def representer_rows(problem: AssimilationProblem) -> np.ndarray:
     """Observation representers as nodal time functions, one row each.
 
-    Row i is the adjoint-solve row of the forward map divided by r_i and
-    by the trapezoid weights of the interval [0, t_i] (so the node at t_i
-    carries the half weight of a subinterval endpoint and the value there
-    is the one-sided limit). Entries beyond t_i are zero.
+    Row i is the adjoint-solve row of the forward map (the problem's
+    ``adjoint_rows``, shared with the oracle) divided by r_i and by the
+    trapezoid weights of the interval [0, t_i] (so the node at t_i carries
+    the half weight of a subinterval endpoint and the value there is the
+    one-sided limit). Entries beyond t_i are zero.
     """
-    rows = _forward_map_matrix_adjoint(problem)
+    rows = problem.adjoint_rows
     tgrid = problem.prior.grid
     dt = tgrid.spacing
     out = np.zeros_like(rows)
@@ -559,10 +595,12 @@ def _dense_prior_precision(problem: AssimilationProblem) -> np.ndarray:
 def oracle_bayes(problem: AssimilationProblem):
     """Exact dense Gaussian posterior on the time grid.
 
-    Builds the discrete forward map twice, by one impulse-response sweep
-    and by per-observation adjoint sweeps, and insists the two agree to
-    1e-8 relative before using it; then forms the posterior precision
-    W C0^{-1} + G^T R^{-1} G on the admissible coordinates and factors it.
+    Takes the problem's two constructions of the discrete forward map, by
+    one impulse-response sweep and by per-observation adjoint sweeps, and
+    insists they agree to 1e-8 relative before using it; then forms the
+    posterior precision W C0^{-1} + G^T R^{-1} G on the admissible
+    coordinates and factors it. The prior-mean observations are G F0 plus
+    the free response to q0, as in ``map_estimate``.
 
     Returns
     -------
@@ -585,8 +623,8 @@ def oracle_bayes(problem: AssimilationProblem):
         )
         raise CapacityError(msg)
 
-    fwd = _forward_map_rows(problem)
-    adj = _forward_map_matrix_adjoint(problem)
+    fwd = problem.forward_rows
+    adj = problem.adjoint_rows
     scale = max(float(np.abs(fwd).max()), 1e-300) if fwd.size else 1.0
     diff = (float(np.abs(fwd - adj).max()) / scale) if fwd.size else 0.0
     if diff > 1e-8:
@@ -627,9 +665,8 @@ def oracle_bayes(problem: AssimilationProblem):
         cov[:m, -1] = cov_red[:, 0]
         cov[-1, -1] = cov_red[0, 0]
 
-    y = problem.observations.values
-    u0 = _forward_map(problem, spec.mean.values)
-    rhs = ghat.T @ ((y - u0) / r2)
+    u0 = ghat @ spec.mean.values + problem.free_response
+    rhs = ghat.T @ ((problem.observations.values - u0) / r2)
     # cov is the expanded dual-to-primal map (zero rows on pinned nodes,
     # glued rows on identified ones), so it consumes the raw dual vector
     mean = spec.mean.values + cov @ rhs

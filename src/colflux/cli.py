@@ -310,9 +310,11 @@ def _scenario_gains(ws: _Workspace, out: Path) -> list:
 
 def _scenario_assimilate(ws: _Workspace, out: Path) -> list:
     problem = ws.problem()
+    # the oracle cross-checks the forward map that CG reuses, so it runs
+    # before any artifact is written from that map
+    mean, cov = oracle_bayes(problem)
     flux_map, report = map_estimate(problem)
     _write_csv(out / "map_flux.csv", "t,F", (ws.tgrid.nodes, flux_map.values))
-    mean, cov = oracle_bayes(problem)
     _write_csv(
         out / "posterior_variance.csv", "t,variance", (ws.tgrid.nodes, np.diag(cov))
     )
@@ -528,14 +530,6 @@ def _list_of(check):
     return check_list
 
 
-def _samples(spec: dict, nodes: np.ndarray, length: float) -> np.ndarray:
-    values = np.asarray(spec["values"], dtype=float)
-    if values.shape != nodes.shape:
-        msg = f"samples: expected {nodes.size} values, got {values.size}"
-        raise ConfigError(msg)
-    return values
-
-
 #: Function-spec kinds: the check of each parameter, and the evaluator
 #: f(spec, nodes, length) on grid nodes spanning [0, length].
 _FUNCTION_KINDS = {
@@ -560,7 +554,11 @@ _FUNCTION_KINDS = {
         {"amplitude": _number},
         lambda p, x, span: p["amplitude"] * np.sin(np.pi * x / span) ** 2,
     ),
-    "samples": ({"values": _list_of(_number)}, _samples),
+    # one value per grid node; parse_config checks the count against the grid
+    "samples": (
+        {"values": _list_of(_number)},
+        lambda p, x, span: np.asarray(p["values"], dtype=float),
+    ),
 }
 
 
@@ -686,7 +684,30 @@ def parse_config(
         if got != n_times:
             message = f"{got} entries for {n_times} observation times"
             _fail(f"observations.{label}", message)
+    _check_sample_counts(config)
     return config
+
+
+def _check_sample_counts(config: ExperimentConfig) -> None:
+    """Every ``samples`` spec gives one value per node of its grid."""
+    column, time = config.nz, config.nt + 1
+    specs = [
+        ("model.k", config.k_spec, column),
+        ("model.w", config.w_spec, column),
+        ("initial", config.initial_spec, column),
+        ("flux", config.flux_spec, time),
+        ("prior.mean", config.prior_mean_spec, time),
+        ("blind.seed_function", config.blind_seed_spec, time),
+    ] + [
+        (f"observations.weights[{i}]", spec, column)
+        for i, spec in enumerate(config.obs_weights)
+    ]
+    for path, spec, nodes in specs:
+        if isinstance(spec, dict) and spec["kind"] == "samples":
+            got = len(spec["values"])
+            if got != nodes:
+                message = f"expected {nodes} values, one per grid node, got {got}"
+                _fail(f"{path}.values", message)
 
 
 def run_scenario(config: ExperimentConfig) -> int:
@@ -743,8 +764,15 @@ def _exit_code_for(exc: Exception) -> int:
     return 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports argument errors as ConfigError, not as usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="colflux",
         description="Column-observation flux estimation experiments.",
     )
@@ -757,9 +785,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--modes", dest="spectral.n_modes", type=int, help="n_modes override"
     )
-    args = vars(parser.parse_args(argv))
-
     try:
+        args = vars(parser.parse_args(argv))
         text = Path(args.pop("config")).read_text(encoding="utf-8")
         config = parse_config(
             text, overrides={k: v for k, v in args.items() if v is not None}

@@ -1,5 +1,6 @@
 """Priors, cost/gradient consistency, the MAP solve, and the dense oracle."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,6 +68,23 @@ def small_problem(n_obs=2, nt=65, nz=65, kind="dirichlet_inverse_laplacian"):
         q0=np.zeros(nz),
         observations=obs,
         weights=weights,
+        prior=prior,
+    )
+
+
+def released_problem(kind):
+    """small_problem(3) with a nonzero initial state and a nonzero prior mean."""
+    base = small_problem(3, nt=65, nz=49, kind=kind)
+    tgrid = base.prior.grid
+    z = base.profile.grid.nodes
+    # periodic in time, so every kind accepts it; its mean is not zero
+    mean = 0.4 + 0.5 * np.cos(2.0 * np.pi * tgrid.nodes)
+    prior = PriorSpec(mean=FluxSignal(grid=tgrid, values=mean), kind=kind, sigma=0.7)
+    return AssimilationProblem(
+        profile=base.profile,
+        q0=1.0 + 0.5 * np.cos(np.pi * z),
+        observations=base.observations,
+        weights=base.weights,
         prior=prior,
     )
 
@@ -413,6 +431,24 @@ class TestMapEstimate:
         norm_ref = np.sqrt(trapezoid(g_ref**2, tgrid))
         assert norm_map <= 1e-6 * norm_ref
 
+    @pytest.mark.parametrize("kind", [
+        "dirichlet_inverse_laplacian",
+        "periodic_zero_mean_inverse_laplacian",
+        "diagonal",
+    ])
+    def test_stationarity_with_initial_state_and_prior_mean(self, kind):
+        # the reused map plus the free response must reproduce the cost that
+        # the sweep-based gradient differentiates
+        problem = released_problem(kind)
+        flux, _ = map_estimate(problem)
+        g_map = gradient(problem, flux)
+        g_ref = gradient(problem, problem.prior.mean)
+        tgrid = problem.prior.grid
+        norm_map = np.sqrt(trapezoid(g_map**2, tgrid))
+        norm_ref = np.sqrt(trapezoid(g_ref**2, tgrid))
+        assert norm_ref > 0.0
+        assert norm_map <= 1e-6 * norm_ref, f"kind={kind}: {norm_map / norm_ref:.3e}"
+
     def test_pulls_toward_noiseless_truth(self):
         # strong data (tiny r) should move the estimate most of the way
         # from the prior mean toward the generating flux's observations
@@ -444,6 +480,56 @@ class TestMapEstimate:
         for w, t, y in zip(weights, times, obs.values):
             u = apply_observation(w, field.column(tgrid.index_of(t)))
             assert abs(u - y) < 1e-4 * max(1.0, abs(y))
+
+
+class TestForwardMapReuse:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of each sweep-running function, counted from here on."""
+        calls = Counter()
+        for name in ("_forward_map_rows", "_adjoint_flux_sensitivity", "solve_forward"):
+            original = getattr(assimilate, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(assimilate, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("released", [False, True], ids=["q0-zero", "q0-nonzero"])
+    def test_estimators_share_one_build(self, counts, released):
+        problem = (
+            released_problem("dirichlet_inverse_laplacian")
+            if released
+            else small_problem(3, nt=65, nz=49)
+        )
+        for _ in range(2):
+            map_estimate(problem)
+            oracle_bayes(problem)
+            representer_rows(problem)
+        assert counts == Counter(
+            _forward_map_rows=1,
+            _adjoint_flux_sensitivity=len(problem.observations),
+            solve_forward=1 if released else 0,
+        )
+
+    def test_rows_are_read_only(self):
+        problem = small_problem(2, nt=33)
+        for rows in (problem.forward_rows, problem.adjoint_rows, problem.free_response):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 1.0
+
+    def test_free_response_is_the_zero_flux_observation(self):
+        problem = released_problem("diagonal")
+        zero = FluxSignal(grid=problem.prior.grid, values=np.zeros(problem.prior.grid.n))
+        field = solve_forward(problem.profile, zero, problem.q0)
+        expected = [
+            apply_observation(w, field.column(i))
+            for w, i in zip(problem.weights, problem.obs_indices)
+        ]
+        np.testing.assert_array_equal(problem.free_response, expected)
+        assert np.abs(problem.free_response).min() > 0.0
 
 
 class TestOracleBayes:

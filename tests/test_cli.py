@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,55 @@ class TestExitCodes:
         report = json.loads(proc.stderr)
         assert report["error"] == "StabilityError"
         assert report["exit_code"] == 3
+
+    def test_forward_map_disagreement_stops_before_any_artifact(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # CG reuses the forward map the oracle checks, so a map that fails
+        # the check must not reach map_flux.csv
+        original = colflux.assimilate._forward_map_rows
+
+        def bumped(problem):
+            rows = original(problem)
+            return rows + 1e-6 * np.abs(rows).max()
+
+        monkeypatch.setattr(colflux.assimilate, "_forward_map_rows", bumped)
+        out = tmp_path / "out"
+        code = run_cli(tmp_path, small_config("assimilate", out))
+        report = error_report(capsys)
+        assert code == 3
+        assert report["error"] == "NumericalError"
+        assert "disagree" in report["message"]
+        assert not (out / "map_flux.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "--config", "c.json", "--seed", "abc"], "argument --seed"),
+            (["nosuch", "--config", "c.json"], "argument scenario"),
+            (["validate"], "--config"),
+        ],
+        ids=["bad-seed", "unknown-scenario", "missing-config"],
+    )
+    def test_argument_errors_are_json_reports(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.err)
+        assert code == 2
+        assert report["error"] == "ConfigError"
+        assert report["exit_code"] == 2
+        assert message in report["message"]
+        assert "usage" not in captured.err
+        assert captured.out == ""
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: colflux")
+        assert captured.err == ""
 
     def test_blind_mode_overflow_is_a_config_error(self, tmp_path, capsys):
         config = small_config("blind", tmp_path / "out", blind={"m": 19})
@@ -414,6 +464,41 @@ class TestSchemaRegressions:
     def test_json_beyond_the_decoder_limits(self, text):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "path, nodes",
+        [
+            ("model.k", 33),
+            ("model.w", 33),
+            ("initial", 33),
+            ("observations.weights[1]", 33),
+            ("flux", 17),
+            ("prior.mean", 17),
+            ("blind.seed_function", 17),
+        ],
+    )
+    def test_samples_must_fit_their_grid(self, tmp_path, capsys, path, nodes):
+        def document(n_values):
+            spec = {"kind": "samples", "values": [1.0] * n_values}
+            doc = {"grid": {"nz": 33, "nt": 16}}
+            if path.startswith("observations.weights"):
+                doc["observations"] = {"weights": ["uniform", spec, "uniform"]}
+            else:
+                cli._place(doc, path, spec)
+            return json.dumps(doc)
+
+        assert parse_config(document(nodes), scenario="validate")
+        config = tmp_path / "config.json"
+        config.write_text(document(2), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        report = error_report(capsys)
+        assert code == 2
+        assert report["error"] == "ConfigError"
+        assert report["message"] == (
+            f"{path}.values: expected {nodes} values, one per grid node, got 2"
+        )
+        assert not out.exists()
 
     def test_seed_range_is_the_philox_key_range(self):
         assert parse_config('{"seed": 0}', scenario="blind").seed == 0
