@@ -1,5 +1,5 @@
 """Variational flux estimation: prior, cost, adjoint gradient, MAP solve,
-and a dense Gaussian oracle that cross-checks everything else.
+the low-rank posterior, and a dense Gaussian oracle that cross-checks them.
 
 The unknown is the surface flux F on the time grid. The cost is
 
@@ -16,10 +16,19 @@ checks are tight.
 The estimators work on the discrete forward map G (observations per nodal
 flux value), which each AssimilationProblem builds at most once: one
 impulse-response sweep gives every row, and N transposed backward sweeps
-give them again for the oracle's agreement check and the representers.
-CG then costs O(N nt) per iteration and sweeps the column no more.
-``cost``, ``gradient`` and ``hessian_form`` keep their own forward and
-adjoint sweeps, so they stay an independent check on the reused map.
+give them again for the representers and for the agreement check that
+both posterior computations run before using G. CG then costs O(N nt)
+per iteration and sweeps the column no more. ``cost``, ``gradient`` and
+``hessian_form`` keep their own forward and adjoint sweeps, so they stay an
+independent check on the reused map.
+
+The posterior is the prior minus a rank-N update (the representer form
+with the Woodbury identity): with S = G C0 G^T + R,
+``lowrank_posterior`` returns the mean F0 + C0 G^T S^-1 (y - G F0 - free
+response) and the variance diag(C0) - diag(C0 G^T S^-1 G C0) in O(N nt),
+applying C0 by the CG preconditioner and taking diag(C0) in closed form.
+``oracle_bayes`` inverts the dense nt x nt posterior precision instead; it
+is the check, capped at 2048 time nodes.
 
 Conventions: arrays indexed by time nodes are "nodal functions"; the
 Euclidean gradient (sensitivity per nodal value) is converted to a nodal
@@ -54,6 +63,7 @@ __all__ = [
     "map_estimate",
     "representer_rows",
     "oracle_bayes",
+    "lowrank_posterior",
 ]
 
 PRIOR_KINDS = (
@@ -69,6 +79,10 @@ DOMAIN_TOL = 1e-10
 #: Dense-oracle size cap; above this the nt x nt factorizations stop being
 #: a desk-scale check.
 ORACLE_MAX_NODES = 2048
+
+#: The two constructions of the forward map must agree to this, relative
+#: to the largest entry, before an estimator uses it.
+FORWARD_MAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,15 @@ class AssimilationProblem:
         return _read_only(_forward_map_matrix_adjoint(self))
 
     @cached_property
+    def forward_map_rel_gap(self) -> float:
+        """Largest |forward_rows - adjoint_rows| over the largest |entry|."""
+        fwd, adj = self.forward_rows, self.adjoint_rows
+        if not fwd.size:
+            return 0.0
+        scale = max(float(np.abs(fwd).max()), 1e-300)
+        return float(np.abs(fwd - adj).max()) / scale
+
+    @cached_property
     def free_response(self) -> np.ndarray:
         """Observations of the state released from q0 with zero flux.
 
@@ -185,6 +208,25 @@ class AssimilationProblem:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _checked_forward_map(problem: AssimilationProblem):
+    """G and the gap between its two constructions, once they agree.
+
+    Raises
+    ------
+    NumericalError
+        If the impulse-response and adjoint-solve rows differ by more than
+        1e-8 of the largest entry.
+    """
+    gap = problem.forward_map_rel_gap
+    if gap > FORWARD_MAP_TOL:
+        msg = (
+            "impulse-response and adjoint-solve constructions of the discrete "
+            f"forward map disagree (relative {gap:.3e})"
+        )
+        raise NumericalError(msg)
+    return problem.forward_rows, gap
 
 
 def _check_admissible(spec: PriorSpec, g: np.ndarray) -> None:
@@ -310,11 +352,10 @@ def _adjoint_flux_sensitivity(problem: AssimilationProblem, impulses) -> np.ndar
     if not g:
         return out
     solve = factor_tridiagonal(*left_t)
-    lam = np.zeros(grid.n)
-    last = tgrid.n - 1
-    if last in g:
-        lam = lam + g[last]
-    for n in range(tgrid.n - 2, -1, -1):
+    # lam is exactly zero after the latest impulse, so the sweep starts there
+    top = max(g)
+    lam = np.zeros(grid.n) + g[top]
+    for n in range(top - 1, -1, -1):
         psi = solve(lam)
         out[n] += half * psi[0]
         out[n + 1] += half * psi[0]
@@ -420,6 +461,26 @@ def _make_preconditioner(problem: AssimilationProblem):
         return z
 
     return apply
+
+
+def _prior_variance(spec: PriorSpec) -> np.ndarray:
+    """diag(C0): the diagonal of what ``_make_preconditioner`` applies."""
+    n = spec.grid.n
+    dt = spec.grid.spacing
+    s2 = spec.sigma**2
+    if spec.kind == "diagonal":
+        return s2 / spec.grid.weights
+    if spec.kind == "dirichlet_inverse_laplacian":
+        # inverse of the (m x m) second-difference matrix: i (m+1-i) / (m+1)
+        # on the interior, vanishing at the pinned nodes i = 0 and m + 1
+        m = n - 2
+        i = np.arange(n, dtype=float)
+        return s2 * dt * i * (m + 1 - i) / (m + 1)
+    # periodic zero-mean: (1/m) sum_{k=1}^{m-1} 1/lambda_k on every node, with
+    # lambda_k = (2 - 2 cos(2 pi k/m)) / (s2 dt) and
+    # sum_{k=1}^{m-1} 1 / (2 - 2 cos(2 pi k/m)) = (m^2 - 1) / 12
+    m = n - 1
+    return np.full(n, s2 * dt * (m * m - 1) / (12.0 * m))
 
 
 def _reduce(problem, x):
@@ -623,17 +684,7 @@ def oracle_bayes(problem: AssimilationProblem):
         )
         raise CapacityError(msg)
 
-    fwd = problem.forward_rows
-    adj = problem.adjoint_rows
-    scale = max(float(np.abs(fwd).max()), 1e-300) if fwd.size else 1.0
-    diff = (float(np.abs(fwd - adj).max()) / scale) if fwd.size else 0.0
-    if diff > 1e-8:
-        msg = (
-            "impulse-response and adjoint-solve constructions of the discrete "
-            f"forward map disagree (relative {diff:.3e})"
-        )
-        raise NumericalError(msg)
-    ghat = fwd
+    ghat, _ = _checked_forward_map(problem)
 
     spec = problem.prior
     n = tgrid.n
@@ -671,3 +722,43 @@ def oracle_bayes(problem: AssimilationProblem):
     # glued rows on identified ones), so it consumes the raw dual vector
     mean = spec.mean.values + cov @ rhs
     return mean, cov
+
+
+def lowrank_posterior(problem: AssimilationProblem):
+    """Posterior mean and pointwise variance from the representer form.
+
+    With the prior covariance C0 (the preconditioner of ``map_estimate``,
+    which applies it on the admissible subspace) and S = G C0 G^T + R, the
+    Woodbury identity gives
+
+        mean = F0 + C0 G^T S^-1 (y - G F0 - free response)
+        var  = diag(C0) - diag(C0 G^T S^-1 G C0),
+
+    the prior covariance minus a rank-N update. S is N x N, so every step
+    costs O(N nt) and no nt x nt matrix is formed; the forward map passes
+    the same agreement check as in ``oracle_bayes``.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray)
+        Posterior mean and posterior variance on the time grid (zero on
+        constrained nodes).
+
+    Raises
+    ------
+    NumericalError
+        If the two forward-map constructions disagree.
+    """
+    g, _ = _checked_forward_map(problem)
+    spec = problem.prior
+    precond = _make_preconditioner(problem)
+    # rows C0 g_i; the reshape keeps the (0, nt) shape with no observations
+    c0g = np.array([precond(row) for row in g]).reshape(g.shape)
+    r2 = problem.observations.noise_levels**2
+    # S = L L^T; with V = L^-1 C0 G^T the update is V^T V, a sum of squares
+    chol = np.linalg.cholesky(g @ c0g.T + np.diag(r2))
+    v = np.linalg.solve(chol, c0g)
+    u0 = g @ spec.mean.values + problem.free_response
+    mean = spec.mean.values + v.T @ np.linalg.solve(chol, problem.observations.values - u0)
+    variance = _prior_variance(spec) - np.einsum("ij,ij->j", v, v)
+    return mean, variance

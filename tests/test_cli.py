@@ -204,6 +204,44 @@ class TestExitCodes:
         assert not (out / "map_flux.csv").exists()
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
+    def test_oracle_check_stays_capped_where_assimilate_runs(self, tmp_path, capsys):
+        # 4097 time nodes: past the dense oracle's 2048, not the low-rank path's
+        grid = {"nz": 161, "nt": 4096}
+        out = tmp_path / "assimilate"
+        config = small_config("assimilate", out, grid=grid, spectral={"n_modes": 16})
+        assert run_cli(tmp_path, config) == 0
+        variance = np.loadtxt(out / "posterior_variance.csv", delimiter=",", skiprows=1)
+        assert variance.shape == (4097, 2)
+        assert np.isfinite(variance).all() and (variance[:, 1] >= 0.0).all()
+        report = json.loads((out / "assimilate.json").read_text())
+        assert report["map_vs_oracle_mean_rel"] <= 1e-6
+        assert report["forward_map_rel_gap"] <= 1e-8
+        capsys.readouterr()
+        config = small_config(
+            "oracle_check", tmp_path / "oracle", grid=grid, spectral={"n_modes": 16}
+        )
+        assert run_cli(tmp_path, config, name="oracle.json") == 4
+        assert error_report(capsys)["error"] == "CapacityError"
+
+    def test_assimilate_runs_no_dense_oracle(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense oracle ran")
+
+        for name in ("oracle_bayes", "_dense_prior_precision"):
+            monkeypatch.setattr(colflux.assimilate, name, refuse)
+        monkeypatch.setattr(cli, "oracle_bayes", refuse)
+        assert run_cli(tmp_path, small_config("assimilate", tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize(
+        "scenario, report",
+        [("assimilate", "assimilate.json"), ("oracle_check", "oracle_report.json")],
+    )
+    def test_forward_map_gap_is_recorded(self, tmp_path, scenario, report):
+        out = tmp_path / "out"
+        assert run_cli(tmp_path, small_config(scenario, out)) == 0
+        gap = json.loads((out / report).read_text())["forward_map_rel_gap"]
+        assert 0.0 <= gap <= 1e-8
+
     @pytest.mark.parametrize(
         "argv, message",
         [
