@@ -8,7 +8,9 @@ The unknown is the surface flux F on the time grid. The cost is
 
 with the data-misfit term evaluated by the forward solver and the prior an
 inverse-Laplacian (Dirichlet or periodic zero-mean) or diagonal form on the
-time grid. Gradients come from the exact discrete adjoint: the backward
+time grid. One class per prior kind, named in ``_KINDS``, holds the kind's
+admissible set and projection, C0^{-1}, C0, diag(C0) and the oracle's dense
+inverse. Gradients come from the exact discrete adjoint: the backward
 sweep uses the transposes of the Crank-Nicolson step matrices, so the
 directional-derivative identity holds to rounding and finite-difference
 checks are tight.
@@ -66,12 +68,6 @@ __all__ = [
     "lowrank_posterior",
 ]
 
-PRIOR_KINDS = (
-    "dirichlet_inverse_laplacian",
-    "periodic_zero_mean_inverse_laplacian",
-    "diagonal",
-)
-
 #: Admissibility checks (endpoint values, zero mean) pass below this times
 #: the function's scale.
 DOMAIN_TOL = 1e-10
@@ -83,6 +79,205 @@ ORACLE_MAX_NODES = 2048
 #: The two constructions of the forward map must agree to this, relative
 #: to the largest entry, before an estimator uses it.
 FORWARD_MAP_TOL = 1e-8
+
+
+class _DiagonalPrior:
+    """Covariance sigma^2 / w on each node; every nodal function is admissible.
+
+    The base of the one class per prior kind, through which the estimators
+    reach C0; the other kinds override what their constraints change."""
+
+    def __init__(self, grid, sigma: float):
+        self.n = grid.n
+        self.dt = grid.spacing
+        self.w = grid.weights
+        self.s2 = sigma**2
+
+    def center(self, mean: FluxSignal) -> FluxSignal:
+        """F0, moved into the admissible set where the kind defines that."""
+        return mean
+
+    def check(self, g: np.ndarray) -> None:
+        """Raise DomainError unless g is admissible to 1e-10 of its scale."""
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean-orthogonal projection onto the admissible subspace."""
+        return x
+
+    def to_function(self, e: np.ndarray) -> np.ndarray:
+        """A Euclidean flux sensitivity as an admissible nodal function."""
+        return self.project(e / self.w)
+
+    def apply_inverse(self, g: np.ndarray) -> np.ndarray:
+        """C0^{-1} g for an admissible nodal function g."""
+        return g / self.s2
+
+    def covariance(self):
+        """C0 on the admissible subspace: a function solving (W C0^{-1}) z = r."""
+        return lambda r: self.s2 * r / self.w
+
+    def variance(self) -> np.ndarray:
+        """diag(C0), the diagonal of what ``covariance`` applies."""
+        return self.s2 / self.w
+
+    def invert(self, prec: np.ndarray) -> np.ndarray:
+        """Invert the dense nt x nt posterior precision on the admissible
+        coordinates; pinned nodes get zero rows, identified ones copies."""
+        return np.linalg.inv(prec)
+
+
+class _DirichletPrior(_DiagonalPrior):
+    """Inverse Laplacian -sigma^-2 d^2/dt^2 on functions vanishing at both ends."""
+
+    def check(self, g):
+        scale = max(1.0, float(np.abs(g).max()))
+        if abs(g[0]) > DOMAIN_TOL * scale or abs(g[-1]) > DOMAIN_TOL * scale:
+            msg = (
+                "function is outside the Dirichlet form domain: endpoint "
+                f"values ({g[0]:.3e}, {g[-1]:.3e}) are not zero"
+            )
+            raise DomainError(msg)
+
+    def project(self, x):
+        y = x.copy()
+        y[[0, -1]] = 0.0
+        return y
+
+    def apply_inverse(self, g):
+        out = np.zeros(self.n)
+        out[1:-1] = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / (self.s2 * self.dt**2)
+        return out
+
+    def covariance(self):
+        if self.n == 2:  # both nodes pinned, nothing to solve
+            return lambda r: np.zeros(2)
+        coef = self.w[1:-1] / (self.s2 * self.dt**2)
+        solve = factor_tridiagonal(-coef[1:], 2.0 * coef, -coef[:-1])
+        return lambda r: np.pad(solve(r[1:-1]), 1)
+
+    def variance(self):
+        # inverse of the (m x m) second-difference matrix: i (m+1-i) / (m+1)
+        # on the interior, vanishing at the pinned nodes i = 0 and m + 1
+        m = self.n - 2
+        i = np.arange(self.n, dtype=float)
+        return self.s2 * self.dt * i * (m + 1 - i) / (m + 1)
+
+    def invert(self, prec):
+        sub = slice(1, self.n - 1)
+        cov_red = np.linalg.inv(prec[sub, sub])
+        # allocated only now: zeroing nt x nt pages while the inverse's
+        # temporaries are live raises the oracle's peak memory
+        cov = np.zeros((self.n, self.n))
+        cov[sub, sub] = cov_red
+        return cov
+
+
+class _PeriodicPrior(_DiagonalPrior):
+    """Inverse Laplacian on periodic zero-mean functions; the last node is the first."""
+
+    def center(self, mean):
+        v = mean.values
+        scale = max(1.0, float(np.abs(v).max()))
+        if abs(v[0] - v[-1]) > DOMAIN_TOL * scale:
+            msg = (
+                "periodic prior needs a periodic mean: endpoint values "
+                f"differ by {abs(v[0] - v[-1]):.3e}"
+            )
+            raise ValueError(msg)
+        return FluxSignal(grid=mean.grid, values=v - v[:-1].mean())
+
+    def check(self, g):
+        scale = max(1.0, float(np.abs(g).max()))
+        if abs(g[0] - g[-1]) > DOMAIN_TOL * scale:
+            msg = f"function is not periodic: endpoints differ by {abs(g[0] - g[-1]):.3e}"
+            raise DomainError(msg)
+        mean = float(g[:-1].mean())
+        if abs(mean) > DOMAIN_TOL * scale:
+            msg = f"periodic prior needs zero-mean functions, got mean {mean:.3e}"
+            raise DomainError(msg)
+
+    def project(self, x):
+        # Euclidean-orthogonal projection onto the admissible subspace
+        # {x[0] = x[-1], sum over the distinct nodes = 0}. Orthogonality
+        # matters: conjugate gradients assumes a symmetric projected
+        # operator, and an oblique reduction converges to a stationary
+        # point of the wrong constraint pairing.
+        m = x.shape[0] - 1
+        glue = x[0] - x[-1]
+        total = x[:-1].sum()
+        det = 2.0 * m - 1.0
+        alpha = (m * glue - total) / det
+        beta = (2.0 * total - glue) / det
+        y = x.copy()
+        y[:-1] -= beta
+        y[0] -= alpha
+        y[-1] += alpha
+        return y
+
+    def to_function(self, e):
+        out = e / self.w
+        out[0] = out[-1] = (e[0] + e[-1]) / (self.w[0] + self.w[-1])
+        return out - out[:-1].mean()
+
+    def apply_inverse(self, g):
+        # circular stencil on the n-1 distinct nodes
+        h = g[:-1]
+        lap = np.roll(h, -1) - 2.0 * h + np.roll(h, 1)
+        out = -lap / (self.s2 * self.dt**2)
+        return np.append(out, out[0])
+
+    def covariance(self):
+        # the stencil is circulant on the distinct nodes, diagonal in the
+        # Fourier basis; the zero frequency is projected out
+        m = self.n - 1
+        freqs = np.arange(m // 2 + 1)
+        scale = self.dt / (self.s2 * self.dt**2)
+        eig = (2.0 - 2.0 * np.cos(2.0 * np.pi * freqs / m)) * scale
+
+        def apply(r):
+            rr = r.copy()
+            rr[0] = rr[0] + r[-1]
+            spec_hat = np.fft.rfft(rr[:-1])
+            spec_hat[0] = 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                spec_hat[1:] = spec_hat[1:] / eig[1:]
+            z = np.fft.irfft(spec_hat, m)
+            return np.append(z, z[0])
+
+        return apply
+
+    def variance(self):
+        # (1/m) sum_{k=1}^{m-1} 1/lambda_k on every node, with
+        # lambda_k = (2 - 2 cos(2 pi k/m)) / (s2 dt) and
+        # sum_{k=1}^{m-1} 1 / (2 - 2 cos(2 pi k/m)) = (m^2 - 1) / 12
+        m = self.n - 1
+        return np.full(self.n, self.s2 * self.dt * (m * m - 1) / (12.0 * m))
+
+    def invert(self, prec):
+        # glue the identified last node onto the first and invert on the m
+        # distinct nodes. The constant is the known null direction: adding
+        # J/m (J all ones) gives it eigenvalue 1, so no rounded zero
+        # eigenvalue is inverted, and the projections remove it again
+        m = self.n - 1
+        pr = prec[:m, :m].copy()
+        pr[:, 0] += prec[:m, -1]
+        pr[0, :] += prec[-1, :m]
+        pr[0, 0] += prec[-1, -1]
+        proj = np.eye(m) - np.full((m, m), 1.0 / m)
+        cov_red = np.linalg.inv(proj @ pr @ proj + 1.0 / m)
+        cov_red = proj @ cov_red @ proj
+        # expand: the last node is the first
+        nodes = np.append(np.arange(m), 0)
+        return cov_red[np.ix_(nodes, nodes)]
+
+
+_KINDS = {
+    "dirichlet_inverse_laplacian": _DirichletPrior,
+    "periodic_zero_mean_inverse_laplacian": _PeriodicPrior,
+    "diagonal": _DiagonalPrior,
+}
+
+PRIOR_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -106,19 +301,9 @@ class PriorSpec:
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             msg = f"sigma must be a positive real, got {self.sigma!r}"
             raise ValueError(msg)
-        if self.kind == "periodic_zero_mean_inverse_laplacian":
-            v = self.mean.values
-            scale = max(1.0, float(np.abs(v).max()))
-            if abs(v[0] - v[-1]) > DOMAIN_TOL * scale:
-                msg = (
-                    "periodic prior needs a periodic mean: endpoint values "
-                    f"differ by {abs(v[0] - v[-1]):.3e}"
-                )
-                raise ValueError(msg)
-            centered = v - v[:-1].mean()
-            object.__setattr__(
-                self, "mean", FluxSignal(grid=self.mean.grid, values=centered)
-            )
+        family = _KINDS[self.kind](self.mean.grid, self.sigma)
+        object.__setattr__(self, "mean", family.center(self.mean))
+        object.__setattr__(self, "_family", family)
 
     @property
     def grid(self):
@@ -229,25 +414,6 @@ def _checked_forward_map(problem: AssimilationProblem):
     return problem.forward_rows, gap
 
 
-def _check_admissible(spec: PriorSpec, g: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(g).max()))
-    if spec.kind == "dirichlet_inverse_laplacian":
-        if abs(g[0]) > DOMAIN_TOL * scale or abs(g[-1]) > DOMAIN_TOL * scale:
-            msg = (
-                "function is outside the Dirichlet form domain: endpoint "
-                f"values ({g[0]:.3e}, {g[-1]:.3e}) are not zero"
-            )
-            raise DomainError(msg)
-    elif spec.kind == "periodic_zero_mean_inverse_laplacian":
-        if abs(g[0] - g[-1]) > DOMAIN_TOL * scale:
-            msg = f"function is not periodic: endpoints differ by {abs(g[0] - g[-1]):.3e}"
-            raise DomainError(msg)
-        mean = float(g[:-1].mean())
-        if abs(mean) > DOMAIN_TOL * scale:
-            msg = f"periodic prior needs zero-mean functions, got mean {mean:.3e}"
-            raise DomainError(msg)
-
-
 def prior_apply_inverse(spec: PriorSpec, g) -> np.ndarray:
     """Apply the prior precision C0^{-1} to a nodal function.
 
@@ -268,21 +434,8 @@ def prior_apply_inverse(spec: PriorSpec, g) -> np.ndarray:
     if g.shape != (n,):
         msg = f"expected {n} nodal values, got shape {g.shape}"
         raise ValueError(msg)
-    _check_admissible(spec, g)
-    s2 = spec.sigma**2
-    if spec.kind == "diagonal":
-        return g / s2
-    dt = spec.grid.spacing
-    out = np.zeros(n)
-    if spec.kind == "dirichlet_inverse_laplacian":
-        out[1:-1] = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / (s2 * dt**2)
-        return out
-    # periodic: circular stencil on the n-1 distinct nodes
-    h = g[:-1]
-    lap = np.roll(h, -1) - 2.0 * h + np.roll(h, 1)
-    out[:-1] = -lap / (s2 * dt**2)
-    out[-1] = out[0]
-    return out
+    spec._family.check(g)
+    return spec._family.apply_inverse(g)
 
 
 def prior_quadratic_form(spec: PriorSpec, g) -> float:
@@ -365,23 +518,6 @@ def _adjoint_flux_sensitivity(problem: AssimilationProblem, impulses) -> np.ndar
     return out
 
 
-def _euclidean_to_function(problem: AssimilationProblem, e: np.ndarray) -> np.ndarray:
-    """Convert a Euclidean flux sensitivity to a nodal function."""
-    spec = problem.prior
-    out = e / spec.grid.weights
-    if spec.kind == "dirichlet_inverse_laplacian":
-        out = out.copy()
-        out[0] = 0.0
-        out[-1] = 0.0
-    elif spec.kind == "periodic_zero_mean_inverse_laplacian":
-        out = out.copy()
-        glue = (e[0] + e[-1]) / (spec.grid.weights[0] + spec.grid.weights[-1])
-        out[0] = glue
-        out[-1] = glue
-        out = out - out[:-1].mean()
-    return out
-
-
 def gradient(problem: AssimilationProblem, flux: FluxSignal) -> np.ndarray:
     """Gradient of the cost as a nodal function on the time grid.
 
@@ -390,14 +526,12 @@ def gradient(problem: AssimilationProblem, flux: FluxSignal) -> np.ndarray:
     along any admissible G.
     """
     df = flux.values - problem.prior.mean.values
-    _check_admissible(problem.prior, df)
+    prior_term = prior_apply_inverse(problem.prior, df)
     u = _forward_map(problem, flux.values)
     resid = (u - problem.observations.values) / problem.observations.noise_levels**2
     impulses = {i: resid[i] for i in range(len(problem.observations))}
     euclid = _adjoint_flux_sensitivity(problem, impulses)
-    return _euclidean_to_function(problem, euclid) + prior_apply_inverse(
-        problem.prior, df
-    )
+    return problem.prior._family.to_function(euclid) + prior_term
 
 
 def hessian_form(problem: AssimilationProblem, g) -> float:
@@ -408,105 +542,10 @@ def hessian_form(problem: AssimilationProblem, g) -> float:
     quadratic, so this is exact, not a linearization.
     """
     g = np.asarray(g, dtype=float)
-    _check_admissible(problem.prior, g)
+    penalty = prior_quadratic_form(problem.prior, g)
     u = _forward_map(problem, g, q0=np.zeros(problem.profile.grid.n))
     scaled = u / problem.observations.noise_levels
-    return float(np.dot(scaled, scaled) + prior_quadratic_form(problem.prior, g))
-
-
-def _make_preconditioner(problem: AssimilationProblem):
-    """Solve (W C0^{-1}) z = r on the admissible subspace, kind by kind."""
-    spec = problem.prior
-    n = spec.grid.n
-    dt = spec.grid.spacing
-    w = spec.grid.weights
-    s2 = spec.sigma**2
-
-    if spec.kind == "diagonal":
-
-        def apply(r):
-            return s2 * r / w
-
-        return apply
-
-    if spec.kind == "dirichlet_inverse_laplacian":
-        if n == 2:  # both nodes pinned, nothing to solve
-            return lambda r: np.zeros(n)
-        coef = w[1:-1] / (s2 * dt**2)
-        solve = factor_tridiagonal(-coef[1:], 2.0 * coef, -coef[:-1])
-
-        def apply(r):
-            z = np.zeros(n)
-            z[1:-1] = solve(r[1:-1])
-            return z
-
-        return apply
-
-    # periodic zero-mean: the stencil is circulant on the distinct nodes,
-    # diagonal in the Fourier basis; the zero frequency is projected out
-    m = n - 1
-    freqs = np.arange(m // 2 + 1)
-    eig = (2.0 - 2.0 * np.cos(2.0 * np.pi * freqs / m)) * (dt / (s2 * dt**2))
-
-    def apply(r):
-        rr = r.copy()
-        rr[0] = rr[0] + r[-1]
-        spec_hat = np.fft.rfft(rr[:-1])
-        spec_hat[0] = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            spec_hat[1:] = spec_hat[1:] / eig[1:]
-        z = np.zeros(n)
-        z[:-1] = np.fft.irfft(spec_hat, m)
-        z[-1] = z[0]
-        return z
-
-    return apply
-
-
-def _prior_variance(spec: PriorSpec) -> np.ndarray:
-    """diag(C0): the diagonal of what ``_make_preconditioner`` applies."""
-    n = spec.grid.n
-    dt = spec.grid.spacing
-    s2 = spec.sigma**2
-    if spec.kind == "diagonal":
-        return s2 / spec.grid.weights
-    if spec.kind == "dirichlet_inverse_laplacian":
-        # inverse of the (m x m) second-difference matrix: i (m+1-i) / (m+1)
-        # on the interior, vanishing at the pinned nodes i = 0 and m + 1
-        m = n - 2
-        i = np.arange(n, dtype=float)
-        return s2 * dt * i * (m + 1 - i) / (m + 1)
-    # periodic zero-mean: (1/m) sum_{k=1}^{m-1} 1/lambda_k on every node, with
-    # lambda_k = (2 - 2 cos(2 pi k/m)) / (s2 dt) and
-    # sum_{k=1}^{m-1} 1 / (2 - 2 cos(2 pi k/m)) = (m^2 - 1) / 12
-    m = n - 1
-    return np.full(n, s2 * dt * (m * m - 1) / (12.0 * m))
-
-
-def _reduce(problem, x):
-    if problem.prior.kind == "dirichlet_inverse_laplacian":
-        y = x.copy()
-        y[0] = 0.0
-        y[-1] = 0.0
-        return y
-    if problem.prior.kind == "periodic_zero_mean_inverse_laplacian":
-        # Euclidean-orthogonal projection onto the admissible subspace
-        # {x[0] = x[-1], sum over the distinct nodes = 0}. Orthogonality
-        # matters: conjugate gradients assumes a symmetric projected
-        # operator, and an oblique reduction converges to a stationary
-        # point of the wrong constraint pairing.
-        m = x.shape[0] - 1
-        glue = x[0] - x[-1]
-        total = x[:-1].sum()
-        det = 2.0 * m - 1.0
-        alpha = (m * glue - total) / det
-        beta = (2.0 * total - glue) / det
-        y = x.copy()
-        y[:-1] -= beta
-        y[0] -= alpha
-        y[-1] += alpha
-        return y
-    return x
+    return float(np.dot(scaled, scaled) + penalty)
 
 
 def map_estimate(problem: AssimilationProblem):
@@ -533,16 +572,17 @@ def map_estimate(problem: AssimilationProblem):
         iterations.
     """
     spec = problem.prior
+    project = spec._family.project
     n = spec.grid.n
     g = problem.forward_rows
     r2 = problem.observations.noise_levels**2
     u0 = g @ spec.mean.values + problem.free_response
-    rhs = _reduce(problem, g.T @ ((problem.observations.values - u0) / r2))
+    rhs = project(g.T @ ((problem.observations.values - u0) / r2))
 
     def hessian(x):  # W C0^{-1} x + G^T R^{-1} G x, for admissible x
         return spec.grid.weights * prior_apply_inverse(spec, x) + g.T @ (g @ x / r2)
 
-    precond = _make_preconditioner(problem)
+    precond = spec._family.covariance()
     x = np.zeros(n)
     r = rhs.copy()
     rhs_norm = float(np.linalg.norm(rhs))
@@ -550,14 +590,14 @@ def map_estimate(problem: AssimilationProblem):
     if rhs_norm == 0.0:
         return FluxSignal(grid=spec.grid, values=spec.mean.values.copy()), report
 
-    z = _reduce(problem, precond(r))
+    z = project(precond(r))
     p = z.copy()
     rz = float(np.dot(r, z))
     tol = 1e-8
     max_iter = 2 * n
     rel = 1.0
     for it in range(1, max_iter + 1):
-        hp = _reduce(problem, hessian(p))
+        hp = project(hessian(p))
         alpha = rz / float(np.dot(p, hp))
         x = x + alpha * p
         r = r - alpha * hp
@@ -567,7 +607,7 @@ def map_estimate(problem: AssimilationProblem):
             report["relative_residual"] = rel
             values = spec.mean.values + x
             return FluxSignal(grid=spec.grid, values=values), report
-        z = _reduce(problem, precond(r))
+        z = project(precond(r))
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -645,11 +685,12 @@ def _dense_prior_precision(problem: AssimilationProblem) -> np.ndarray:
     """Dense W C0^{-1} on the full node set (Euclidean form matrix)."""
     spec = problem.prior
     n = spec.grid.n
+    family = spec._family
     p = np.zeros((n, n))
     basis = np.eye(n)
     for j in range(n):
-        g = _reduce(problem, basis[:, j])
-        p[:, j] = spec.grid.weights * prior_apply_inverse(spec, g)
+        # projected columns are admissible, so no check is needed
+        p[:, j] = spec.grid.weights * family.apply_inverse(family.project(basis[:, j]))
     return p
 
 
@@ -687,35 +728,9 @@ def oracle_bayes(problem: AssimilationProblem):
     ghat, _ = _checked_forward_map(problem)
 
     spec = problem.prior
-    n = tgrid.n
     r2 = problem.observations.noise_levels**2
     prec = _dense_prior_precision(problem) + (ghat.T / r2) @ ghat
-
-    if spec.kind == "dirichlet_inverse_laplacian":
-        sub = slice(1, n - 1)
-        prec_red = prec[sub, sub]
-        cov_red = np.linalg.inv(prec_red)
-        cov = np.zeros((n, n))
-        cov[sub, sub] = cov_red
-    elif spec.kind == "diagonal":
-        cov = np.linalg.inv(prec)
-    else:
-        # periodic zero-mean: glue the identified endpoint, project out the
-        # constant, and pseudo-invert on the distinct nodes
-        m = n - 1
-        pr = prec[:m, :m].copy()
-        pr[:, 0] += prec[:m, -1]
-        pr[0, :] += prec[-1, :m]
-        pr[0, 0] += prec[-1, -1]
-        proj = np.eye(m) - np.full((m, m), 1.0 / m)
-        cov_red = np.linalg.pinv(proj @ pr @ proj, hermitian=True)
-        cov_red = proj @ cov_red @ proj
-        cov = np.zeros((n, n))
-        cov[:m, :m] = cov_red
-        cov[-1, :m] = cov_red[0]
-        cov[:m, -1] = cov_red[:, 0]
-        cov[-1, -1] = cov_red[0, 0]
-
+    cov = spec._family.invert(prec)
     u0 = ghat @ spec.mean.values + problem.free_response
     rhs = ghat.T @ ((problem.observations.values - u0) / r2)
     # cov is the expanded dual-to-primal map (zero rows on pinned nodes,
@@ -751,7 +766,7 @@ def lowrank_posterior(problem: AssimilationProblem):
     """
     g, _ = _checked_forward_map(problem)
     spec = problem.prior
-    precond = _make_preconditioner(problem)
+    precond = spec._family.covariance()
     # rows C0 g_i; the reshape keeps the (0, nt) shape with no observations
     c0g = np.array([precond(row) for row in g]).reshape(g.shape)
     r2 = problem.observations.noise_levels**2
@@ -760,5 +775,5 @@ def lowrank_posterior(problem: AssimilationProblem):
     v = np.linalg.solve(chol, c0g)
     u0 = g @ spec.mean.values + problem.free_response
     mean = spec.mean.values + v.T @ np.linalg.solve(chol, problem.observations.values - u0)
-    variance = _prior_variance(spec) - np.einsum("ij,ij->j", v, v)
+    variance = spec._family.variance() - np.einsum("ij,ij->j", v, v)
     return mean, variance

@@ -124,14 +124,9 @@ def _cn_bands(profile: CoefficientProfile, dt: float):
 
 def _band_matvec(bands, q):
     lower, diag, upper = bands
-    if q.ndim == 1:
-        out = diag * q
-        out[:-1] += upper * q[1:]
-        out[1:] += lower * q[:-1]
-    else:
-        out = diag[:, None] * q
-        out[:-1] += upper[:, None] * q[1:]
-        out[1:] += lower[:, None] * q[:-1]
+    out = diag * q
+    out[:-1] += upper * q[1:]
+    out[1:] += lower * q[:-1]
     return out
 
 

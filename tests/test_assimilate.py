@@ -8,13 +8,13 @@ import pytest
 
 from colflux import assimilate
 from colflux.assimilate import (
+    PRIOR_KINDS,
     AssimilationProblem,
     PriorSpec,
     _checked_forward_map,
     _dense_prior_precision,
     _forward_map_matrix_adjoint,
     _forward_map_rows,
-    _prior_variance,
     cost,
     gradient,
     hessian_form,
@@ -201,6 +201,43 @@ class TestPriorOperators:
             prior_apply_inverse(periodic, tgrid.nodes - 0.5)
 
 
+class TestPriorKinds:
+    """What every kind's object promises the estimators."""
+
+    @pytest.fixture(params=[2, 3, 4, 65])
+    def case(self, request, kind):
+        nodes = request.param
+        tgrid = TimeGrid(t_end=1.0, n=nodes)
+        spec = PriorSpec(
+            mean=FluxSignal(grid=tgrid, values=np.zeros(nodes)), kind=kind, sigma=0.7
+        )
+        x, y = np.random.default_rng(nodes).standard_normal((2, nodes))
+        return spec._family, tgrid, x, y
+
+    @pytest.fixture(params=PRIOR_KINDS)
+    def kind(self, request):
+        return request.param
+
+    def test_projection_is_idempotent_and_orthogonal(self, case):
+        # conjugate gradients relies on <P x, y> = <x, P y>
+        family, _, x, y = case
+        px, py = family.project(x), family.project(y)
+        assert max_rel(family.project(px), px) <= 1e-14
+        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(np.dot(px, y) - np.dot(x, py)) <= 1e-14 * scale
+
+    def test_projected_and_converted_vectors_are_admissible(self, case):
+        family, _, x, _ = case
+        family.check(family.project(x))
+        family.check(family.to_function(x))
+
+    def test_covariance_inverts_the_weighted_precision(self, case):
+        family, tgrid, x, _ = case
+        px = family.project(x)
+        restored = family.covariance()(tgrid.weights * family.apply_inverse(px))
+        assert max_rel(restored, px) <= 1e-12
+
+
 class TestProblemValidation:
     def test_weight_count_must_match(self):
         problem = small_problem(2)
@@ -328,11 +365,19 @@ class TestCostAndGradient:
             direct = trapezoid(grad * g, tgrid)
             assert abs(fd - direct) <= 1e-6 * max(1.0, abs(fd))
 
-    def test_inadmissible_flux_is_rejected(self):
+    @pytest.mark.parametrize("name", ["cost", "gradient", "hessian_form"])
+    def test_inadmissible_flux_is_rejected(self, name, monkeypatch):
         problem = small_problem(1)
-        tgrid = problem.prior.grid
-        with pytest.raises(DomainError):
-            cost(problem, FluxSignal(grid=tgrid, values=np.ones(tgrid.n)))
+        values = np.ones(problem.prior.grid.n)
+        if name != "hessian_form":
+            values = FluxSignal(grid=problem.prior.grid, values=values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep ran before the admissibility check")
+
+        monkeypatch.setattr(assimilate, "solve_forward", refuse)
+        with pytest.raises(DomainError, match="Dirichlet"):
+            getattr(assimilate, name)(problem, values)
 
 
 class TestRepresenters:
@@ -675,8 +720,9 @@ class TestLowRankPosterior:
             (kind, nt)
             for kind in KINDS
             for nt in (1, 2, 3, 256, 2047)
-            # the dense oracle's periodic pseudo-inverse is itself off by
-            # 3.6e-10 (mean) and 8.2e-10 (variance) at 2048 nodes; the
+            # the dense oracle's periodic inverse is itself off by 2.9e-10
+            # (mean) and 7.2e-10 (variance) at 2048 nodes, where the
+            # precision's conditioning limits any dense inverse; the
             # closed-form test below covers that grid
             if (kind, nt) != ("periodic_zero_mean_inverse_laplacian", 2047)
         ],
@@ -696,12 +742,16 @@ class TestLowRankPosterior:
         ref_mean, ref_variance = periodic_green_posterior(problem)
         assert max_rel(mean, ref_mean) <= 1e-10
         assert max_rel(variance, ref_variance) <= 1e-10
+        # the dense oracle too, though it inverts the nt x nt precision
+        dense_mean, cov = oracle_bayes(problem)
+        assert max_rel(dense_mean, ref_mean) <= 2e-9
+        assert max_rel(np.diag(cov), ref_variance) <= 2e-9
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_observing_never_adds_uncertainty(self, kind):
         problem = released_problem(kind, nodes=257)
         _, variance = lowrank_posterior(problem)
-        prior = _prior_variance(problem.prior)
+        prior = problem.prior._family.variance()
         assert np.all(variance >= 0.0)
         assert np.all(variance <= prior)
         # and it removes some wherever the prior leaves the flux free
@@ -712,13 +762,14 @@ class TestLowRankPosterior:
     @pytest.mark.parametrize("nodes", [2, 3, 4, 65])
     def test_prior_variance_is_the_dense_pseudo_inverse_diagonal(self, kind, nodes):
         problem = released_problem(kind, nodes=nodes)
-        assert max_rel(_prior_variance(problem.prior), dense_prior_variance(problem)) <= 1e-12
+        prior = problem.prior._family.variance()
+        assert max_rel(prior, dense_prior_variance(problem)) <= 1e-12
 
     def test_zero_observations_return_the_prior(self):
         problem = small_problem(0, nt=49)
         mean, variance = lowrank_posterior(problem)
         np.testing.assert_array_equal(mean, problem.prior.mean.values)
-        np.testing.assert_array_equal(variance, _prior_variance(problem.prior))
+        np.testing.assert_array_equal(variance, problem.prior._family.variance())
 
     def test_disagreeing_constructions_raise(self, monkeypatch):
         problem = small_problem(2, nt=33)

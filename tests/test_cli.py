@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import colflux
 import colflux.cli as cli
 
+from colflux.assimilate import PRIOR_KINDS
 from colflux.cli import (
     ExperimentConfig,
     _exit_code_for,
@@ -305,6 +306,22 @@ class TestScenarios:
         listed = set(manifest["outputs"]) | {"manifest.json"}
         written = {p.name for p in out.iterdir()}
         assert written == listed
+
+    @pytest.mark.parametrize("kind", PRIOR_KINDS)
+    @pytest.mark.parametrize(
+        "scenario, report",
+        [("assimilate", "assimilate.json"), ("oracle_check", "oracle_report.json")],
+    )
+    def test_every_prior_kind_runs_clean(self, tmp_path, kind, scenario, report):
+        out = tmp_path / "out"
+        config = small_config(scenario, out, prior={"kind": kind})
+        assert run_cli(tmp_path, config) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        values = json.loads(first[report])
+        assert values["forward_map_rel_gap"] <= 1e-8
+        assert values["map_vs_oracle_mean_rel"] <= 1e-6
+        assert run_cli(tmp_path, config) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     def test_compare_altitude_reports_the_gap(self, tmp_path):
         out = tmp_path / "cmp"
