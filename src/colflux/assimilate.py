@@ -22,7 +22,10 @@ give them again for the representers and for the agreement check that
 both posterior computations run before using G. CG then costs O(N nt)
 per iteration and sweeps the column no more. ``cost``, ``gradient`` and
 ``hessian_form`` keep their own forward and adjoint sweeps, so they stay an
-independent check on the reused map.
+independent check on the reused map. Every sweep is the one
+Crank-Nicolson loop of ``transport``, and the forward solves (the free
+response and those of the cost) observe through ``synthesize_data``, so
+they keep only the N observed states, never the field.
 
 The posterior is the prior minus a rank-N update (the representer form
 with the Woodbury identity): with S = G C0 G^T + R,
@@ -50,8 +53,8 @@ import numpy as np
 from .errors import CapacityError, ConditioningError, DomainError, NumericalError
 from .model import CoefficientProfile
 from .numerics import factor_tridiagonal, trapezoid
-from .observe import ObservationSet, Weight, apply_observation
-from .transport import FluxSignal, _band_matvec, _cn_bands, solve_forward
+from .observe import ObservationSet, Weight, synthesize_data
+from .transport import FluxSignal, flux_sensitivity, impulse_response
 
 __all__ = [
     "PriorSpec",
@@ -453,14 +456,11 @@ def _forward_map(problem: AssimilationProblem, flux_values: np.ndarray, q0=None)
     """Observations of the forward solution driven by nodal flux values."""
     flux = FluxSignal(grid=problem.prior.grid, values=flux_values)
     q0 = problem.q0 if q0 is None else q0
-    field = solve_forward(problem.profile, flux, q0)
-    u = np.array(
-        [
-            apply_observation(w, field.column(i))
-            for w, i in zip(problem.weights, problem.obs_indices)
-        ]
-    )
-    return u
+    obs = problem.observations
+    noiseless = np.zeros(len(obs))
+    return synthesize_data(
+        problem.profile, flux, q0, problem.weights, obs.times, noiseless, seed=0
+    ).values
 
 
 def cost(problem: AssimilationProblem, flux: FluxSignal) -> float:
@@ -485,37 +485,12 @@ def _adjoint_flux_sensitivity(problem: AssimilationProblem, impulses) -> np.ndar
     respect to the state at that observation's time node. The return value
     is the Euclidean gradient with respect to the nodal flux values.
     """
-    grid = problem.profile.grid
-    tgrid = problem.prior.grid
-    dt = tgrid.spacing
-    left, right = _cn_bands(problem.profile, dt)
-    # transposed bands: swap sub- and super-diagonals
-    left_t = (left[2], left[1], left[0])
-    right_t = (right[2], right[1], right[0])
-    k0 = problem.profile.k[0]
-    half = 0.5 * dt * k0
-
     g = {}
     for i, n_i in enumerate(problem.obs_indices):
         if i in impulses:
-            vec = grid.weights * problem.weights[i].values * impulses[i]
+            vec = problem.profile.grid.weights * problem.weights[i].values * impulses[i]
             g[n_i] = g.get(n_i, 0.0) + vec
-
-    out = np.zeros(tgrid.n)
-    if not g:
-        return out
-    solve = factor_tridiagonal(*left_t)
-    # lam is exactly zero after the latest impulse, so the sweep starts there
-    top = max(g)
-    lam = np.zeros(grid.n) + g[top]
-    for n in range(top - 1, -1, -1):
-        psi = solve(lam)
-        out[n] += half * psi[0]
-        out[n + 1] += half * psi[0]
-        lam = _band_matvec(right_t, psi)
-        if n in g:
-            lam = lam + g[n]
-    return out
+    return flux_sensitivity(problem.profile, problem.prior.grid, g)
 
 
 def gradient(problem: AssimilationProblem, flux: FluxSignal) -> np.ndarray:
@@ -629,20 +604,12 @@ def _forward_map_rows(problem: AssimilationProblem) -> np.ndarray:
 
         row_i[m] = a_i[n_i - m] [m >= 1] + a_i[n_i - 1 - m] [m <= n_i - 1].
     """
-    grid = problem.profile.grid
     tgrid = problem.prior.grid
     rows = np.zeros((len(problem.observations), tgrid.n))
-    steps = max(problem.obs_indices, default=0)
-    left, right = _cn_bands(problem.profile, tgrid.spacing)
-    solve = factor_tridiagonal(*left)
     # one trapezoid-weighted observation functional per row
-    obs = np.array([grid.weights * w.values for w in problem.weights])
-    a = np.empty((len(obs), steps))
-    q = np.zeros(grid.n)
-    q[0] = 0.5 * tgrid.spacing * problem.profile.k[0]
-    for k in range(steps):
-        q = solve(q if k == 0 else _band_matvec(right, q))
-        a[:, k] = obs @ q
+    obs = np.array([problem.profile.grid.weights * w.values for w in problem.weights])
+    steps = max(problem.obs_indices, default=0)
+    a = impulse_response(problem.profile, tgrid, obs, steps)
     for i, n_i in enumerate(problem.obs_indices):
         response = a[i, :n_i][::-1]  # a_i[n_i - 1], ..., a_i[0]
         rows[i, 1 : n_i + 1] += response

@@ -234,10 +234,10 @@ def synthesize_data(
         )
         raise ValueError(msg)
     indices = [true_flux.grid.index_of(t) for t in times]
-    field = solve_forward(profile, true_flux, q0)
+    states = solve_forward(profile, true_flux, q0, nodes=indices)
     y = np.empty(times.size)
-    for i, (w, idx, r) in enumerate(zip(weights, indices, noise_levels)):
-        clean = apply_observation(w, field.column(idx))
+    for i, (w, r) in enumerate(zip(weights, noise_levels)):
+        clean = apply_observation(w, states[:, i])
         y[i] = clean if r == 0.0 else clean + r * _standard_normal(seed, i)
     return ObservationSet(times=times, values=y, noise_levels=noise_levels)
 

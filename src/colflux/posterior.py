@@ -47,7 +47,6 @@ __all__ = [
     "analyze_gain",
     "monotone_weight_check",
     "blind_direction",
-    "ic_gain_direction",
 ]
 
 #: Orthogonalizing more exponentials than this is numerically meaningless
@@ -413,23 +412,3 @@ def blind_direction(
         )
         raise ConditioningError(msg)
     return g
-
-
-def ic_gain_direction(eig: EigenSystem, a, t_obs: float) -> np.ndarray:
-    """Spatial direction in which an observation informs the initial state.
-
-    Returns sum_n a_n e^{-lambda_n t_obs} p_n(z): the observation weight
-    with each mode damped by its decay over the elapsed time. For large
-    t_obs only the constant mode survives; as t_obs -> 0 the undamped
-    weight is recovered, so no initial-condition direction is ever exactly
-    invisible.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0 or a.size > eig.n_modes:
-        msg = f"need 1..{eig.n_modes} coefficients, got shape {a.shape}"
-        raise ValueError(msg)
-    if not (np.isfinite(t_obs) and t_obs > 0):
-        msg = f"t_obs must be positive, got {t_obs!r}"
-        raise ValueError(msg)
-    damped = a * np.exp(-eig.eigenvalues[: a.size] * t_obs)
-    return eig.modes[:, : a.size] @ damped

@@ -29,12 +29,10 @@ from .model import CoefficientProfile, mu_weight
 
 __all__ = [
     "EigenSystem",
-    "SynthesizedWeight",
     "MuntzSums",
     "eigensystem",
     "expand_weight",
     "expansion_residual",
-    "synthesize_weight",
     "muntz_partial_sums",
 ]
 
@@ -72,14 +70,6 @@ class EigenSystem:
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.shape[0]
-
-
-class SynthesizedWeight(NamedTuple):
-    """Nodal weight assembled from mode coefficients, with a sign summary."""
-
-    values: np.ndarray
-    min_value: float
-    is_nonnegative: bool
 
 
 class MuntzSums(NamedTuple):
@@ -210,27 +200,6 @@ def expansion_residual(rho, eig: EigenSystem) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.sqrt(_mu_dot(eig, resid, resid) / denom))
-
-
-def synthesize_weight(a, eig: EigenSystem) -> SynthesizedWeight:
-    """Assemble the nodal weight with the given mode coefficients.
-
-    Truncated syntheses of sharply supported weights overshoot below zero
-    near the support edges, so the sign summary is part of the result
-    rather than an error: negative dips are expected and the caller decides
-    whether they matter.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (eig.n_modes,):
-        msg = f"need {eig.n_modes} coefficients, got shape {a.shape}"
-        raise ValueError(msg)
-    values = eig.modes @ a
-    min_value = float(values.min())
-    return SynthesizedWeight(
-        values=values,
-        min_value=min_value,
-        is_nonnegative=bool(min_value >= 0.0),
-    )
 
 
 def muntz_partial_sums(eig: EigenSystem) -> MuntzSums:

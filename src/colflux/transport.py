@@ -12,6 +12,12 @@ consequence the discrete column total obeys
 
 exactly (to accumulation rounding), which is the model's physical anchor.
 Time stepping is Crank-Nicolson, second order and unconditionally stable.
+
+Every sweep of the package runs the one private loop ``_cn_sweep``:
+``solve_forward`` (the whole field, or only the states at given nodes),
+``impulse_response`` (the forward map's impulse sweep) and
+``flux_sensitivity`` (the transposed backward sweep of the adjoint). The
+loop keeps O(nz) state; its callers store what they read.
 """
 
 from __future__ import annotations
@@ -130,12 +136,31 @@ def _band_matvec(bands, q):
     return out
 
 
+def _cn_sweep(profile, dt, q, steps, forcing, visit, transpose=False):
+    """The one Crank-Nicolson loop: L q' = R q + b_n for each step n in ``steps``.
+
+    L = M - dt/2 S and R = M + dt/2 S (their transposes when ``transpose``)
+    are fixed, so L is factored once. ``forcing(n, rhs)`` adds b_n to R q
+    in place and ``visit(n, q')`` sees each new state; nothing is stored.
+    """
+    left, right = _cn_bands(profile, dt)
+    if transpose:  # swap sub- and super-diagonals
+        left, right = left[::-1], right[::-1]
+    solve = factor_tridiagonal(*left)
+    for n in steps:
+        rhs = _band_matvec(right, q)
+        forcing(n, rhs)
+        q = solve(rhs)
+        visit(n, q)
+
+
 def solve_forward(
     profile: CoefficientProfile,
     flux: FluxSignal,
     q0,
     source: np.ndarray | None = None,
-) -> MixingRatioField:
+    nodes=None,
+):
     """Integrate the tracer equation forward in time.
 
     Parameters
@@ -152,10 +177,14 @@ def solve_forward(
         hook for manufactured-solution studies; production paths leave it
         None, and the mass-balance identity assumes the source-free
         equation.
+    nodes : sequence of int, optional
+        Time-node indices to keep. The solve then stops at the latest of
+        them and stores only those states, in O(nz) memory per node.
 
     Returns
     -------
-    MixingRatioField
+    MixingRatioField, or numpy.ndarray of shape (nz, len(nodes))
+        The whole field, or the state at each of ``nodes``.
 
     Raises
     ------
@@ -175,29 +204,83 @@ def solve_forward(
         if source.shape != (grid.n, tgrid.n):
             msg = f"source must have shape {(grid.n, tgrid.n)}, got {source.shape}"
             raise ValueError(msg)
+    kept = range(tgrid.n) if nodes is None else [int(n) for n in nodes]
+    if not all(0 <= n < tgrid.n for n in kept):
+        raise ValueError(f"nodes must lie in [0, {tgrid.n})")
 
     dt = tgrid.spacing
-    left, right = _cn_bands(profile, dt)
     k0 = profile.k[0]
     m = grid.weights
     f = flux.values
+    columns = {}
+    for j, n in enumerate(kept):
+        columns.setdefault(n, []).append(j)
+    out = np.empty((grid.n, len(kept)))
+    out[:, columns.get(0, [])] = q0[:, None]
 
-    solve = factor_tridiagonal(*left)
-    out = np.empty((grid.n, tgrid.n))
-    out[:, 0] = q0
-    q = q0.copy()
-    # overflow surfaces as the StabilityError below, not as warnings
+    def forcing(n, rhs):
+        rhs[0] += 0.5 * dt * k0 * (f[n] + f[n + 1])
+        if source is not None:
+            rhs += 0.5 * dt * m * (source[:, n] + source[:, n + 1])
+
+    def visit(n, q):
+        if not np.isfinite(q).all():
+            raise StabilityError(step=n + 1)
+        for j in columns.get(n + 1, ()):
+            out[:, j] = q
+
+    # overflow surfaces as the StabilityError of visit, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(tgrid.n - 1):
-            rhs = _band_matvec(right, q)
-            rhs[0] += 0.5 * dt * k0 * (f[n] + f[n + 1])
-            if source is not None:
-                rhs += 0.5 * dt * m * (source[:, n] + source[:, n + 1])
-            q = solve(rhs)
-            if not np.isfinite(q).all():
-                raise StabilityError(step=n + 1)
-            out[:, n + 1] = q
-    return MixingRatioField(grid=grid, time_grid=tgrid, values=out)
+        _cn_sweep(profile, dt, q0, range(max(kept, default=0)), forcing, visit)
+    if nodes is None:
+        return MixingRatioField(grid=grid, time_grid=tgrid, values=out)
+    return out
+
+
+def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, steps):
+    """Functionals of the state after a unit flux at time node 0.
+
+    The state starts at zero and the flux hat at node 0 forces only the
+    first step, with 0.5 dt k(0) at the surface. Column k of the result
+    is ``functionals @ q`` for the state k + 1 steps later, k < ``steps``.
+    """
+    dt = tgrid.spacing
+    a = np.empty((len(functionals), steps))
+
+    def forcing(n, rhs):
+        if n == 0:
+            rhs[0] += 0.5 * dt * profile.k[0]
+
+    def visit(n, q):
+        a[:, n] = functionals @ q
+
+    _cn_sweep(profile, dt, np.zeros(profile.grid.n), range(steps), forcing, visit)
+    return a
+
+
+def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, impulses):
+    """Gradient of sum_n impulses[n] . q(., t_n) in the nodal flux values.
+
+    ``impulses`` maps a time node to a vector on the column. The transposed
+    stepper runs backward from the latest node, where the adjoint state
+    starts (it is zero after it); each step's surface value feeds the flux
+    at both of the step's nodes. A state at node 0 does not see the flux.
+    """
+    out = np.zeros(tgrid.n)
+    half = 0.5 * tgrid.spacing * profile.k[0]
+
+    def forcing(n, rhs):
+        if n + 1 in impulses:
+            rhs += impulses[n + 1]
+
+    def visit(n, psi):
+        out[n] += half * psi[0]
+        out[n + 1] += half * psi[0]
+
+    steps = range(max(impulses, default=0) - 1, -1, -1)
+    zero = np.zeros(profile.grid.n)
+    _cn_sweep(profile, tgrid.spacing, zero, steps, forcing, visit, transpose=True)
+    return out
 
 
 def mass_balance_residual(

@@ -1,12 +1,14 @@
 """Priors, cost/gradient consistency, the MAP solve, and the dense oracle."""
 
+import sys
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from colflux import assimilate
+from colflux import assimilate, transport
 from colflux.assimilate import (
     PRIOR_KINDS,
     AssimilationProblem,
@@ -375,7 +377,7 @@ class TestCostAndGradient:
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep ran before the admissibility check")
 
-        monkeypatch.setattr(assimilate, "solve_forward", refuse)
+        monkeypatch.setattr(transport, "_cn_sweep", refuse)
         with pytest.raises(DomainError, match="Dirichlet"):
             getattr(assimilate, name)(problem, values)
 
@@ -544,16 +546,16 @@ class TestMapEstimate:
 class TestForwardMapReuse:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Calls of each sweep-running function, counted from here on."""
+        """Runs of the one Crank-Nicolson loop, counted from here on by the
+        sweep that started them."""
         calls = Counter()
-        for name in ("_forward_map_rows", "_adjoint_flux_sensitivity", "solve_forward"):
-            original = getattr(assimilate, name)
+        original = transport._cn_sweep
 
-            def wrapper(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(assimilate, name, wrapper)
+        monkeypatch.setattr(transport, "_cn_sweep", counted)
         return calls
 
     @pytest.mark.parametrize("released", [False, True], ids=["q0-zero", "q0-nonzero"])
@@ -568,8 +570,8 @@ class TestForwardMapReuse:
             oracle_bayes(problem)
             representer_rows(problem)
         assert counts == Counter(
-            _forward_map_rows=1,
-            _adjoint_flux_sensitivity=len(problem.observations),
+            impulse_response=1,
+            flux_sensitivity=len(problem.observations),
             solve_forward=1 if released else 0,
         )
 
@@ -578,6 +580,36 @@ class TestForwardMapReuse:
         for rows in (problem.forward_rows, problem.adjoint_rows, problem.free_response):
             with pytest.raises(ValueError, match="read-only"):
                 rows[0] = 1.0
+
+    @pytest.mark.parametrize("path", ["synthesize_data", "free_response"])
+    def test_observing_sweeps_store_no_field(self, path):
+        # at nz=257, nt=4096 the whole field takes 8.4 MB; the observing
+        # sweeps keep O(nz) state, the N observed states included
+        nz, nt = 257, 4096
+        profile = constant_profile(nz)
+        tgrid = TimeGrid(t_end=1.0, n=nt + 1)
+        flux = FluxSignal(grid=tgrid, values=np.sin(np.pi * tgrid.nodes))
+        q0 = 0.3 + 0.1 * np.cos(np.pi * profile.grid.nodes)
+        weights = [Weight(grid=profile.grid, values=np.ones(nz))] * 3
+        times = [0.25, 0.5, 1.0]
+        obs = synthesize_data(profile, flux, q0, weights, times, np.full(3, 0.1), 1)
+        problem = AssimilationProblem(
+            profile=profile, q0=q0, observations=obs, weights=weights,
+            prior=dirichlet_prior(tgrid),
+        )
+        run = {
+            "synthesize_data": lambda: synthesize_data(
+                profile, flux, q0, weights, times, np.zeros(3), 1
+            ),
+            "free_response": lambda: problem.free_response,
+        }[path]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"{path} peaked at {peak / 1e6:.1f} MB"
 
     def test_free_response_is_the_zero_flux_observation(self):
         problem = released_problem("diagonal")
@@ -854,7 +886,7 @@ class TestForwardMapKernel:
     ):
         # the sweep for an observation at node n_i takes n_i backward steps
         solves = Counter()
-        original = assimilate.factor_tridiagonal
+        original = transport.factor_tridiagonal
 
         def counting(*bands):
             solve = original(*bands)
@@ -865,7 +897,7 @@ class TestForwardMapKernel:
 
             return counted
 
-        monkeypatch.setattr(assimilate, "factor_tridiagonal", counting)
+        monkeypatch.setattr(transport, "factor_tridiagonal", counting)
         _forward_map_matrix_adjoint(kernel_problem(obs_indices, nt=nt))
         assert solves["n"] == sum(obs_indices)
 

@@ -168,16 +168,20 @@ class TestExitCodes:
         error_file = json.loads((tmp_path / "out" / "error.json").read_text())
         assert error_file == report
 
-    def test_stepper_overflow_reports_only_json_on_stderr(self, tmp_path):
+    @pytest.mark.parametrize("scenario", ["simulate", "assimilate"])
+    def test_stepper_overflow_reports_only_json_on_stderr(self, tmp_path, scenario):
         # a fresh process, so nothing but the program writes to stderr; the
-        # overflow must surface as the StabilityError report, not a warning
+        # overflow must surface as the StabilityError report, not a warning.
+        # It comes before the latest observation (t = 1), so the observing
+        # sweep of assimilate meets it too
         config = {
             "flux": {"kind": "sine", "amplitude": 1e308, "cycles": 1.0},
-            "grid": {"nz": 33, "nt": 65},
+            "grid": {"nz": 33, "nt": 64},
+            "spectral": {"n_modes": 4},
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        args = ["-m", "colflux.cli", "simulate", "--config", str(path)]
+        args = ["-m", "colflux.cli", scenario, "--config", str(path)]
         proc = run_python([*args, "--out", str(tmp_path / "out")], timeout=120)
         assert proc.returncode == 3
         report = json.loads(proc.stderr)

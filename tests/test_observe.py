@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colflux.errors import StabilityError
 from colflux.model import validate_profile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.observe import (
@@ -169,6 +170,19 @@ class TestSynthesizeData:
         )
         assert observations_to_csv(a) == observations_to_csv(b)
         assert observations_to_csv(a) != observations_to_csv(c)
+
+    def test_sweep_stops_at_the_latest_observation(self):
+        # a flux that overflows the stepper only after the last observed
+        # node never reaches the observing sweep
+        late = np.where(self.tgrid.nodes > 0.6, 1e308, 0.0)
+        flux = FluxSignal(grid=self.tgrid, values=late)
+        obs = synthesize_data(
+            self.profile, flux, self.q0, self.weights[:2], self.times[:2],
+            np.zeros(2), seed=0,
+        )
+        assert np.isfinite(obs.values).all()
+        with pytest.raises(StabilityError):
+            solve_forward(self.profile, flux, self.q0)
 
     def test_off_grid_time_rejected(self):
         with pytest.raises(ValueError, match="node"):

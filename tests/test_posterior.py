@@ -14,12 +14,11 @@ from colflux.posterior import (
     blind_direction,
     gain_direction,
     gain_inner,
-    ic_gain_direction,
     monotone_weight_check,
     precision_apply,
     quadratic_form,
 )
-from colflux.spectral import eigensystem, expand_weight, synthesize_weight
+from colflux.spectral import eigensystem, expand_weight
 from colflux.transport import FluxSignal, solve_forward
 
 # continuum reference constants for the slowest nonzero decay pi^2:
@@ -126,8 +125,7 @@ class TestGainInner:
         rng = np.random.default_rng(8)
         for trial in range(5):
             a = rng.standard_normal(4)
-            rho = synthesize_weight(np.r_[a, np.zeros(20)], eig)
-            weight = Weight(grid=profile.grid, values=rho.values)
+            weight = Weight(grid=profile.grid, values=eig.modes[:, : a.size] @ a)
             gain = gain_direction(eig, a, t_obs, r, tgrid)
             f = np.cos(rng.uniform(1, 6) * tgrid.nodes) + rng.uniform(-1, 1)
             field = solve_forward(
@@ -361,29 +359,3 @@ class TestBlindDirection:
         tgrid = TimeGrid(t_end=1.0, n=65)
         with pytest.raises(DomainError, match="too coarse"):
             blind_direction(eig, 0.5, 20, tgrid, lambda t: t)
-
-
-class TestInitialConditionGain:
-    def test_damped_weight_shape(self, eig):
-        lam1 = eig.eigenvalues[1]
-        direction = ic_gain_direction(eig, np.array([1.0, 1.0]), 0.1)
-        z = eig.profile.grid.nodes
-        expected = 1.0 + np.exp(-lam1 * 0.1) * np.cos(np.pi * z)
-        np.testing.assert_allclose(direction, expected, atol=1e-9)
-        # damping factor sits on the continuum value for this grid
-        assert abs(np.exp(-lam1 * 0.1) - 0.37270783885343794) < 1e-4
-
-    def test_long_time_leaves_only_the_constant_mode(self, eig):
-        direction = ic_gain_direction(eig, np.array([1.0, 1.0, 1.0]), 10.0)
-        np.testing.assert_allclose(direction, 1.0, atol=1e-12)
-
-    def test_short_time_recovers_the_weight(self, eig):
-        a = np.array([0.5, -1.0, 0.25])
-        direction = ic_gain_direction(eig, a, 1e-9)
-        np.testing.assert_allclose(direction, eig.modes[:, :3] @ a, atol=1e-6)
-
-    def test_validation(self, eig):
-        with pytest.raises(ValueError, match="t_obs"):
-            ic_gain_direction(eig, np.array([1.0]), 0.0)
-        with pytest.raises(ValueError, match="coefficients"):
-            ic_gain_direction(eig, np.ones(30), 0.5)

@@ -13,7 +13,6 @@ from colflux.spectral import (
     expand_weight,
     expansion_residual,
     muntz_partial_sums,
-    synthesize_weight,
 )
 
 
@@ -114,9 +113,9 @@ class TestExpansion:
         rng = np.random.default_rng(4)
         eig = eigensystem(smooth_profile(4), 10)
         a = rng.standard_normal(10)
-        rho = synthesize_weight(a, eig)
-        np.testing.assert_allclose(expand_weight(rho.values, eig), a, atol=1e-11)
-        assert expansion_residual(rho.values, eig) < 1e-10
+        rho = eig.modes @ a
+        np.testing.assert_allclose(expand_weight(rho, eig), a, atol=1e-11)
+        assert expansion_residual(rho, eig) < 1e-10
 
     def test_constant_weight_hits_only_the_constant_mode(self):
         eig = eigensystem(smooth_profile(9), 8)
@@ -129,20 +128,10 @@ class TestExpansion:
         rho = np.cos(20 * np.pi * z)  # orthogonal to all six kept modes
         assert expansion_residual(rho, eig) > 0.99
 
-    def test_sign_summary(self):
-        eig = eigensystem(constant_profile(161), 4)
-        lifted = synthesize_weight(np.array([2.0, 1.0, 0.0, 0.0]), eig)
-        assert lifted.is_nonnegative and lifted.min_value >= 1.0 - 1e-12
-        dipped = synthesize_weight(np.array([0.0, 1.0, 0.0, 0.0]), eig)
-        assert not dipped.is_nonnegative
-        assert dipped.min_value == pytest.approx(-1.0, abs=1e-12)
-
     def test_shape_checks(self):
         eig = eigensystem(constant_profile(161), 4)
         with pytest.raises(ValueError, match="nodal"):
             expand_weight(np.ones(7), eig)
-        with pytest.raises(ValueError, match="coefficients"):
-            synthesize_weight(np.ones(5), eig)
 
 
 class TestMuntzSums:

@@ -100,6 +100,26 @@ class TestSolveForward:
         with pytest.raises(ValueError, match="source"):
             solve_forward(profile, flux, np.zeros(11), source=np.zeros((11, 8)))
 
+    def test_kept_nodes_are_the_field_columns(self):
+        # the observing solve stores no field, yet its states are the same
+        # bits as the full field's columns, repeated nodes included
+        nz, nt = 257, 4096
+        profile = random_profile(np.random.default_rng(2), nz)
+        tgrid = TimeGrid(t_end=1.0, n=nt + 1)
+        flux = FluxSignal(grid=tgrid, values=np.sin(3.0 * tgrid.nodes))
+        q0 = 0.3 + 0.1 * np.cos(np.pi * profile.grid.nodes)
+        nodes = [0, 1500, 1500, nt]
+        states = solve_forward(profile, flux, q0, nodes=nodes)
+        full = solve_forward(profile, flux, q0)
+        np.testing.assert_array_equal(states, full.values[:, nodes])
+
+    def test_kept_nodes_validation(self):
+        profile = constant_profile(11)
+        flux = FluxSignal(grid=TimeGrid(t_end=1.0, n=9), values=np.zeros(9))
+        assert solve_forward(profile, flux, np.zeros(11), nodes=[]).shape == (11, 0)
+        with pytest.raises(ValueError, match="nodes"):
+            solve_forward(profile, flux, np.zeros(11), nodes=[9])
+
     def test_flux_signal_validation(self):
         tgrid = TimeGrid(t_end=1.0, n=9)
         with pytest.raises(ValueError, match="nodal"):
