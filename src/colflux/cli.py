@@ -45,11 +45,10 @@ from .errors import (
     NumericalError,
 )
 from .model import CoefficientProfile, validate_profile
-from .numerics import ColumnGrid, TimeGrid, trapezoid
+from .numerics import ColumnGrid, TimeGrid, _csv_text, _write_csv, trapezoid
 from .observe import (
     Weight,
     canonical_weights,
-    observations_to_csv,
     observations_to_json,
     synthesize_data,
     write_weight_csv,
@@ -205,14 +204,6 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    rows = zip(*columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def _scenario_validate(ws: _Workspace, out: Path) -> list:
     profile = ws.profile
     _write_json(
@@ -244,14 +235,12 @@ def _scenario_simulate(ws: _Workspace, out: Path) -> list:
 
 def _scenario_eigen(ws: _Workspace, out: Path) -> list:
     eig = ws.eig
-    with open(out / "eig.csv", "w", encoding="utf-8", newline="\n") as fh:
-        sample_cols = ",".join(f"p_z{j}" for j in range(ws.zgrid.n))
-        fh.write(f"n,lambda,mu_norm,{sample_cols}\n")
-        for n in range(eig.n_modes):
-            samples = ",".join(repr(float(v)) for v in eig.modes[:, n])
-            fh.write(
-                f"{n},{float(eig.eigenvalues[n])!r},{float(eig.mu_norms[n])!r},{samples}\n"
-            )
+    sample_cols = ",".join(f"p_z{j}" for j in range(ws.zgrid.n))
+    _write_csv(
+        out / "eig.csv",
+        f"n,lambda,mu_norm,{sample_cols}",
+        (np.arange(eig.n_modes), eig.eigenvalues, eig.mu_norms, eig.modes.T),
+    )
     return ["eig.csv"]
 
 
@@ -278,6 +267,7 @@ def _scenario_weights(ws: _Workspace, out: Path) -> list:
 def _scenario_gains(ws: _Workspace, out: Path) -> list:
     files = []
     summary = {}
+    times = _csv_text(ws.tgrid.nodes)  # shared by every gain file
     for i, (t_obs, wspec, r) in enumerate(
         zip(ws.config.obs_times, ws.config.obs_weights, ws.config.obs_noise)
     ):
@@ -292,7 +282,7 @@ def _scenario_gains(ws: _Workspace, out: Path) -> list:
         _write_csv(
             out / name,
             "t,G,truncation_envelope",
-            (ws.tgrid.nodes, gain.values, gain.truncation_envelope),
+            (times, gain.values, gain.truncation_envelope),
         )
         files.append(name)
         analysis = analyze_gain(gain)
@@ -315,10 +305,11 @@ def _scenario_assimilate(ws: _Workspace, out: Path) -> list:
     # runs before any artifact is written from that map
     mean, variance = lowrank_posterior(problem)
     flux_map, report = map_estimate(problem)
-    _write_csv(out / "map_flux.csv", "t,F", (ws.tgrid.nodes, flux_map.values))
-    _write_csv(out / "posterior_variance.csv", "t,variance", (ws.tgrid.nodes, variance))
-    with open(out / "observations.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(observations_to_csv(problem.observations))
+    times = _csv_text(ws.tgrid.nodes)
+    _write_csv(out / "map_flux.csv", "t,F", (times, flux_map.values))
+    _write_csv(out / "posterior_variance.csv", "t,variance", (times, variance))
+    obs = problem.observations
+    _write_csv(out / "observations.csv", "t,y,r", (obs.times, obs.values, obs.noise_levels))
     map_vs_mean = float(
         np.linalg.norm(flux_map.values - mean)
         / max(np.linalg.norm(mean), 1e-300)

@@ -17,13 +17,14 @@ the data stream bit for bit from (seed, i).
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import CoefficientProfile
-from .numerics import ColumnGrid, trapezoid
+from .numerics import ColumnGrid, _write_csv, trapezoid
 from .spectral import EigenSystem
 from .transport import FluxSignal, solve_forward
 
@@ -244,10 +245,9 @@ def synthesize_data(
 
 def observations_to_csv(obs: ObservationSet) -> str:
     """Serialize as CSV with columns t, y, r (shortest round-trip floats)."""
-    lines = ["t,y,r"]
-    for t, y, r in zip(obs.times, obs.values, obs.noise_levels):
-        lines.append(f"{float(t)!r},{float(y)!r},{float(r)!r}")
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    _write_csv(text, "t,y,r", (obs.times, obs.values, obs.noise_levels))
+    return text.getvalue()
 
 
 def observations_to_json(obs: ObservationSet) -> str:
@@ -262,7 +262,4 @@ def observations_to_json(obs: ObservationSet) -> str:
 
 def write_weight_csv(weight: Weight, path) -> None:
     """Write a weight as CSV with columns z, rho."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("z,rho\n")
-        for z, v in zip(weight.grid.nodes, weight.values):
-            fh.write(f"{float(z)!r},{float(v)!r}\n")
+    _write_csv(path, "z,rho", (weight.grid.nodes, weight.values))

@@ -109,6 +109,25 @@ class PosteriorModel:
                 raise ValueError("all gain directions must share the prior's time grid")
 
 
+# The last decay matrix built, under its key: blind's weights all share one
+# observation time, and the matrix does not depend on the weight.
+_decay_slot = {}
+
+
+def _decay_matrix(grid: TimeGrid, idx: int, lam: np.ndarray) -> np.ndarray:
+    """E[j, n] = exp(lam_n (t_j - t_idx)) for j <= idx, kept for the next call."""
+    key = (grid, idx, lam.tobytes())
+    matrix = _decay_slot.get(key)
+    if matrix is None:
+        _decay_slot.clear()  # never hold two matrices at once
+        t = grid.nodes
+        matrix = np.outer(t[: idx + 1] - t[idx], lam)
+        np.exp(matrix, out=matrix)
+        matrix.setflags(write=False)
+        _decay_slot[key] = matrix
+    return matrix
+
+
 def gain_direction(
     eig: EigenSystem, a, t_obs: float, r: float, grid: TimeGrid
 ) -> GainDirection:
@@ -157,7 +176,7 @@ def gain_direction(
     t = grid.nodes
     values = np.zeros(grid.n)
     sup = t[: idx + 1] - t[idx]
-    values[: idx + 1] = pref * (np.exp(np.outer(sup, lam)) @ a)
+    values[: idx + 1] = pref * (_decay_matrix(grid, idx, lam) @ a)
     envelope = np.zeros(grid.n)
     envelope[: idx + 1] = np.exp(lam[-1] * sup)
     return GainDirection(

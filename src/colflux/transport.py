@@ -31,6 +31,8 @@ from .model import CoefficientProfile
 from .numerics import (
     ColumnGrid,
     TimeGrid,
+    _csv_text,
+    _write_csv,
     cumulative_trapezoid,
     factor_tridiagonal,
     trapezoid,
@@ -48,6 +50,9 @@ __all__ = [
 #: Bisection cap for the energy-bound constant; exceeding it is treated as a
 #: diagnostic failure (the bound should hold with a modest constant).
 ENERGY_CAP = 1e3
+
+# Time columns squared at once by ``energy_fit``.
+_ENERGY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -317,7 +322,12 @@ def energy_fit(field: MixingRatioField, flux: FluxSignal, q0) -> float:
     """
     q0 = np.asarray(q0, dtype=float)
     t = field.time_grid.nodes
-    norms2 = trapezoid(field.values**2, field.grid, axis=0)
+    # square a block of columns at a time: nz x _ENERGY_BLOCK extra memory,
+    # not a squared copy of the whole field
+    norms2 = np.empty(field.time_grid.n)
+    for start in range(0, norms2.size, _ENERGY_BLOCK):
+        block = field.values[:, start : start + _ENERGY_BLOCK] ** 2
+        norms2[start : start + _ENERGY_BLOCK] = trapezoid(block, field.grid, axis=0)
     q0n2 = trapezoid(q0**2, field.grid)
     fcum2 = cumulative_trapezoid(flux.values**2, flux.grid.spacing)
     budget = (1.0 + t) * q0n2 + (1.0 + t**2) * fcum2
@@ -345,9 +355,5 @@ def energy_fit(field: MixingRatioField, flux: FluxSignal, q0) -> float:
 
 def write_field_csv(field: MixingRatioField, path) -> None:
     """Write a field as CSV: header row of times, first column of heights."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = ",".join(["z"] + [repr(float(t)) for t in field.time_grid.nodes])
-        fh.write(header + "\n")
-        for j, z in enumerate(field.grid.nodes):
-            row = [repr(float(z))] + [repr(float(v)) for v in field.values[j]]
-            fh.write(",".join(row) + "\n")
+    header = ",".join(["z", *_csv_text(field.time_grid.nodes)])
+    _write_csv(path, header, (field.grid.nodes, field.values))

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 import colflux
 import colflux.cli as cli
+import colflux.numerics as numerics
+import colflux.observe as observe
+import colflux.transport as transport
 
 from colflux.assimilate import PRIOR_KINDS
 from colflux.cli import (
@@ -371,6 +374,28 @@ class TestScenarios:
         good = small_config("oracle_check", out, grid={"nz": 161, "nt": 128})
         assert run_cli(tmp_path, good, name="good.json") == 0
         assert not (out / "error.json").exists()
+
+
+def test_every_csv_goes_through_the_one_formatter(tmp_path, monkeypatch):
+    written = []
+
+    def recording(path, header, columns):
+        written.append(path)
+        numerics._write_csv(path, header, columns)
+
+    for module in (cli, observe, transport):
+        monkeypatch.setattr(module, "_write_csv", recording)
+    golden = DATA / "golden_config.json"
+    for scenario in cli.SCENARIOS:
+        out = tmp_path / scenario
+        assert main([scenario, "--config", str(golden), "--out", str(out)]) == 0
+    csvs = set(tmp_path.rglob("*.csv"))
+    assert len(csvs) >= 10
+    assert csvs <= {Path(p) for p in written if not hasattr(p, "write")}
+    # the library's text form and the artifact are one format
+    ws = cli._Workspace(parse_config(golden.read_text(encoding="utf-8"), "assimilate"))
+    text = observe.observations_to_csv(ws.problem().observations)
+    assert (tmp_path / "assimilate" / "observations.csv").read_text(encoding="utf-8") == text
 
 
 class TestDeterminism:

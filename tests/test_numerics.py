@@ -1,6 +1,9 @@
-"""Grids, quadrature, exponential inner products, tridiagonal solves."""
+"""Grids, quadrature, exponential inner products, tridiagonal solves, CSV."""
 
+import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from colflux.errors import SingularSystemError
 from colflux.model import validate_profile
 from colflux.numerics import (
+    _CSV_BLOCK_CELLS,
     SERIES_CUTOFF,
     ColumnGrid,
     TimeGrid,
@@ -18,6 +22,8 @@ from colflux.numerics import (
     exp_inner,
     exp_inner_coefficients,
     factor_tridiagonal,
+    _csv_text,
+    _write_csv,
     solve_tridiagonal,
     trapezoid,
 )
@@ -321,3 +327,86 @@ class TestFactorTridiagonal:
         solve = factor_tridiagonal(np.ones(2), 3.0 * np.ones(3), np.ones(2))
         with pytest.raises(ValueError, match="leading dimension"):
             solve(np.ones(4))
+
+
+def reference_csv(header, columns):
+    """The per-element writer the block formatter replaced: one repr per value."""
+    lines = [header]
+    for i in range(len(columns[0])):
+        cells = []
+        for c in columns:
+            if isinstance(c, list):
+                cells.append(c[i])
+            elif c.ndim == 2:
+                cells.extend(repr(float(v)) for v in c[i])
+            elif c.dtype.kind in "iu":
+                cells.append(f"{int(c[i])}")
+            else:
+                cells.append(repr(float(c[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def formatted(header, columns):
+    text = io.StringIO()
+    _write_csv(text, header, columns)
+    return text.getvalue()
+
+
+# shortest-repr edge cases: signed zero, the smallest subnormal, the switch
+# to exponent notation on both sides, the largest double, non-finite values
+# and integer-valued floats
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf, 1.0, -3.0, 2.0**52, 0.1, 1 / 3,
+]
+
+
+class TestCsvFormatter:
+    def test_edge_values_match_the_per_element_writer(self):
+        values = np.array(EDGE_VALUES)
+        columns = (np.arange(values.size), values, values[::-1].copy())
+        assert formatted("n,a,b", columns) == reference_csv("n,a,b", columns)
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_block_edges(self, offset, width):
+        block = _CSV_BLOCK_CELLS // (width + 1)
+        lengths = [0, 1] if offset is None else [block + offset]
+        rng = np.random.default_rng(width)
+        for n in lengths:
+            columns = (np.arange(n), *rng.standard_normal((width, n)) * 1e3)
+            header = ",".join(f"c{i}" for i in range(width + 1))
+            text = formatted(header, columns)
+            assert text == reference_csv(header, columns)
+            assert text.count("\n") == n + 1
+
+    def test_wide_group_and_shared_text_columns(self):
+        rng = np.random.default_rng(5)
+        rows, cols = 7, _CSV_BLOCK_CELLS // 3 - 2  # three rows per block
+        grid = rng.standard_normal((rows, cols))
+        t = np.linspace(0.0, 1.0, rows)
+        columns = (_csv_text(t), np.arange(rows), grid)
+        assert _csv_text(t) == [repr(float(v)) for v in t]
+        assert formatted("h", columns) == reference_csv("h", columns)
+
+    def test_path_and_stream_write_the_same_bytes(self, tmp_path):
+        columns = (np.linspace(0.0, 1.0, 9), np.arange(9) / 7.0)
+        _write_csv(tmp_path / "a.csv", "t,x", columns)
+        assert (tmp_path / "a.csv").read_bytes() == formatted("t,x", columns).encode()
+
+    @pytest.mark.parametrize("rows", [16385, 163850])
+    def test_memory_does_not_grow_with_the_row_count(self, rows):
+        # the gains files' shape, and ten times it: only one block of text
+        # is ever held, so the peak stays put
+        rng = np.random.default_rng(rows)
+        columns = (np.linspace(0.0, 1.0, rows), *rng.standard_normal((2, rows)))
+        sink = open(os.devnull, "w", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            _write_csv(sink, "t,G,e", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sink.close()
+        assert peak < 1e6, f"formatter peaked at {peak / 1e6:.2f} MB"

@@ -1,8 +1,11 @@
 """Gain directions, posterior forms, monotonicity, blind perturbations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import colflux.posterior as posterior
 from colflux.assimilate import PriorSpec, prior_quadratic_form
 from colflux.errors import DegenerateSeedError, DomainError
 from colflux.model import validate_profile
@@ -90,6 +93,80 @@ class TestGainDirection:
             gain_direction(eig, np.ones(2), 0.5, 0.0, tgrid)
         with pytest.raises(ValueError, match="node"):
             gain_direction(eig, np.ones(2), 0.503, 1.0, tgrid)
+
+
+def slot_matrices():
+    return [v for v in posterior._decay_slot.values() if isinstance(v, np.ndarray)]
+
+
+def fresh_gain(eig, a, t_obs, r, tgrid):
+    """A gain built with nothing cached."""
+    posterior._decay_slot.clear()
+    return gain_direction(eig, a, t_obs, r, tgrid)
+
+
+class TestDecayMatrix:
+    def test_fifty_gains_at_one_time_share_one_matrix(self, eig):
+        tgrid = TimeGrid(t_end=1.0, n=513)
+        coeffs = np.random.default_rng(11).standard_normal((50, 12))
+        posterior._decay_slot.clear()
+        gains = [gain_direction(eig, coeffs[0], 0.75, 0.3, tgrid)]
+        (first,) = slot_matrices()
+        for a in coeffs[1:]:
+            gains.append(gain_direction(eig, a, 0.75, 0.3, tgrid))
+            (held,) = slot_matrices()
+            assert held is first
+        for a, gain in zip(coeffs, gains):
+            fresh = fresh_gain(eig, a, 0.75, 0.3, tgrid)
+            assert np.array_equal(gain.values, fresh.values)
+            assert np.array_equal(gain.truncation_envelope, fresh.truncation_envelope)
+
+    @pytest.mark.parametrize("change", ["index", "shorter", "grid", "rates"])
+    def test_a_new_key_builds_a_new_matrix(self, eig, change):
+        a = np.random.default_rng(12).standard_normal(12)
+        tgrid = TimeGrid(t_end=1.0, n=513)
+        other_eig, other_a, t_obs, other_grid = eig, a, 0.75, tgrid
+        if change == "index":
+            t_obs = 0.5
+        elif change == "shorter":
+            other_a = a[:8]
+        elif change == "grid":
+            # the same node index and rates on a longer window
+            other_grid, t_obs = TimeGrid(t_end=2.0, n=513), 1.5
+        else:
+            grid = eig.profile.grid
+            profile = validate_profile(np.full(grid.n, 2.0), np.zeros(grid.n), grid)
+            other_eig = eigensystem(profile, 12)
+        posterior._decay_slot.clear()
+        gain_direction(eig, a, 0.75, 1.0, tgrid)
+        first = slot_matrices()[0]
+        gain = gain_direction(other_eig, other_a, t_obs, 1.0, other_grid)
+        assert len(slot_matrices()) == 1
+        assert slot_matrices()[0] is not first
+        fresh = fresh_gain(other_eig, other_a, t_obs, 1.0, other_grid)
+        assert np.array_equal(gain.values, fresh.values)
+
+    def test_a_miss_holds_one_matrix_at_a_time(self, eig, monkeypatch):
+        tgrid = TimeGrid(t_end=1.0, n=4097)
+        a = np.ones(eig.n_modes)
+        outer = np.outer
+
+        def checked_outer(*args):
+            assert not slot_matrices(), "old matrix still held during a build"
+            return outer(*args)
+
+        gain_direction(eig, a, 0.5, 1.0, tgrid)
+        monkeypatch.setattr(np, "outer", checked_outer)
+        tracemalloc.start()
+        try:
+            gain_direction(eig, a, 1.0, 1.0, tgrid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = slot_matrices()[0].nbytes
+        assert matrix == tgrid.n * eig.n_modes * 8
+        # one matrix plus a few grid-length vectors: exp is taken in place
+        assert peak < 1.5 * matrix, f"peak {peak / 1e6:.2f} MB, matrix {matrix / 1e6:.2f} MB"
 
 
 class TestGainInner:

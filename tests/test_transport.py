@@ -1,8 +1,11 @@
 """Forward solver: accuracy, exact mass accounting, energy envelope, I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import colflux.transport as transport
 from colflux.errors import DiagnosticError, StabilityError
 from colflux.model import validate_profile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
@@ -180,6 +183,38 @@ class TestEnergyFit:
         q0 = np.ones(81)
         field = solve_forward(profile, flux, q0)
         assert energy_fit(field, flux, q0) < 10.0
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_column_blocks_match_the_whole_field(self, monkeypatch, block):
+        rng = np.random.default_rng(4)
+        profile = random_profile(rng, 81)
+        tgrid = TimeGrid(t_end=1.0, n=201)
+        flux = FluxSignal(grid=tgrid, values=np.cos(6.0 * tgrid.nodes) - 0.2)
+        q0 = 0.5 + np.sin(np.pi * profile.grid.nodes)
+        field = solve_forward(profile, flux, q0)
+        monkeypatch.setattr(transport, "_ENERGY_BLOCK", tgrid.n)
+        whole = energy_fit(field, flux, q0)
+        monkeypatch.setattr(transport, "_ENERGY_BLOCK", block)
+        assert abs(energy_fit(field, flux, q0) - whole) <= 1e-3 * whole
+
+    def test_column_norms_need_no_squared_field(self):
+        # squaring the whole field first took 32.9 MB beside this 32.8 MB one
+        nz, nt = 1001, 4096
+        grid = ColumnGrid(h=1.0, n=nz)
+        tgrid = TimeGrid(t_end=1.0, n=nt + 1)
+        q0 = np.cos(np.pi * grid.nodes)
+        field = MixingRatioField(
+            grid=grid, time_grid=tgrid, values=np.outer(q0, np.exp(-tgrid.nodes))
+        )
+        flux = FluxSignal(grid=tgrid, values=np.zeros(nt + 1))
+        tracemalloc.start()
+        try:
+            constant = energy_fit(field, flux, q0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert constant == 1.0
+        assert peak < 2e6, f"energy_fit peaked at {peak / 1e6:.1f} MB"
 
     def test_unbudgeted_energy_is_diagnosed(self):
         # a nonzero field with zero initial state and zero forcing has an
