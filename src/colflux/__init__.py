@@ -7,147 +7,30 @@ diagnostics (gain directions, monotonicity, blind directions) that say
 what such observations can and cannot see.
 """
 
-from .assimilate import (
-    AssimilationProblem,
-    PriorSpec,
-    cost,
-    gradient,
-    hessian_form,
-    lowrank_posterior,
-    map_estimate,
-    oracle_bayes,
-    prior_apply_inverse,
-    prior_quadratic_form,
-    representer_rows,
-)
-from .errors import (
-    AssumptionError,
-    CapacityError,
-    ColfluxError,
-    ConditioningError,
-    ConfigError,
-    DegenerateSeedError,
-    DiagnosticError,
-    DomainError,
-    NormalizationError,
-    NumericalError,
-    SingularSystemError,
-    StabilityError,
-)
-from .model import CoefficientProfile, mu_weight, validate_profile
-from .numerics import (
-    ColumnGrid,
-    TimeGrid,
-    exp_inner,
-    exp_inner_coefficients,
-    factor_tridiagonal,
-    solve_tridiagonal,
-    trapezoid,
-)
-from .observe import (
-    ObservationSet,
-    Weight,
-    adjoint_observation,
-    apply_observation,
-    canonical_weights,
-    observations_to_csv,
-    observations_to_json,
-    synthesize_data,
-)
-from .posterior import (
-    GainAnalysis,
-    GainDirection,
-    PosteriorModel,
-    analyze_gain,
-    blind_direction,
-    gain_direction,
-    gain_inner,
-    monotone_weight_check,
-    precision_apply,
-    quadratic_form,
-)
-from .spectral import (
-    EigenSystem,
-    MuntzSums,
-    eigensystem,
-    expand_weight,
-    expansion_residual,
-    muntz_partial_sums,
-)
-from .transport import (
-    FluxSignal,
-    MixingRatioField,
-    energy_fit,
-    mass_balance_residual,
-    solve_forward,
-    write_field_csv,
-)
+from .assimilate import *
+from .errors import *
+from .model import *
+from .numerics import *
+from .observe import *
+from .posterior import *
+from .spectral import *
+from .transport import *
+
+# The submodules are bound after the star imports: binding them first made
+# scipy.linalg's import measurably slower (python -X importtime).
+from . import assimilate, errors, model, numerics, observe, posterior, spectral, transport
 
 __version__ = "0.1.0"
 
+# Each module's ``__all__`` is the one list of its public names.
 __all__ = [
     "__version__",
-    "AssimilationProblem",
-    "AssumptionError",
-    "CapacityError",
-    "ColfluxError",
-    "ColumnGrid",
-    "CoefficientProfile",
-    "ConditioningError",
-    "ConfigError",
-    "DegenerateSeedError",
-    "DiagnosticError",
-    "DomainError",
-    "EigenSystem",
-    "FluxSignal",
-    "GainAnalysis",
-    "GainDirection",
-    "MixingRatioField",
-    "MuntzSums",
-    "NormalizationError",
-    "NumericalError",
-    "ObservationSet",
-    "PosteriorModel",
-    "PriorSpec",
-    "SingularSystemError",
-    "StabilityError",
-    "TimeGrid",
-    "Weight",
-    "adjoint_observation",
-    "analyze_gain",
-    "apply_observation",
-    "blind_direction",
-    "canonical_weights",
-    "cost",
-    "eigensystem",
-    "energy_fit",
-    "exp_inner",
-    "exp_inner_coefficients",
-    "expand_weight",
-    "expansion_residual",
-    "factor_tridiagonal",
-    "gain_direction",
-    "gain_inner",
-    "gradient",
-    "hessian_form",
-    "lowrank_posterior",
-    "map_estimate",
-    "mass_balance_residual",
-    "monotone_weight_check",
-    "mu_weight",
-    "muntz_partial_sums",
-    "observations_to_csv",
-    "observations_to_json",
-    "oracle_bayes",
-    "precision_apply",
-    "prior_apply_inverse",
-    "prior_quadratic_form",
-    "quadratic_form",
-    "representer_rows",
-    "solve_forward",
-    "solve_tridiagonal",
-    "synthesize_data",
-    "trapezoid",
-    "validate_profile",
-    "write_field_csv",
+    *assimilate.__all__,
+    *errors.__all__,
+    *model.__all__,
+    *numerics.__all__,
+    *observe.__all__,
+    *posterior.__all__,
+    *spectral.__all__,
+    *transport.__all__,
 ]

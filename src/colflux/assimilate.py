@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import CapacityError, ConditioningError, DomainError, NumericalError
 from .model import CoefficientProfile
-from .numerics import factor_tridiagonal, trapezoid
+from .numerics import _frozen, factor_tridiagonal, trapezoid
 from .observe import ObservationSet, Weight, synthesize_data
 from .transport import FluxSignal, flux_sensitivity, impulse_response
 
@@ -324,13 +324,7 @@ class AssimilationProblem:
     prior: PriorSpec
 
     def __post_init__(self):
-        q0 = np.ascontiguousarray(self.q0, dtype=float)
-        if q0.shape != (self.profile.grid.n,):
-            msg = f"q0 needs {self.profile.grid.n} values, got shape {q0.shape}"
-            raise ValueError(msg)
-        if not np.isfinite(q0).all():
-            raise ValueError("q0 must be finite")
-        q0.setflags(write=False)
+        q0 = _frozen(self.q0, (self.profile.grid.n,), "q0")
         object.__setattr__(self, "q0", q0)
         weights = tuple(self.weights)
         object.__setattr__(self, "weights", weights)

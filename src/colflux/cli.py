@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +45,11 @@ from .errors import (
     DiagnosticError,
     NumericalError,
 )
-from .model import CoefficientProfile, validate_profile
+from .model import validate_profile
 from .numerics import ColumnGrid, TimeGrid, _csv_text, _write_csv, trapezoid
-from .observe import (
-    Weight,
-    canonical_weights,
-    observations_to_json,
-    synthesize_data,
-    write_weight_csv,
-)
+from .observe import Weight, canonical_weights, synthesize_data, write_weight_csv
 from .posterior import analyze_gain, blind_direction, gain_direction
-from .spectral import eigensystem, expand_weight, expansion_residual, muntz_partial_sums
+from .spectral import eigensystem, expand_weight, expansion_residual
 from .transport import (
     FluxSignal,
     energy_fit,
@@ -131,13 +126,10 @@ class _Workspace:
         k = _eval_function_spec(config.k_spec, self.zgrid.nodes, config.h)
         w = _eval_function_spec(config.w_spec, self.zgrid.nodes, config.h)
         self.profile = validate_profile(k, w, self.zgrid)
-        self._eig = None
 
-    @property
+    @cached_property
     def eig(self):
-        if self._eig is None:
-            self._eig = eigensystem(self.profile, self.config.n_modes)
-        return self._eig
+        return eigensystem(self.profile, self.config.n_modes)
 
     @property
     def flux(self) -> FluxSignal:

@@ -7,6 +7,21 @@ problems (exit 2), numerical or diagnostic failures (exit 3), capacity limits
 
 from __future__ import annotations
 
+__all__ = [
+    "ColfluxError",
+    "ConfigError",
+    "AssumptionError",
+    "DomainError",
+    "DegenerateSeedError",
+    "NumericalError",
+    "SingularSystemError",
+    "StabilityError",
+    "NormalizationError",
+    "ConditioningError",
+    "DiagnosticError",
+    "CapacityError",
+]
+
 
 class ColfluxError(Exception):
     """Base class for all library-specific errors."""

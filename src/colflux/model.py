@@ -21,8 +21,8 @@ from .numerics import ColumnGrid, cumulative_trapezoid
 
 __all__ = ["CoefficientProfile", "validate_profile", "mu_weight"]
 
-#: Default bound on second divided differences used as the A1 proxy.
-DEFAULT_SMOOTHNESS_BOUND = 1e6
+#: Bound on second divided differences used as the A1 proxy.
+SMOOTHNESS_BOUND = 1e6
 
 #: Absolute tolerance (scaled by max(1, |w|_inf)) for the A3 boundary check.
 BOUNDARY_W_TOL = 1e-12
@@ -72,23 +72,18 @@ class CoefficientProfile:
         object.__setattr__(self, "epsilon", kmin)
 
 
-def validate_profile(
-    k,
-    w,
-    grid: ColumnGrid,
-    smoothness_bound: float = DEFAULT_SMOOTHNESS_BOUND,
-) -> CoefficientProfile:
+def validate_profile(k, w, grid: ColumnGrid) -> CoefficientProfile:
     """Validate coefficient samples and build a profile.
+
+    The A1 proxy caps the second divided differences of k and w at
+    ``SMOOTHNESS_BOUND``: a testable surrogate for twice-differentiability,
+    which cannot be decided from samples alone.
 
     Parameters
     ----------
     k, w : array_like
         Nodal samples of diffusion and velocity, one value per grid node.
     grid : ColumnGrid
-    smoothness_bound : float, optional
-        Cap on the second divided differences of k and w. This is a testable
-        surrogate for twice-differentiability, which cannot be decided from
-        samples alone.
 
     Returns
     -------
@@ -105,12 +100,12 @@ def validate_profile(
     dz2 = grid.spacing**2
     for name, values in (("k", profile.k), ("w", profile.w)):
         second = np.abs(np.diff(values, n=2)) / dz2
-        if second.size and float(second.max()) > smoothness_bound:
+        if second.size and float(second.max()) > SMOOTHNESS_BOUND:
             worst = int(second.argmax()) + 1
             raise AssumptionError(
                 "A1",
                 f"second divided difference of {name} is {second.max():.3e} "
-                f"at node {worst}, above the bound {smoothness_bound:.3e}",
+                f"at node {worst}, above the bound {SMOOTHNESS_BOUND:.3e}",
             )
     return profile
 

@@ -24,12 +24,14 @@ __all__ = [
     "exp_inner",
     "exp_inner_coefficients",
     "factor_tridiagonal",
-    "solve_tridiagonal",
 ]
 
 # lambda * dt below this uses the Taylor branch of the segment integrals;
 # at the switch point both branches agree to better than rel. 1e-9.
 SERIES_CUTOFF = 1e-6
+
+# A time within this fraction of t_end of a node is that node.
+NODE_RTOL = 1e-9
 
 # Cells per block of a CSV write (341 rows of three columns): one block's
 # text is all the formatter holds, whatever the file's size. Three times
@@ -37,8 +39,20 @@ SERIES_CUTOFF = 1e-6
 _CSV_BLOCK_CELLS = 1024
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
+def _frozen(values, shape: tuple | None = None, name: str = "array") -> np.ndarray:
+    """``values`` as a read-only float64 C-contiguous array.
+
+    No copy is made when ``values`` already is one, so the caller's array
+    becomes read-only. With ``shape``, the array must have that shape and
+    finite entries; the ValueError names the array.
+    """
     out = np.ascontiguousarray(values, dtype=float)
+    if shape is not None:
+        if out.shape != shape:
+            msg = f"{name} needs nodal values of shape {shape}, got shape {out.shape}"
+            raise ValueError(msg)
+        if not np.isfinite(out).all():
+            raise ValueError(f"{name} values must be finite")
     out.setflags(write=False)
     return out
 
@@ -115,10 +129,10 @@ class TimeGrid:
         w[0] = w[-1] = 0.5 * self.spacing
         return _frozen(w)
 
-    def index_of(self, t: float, rtol: float = 1e-9) -> int:
+    def index_of(self, t: float) -> int:
         """Index of the node equal to ``t``, or ValueError if ``t`` is off-grid."""
         j = int(round(t / self.spacing))
-        if j < 0 or j >= self.n or abs(t - j * self.spacing) > rtol * self.t_end:
+        if j < 0 or j >= self.n or abs(t - j * self.spacing) > NODE_RTOL * self.t_end:
             msg = f"t={t} is not a node of the time grid (dt={self.spacing})"
             raise ValueError(msg)
         return j
@@ -318,18 +332,6 @@ def factor_tridiagonal(lower, diag, upper):
         return x[:n].reshape(rhs.shape)
 
     return solve
-
-
-def solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve a tridiagonal system A x = rhs once.
-
-    One-shot form of :func:`factor_tridiagonal`, with the same bands and
-    errors; ``rhs`` has shape (n,) or (n, k) and the solution its shape.
-    Intended for diagonally dominant or symmetric positive definite
-    systems, where the residual stays at the 1e-10 * ||rhs|| level or
-    better.
-    """
-    return factor_tridiagonal(lower, diag, upper)(rhs)
 
 
 def _csv_text(column) -> list:

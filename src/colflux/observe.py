@@ -18,13 +18,12 @@ the data stream bit for bit from (seed, i).
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import CoefficientProfile
-from .numerics import ColumnGrid, _write_csv, trapezoid
+from .numerics import ColumnGrid, _frozen, _write_csv, trapezoid
 from .spectral import EigenSystem
 from .transport import FluxSignal, solve_forward
 
@@ -32,11 +31,9 @@ __all__ = [
     "Weight",
     "ObservationSet",
     "apply_observation",
-    "adjoint_observation",
     "canonical_weights",
     "synthesize_data",
     "observations_to_csv",
-    "observations_to_json",
     "write_weight_csv",
 ]
 
@@ -66,18 +63,10 @@ class Weight:
     label: str = ""
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            msg = f"weight needs {self.grid.n} nodal values, got shape {v.shape}"
-            raise ValueError(msg)
-        if not np.isfinite(v).all():
-            raise ValueError("weight values must be finite")
-        v.setflags(write=False)
+        v = _frozen(self.values, (self.grid.n,), "weight")
         object.__setattr__(self, "values", v)
         if self.coefficients is not None:
-            c = np.ascontiguousarray(self.coefficients, dtype=float)
-            c.setflags(write=False)
-            object.__setattr__(self, "coefficients", c)
+            object.__setattr__(self, "coefficients", _frozen(self.coefficients))
 
     @property
     def is_nonnegative(self) -> bool:
@@ -136,16 +125,6 @@ def apply_observation(weight: Weight, column) -> float:
         )
         raise ValueError(msg)
     return trapezoid(weight.values * column, weight.grid)
-
-
-def adjoint_observation(weight: Weight, a: float) -> np.ndarray:
-    """Adjoint of the observation map: the scalar a spread as a * rho.
-
-    With the trapezoid inner product on the column this satisfies
-    <Hq, a> = <q, a rho> exactly, since both sides reduce to the same
-    quadrature sum.
-    """
-    return float(a) * weight.values
 
 
 def canonical_weights(eig: EigenSystem) -> tuple[Weight, Weight]:
@@ -248,16 +227,6 @@ def observations_to_csv(obs: ObservationSet) -> str:
     text = io.StringIO()
     _write_csv(text, "t,y,r", (obs.times, obs.values, obs.noise_levels))
     return text.getvalue()
-
-
-def observations_to_json(obs: ObservationSet) -> str:
-    """Serialize as JSON with sorted keys (deterministic bytes per content)."""
-    payload = {
-        "noise_levels": [float(r) for r in obs.noise_levels],
-        "times": [float(t) for t in obs.times],
-        "values": [float(y) for y in obs.values],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_weight_csv(weight: Weight, path) -> None:

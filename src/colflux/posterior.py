@@ -28,6 +28,7 @@ from .errors import ConditioningError, DegenerateSeedError, DomainError
 from .model import CoefficientProfile
 from .numerics import (
     TimeGrid,
+    _frozen,
     _segment_shape_factors,
     exp_inner,
     exp_inner_coefficients,
@@ -84,9 +85,7 @@ class GainDirection:
 
     def __post_init__(self):
         for name in ("values", "coefficients", "lambdas", "truncation_envelope"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 class GainAnalysis(NamedTuple):

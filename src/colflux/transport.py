@@ -32,6 +32,7 @@ from .numerics import (
     ColumnGrid,
     TimeGrid,
     _csv_text,
+    _frozen,
     _write_csv,
     cumulative_trapezoid,
     factor_tridiagonal,
@@ -67,13 +68,7 @@ class FluxSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            msg = f"flux needs {self.grid.n} nodal values, got shape {v.shape}"
-            raise ValueError(msg)
-        if not np.isfinite(v).all():
-            raise ValueError("flux values must be finite")
-        v.setflags(write=False)
+        v = _frozen(self.values, (self.grid.n,), "flux")
         object.__setattr__(self, "values", v)
 
 
@@ -86,15 +81,8 @@ class MixingRatioField:
     values: np.ndarray  # shape (nz, nt)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
-        expected = (self.grid.n, self.time_grid.n)
-        if v.shape != expected:
-            msg = f"field must have shape {expected}, got {v.shape}"
-            raise ValueError(msg)
-        if not np.isfinite(v).all():
-            raise ValueError("field values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        shape = (self.grid.n, self.time_grid.n)
+        object.__setattr__(self, "values", _frozen(self.values, shape, "field"))
 
     def column(self, time_index: int) -> np.ndarray:
         return self.values[:, time_index]
