@@ -17,15 +17,18 @@ checks are tight.
 
 The estimators work on the discrete forward map G (observations per nodal
 flux value), which each AssimilationProblem builds at most once: one
-impulse-response sweep gives every row, and N transposed backward sweeps
-give them again for the representers and for the agreement check that
-both posterior computations run before using G. CG then costs O(N nt)
-per iteration and sweeps the column no more. ``cost``, ``gradient`` and
-``hessian_form`` keep their own forward and adjoint sweeps, so they stay an
-independent check on the reused map. Every sweep is the one
-Crank-Nicolson loop of ``transport``, and the forward solves (the free
-response and those of the cost) observe through ``synthesize_data``, so
-they keep only the N observed states, never the field.
+impulse-response sweep of ``transport`` gives every row, and N transposed
+backward sweeps give them again, for the representers and for the
+agreement check. ``forward_rows`` hands out G only once the two agree, so
+no estimator can use an unchecked map, and ``innovation`` forms the
+prior-mean misfit y - G F0 - free response once for all of them. CG then
+costs O(N nt) per iteration and sweeps the column no more. ``cost``,
+``gradient`` and ``hessian_form`` keep their own forward and adjoint
+sweeps, so they stay an independent check on the reused map. Every sweep
+is the one Crank-Nicolson loop of ``transport``, and the forward solves
+(the free response and those of the cost) observe through
+``synthesize_data``, so they keep only the N observed states, never the
+field.
 
 The posterior is the prior minus a rank-N update (the representer form
 with the Woodbury identity): with S = G C0 G^T + R,
@@ -352,24 +355,54 @@ class AssimilationProblem:
         return self._obs_indices
 
     # The discrete forward map G (one row per observation, one column per
-    # flux node) and the observed zero-flux response, each built on first
-    # use and shared by every estimator on this problem; the observations
-    # of a flux F are G F + free_response.
+    # flux node) and the arrays built from it, each on first use and shared
+    # by every estimator on this problem; the observations of a flux F are
+    # G F + free_response.
+
+    @cached_property
+    def functionals(self) -> np.ndarray:
+        """The N x nz trapezoid-weighted observation weights, one row each."""
+        rows = [self.profile.grid.weights * w.values for w in self.weights]
+        return _read_only(np.array(rows).reshape(len(rows), self.profile.grid.n))
+
+    @cached_property
+    def _impulse_rows(self) -> np.ndarray:
+        rows = impulse_response(
+            self.profile, self.prior.grid, self.functionals, self.obs_indices
+        )
+        return _read_only(rows)
 
     @cached_property
     def forward_rows(self) -> np.ndarray:
-        """G from one impulse-response sweep."""
-        return _read_only(_forward_map_rows(self))
+        """G from one impulse-response sweep, once it agrees with ``adjoint_rows``.
+
+        Raises
+        ------
+        NumericalError
+            If the impulse-response and adjoint-solve rows differ by more
+            than 1e-8 of the largest entry.
+        """
+        gap = self.forward_map_rel_gap
+        if gap > FORWARD_MAP_TOL:
+            msg = (
+                "impulse-response and adjoint-solve constructions of the discrete "
+                f"forward map disagree (relative {gap:.3e})"
+            )
+            raise NumericalError(msg)
+        return self._impulse_rows
 
     @cached_property
     def adjoint_rows(self) -> np.ndarray:
         """G again, from one transposed backward sweep per observation."""
-        return _read_only(_forward_map_matrix_adjoint(self))
+        rows = np.empty((len(self.observations), self.prior.grid.n))
+        for i in range(len(self.observations)):
+            rows[i] = _adjoint_flux_sensitivity(self, {i: 1.0})
+        return _read_only(rows)
 
     @cached_property
     def forward_map_rel_gap(self) -> float:
-        """Largest |forward_rows - adjoint_rows| over the largest |entry|."""
-        fwd, adj = self.forward_rows, self.adjoint_rows
+        """Largest |impulse rows - adjoint_rows| over the largest |entry|."""
+        fwd, adj = self._impulse_rows, self.adjoint_rows
         if not fwd.size:
             return 0.0
         scale = max(float(np.abs(fwd).max()), 1e-300)
@@ -386,29 +419,16 @@ class AssimilationProblem:
         zero_flux = np.zeros(self.prior.grid.n)
         return _read_only(_forward_map(self, zero_flux))
 
+    @cached_property
+    def innovation(self) -> np.ndarray:
+        """y - G F0 - free_response: the data the prior mean leaves unexplained."""
+        u0 = self.forward_rows @ self.prior.mean.values + self.free_response
+        return _read_only(self.observations.values - u0)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _checked_forward_map(problem: AssimilationProblem):
-    """G and the gap between its two constructions, once they agree.
-
-    Raises
-    ------
-    NumericalError
-        If the impulse-response and adjoint-solve rows differ by more than
-        1e-8 of the largest entry.
-    """
-    gap = problem.forward_map_rel_gap
-    if gap > FORWARD_MAP_TOL:
-        msg = (
-            "impulse-response and adjoint-solve constructions of the discrete "
-            f"forward map disagree (relative {gap:.3e})"
-        )
-        raise NumericalError(msg)
-    return problem.forward_rows, gap
 
 
 def prior_apply_inverse(spec: PriorSpec, g) -> np.ndarray:
@@ -482,7 +502,7 @@ def _adjoint_flux_sensitivity(problem: AssimilationProblem, impulses) -> np.ndar
     g = {}
     for i, n_i in enumerate(problem.obs_indices):
         if i in impulses:
-            vec = problem.profile.grid.weights * problem.weights[i].values * impulses[i]
+            vec = problem.functionals[i] * impulses[i]
             g[n_i] = g.get(n_i, 0.0) + vec
     return flux_sensitivity(problem.profile, problem.prior.grid, g)
 
@@ -539,14 +559,15 @@ def map_estimate(problem: AssimilationProblem):
     ConditioningError
         If the relative residual has not reached 1e-8 within 2 * nt
         iterations.
+    NumericalError
+        If the two forward-map constructions disagree.
     """
     spec = problem.prior
     project = spec._family.project
     n = spec.grid.n
     g = problem.forward_rows
     r2 = problem.observations.noise_levels**2
-    u0 = g @ spec.mean.values + problem.free_response
-    rhs = project(g.T @ ((problem.observations.values - u0) / r2))
+    rhs = project(g.T @ (problem.innovation / r2))
 
     def hessian(x):  # W C0^{-1} x + G^T R^{-1} G x, for admissible x
         return spec.grid.weights * prior_apply_inverse(spec, x) + g.T @ (g @ x / r2)
@@ -585,38 +606,6 @@ def map_estimate(problem: AssimilationProblem):
         f"{max_iter} iterations (target {tol:g})"
     )
     raise ConditioningError(msg)
-
-
-def _forward_map_rows(problem: AssimilationProblem) -> np.ndarray:
-    """Rows of the discrete forward map from one impulse-response sweep.
-
-    The stepper's matrices are constant and the state starts at zero, so
-    a unit forcing 0.5 dt k(0) e_0 in step n, observed at node n_i, gives
-    a_i[n_i - 1 - n], where a_i[k] observes the state k + 1 steps after the
-    same forcing in step 0. The flux hat at node m forces steps m - 1 and
-    m (only one of them at the two ends), hence
-
-        row_i[m] = a_i[n_i - m] [m >= 1] + a_i[n_i - 1 - m] [m <= n_i - 1].
-    """
-    tgrid = problem.prior.grid
-    rows = np.zeros((len(problem.observations), tgrid.n))
-    # one trapezoid-weighted observation functional per row
-    obs = np.array([problem.profile.grid.weights * w.values for w in problem.weights])
-    steps = max(problem.obs_indices, default=0)
-    a = impulse_response(problem.profile, tgrid, obs, steps)
-    for i, n_i in enumerate(problem.obs_indices):
-        response = a[i, :n_i][::-1]  # a_i[n_i - 1], ..., a_i[0]
-        rows[i, 1 : n_i + 1] += response
-        rows[i, :n_i] += response
-    return rows
-
-
-def _forward_map_matrix_adjoint(problem: AssimilationProblem) -> np.ndarray:
-    """Same matrix, one transposed backward sweep per observation."""
-    rows = np.empty((len(problem.observations), problem.prior.grid.n))
-    for i in range(len(problem.observations)):
-        rows[i] = _adjoint_flux_sensitivity(problem, {i: 1.0})
-    return rows
 
 
 def representer_rows(problem: AssimilationProblem) -> np.ndarray:
@@ -658,12 +647,10 @@ def _dense_prior_precision(problem: AssimilationProblem) -> np.ndarray:
 def oracle_bayes(problem: AssimilationProblem):
     """Exact dense Gaussian posterior on the time grid.
 
-    Takes the problem's two constructions of the discrete forward map, by
-    one impulse-response sweep and by per-observation adjoint sweeps, and
-    insists they agree to 1e-8 relative before using it; then forms the
-    posterior precision W C0^{-1} + G^T R^{-1} G on the admissible
-    coordinates and factors it. The prior-mean observations are G F0 plus
-    the free response to q0, as in ``map_estimate``.
+    Takes the problem's checked forward map G, forms the posterior
+    precision W C0^{-1} + G^T R^{-1} G on the admissible coordinates and
+    factors it. The prior-mean misfit is the problem's ``innovation``, as
+    in ``map_estimate``.
 
     Returns
     -------
@@ -686,14 +673,12 @@ def oracle_bayes(problem: AssimilationProblem):
         )
         raise CapacityError(msg)
 
-    ghat, _ = _checked_forward_map(problem)
-
+    ghat = problem.forward_rows
     spec = problem.prior
     r2 = problem.observations.noise_levels**2
     prec = _dense_prior_precision(problem) + (ghat.T / r2) @ ghat
     cov = spec._family.invert(prec)
-    u0 = ghat @ spec.mean.values + problem.free_response
-    rhs = ghat.T @ ((problem.observations.values - u0) / r2)
+    rhs = ghat.T @ (problem.innovation / r2)
     # cov is the expanded dual-to-primal map (zero rows on pinned nodes,
     # glued rows on identified ones), so it consumes the raw dual vector
     mean = spec.mean.values + cov @ rhs
@@ -711,8 +696,8 @@ def lowrank_posterior(problem: AssimilationProblem):
         var  = diag(C0) - diag(C0 G^T S^-1 G C0),
 
     the prior covariance minus a rank-N update. S is N x N, so every step
-    costs O(N nt) and no nt x nt matrix is formed; the forward map passes
-    the same agreement check as in ``oracle_bayes``.
+    costs O(N nt) and no nt x nt matrix is formed; G is the problem's
+    checked forward map, as in ``oracle_bayes``.
 
     Returns
     -------
@@ -725,7 +710,7 @@ def lowrank_posterior(problem: AssimilationProblem):
     NumericalError
         If the two forward-map constructions disagree.
     """
-    g, _ = _checked_forward_map(problem)
+    g = problem.forward_rows
     spec = problem.prior
     precond = spec._family.covariance()
     # rows C0 g_i; the reshape keeps the (0, nt) shape with no observations
@@ -734,7 +719,6 @@ def lowrank_posterior(problem: AssimilationProblem):
     # S = L L^T; with V = L^-1 C0 G^T the update is V^T V, a sum of squares
     chol = np.linalg.cholesky(g @ c0g.T + np.diag(r2))
     v = np.linalg.solve(chol, c0g)
-    u0 = g @ spec.mean.values + problem.free_response
-    mean = spec.mean.values + v.T @ np.linalg.solve(chol, problem.observations.values - u0)
+    mean = spec.mean.values + v.T @ np.linalg.solve(chol, problem.innovation)
     variance = spec._family.variance() - np.einsum("ij,ij->j", v, v)
     return mean, variance

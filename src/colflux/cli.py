@@ -47,7 +47,13 @@ from .errors import (
 )
 from .model import validate_profile
 from .numerics import ColumnGrid, TimeGrid, _csv_text, _write_csv, trapezoid
-from .observe import Weight, canonical_weights, synthesize_data, write_weight_csv
+from .observe import (
+    Weight,
+    canonical_weights,
+    synthesize_data,
+    write_observations_csv,
+    write_weight_csv,
+)
 from .posterior import analyze_gain, blind_direction, gain_direction
 from .spectral import eigensystem, expand_weight, expansion_residual
 from .transport import (
@@ -293,15 +299,12 @@ def _scenario_gains(ws: _Workspace, out: Path) -> list:
 
 def _scenario_assimilate(ws: _Workspace, out: Path) -> list:
     problem = ws.problem()
-    # the low-rank posterior checks the forward map that CG reuses, so it
-    # runs before any artifact is written from that map
     mean, variance = lowrank_posterior(problem)
     flux_map, report = map_estimate(problem)
     times = _csv_text(ws.tgrid.nodes)
     _write_csv(out / "map_flux.csv", "t,F", (times, flux_map.values))
     _write_csv(out / "posterior_variance.csv", "t,variance", (times, variance))
-    obs = problem.observations
-    _write_csv(out / "observations.csv", "t,y,r", (obs.times, obs.values, obs.noise_levels))
+    write_observations_csv(problem.observations, out / "observations.csv")
     map_vs_mean = float(
         np.linalg.norm(flux_map.values - mean)
         / max(np.linalg.norm(mean), 1e-300)
@@ -732,12 +735,17 @@ def run_scenario(config: ExperimentConfig) -> int:
         (out / "error.json").unlink(missing_ok=True)
         return 0
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps errors to codes
-        code = _exit_code_for(exc)
-        report = {"error": type(exc).__name__, "exit_code": code, "message": str(exc)}
-        sys.stderr.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        if out.is_dir():
-            _write_json(out / "error.json", report)
-        return code
+        return _report_error(type(exc).__name__, _exit_code_for(exc), str(exc), out)
+
+
+def _report_error(error: str, code: int, message: str, out: Path | None = None) -> int:
+    """Write the JSON error report to stderr, and to error.json when ``out``
+    is an existing directory; return the exit code."""
+    report = {"error": error, "exit_code": code, "message": message}
+    sys.stderr.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if out is not None and out.is_dir():
+        _write_json(out / "error.json", report)
+    return code
 
 
 def _exit_code_for(exc: Exception) -> int:
@@ -778,9 +786,8 @@ def main(argv=None) -> int:
             text, overrides={k: v for k, v in args.items() if v is not None}
         )
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
-        report = {"error": "ConfigError", "exit_code": 2, "message": str(exc)}
-        sys.stderr.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        return 2
+        # no output directory exists yet, so no error.json
+        return _report_error("ConfigError", 2, str(exc))
     return run_scenario(config)
 
 

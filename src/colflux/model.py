@@ -40,7 +40,7 @@ class CoefficientProfile:
     grid: ColumnGrid
     k: np.ndarray
     w: np.ndarray
-    epsilon: float = field(default=0.0)
+    epsilon: float = field(init=False)
 
     def __post_init__(self):
         k = np.ascontiguousarray(self.k, dtype=float)

@@ -17,7 +17,6 @@ the data stream bit for bit from (seed, i).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ __all__ = [
     "apply_observation",
     "canonical_weights",
     "synthesize_data",
-    "observations_to_csv",
+    "write_observations_csv",
     "write_weight_csv",
 ]
 
@@ -222,11 +221,9 @@ def synthesize_data(
     return ObservationSet(times=times, values=y, noise_levels=noise_levels)
 
 
-def observations_to_csv(obs: ObservationSet) -> str:
-    """Serialize as CSV with columns t, y, r (shortest round-trip floats)."""
-    text = io.StringIO()
-    _write_csv(text, "t,y,r", (obs.times, obs.values, obs.noise_levels))
-    return text.getvalue()
+def write_observations_csv(obs: ObservationSet, path) -> None:
+    """Write observations as CSV with columns t, y, r to a path or text stream."""
+    _write_csv(path, "t,y,r", (obs.times, obs.values, obs.noise_levels))
 
 
 def write_weight_csv(weight: Weight, path) -> None:

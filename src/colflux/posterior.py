@@ -241,11 +241,7 @@ def analyze_gain(gain: GainDirection) -> GainAnalysis:
     mean = gain.prefactor * gain.t_obs * float(np.dot(gain.coefficients, phi))
 
     idx = gain.grid.index_of(gain.t_obs)
-    support = gain.values[: idx + 1]
-    tol = MONOTONE_TOL * float(np.abs(support).max()) if support.size else 0.0
-    d = np.diff(support)
-    nondecreasing = bool((d >= -tol).all())
-    nonincreasing = bool((d <= tol).all())
+    nondecreasing, nonincreasing = _trend(gain.values[: idx + 1], 0.0)
     if nondecreasing and not nonincreasing:
         verdict = "increasing"
     elif nonincreasing and not nondecreasing:
@@ -253,6 +249,14 @@ def analyze_gain(gain: GainDirection) -> GainAnalysis:
     else:
         verdict = "neither"
     return GainAnalysis(mean_projection=mean, monotone=verdict)
+
+
+def _trend(values: np.ndarray, floor: float) -> tuple[bool, bool]:
+    """Whether ``values`` never falls, and whether it never rises, allowing
+    each step MONOTONE_TOL * max(max |values|, floor) the wrong way."""
+    tol = MONOTONE_TOL * max(float(np.abs(values).max(initial=0.0)), floor)
+    d = np.diff(values)
+    return bool((d >= -tol).all()), bool((d <= tol).all())
 
 
 #: Time resolution used to classify gain monotonicity from a weight alone.
@@ -267,8 +271,8 @@ def monotone_weight_check(
     An increasing weight must produce a gain direction that is
     nonincreasing in time, and vice versa; a constant weight (monotone in
     both senses) passes either way. The gain is sampled on an internal
-    1025-node grid over [0, t_obs] and compared with the same relative
-    tolerance as :func:`analyze_gain`.
+    1025-node grid over [0, t_obs]. Both trends are read as in
+    :func:`analyze_gain`, with the tolerance's scale at least 1.
 
     Raises
     ------
@@ -278,20 +282,14 @@ def monotone_weight_check(
     if rho.grid != profile.grid:
         raise ValueError("weight and profile grids differ")
     v = rho.values
-    wtol = MONOTONE_TOL * max(float(np.abs(v).max()), 1.0)
-    dv = np.diff(v)
-    w_inc = bool((dv >= -wtol).all())
-    w_dec = bool((dv <= wtol).all())
+    w_inc, w_dec = _trend(v, 1.0)
     if not (w_inc or w_dec):
         raise ValueError("weight is not monotone on the grid")
 
     a = expand_weight(v, eig)
     tgrid = TimeGrid(t_end=float(t_obs), n=_CHECK_NODES)
     gain = gain_direction(eig, a, float(t_obs), 1.0, tgrid)
-    d = np.diff(gain.values)
-    gtol = MONOTONE_TOL * max(float(np.abs(gain.values).max()), 1.0)
-    g_inc = bool((d >= -gtol).all())
-    g_dec = bool((d <= gtol).all())
+    g_inc, g_dec = _trend(gain.values, 1.0)
 
     ok = True
     if w_inc:

@@ -15,9 +15,10 @@ Time stepping is Crank-Nicolson, second order and unconditionally stable.
 
 Every sweep of the package runs the one private loop ``_cn_sweep``:
 ``solve_forward`` (the whole field, or only the states at given nodes),
-``impulse_response`` (the forward map's impulse sweep) and
-``flux_sensitivity`` (the transposed backward sweep of the adjoint). The
-loop keeps O(nz) state; its callers store what they read.
+``impulse_response`` (the rows of the discrete forward map G, one impulse
+sweep assembled by the flux hats) and ``flux_sensitivity`` (the
+transposed backward sweep of the adjoint, per nodal flux value). The loop
+keeps O(nz) state; its callers store what they read.
 """
 
 from __future__ import annotations
@@ -230,14 +231,21 @@ def solve_forward(
     return out
 
 
-def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, steps):
-    """Functionals of the state after a unit flux at time node 0.
+def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, nodes):
+    """Rows of the discrete forward map from one impulse-response sweep.
 
-    The state starts at zero and the flux hat at node 0 forces only the
-    first step, with 0.5 dt k(0) at the surface. Column k of the result
-    is ``functionals @ q`` for the state k + 1 steps later, k < ``steps``.
+    Row i, entry m is ``functionals[i] @ q`` at time node ``nodes[i]`` for
+    the state driven from zero by the flux hat at node m. The stepper's
+    matrices are constant, so a unit forcing 0.5 dt k(0) e_0 in step n,
+    seen at node n_i, gives a_i[n_i - 1 - n], where a_i[k] observes the
+    state k + 1 steps after the same forcing in step 0: one sweep to the
+    latest node gives every a_i. The hat at node m forces steps m - 1 and
+    m (only one of them at the two ends), hence
+
+        row_i[m] = a_i[n_i - m] [m >= 1] + a_i[n_i - 1 - m] [m <= n_i - 1].
     """
     dt = tgrid.spacing
+    steps = max(nodes, default=0)
     a = np.empty((len(functionals), steps))
 
     def forcing(n, rhs):
@@ -248,7 +256,12 @@ def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
         a[:, n] = functionals @ q
 
     _cn_sweep(profile, dt, np.zeros(profile.grid.n), range(steps), forcing, visit)
-    return a
+    rows = np.zeros((len(functionals), tgrid.n))
+    for i, n_i in enumerate(nodes):
+        response = a[i, :n_i][::-1]  # a_i[n_i - 1], ..., a_i[0]
+        rows[i, 1 : n_i + 1] += response
+        rows[i, :n_i] += response
+    return rows
 
 
 def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, impulses):

@@ -3,7 +3,6 @@
 import sys
 import tracemalloc
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +12,7 @@ from colflux.assimilate import (
     PRIOR_KINDS,
     AssimilationProblem,
     PriorSpec,
-    _checked_forward_map,
     _dense_prior_precision,
-    _forward_map_matrix_adjoint,
-    _forward_map_rows,
     cost,
     gradient,
     hessian_form,
@@ -543,6 +539,18 @@ class TestMapEstimate:
             assert abs(u - y) < 1e-4 * max(1.0, abs(y))
 
 
+@pytest.fixture
+def bumped_impulse_rows(monkeypatch):
+    """Impulse-response rows off by 1e-6 of their scale, 100 times the bound."""
+    original = assimilate.impulse_response
+
+    def bumped(*args):
+        rows = original(*args)
+        return rows + 1e-6 * np.abs(rows).max()
+
+    monkeypatch.setattr(assimilate, "impulse_response", bumped)
+
+
 class TestForwardMapReuse:
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -575,9 +583,21 @@ class TestForwardMapReuse:
             solve_forward=1 if released else 0,
         )
 
+    def test_map_estimate_refuses_an_unchecked_map(self, bumped_impulse_rows):
+        problem = small_problem(2, nt=33)
+        with pytest.raises(NumericalError, match="disagree"):
+            map_estimate(problem)
+        assert problem.forward_map_rel_gap > 1e-8
+
     def test_rows_are_read_only(self):
         problem = small_problem(2, nt=33)
-        for rows in (problem.forward_rows, problem.adjoint_rows, problem.free_response):
+        for rows in (
+            problem.functionals,
+            problem.forward_rows,
+            problem.adjoint_rows,
+            problem.free_response,
+            problem.innovation,
+        ):
             with pytest.raises(ValueError, match="read-only"):
                 rows[0] = 1.0
 
@@ -663,18 +683,15 @@ class TestOracleBayes:
 
     def test_forward_and_adjoint_constructions_agree(self):
         # the two independent assemblies of the discrete forward map are
-        # compared inside oracle_bayes; reproduce the comparison here
+        # compared before any estimator reads it; compare them tighter here
         problem = small_problem(3, nt=65)
-        fwd = _forward_map_rows(problem)
-        adj = _forward_map_matrix_adjoint(problem)
+        fwd = problem.forward_rows
+        adj = problem.adjoint_rows
         scale = np.abs(fwd).max()
         assert np.abs(fwd - adj).max() <= 1e-10 * scale
 
-    def test_disagreeing_constructions_raise(self, monkeypatch):
+    def test_disagreeing_constructions_raise(self, bumped_impulse_rows):
         problem = small_problem(2, nt=33)
-        rows = _forward_map_rows(problem)
-        bumped = rows + 1e-6 * np.abs(rows).max()
-        monkeypatch.setattr(assimilate, "_forward_map_rows", lambda _: bumped)
         with pytest.raises(NumericalError, match="disagree"):
             oracle_bayes(problem)
 
@@ -803,43 +820,49 @@ class TestLowRankPosterior:
         np.testing.assert_array_equal(mean, problem.prior.mean.values)
         np.testing.assert_array_equal(variance, problem.prior._family.variance())
 
-    def test_disagreeing_constructions_raise(self, monkeypatch):
+    def test_disagreeing_constructions_raise(self, bumped_impulse_rows):
         problem = small_problem(2, nt=33)
-        rows = _forward_map_rows(problem)
-        bumped = rows + 1e-6 * np.abs(rows).max()
-        monkeypatch.setattr(assimilate, "_forward_map_rows", lambda _: bumped)
         with pytest.raises(NumericalError, match="disagree"):
             lowrank_posterior(problem)
 
     def test_the_checked_map_reports_its_gap(self):
         problem = released_problem("diagonal")
-        rows, gap = _checked_forward_map(problem)
-        assert rows is problem.forward_rows
-        assert gap == problem.forward_map_rel_gap
+        fwd, adj = problem.forward_rows, problem.adjoint_rows
+        gap = problem.forward_map_rel_gap
+        assert gap == np.abs(fwd - adj).max() / np.abs(fwd).max()
         assert 0.0 <= gap <= 1e-8
 
 
 def kernel_problem(obs_indices, nt=33, nz=17):
-    """The fields the forward-map constructions read, for any node list.
+    """A problem observed at the given time nodes, node 0 and repeats too.
 
     ObservationSet rejects a time at node 0 and repeated times, but a time
     within the grid tolerance of 0, or two times within it of each other,
-    still map to such nodes, so the constructions must handle them.
+    still map to such nodes, so the constructions must handle them. Each
+    time here sits 1e-12 past its node.
     """
     grid = ColumnGrid(h=1.0, n=nz)
     z = grid.nodes
     profile = validate_profile(1.0 + 0.5 * z, 0.2 * np.sin(np.pi * z), grid)
+    tgrid = TimeGrid(t_end=1.0, n=nt)
+    n_obs = len(obs_indices)
     weights = tuple(
         Weight(grid=grid, values=1.0 + np.cos((i + 1) * np.pi * z) + z)
-        for i in range(len(obs_indices))
+        for i in range(n_obs)
     )
-    return SimpleNamespace(
+    times = [n * tgrid.spacing + 1e-12 * (i + 1) for i, n in enumerate(obs_indices)]
+    obs = ObservationSet(
+        times=times, values=np.zeros(n_obs), noise_levels=np.ones(n_obs)
+    )
+    problem = AssimilationProblem(
         profile=profile,
-        prior=SimpleNamespace(grid=TimeGrid(t_end=1.0, n=nt)),
-        observations=tuple(obs_indices),
+        q0=np.zeros(nz),
+        observations=obs,
         weights=weights,
-        obs_indices=tuple(obs_indices),
+        prior=dirichlet_prior(tgrid),
     )
+    assert problem.obs_indices == tuple(obs_indices)
+    return problem
 
 
 def brute_force_rows(problem):
@@ -872,9 +895,9 @@ class TestForwardMapKernel:
         brute = brute_force_rows(problem)
         scale = np.abs(brute).max()
         assert scale > 0.0
-        kernel = _forward_map_rows(problem)
+        kernel = problem.forward_rows
         assert np.abs(kernel - brute).max() <= 1e-12 * scale
-        adjoint = _forward_map_matrix_adjoint(problem)
+        adjoint = problem.adjoint_rows
         assert np.abs(adjoint - brute).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize(
@@ -898,12 +921,12 @@ class TestForwardMapKernel:
             return counted
 
         monkeypatch.setattr(transport, "factor_tridiagonal", counting)
-        _forward_map_matrix_adjoint(kernel_problem(obs_indices, nt=nt))
+        kernel_problem(obs_indices, nt=nt).adjoint_rows
         assert solves["n"] == sum(obs_indices)
 
     def test_rows_vanish_beyond_the_observation_time(self):
         problem = kernel_problem((0, 9, 20))
-        rows = _forward_map_rows(problem)
+        rows = problem.forward_rows
         for row, n_i in zip(rows, problem.obs_indices):
             assert not row[n_i + 1 :].any()
         assert not rows[0].any()

@@ -1,6 +1,7 @@
 """Config parsing, scenario runs, exit codes, and output determinism."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -194,15 +195,15 @@ class TestExitCodes:
     def test_forward_map_disagreement_stops_before_any_artifact(
         self, tmp_path, capsys, monkeypatch
     ):
-        # CG reuses the forward map the oracle checks, so a map that fails
-        # the check must not reach map_flux.csv
-        original = colflux.assimilate._forward_map_rows
+        # no estimator reads a forward map that fails the check, so such a
+        # map must not reach map_flux.csv
+        original = colflux.assimilate.impulse_response
 
-        def bumped(problem):
-            rows = original(problem)
+        def bumped(*args):
+            rows = original(*args)
             return rows + 1e-6 * np.abs(rows).max()
 
-        monkeypatch.setattr(colflux.assimilate, "_forward_map_rows", bumped)
+        monkeypatch.setattr(colflux.assimilate, "impulse_response", bumped)
         out = tmp_path / "out"
         code = run_cli(tmp_path, small_config("assimilate", out))
         report = error_report(capsys)
@@ -394,7 +395,9 @@ def test_every_csv_goes_through_the_one_formatter(tmp_path, monkeypatch):
     assert csvs <= {Path(p) for p in written if not hasattr(p, "write")}
     # the library's text form and the artifact are one format
     ws = cli._Workspace(parse_config(golden.read_text(encoding="utf-8"), "assimilate"))
-    text = observe.observations_to_csv(ws.problem().observations)
+    stream = io.StringIO()
+    observe.write_observations_csv(ws.problem().observations, stream)
+    text = stream.getvalue()
     assert (tmp_path / "assimilate" / "observations.csv").read_text(encoding="utf-8") == text
 
 

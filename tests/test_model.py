@@ -28,6 +28,13 @@ class TestValidation:
         profile = validate_profile(k, closed_w(grid), grid)
         assert profile.epsilon == 2.0
 
+    def test_epsilon_is_not_settable(self, grid):
+        # it is always the attained minimum of k, so the constructor takes none
+        with pytest.raises(TypeError, match="epsilon"):
+            CoefficientProfile(
+                grid=grid, k=np.ones(grid.n), w=np.zeros(grid.n), epsilon=0.5
+            )
+
     def test_nonpositive_diffusivity_rejected(self, grid):
         k = 1.0 - 2.0 * grid.nodes
         with pytest.raises(AssumptionError) as err:

@@ -1,5 +1,7 @@
 """Observation operator, canonical weights, and the synthetic data stream."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from colflux.observe import (
     _standard_normal,
     apply_observation,
     canonical_weights,
-    observations_to_csv,
     synthesize_data,
+    write_observations_csv,
     write_weight_csv,
 )
 from colflux.spectral import eigensystem
@@ -151,8 +153,8 @@ class TestSynthesizeData:
             self.profile, self.flux, self.q0, self.weights, self.times,
             seed=2, **kwargs,
         )
-        assert observations_to_csv(a) == observations_to_csv(b)
-        assert observations_to_csv(a) != observations_to_csv(c)
+        assert csv_text(a) == csv_text(b)
+        assert csv_text(a) != csv_text(c)
 
     def test_sweep_stops_at_the_latest_observation(self):
         # a flux that overflows the stepper only after the last observed
@@ -220,6 +222,12 @@ class TestObservationSet:
             )
 
 
+def csv_text(obs):
+    stream = io.StringIO()
+    write_observations_csv(obs, stream)
+    return stream.getvalue()
+
+
 class TestSerialization:
     def make(self):
         return ObservationSet(
@@ -229,7 +237,7 @@ class TestSerialization:
         )
 
     def test_csv_round_trips_floats(self):
-        text = observations_to_csv(self.make())
+        text = csv_text(self.make())
         lines = text.strip().split("\n")
         assert lines[0] == "t,y,r"
         t, y, r = (float(s) for s in lines[1].split(","))

@@ -1,4 +1,5 @@
-"""Package hygiene: unused imports, the one list of public names, _frozen."""
+"""Package hygiene: unused imports, private names across modules, the one
+list of public names, _frozen."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,47 @@ def test_no_module_imports_a_name_it_never_uses(path):
 def test_the_checker_sees_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d, e\nprint(d)\n__all__ = ['e']\n")
     assert unused_imports(tree) == [(1, "os"), (2, "b")]
+
+
+def foreign_private_imports(tree: ast.Module) -> list:
+    """(line, module, name) for each private name imported from a colflux
+    module other than numerics, the one home of shared private helpers."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module
+        elif (node.module or "").startswith("colflux."):
+            module = node.module.removeprefix("colflux.")
+        else:
+            continue
+        for alias in node.names:
+            private = alias.name.startswith("_") and not alias.name.startswith("__")
+            if private and module != "numerics":
+                found.append((node.lineno, module, alias.name))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_cross_modules_only_from_numerics(path):
+    # the Crank-Nicolson loop and the hat assembly stay inside transport
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert foreign_private_imports(tree) == []
+
+
+def test_the_checker_sees_a_foreign_private_import():
+    tree = ast.parse(
+        "from . import __version__\n"
+        "from .numerics import _frozen\n"
+        "from .transport import FluxSignal, _cn_sweep\n"
+        "from colflux.assimilate import _KINDS\n"
+        "from os import _exit\n"
+    )
+    assert foreign_private_imports(tree) == [
+        (3, "transport", "_cn_sweep"),
+        (4, "assimilate", "_KINDS"),
+    ]
 
 
 def test_package_exports_exactly_the_modules_public_names():
