@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import CapacityError, ConditioningError, DomainError, NumericalError
 from .model import CoefficientProfile
-from .numerics import _frozen, factor_tridiagonal, trapezoid
+from .numerics import _frozen, _nodal, _normal_square, factor_tridiagonal, trapezoid
 from .observe import ObservationSet, Weight, synthesize_data
 from .transport import FluxSignal, flux_sensitivity, impulse_response
 
@@ -304,8 +304,8 @@ class PriorSpec:
         if self.kind not in PRIOR_KINDS:
             msg = f"unknown prior kind {self.kind!r}; options are {PRIOR_KINDS}"
             raise ValueError(msg)
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            msg = f"sigma must be a positive real, got {self.sigma!r}"
+        if not _normal_square(self.sigma):
+            msg = f"sigma must be positive, with a normal-double square, got {self.sigma!r}"
             raise ValueError(msg)
         family = _KINDS[self.kind](self.mean.grid, self.sigma)
         object.__setattr__(self, "mean", family.center(self.mean))
@@ -340,10 +340,9 @@ class AssimilationProblem:
         for w in weights:
             if not isinstance(w, Weight) or w.grid != self.profile.grid:
                 raise ValueError("every weight must live on the profile's grid")
-        if len(self.observations) and float(
-            self.observations.noise_levels.min()
-        ) <= 0.0:
-            raise ValueError("assimilation requires strictly positive noise levels")
+        if not _normal_square(self.observations.noise_levels):
+            msg = "assimilation requires positive noise levels with normal-double squares"
+            raise ValueError(msg)
         # observation times must be nodes of the flux time grid
         idx = tuple(
             self.prior.grid.index_of(t) for t in self.observations.times
@@ -363,14 +362,14 @@ class AssimilationProblem:
     def functionals(self) -> np.ndarray:
         """The N x nz trapezoid-weighted observation weights, one row each."""
         rows = [self.profile.grid.weights * w.values for w in self.weights]
-        return _read_only(np.array(rows).reshape(len(rows), self.profile.grid.n))
+        return _frozen(np.array(rows).reshape(len(rows), self.profile.grid.n))
 
     @cached_property
     def _impulse_rows(self) -> np.ndarray:
         rows = impulse_response(
             self.profile, self.prior.grid, self.functionals, self.obs_indices
         )
-        return _read_only(rows)
+        return _frozen(rows)
 
     @cached_property
     def forward_rows(self) -> np.ndarray:
@@ -383,7 +382,7 @@ class AssimilationProblem:
             than 1e-8 of the largest entry.
         """
         gap = self.forward_map_rel_gap
-        if gap > FORWARD_MAP_TOL:
+        if not gap <= FORWARD_MAP_TOL:
             msg = (
                 "impulse-response and adjoint-solve constructions of the discrete "
                 f"forward map disagree (relative {gap:.3e})"
@@ -397,7 +396,7 @@ class AssimilationProblem:
         rows = np.empty((len(self.observations), self.prior.grid.n))
         for i in range(len(self.observations)):
             rows[i] = _adjoint_flux_sensitivity(self, {i: 1.0})
-        return _read_only(rows)
+        return _frozen(rows)
 
     @cached_property
     def forward_map_rel_gap(self) -> float:
@@ -415,20 +414,15 @@ class AssimilationProblem:
         A zero state stays zero, so with q0 = 0 this takes no sweep.
         """
         if not self.q0.any():
-            return _read_only(np.zeros(len(self.observations)))
+            return _frozen(np.zeros(len(self.observations)))
         zero_flux = np.zeros(self.prior.grid.n)
-        return _read_only(_forward_map(self, zero_flux))
+        return _frozen(_forward_map(self, zero_flux))
 
     @cached_property
     def innovation(self) -> np.ndarray:
         """y - G F0 - free_response: the data the prior mean leaves unexplained."""
         u0 = self.forward_rows @ self.prior.mean.values + self.free_response
-        return _read_only(self.observations.values - u0)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+        return _frozen(self.observations.values - u0)
 
 
 def prior_apply_inverse(spec: PriorSpec, g) -> np.ndarray:
@@ -446,11 +440,7 @@ def prior_apply_inverse(spec: PriorSpec, g) -> np.ndarray:
         Dirichlet, nonzero mean or aperiodicity for periodic) beyond
         1e-10 of its scale.
     """
-    g = np.asarray(g, dtype=float)
-    n = spec.grid.n
-    if g.shape != (n,):
-        msg = f"expected {n} nodal values, got shape {g.shape}"
-        raise ValueError(msg)
+    g = _nodal(g, (spec.grid.n,), "g")
     spec._family.check(g)
     return spec._family.apply_inverse(g)
 
@@ -557,8 +547,8 @@ def map_estimate(problem: AssimilationProblem):
     Raises
     ------
     ConditioningError
-        If the relative residual has not reached 1e-8 within 2 * nt
-        iterations.
+        If r.z overflows, or the relative residual has not reached 1e-8
+        within 2 * nt iterations.
     NumericalError
         If the two forward-map constructions disagree.
     """
@@ -587,6 +577,9 @@ def map_estimate(problem: AssimilationProblem):
     max_iter = 2 * n
     rel = 1.0
     for it in range(1, max_iter + 1):
+        if not np.isfinite(rz):  # stop before a Hessian product spreads it
+            msg = f"conjugate gradients overflowed: r.z = {rz} at iteration {it}"
+            raise ConditioningError(msg)
         hp = project(hessian(p))
         alpha = rz / float(np.dot(p, hp))
         x = x + alpha * p

@@ -46,7 +46,14 @@ from .errors import (
     NumericalError,
 )
 from .model import validate_profile
-from .numerics import ColumnGrid, TimeGrid, _csv_text, _write_csv, trapezoid
+from .numerics import (
+    ColumnGrid,
+    TimeGrid,
+    _csv_text,
+    _normal_square,
+    _write_csv,
+    trapezoid,
+)
 from .observe import (
     Weight,
     canonical_weights,
@@ -129,9 +136,25 @@ class _Workspace:
         self.config = config
         self.zgrid = ColumnGrid(h=config.h, n=config.nz)
         self.tgrid = TimeGrid(t_end=config.t_end, n=config.nt + 1)
-        k = _eval_function_spec(config.k_spec, self.zgrid.nodes, config.h)
-        w = _eval_function_spec(config.w_spec, self.zgrid.nodes, config.h)
-        self.profile = validate_profile(k, w, self.zgrid)
+        self._specs = _function_specs(config)
+        # every spec is checked before any scenario runs, and evaluated again
+        # where it is used, so no run holds the values of specs it never uses
+        for path in self._specs:
+            self.values(path)
+        self.profile = validate_profile(
+            self.values("model.k"), self.values("model.w"), self.zgrid
+        )
+
+    def values(self, path: str) -> np.ndarray:
+        """The function spec at ``path`` on its grid; ConfigError unless finite."""
+        spec, on_time = self._specs[path]
+        grid = self.tgrid if on_time else self.zgrid
+        span = self.config.t_end if on_time else self.config.h
+        with np.errstate(all="ignore"):
+            values = _FUNCTION_KINDS[spec["kind"]][1](spec, grid.nodes, span)
+        if not np.isfinite(values).all():
+            _fail(path, "evaluates to a non-finite value on its grid")
+        return values
 
     @cached_property
     def eig(self):
@@ -139,18 +162,14 @@ class _Workspace:
 
     @property
     def flux(self) -> FluxSignal:
-        values = _eval_function_spec(
-            self.config.flux_spec, self.tgrid.nodes, self.config.t_end
-        )
-        return FluxSignal(grid=self.tgrid, values=values)
+        return FluxSignal(grid=self.tgrid, values=self.values("flux"))
 
     @property
     def q0(self) -> np.ndarray:
-        return _eval_function_spec(
-            self.config.initial_spec, self.zgrid.nodes, self.config.h
-        )
+        return self.values("initial")
 
-    def weight_for(self, spec) -> Weight:
+    def weight_for(self, i: int) -> Weight:
+        spec = self.config.obs_weights[i]
         if isinstance(spec, str):
             if spec == "uniform":
                 return Weight(
@@ -160,24 +179,18 @@ class _Workspace:
                 )
             plus, minus = canonical_weights(self.eig)
             return plus if spec == "rho_plus" else minus
-        values = _eval_function_spec(spec, self.zgrid.nodes, self.config.h)
+        values = self.values(f"observations.weights[{i}]")
         return Weight(grid=self.zgrid, values=values, label="samples")
 
-    def observation_weights(self) -> list:
-        return [self.weight_for(s) for s in self.config.obs_weights]
-
     def prior(self) -> PriorSpec:
-        mean = _eval_function_spec(
-            self.config.prior_mean_spec, self.tgrid.nodes, self.config.t_end
-        )
         return PriorSpec(
-            mean=FluxSignal(grid=self.tgrid, values=mean),
+            mean=FluxSignal(grid=self.tgrid, values=self.values("prior.mean")),
             kind=self.config.prior_kind,
             sigma=self.config.prior_sigma,
         )
 
     def problem(self) -> AssimilationProblem:
-        weights = self.observation_weights()
+        weights = [self.weight_for(i) for i in range(len(self.config.obs_weights))]
         obs = synthesize_data(
             self.profile,
             self.flux,
@@ -243,22 +256,14 @@ def _scenario_eigen(ws: _Workspace, out: Path) -> list:
 
 
 def _scenario_weights(ws: _Workspace, out: Path) -> list:
-    plus, minus = canonical_weights(ws.eig)
-    write_weight_csv(plus, out / "rho_plus.csv")
-    write_weight_csv(minus, out / "rho_minus.csv")
-    _write_json(
-        out / "weights.json",
-        {
-            "rho_minus": {
-                "is_nonnegative": minus.is_nonnegative,
-                "expansion_residual": expansion_residual(minus.values, ws.eig),
-            },
-            "rho_plus": {
-                "is_nonnegative": plus.is_nonnegative,
-                "expansion_residual": expansion_residual(plus.values, ws.eig),
-            },
-        },
-    )
+    records = {}
+    for weight in canonical_weights(ws.eig):
+        write_weight_csv(weight, out / f"{weight.label}.csv")
+        records[weight.label] = {
+            "is_nonnegative": weight.is_nonnegative,
+            "expansion_residual": expansion_residual(weight.values, ws.eig),
+        }
+    _write_json(out / "weights.json", records)
     return ["rho_minus.csv", "rho_plus.csv", "weights.json"]
 
 
@@ -266,10 +271,8 @@ def _scenario_gains(ws: _Workspace, out: Path) -> list:
     files = []
     summary = {}
     times = _csv_text(ws.tgrid.nodes)  # shared by every gain file
-    for i, (t_obs, wspec, r) in enumerate(
-        zip(ws.config.obs_times, ws.config.obs_weights, ws.config.obs_noise)
-    ):
-        weight = ws.weight_for(wspec)
+    for i, (t_obs, r) in enumerate(zip(ws.config.obs_times, ws.config.obs_noise)):
+        weight = ws.weight_for(i)
         a = (
             weight.coefficients
             if weight.coefficients is not None
@@ -329,7 +332,7 @@ def _scenario_oracle_check(ws: _Workspace, out: Path) -> list:
     flux_map, report = map_estimate(problem)
     rows = representer_rows(problem)
 
-    max_rel = 0.0
+    rels = []
     for i, (t_obs, r) in enumerate(
         zip(ws.config.obs_times, ws.config.obs_noise)
     ):
@@ -339,7 +342,9 @@ def _scenario_oracle_check(ws: _Workspace, out: Path) -> list:
         diff = rows[i] - gain.values
         num = np.sqrt(trapezoid(diff**2, ws.tgrid))
         den = np.sqrt(trapezoid(gain.values**2, ws.tgrid))
-        max_rel = max(max_rel, float(num / den))
+        rels.append(num / max(den, 1e-300))
+    # np.max keeps a NaN, and the gate below fails on it
+    max_rel = float(np.max(rels))
 
     map_vs_mean = float(
         np.linalg.norm(flux_map.values - mean) / max(np.linalg.norm(mean), 1e-300)
@@ -354,7 +359,7 @@ def _scenario_oracle_check(ws: _Workspace, out: Path) -> list:
     }
     _write_json(out / "oracle_report.json", payload)
     _write_csv(out / "posterior_mean.csv", "t,F", (ws.tgrid.nodes, mean))
-    if max_rel > 1e-2:
+    if not max_rel <= 1e-2:
         msg = (
             "spectral gains and discrete representers disagree: max relative "
             f"L2 difference {max_rel:.3e} > 1e-2"
@@ -366,22 +371,21 @@ def _scenario_oracle_check(ws: _Workspace, out: Path) -> list:
 def _scenario_blind(ws: _Workspace, out: Path) -> list:
     config = ws.config
     t_obs = config.blind_t_obs if config.blind_t_obs is not None else config.t_end
-    seed_values = _eval_function_spec(
-        config.blind_seed_spec, ws.tgrid.nodes, config.t_end
-    )
+    seed_values = ws.values("blind.seed_function")
     g = blind_direction(ws.eig, t_obs, config.blind_m, ws.tgrid, seed_values)
     _write_csv(out / "blind.csv", "t,G", (ws.tgrid.nodes, g))
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     g_norm = np.sqrt(trapezoid(g**2, ws.tgrid))
-    worst = 0.0
+    projections = []
     for _ in range(50):
         rho = rng.random(ws.zgrid.n)
         a = expand_weight(rho, ws.eig)[: config.blind_m]
         gain = gain_direction(ws.eig, a, t_obs, 1.0, ws.tgrid)
         inner = trapezoid(g * gain.values, ws.tgrid)
         gain_norm = np.sqrt(trapezoid(gain.values**2, ws.tgrid))
-        worst = max(worst, float(abs(inner) / (g_norm * gain_norm)))
+        projections.append(abs(inner) / (g_norm * gain_norm))
+    worst = float(np.max(projections))  # a NaN stays, and fails the gate
     _write_json(
         out / "blind_report.json",
         {
@@ -391,7 +395,7 @@ def _scenario_blind(ws: _Workspace, out: Path) -> list:
             "t_obs": float(t_obs),
         },
     )
-    if worst > 1e-6:
+    if not worst <= 1e-6:
         msg = f"blind direction leaks: normalized projection {worst:.3e} > 1e-6"
         raise DiagnosticError(msg)
     return ["blind.csv", "blind_report.json"]
@@ -400,12 +404,10 @@ def _scenario_blind(ws: _Workspace, out: Path) -> list:
 def _scenario_compare_altitude(ws: _Workspace, out: Path) -> list:
     eig = ws.eig
     t_end = ws.config.t_end
-    plus, minus = canonical_weights(eig)
     results = {}
-    for weight in (plus, minus):
+    for weight in canonical_weights(eig):
         gain = gain_direction(eig, weight.coefficients, t_end, 1.0, ws.tgrid)
-        analysis = analyze_gain(gain)
-        results[weight.label] = analysis
+        results[weight.label] = analyze_gain(gain)
     lam1 = float(eig.eigenvalues[1])
     closed_form = 2.0 * (1.0 - np.exp(-lam1 * t_end)) / lam1
     diff = abs(results["rho_plus"].mean_projection) - abs(
@@ -417,14 +419,7 @@ def _scenario_compare_altitude(ws: _Workspace, out: Path) -> list:
             "closed_form_difference": closed_form,
             "lambda_1": lam1,
             "mean_gain_difference": float(diff),
-            "rho_minus": {
-                "mean_projection": results["rho_minus"].mean_projection,
-                "monotone": results["rho_minus"].monotone,
-            },
-            "rho_plus": {
-                "mean_projection": results["rho_plus"].mean_projection,
-                "monotone": results["rho_plus"].monotone,
-            },
+            **{label: analysis._asdict() for label, analysis in results.items()},
         },
     )
     return ["compare_altitude.json"]
@@ -472,6 +467,15 @@ def _positive(value, path: str) -> float:
     number = _number(value, path)
     if number <= 0:
         _fail(path, f"must be positive, got {value!r}")
+    return number
+
+
+def _scale(value, path: str) -> float:
+    """A standard deviation: positive, and its square a normal double."""
+    number = _number(value, path)
+    if not _normal_square(number):
+        message = f"must be positive, with a square that is a normal double, got {value!r}"
+        _fail(path, message)
     return number
 
 
@@ -567,10 +571,6 @@ def _function_spec(value, path: str) -> dict:
     return spec
 
 
-def _eval_function_spec(spec: dict, nodes: np.ndarray, length: float) -> np.ndarray:
-    return _FUNCTION_KINDS[spec["kind"]][1](spec, nodes, length)
-
-
 def _weight(value, path: str):
     """A weight label, or a function spec evaluated on the column grid."""
     if isinstance(value, str):
@@ -593,11 +593,11 @@ _SCHEMA = (
     ("grid.t_end", "t_end", _positive),
     ("spectral.n_modes", "n_modes", _count),
     ("prior.kind", "prior_kind", _choice(PRIOR_KINDS)),
-    ("prior.sigma", "prior_sigma", _positive),
+    ("prior.sigma", "prior_sigma", _scale),
     ("prior.mean", "prior_mean_spec", _function_spec),
     ("observations.times", "obs_times", _list_of(_number)),
     ("observations.weights", "obs_weights", _list_of(_weight)),
-    ("observations.noise", "obs_noise", _list_of(_number)),
+    ("observations.noise", "obs_noise", _list_of(_scale)),
     ("flux", "flux_spec", _function_spec),
     ("initial", "initial_spec", _function_spec),
     ("blind.m", "blind_m", _count),
@@ -673,30 +673,29 @@ def parse_config(
         if got != n_times:
             message = f"{got} entries for {n_times} observation times"
             _fail(f"observations.{label}", message)
-    _check_sample_counts(config)
+    for path, (spec, on_time) in _function_specs(config).items():
+        nodes = config.nt + 1 if on_time else config.nz
+        if spec["kind"] == "samples" and len(spec["values"]) != nodes:
+            got = len(spec["values"])
+            message = f"expected {nodes} values, one per grid node, got {got}"
+            _fail(f"{path}.values", message)
     return config
 
 
-def _check_sample_counts(config: ExperimentConfig) -> None:
-    """Every ``samples`` spec gives one value per node of its grid."""
-    column, time = config.nz, config.nt + 1
-    specs = [
-        ("model.k", config.k_spec, column),
-        ("model.w", config.w_spec, column),
-        ("initial", config.initial_spec, column),
-        ("flux", config.flux_spec, time),
-        ("prior.mean", config.prior_mean_spec, time),
-        ("blind.seed_function", config.blind_seed_spec, time),
-    ] + [
-        (f"observations.weights[{i}]", spec, column)
-        for i, spec in enumerate(config.obs_weights)
-    ]
-    for path, spec, nodes in specs:
-        if isinstance(spec, dict) and spec["kind"] == "samples":
-            got = len(spec["values"])
-            if got != nodes:
-                message = f"expected {nodes} values, one per grid node, got {got}"
-                _fail(f"{path}.values", message)
+def _function_specs(config: ExperimentConfig) -> dict:
+    """Every function spec, by path: (spec, whether on the time grid)."""
+    specs = {
+        "model.k": (config.k_spec, False),
+        "model.w": (config.w_spec, False),
+        "initial": (config.initial_spec, False),
+        "flux": (config.flux_spec, True),
+        "prior.mean": (config.prior_mean_spec, True),
+        "blind.seed_function": (config.blind_seed_spec, True),
+    }
+    for i, spec in enumerate(config.obs_weights):
+        if isinstance(spec, dict):
+            specs[f"observations.weights[{i}]"] = (spec, False)
+    return specs
 
 
 def run_scenario(config: ExperimentConfig) -> int:

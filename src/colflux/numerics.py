@@ -1,5 +1,6 @@
-"""Uniform grids, trapezoid quadrature, exponentially weighted integrals,
-tridiagonal solves, and the one CSV formatter every artifact goes through.
+"""The nodal-function conventions: one uniform grid body, the one check of
+nodal inputs, trapezoid quadrature and the one exponential-segment kernel;
+plus tridiagonal solves and the one CSV formatter every artifact goes through.
 
 Everything downstream (time stepping, eigensolves, covariance updates)
 reduces to the kernels in this module, so they are kept pure,
@@ -39,26 +40,75 @@ NODE_RTOL = 1e-9
 _CSV_BLOCK_CELLS = 1024
 
 
+def _nodal(values, shape: tuple, name: str) -> np.ndarray:
+    """``values`` as a float array of ``shape`` with finite entries.
+
+    The one check of a nodal input; the ValueError names the array.
+    """
+    out = np.asarray(values, dtype=float)
+    if out.shape != shape:
+        msg = f"{name} needs nodal values of shape {shape}, got shape {out.shape}"
+        raise ValueError(msg)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} values must be finite")
+    return out
+
+
 def _frozen(values, shape: tuple | None = None, name: str = "array") -> np.ndarray:
     """``values`` as a read-only float64 C-contiguous array.
 
     No copy is made when ``values`` already is one, so the caller's array
-    becomes read-only. With ``shape``, the array must have that shape and
-    finite entries; the ValueError names the array.
+    becomes read-only. With ``shape``, the array is checked by
+    :func:`_nodal`.
     """
     out = np.ascontiguousarray(values, dtype=float)
     if shape is not None:
-        if out.shape != shape:
-            msg = f"{name} needs nodal values of shape {shape}, got shape {out.shape}"
-            raise ValueError(msg)
-        if not np.isfinite(out).all():
-            raise ValueError(f"{name} values must be finite")
+        _nodal(out, shape, name)
     out.setflags(write=False)
     return out
 
 
+def _normal_square(values) -> bool:
+    """Whether every value x is positive with a square that is a normal
+    double, which holds exactly when 2**-511 <= x < 2**512. Standard
+    deviations (prior sigma, noise levels) enter squared; a square that
+    underflows or overflows would end the estimate in NaN."""
+    x = np.asarray(values, dtype=float)
+    return bool(np.all((x >= 2.0**-511) & (x < 2.0**512)))
+
+
+class _UniformGrid:
+    """Uniform nodes on [0, length]: validation, spacing, nodes, trapezoid
+    weights. A subclass is a dataclass of the length field named ``_LENGTH``
+    and ``n``, with ``_MIN_NODES`` and the ``_WHAT`` of its error messages."""
+
+    def __post_init__(self):
+        length = getattr(self, self._LENGTH)
+        if not np.isfinite(length) or length <= 0.0:
+            msg = f"{self._WHAT[0]} must be finite and positive, got {length}"
+            raise ValueError(msg)
+        if int(self.n) != self.n or self.n < self._MIN_NODES:
+            msg = f"{self._WHAT[1]} needs at least {self._MIN_NODES} nodes, got {self.n}"
+            raise ValueError(msg)
+
+    @property
+    def spacing(self) -> float:
+        return getattr(self, self._LENGTH) / (self.n - 1)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _frozen(np.linspace(0.0, getattr(self, self._LENGTH), self.n))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoid quadrature weights (half spacing at both ends)."""
+        w = np.full(self.n, self.spacing)
+        w[0] = w[-1] = 0.5 * self.spacing
+        return _frozen(w)
+
+
 @dataclass(frozen=True)
-class ColumnGrid:
+class ColumnGrid(_UniformGrid):
     """Uniform vertical grid on the column [0, h].
 
     Nodes run from 0 (surface) to h (column top), inclusive, with at least
@@ -73,61 +123,24 @@ class ColumnGrid:
         Node count, at least 3.
     """
 
+    _LENGTH = "h"
+    _MIN_NODES = 3
+    _WHAT = ("column height", "column grid")
+
     h: float
     n: int
 
-    def __post_init__(self):
-        if not np.isfinite(self.h) or self.h <= 0.0:
-            msg = f"column height must be finite and positive, got {self.h}"
-            raise ValueError(msg)
-        if int(self.n) != self.n or self.n < 3:
-            msg = f"column grid needs at least 3 nodes, got {self.n}"
-            raise ValueError(msg)
-
-    @property
-    def spacing(self) -> float:
-        return self.h / (self.n - 1)
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        return _frozen(np.linspace(0.0, self.h, self.n))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights (half spacing at both ends)."""
-        w = np.full(self.n, self.spacing)
-        w[0] = w[-1] = 0.5 * self.spacing
-        return _frozen(w)
-
 
 @dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_UniformGrid):
     """Uniform time grid on [0, t_end] with at least two nodes."""
+
+    _LENGTH = "t_end"
+    _MIN_NODES = 2
+    _WHAT = ("t_end", "time grid")
 
     t_end: float
     n: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.t_end) or self.t_end <= 0.0:
-            msg = f"t_end must be finite and positive, got {self.t_end}"
-            raise ValueError(msg)
-        if int(self.n) != self.n or self.n < 2:
-            msg = f"time grid needs at least 2 nodes, got {self.n}"
-            raise ValueError(msg)
-
-    @property
-    def spacing(self) -> float:
-        return self.t_end / (self.n - 1)
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        return _frozen(np.linspace(0.0, self.t_end, self.n))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        w = np.full(self.n, self.spacing)
-        w[0] = w[-1] = 0.5 * self.spacing
-        return _frozen(w)
 
     def index_of(self, t: float) -> int:
         """Index of the node equal to ``t``, or ValueError if ``t`` is off-grid."""
@@ -225,27 +238,11 @@ def exp_inner(values, grid: TimeGrid, lam: float, t_obs: float) -> float:
     Raises
     ------
     ValueError
-        If ``t_obs`` is off-grid, ``lam`` is negative, or lengths mismatch.
+        If ``t_obs`` is off-grid, ``lam`` is negative, or ``values`` has
+        the wrong length or a non-finite entry.
     """
-    g = np.asarray(values, dtype=float)
-    if g.shape != (grid.n,):
-        msg = f"expected {grid.n} nodal values, got shape {g.shape}"
-        raise ValueError(msg)
-    if not np.isfinite(lam) or lam < 0.0:
-        msg = f"decay rate must be finite and nonnegative, got {lam}"
-        raise ValueError(msg)
-    j = grid.index_of(t_obs)
-    if j == 0:
-        return 0.0
-    dt = grid.spacing
-    x = lam * dt
-    phi, psi = _segment_shape_factors(x)
-    g0 = g[:j]
-    g1 = g[1 : j + 1]
-    # e^{lam (t_{i+1} - t_obs)} for segments i = 0 .. j-1; exact integer
-    # exponent spacing avoids cancellation, underflow to 0 is harmless.
-    decay = np.exp(x * np.arange(1 - j, 1, dtype=float))
-    return dt * float(np.dot(decay, g0 * phi + (g1 - g0) * psi))
+    g = _nodal(values, (grid.n,), "g")
+    return float(exp_inner_coefficients(grid, lam, t_obs) @ g)
 
 
 def exp_inner_coefficients(grid: TimeGrid, lam: float, t_obs: float) -> np.ndarray:

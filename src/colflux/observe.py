@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CoefficientProfile
-from .numerics import ColumnGrid, _frozen, _write_csv, trapezoid
+from .numerics import ColumnGrid, _frozen, _nodal, _write_csv, trapezoid
 from .spectral import EigenSystem
 from .transport import FluxSignal, solve_forward
 
@@ -116,13 +116,7 @@ class ObservationSet:
 
 def apply_observation(weight: Weight, column) -> float:
     """Weighted vertical average: trapezoid of rho * q over the column."""
-    column = np.asarray(column, dtype=float)
-    if column.shape != (weight.grid.n,):
-        msg = (
-            f"column has shape {column.shape}, expected ({weight.grid.n},) "
-            "on the weight's grid"
-        )
-        raise ValueError(msg)
+    column = _nodal(column, (weight.grid.n,), "column")
     return trapezoid(weight.values * column, weight.grid)
 
 
@@ -138,25 +132,14 @@ def canonical_weights(eig: EigenSystem) -> tuple[Weight, Weight]:
     if eig.n_modes < 2:
         msg = f"canonical weights need at least 2 modes, got {eig.n_modes}"
         raise ValueError(msg)
-    p0 = eig.modes[:, 0]
-    p1 = eig.modes[:, 1]
-    coeff = np.zeros(eig.n_modes)
-    coeff[0] = 1.0
-    coeff[1] = 1.0
-    plus = Weight(
-        grid=eig.profile.grid,
-        values=p0 + p1,
-        coefficients=coeff.copy(),
-        label="rho_plus",
-    )
-    coeff[1] = -1.0
-    minus = Weight(
-        grid=eig.profile.grid,
-        values=p0 - p1,
-        coefficients=coeff,
-        label="rho_minus",
-    )
-    return plus, minus
+    grid = eig.profile.grid
+    pair = []
+    for sign, label in ((1.0, "rho_plus"), (-1.0, "rho_minus")):
+        coeff = np.zeros(eig.n_modes)
+        coeff[:2] = (1.0, sign)
+        values = eig.modes[:, 0] + sign * eig.modes[:, 1]
+        pair.append(Weight(grid=grid, values=values, coefficients=coeff, label=label))
+    return tuple(pair)
 
 
 def _standard_normal(seed: int, index: int) -> float:

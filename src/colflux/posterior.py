@@ -29,6 +29,7 @@ from .model import CoefficientProfile
 from .numerics import (
     TimeGrid,
     _frozen,
+    _nodal,
     _segment_shape_factors,
     exp_inner,
     exp_inner_coefficients,
@@ -359,6 +360,8 @@ def blind_direction(
     DegenerateSeedError
         If the seed lies in the exponential span (residual below 1e-10 of
         the seed's norm).
+    ValueError
+        If the seed is not finite, or its squared norm overflows.
     """
     m = int(m)
     if m < 1 or m > eig.n_modes:
@@ -379,14 +382,8 @@ def blind_direction(
         raise DomainError(msg)
 
     if callable(seed_function):
-        seed = np.asarray(
-            [float(seed_function(t)) for t in grid.nodes], dtype=float
-        )
-    else:
-        seed = np.asarray(seed_function, dtype=float).copy()
-    if seed.shape != (grid.n,):
-        msg = f"seed must give {grid.n} nodal values, got shape {seed.shape}"
-        raise ValueError(msg)
+        seed_function = [float(seed_function(t)) for t in grid.nodes]
+    seed = _nodal(seed_function, (grid.n,), "seed")
 
     funcs, idx = _blind_constraints(eig, t_obs, m, grid)
     w = grid.weights
@@ -406,7 +403,10 @@ def blind_direction(
 
     g = seed.copy()
     g[idx + 1 :] = 0.0
-    seed_norm = np.sqrt(wdot(g, g))
+    with np.errstate(over="ignore"):  # an infinite norm would pass every check
+        seed_norm = np.sqrt(wdot(g, g))
+    if not np.isfinite(seed_norm):
+        raise ValueError("seed's squared norm overflows")
     for _ in range(2):
         for b in basis:
             g -= wdot(b, g) * b
@@ -420,8 +420,8 @@ def blind_direction(
         )
         raise DegenerateSeedError(msg)
 
-    worst = max(abs(wdot(f, g)) for f in funcs)
-    if worst > 1e-6 * g_norm:
+    worst = float(np.max([abs(wdot(f, g)) for f in funcs]))
+    if not worst <= 1e-6 * g_norm:
         msg = (
             f"orthogonalization failed: residual projection {worst:.3e} "
             f"exceeds 1e-6 of the direction norm {g_norm:.3e}"

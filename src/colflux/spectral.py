@@ -26,6 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, NormalizationError
 from .model import CoefficientProfile, mu_weight
+from .numerics import _nodal
 
 __all__ = [
     "EigenSystem",
@@ -184,10 +185,7 @@ def expand_weight(rho, eig: EigenSystem) -> np.ndarray:
     Orthogonality of the modes in the mu-inner product makes this a plain
     projection: a_n = <rho, p_n>_mu / <p_n, p_n>_mu.
     """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (eig.profile.grid.n,):
-        msg = f"weight needs {eig.profile.grid.n} nodal values, got {rho.shape}"
-        raise ValueError(msg)
+    rho = _nodal(rho, (eig.profile.grid.n,), "weight")
     return _mu_dot(eig, rho, eig.modes) / eig.mu_norms
 
 

@@ -34,6 +34,7 @@ from .numerics import (
     TimeGrid,
     _csv_text,
     _frozen,
+    _nodal,
     _write_csv,
     cumulative_trapezoid,
     factor_tridiagonal,
@@ -187,17 +188,9 @@ def solve_forward(
     """
     grid = profile.grid
     tgrid = flux.grid
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (grid.n,):
-        msg = f"q0 needs {grid.n} nodal values, got shape {q0.shape}"
-        raise ValueError(msg)
-    if not np.isfinite(q0).all():
-        raise ValueError("q0 must be finite")
+    q0 = _nodal(q0, (grid.n,), "q0")
     if source is not None:
-        source = np.asarray(source, dtype=float)
-        if source.shape != (grid.n, tgrid.n):
-            msg = f"source must have shape {(grid.n, tgrid.n)}, got {source.shape}"
-            raise ValueError(msg)
+        source = _nodal(source, (grid.n, tgrid.n), "source")
     kept = range(tgrid.n) if nodes is None else [int(n) for n in nodes]
     if not all(0 <= n < tgrid.n for n in kept):
         raise ValueError(f"nodes must lie in [0, {tgrid.n})")
@@ -318,20 +311,24 @@ def energy_fit(field: MixingRatioField, flux: FluxSignal, q0) -> float:
     Raises
     ------
     DiagnosticError
-        If no K below the cap 1e3 satisfies the bound, which signals an
-        unstable or inconsistent solve.
+        If a squared norm overflows, or no K below the cap 1e3 satisfies
+        the bound, which signals an unstable or inconsistent solve.
     """
-    q0 = np.asarray(q0, dtype=float)
+    q0 = _nodal(q0, (field.grid.n,), "q0")
     t = field.time_grid.nodes
     # square a block of columns at a time: nz x _ENERGY_BLOCK extra memory,
     # not a squared copy of the whole field
     norms2 = np.empty(field.time_grid.n)
-    for start in range(0, norms2.size, _ENERGY_BLOCK):
-        block = field.values[:, start : start + _ENERGY_BLOCK] ** 2
-        norms2[start : start + _ENERGY_BLOCK] = trapezoid(block, field.grid, axis=0)
-    q0n2 = trapezoid(q0**2, field.grid)
-    fcum2 = cumulative_trapezoid(flux.values**2, flux.grid.spacing)
-    budget = (1.0 + t) * q0n2 + (1.0 + t**2) * fcum2
+    # a square that overflows leaves every K admissible: stop on it instead
+    with np.errstate(over="ignore"):
+        for start in range(0, norms2.size, _ENERGY_BLOCK):
+            block = field.values[:, start : start + _ENERGY_BLOCK] ** 2
+            norms2[start : start + _ENERGY_BLOCK] = trapezoid(block, field.grid, axis=0)
+        q0n2 = trapezoid(q0**2, field.grid)
+        fcum2 = cumulative_trapezoid(flux.values**2, flux.grid.spacing)
+        budget = (1.0 + t) * q0n2 + (1.0 + t**2) * fcum2
+    if not (np.isfinite(norms2).all() and np.isfinite(budget).all()):
+        raise DiagnosticError("squared norms of the field or the flux overflow")
 
     def admissible(kappa: float) -> bool:
         return bool(np.all(norms2 <= kappa * np.exp(kappa * t) * budget))

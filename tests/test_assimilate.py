@@ -23,7 +23,7 @@ from colflux.assimilate import (
     prior_quadratic_form,
     representer_rows,
 )
-from colflux.errors import CapacityError, DomainError, NumericalError
+from colflux.errors import CapacityError, ConditioningError, DomainError, NumericalError
 from colflux.model import validate_profile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.observe import ObservationSet, Weight, apply_observation, synthesize_data
@@ -111,6 +111,14 @@ class TestPriorSpec:
         tgrid = TimeGrid(t_end=1.0, n=9)
         with pytest.raises(ValueError, match="sigma"):
             PriorSpec(mean=FluxSignal(grid=tgrid, values=np.zeros(9)), sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 1e155, 1e300])
+    def test_sigma_square_must_be_a_normal_double(self, sigma):
+        # sigma enters squared; 0 or inf there ends CG in NaN
+        mean = FluxSignal(grid=TimeGrid(t_end=1.0, n=9), values=np.zeros(9))
+        with pytest.raises(ValueError, match="sigma must be positive, with a normal-double"):
+            PriorSpec(mean=mean, sigma=sigma)
+        assert PriorSpec(mean=mean, sigma=1e-150).sigma == 1e-150
 
     def test_periodic_mean_is_centered_on_construction(self):
         tgrid = TimeGrid(t_end=1.0, n=17)
@@ -256,6 +264,23 @@ class TestProblemValidation:
             noise_levels=np.zeros(1),
         )
         with pytest.raises(ValueError, match="positive noise"):
+            AssimilationProblem(
+                profile=problem.profile,
+                q0=problem.q0,
+                observations=obs,
+                weights=problem.weights,
+                prior=problem.prior,
+            )
+
+    @pytest.mark.parametrize("noise", [1e-300, 1e160])
+    def test_noise_squares_must_be_normal_doubles(self, noise):
+        problem = small_problem(2)
+        obs = ObservationSet(
+            times=problem.observations.times,
+            values=problem.observations.values,
+            noise_levels=np.array([0.2, noise]),
+        )
+        with pytest.raises(ValueError, match="positive noise levels with normal-double"):
             AssimilationProblem(
                 profile=problem.profile,
                 q0=problem.q0,
@@ -426,6 +451,37 @@ class TestMapEstimate:
             f"{np.abs(flux.values - mean).max():.3e} at scale {scale:.3e}"
         )
 
+    def test_overflow_stops_before_a_hessian_product(self, monkeypatch):
+        # data near the double range: r.z overflows at once, and CG must say
+        # so instead of running 2 nt iterations on NaN (whose products would
+        # reach prior_apply_inverse as a bad input)
+        base = small_problem(2)
+        obs = ObservationSet(
+            times=base.observations.times,
+            values=np.full(2, 1e300),
+            noise_levels=base.observations.noise_levels,
+        )
+        problem = AssimilationProblem(
+            profile=base.profile,
+            q0=base.q0,
+            observations=obs,
+            weights=base.weights,
+            prior=base.prior,
+        )
+        products = Counter()
+        original = assimilate.prior_apply_inverse
+
+        def counted(*args):
+            products["hessian"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(assimilate, "prior_apply_inverse", counted)
+        # the overflow warnings themselves are not this check's subject
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConditioningError, match="overflowed: r.z = inf at iteration 1$"):
+                map_estimate(problem)
+        assert products["hessian"] == 0
+
     @pytest.mark.parametrize("nt", [2, 3, 4, 5])
     def test_smallest_time_grids(self, nt):
         # two nodes leave nothing free under the Dirichlet prior; three to
@@ -588,6 +644,22 @@ class TestForwardMapReuse:
         with pytest.raises(NumericalError, match="disagree"):
             map_estimate(problem)
         assert problem.forward_map_rel_gap > 1e-8
+
+    def test_a_nan_in_the_impulse_rows_fails_the_check(self, monkeypatch):
+        # a NaN gap is not above the bound either; the check must still fail
+        original = assimilate.impulse_response
+
+        def planted(*args):
+            rows = original(*args)
+            rows[1, 5] = np.nan
+            return rows
+
+        monkeypatch.setattr(assimilate, "impulse_response", planted)
+        problem = small_problem(2, nt=33)
+        with pytest.raises(NumericalError, match="disagree"):
+            problem.forward_rows
+        with pytest.raises(NumericalError, match="disagree"):
+            map_estimate(problem)
 
     def test_rows_are_read_only(self):
         problem = small_problem(2, nt=33)

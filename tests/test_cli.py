@@ -287,6 +287,152 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
+OVERFLOWING = {"kind": "linear", "base": 1e308, "slope": 1e308}
+CONSTANT_1E300 = {"kind": "constant", "value": 1e300}
+ZERO = {"kind": "constant", "value": 0.0}
+
+
+class TestFailClosed:
+    """Schema-valid inputs that once hung, exited 0 on a NaN result, or
+    exited 3 with warnings and a message that hid the cause."""
+
+    @pytest.mark.parametrize(
+        "scenario, extra, code, cause, clean",
+        [
+            pytest.param(
+                "blind",
+                {"blind": {"m": 3, "seed_function": OVERFLOWING}},
+                2,
+                "blind.seed_function: evaluates to a non-finite value",
+                True,
+                id="blind-seed-overflows",
+            ),
+            pytest.param(
+                "blind",
+                {"blind": {"m": 3, "seed_function": {"kind": "parabola", "amplitude": 1e160}}},
+                2,
+                "seed's squared norm overflows",
+                True,
+                id="blind-seed-norm-overflows",
+            ),
+            pytest.param(
+                "simulate",
+                {"flux": CONSTANT_1E300},
+                3,
+                "squared norms of the field or the flux overflow",
+                True,
+                id="simulate-flux-1e300",
+            ),
+            # its overflow warnings still reach stderr before the report
+            pytest.param(
+                "assimilate",
+                {"flux": CONSTANT_1E300},
+                3,
+                "conjugate gradients overflowed",
+                False,
+                id="assimilate-flux-1e300",
+            ),
+            pytest.param(
+                "assimilate",
+                {"prior": {"sigma": 1e-300}},
+                2,
+                "prior.sigma: must be positive, with a square that is a normal double",
+                True,
+                id="sigma-1e-300",
+            ),
+            pytest.param(
+                "assimilate",
+                {"observations": {"noise": [1e-300, 0.1, 0.1]}},
+                2,
+                "observations.noise[0]: must be positive, with a square",
+                True,
+                id="noise-1e-300",
+            ),
+            pytest.param(
+                "oracle_check",
+                {"observations": {"weights": [ZERO, ZERO, ZERO]}},
+                0,
+                None,
+                True,
+                id="oracle_check-zero-weights",
+            ),
+            pytest.param(
+                "validate",
+                {"grid": {"nz": 2, "nt": 64}},
+                2,
+                "column grid needs at least 3 nodes, got 2",
+                True,
+                id="nz-2",
+            ),
+        ],
+    )
+    def test_table(self, tmp_path, scenario, extra, code, cause, clean):
+        doc = {"grid": {"nz": 65, "nt": 64}, "spectral": {"n_modes": 4}, **extra}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["-m", "colflux.cli", scenario, "--config", str(path), "--out", str(out)]
+        proc = run_python(args, timeout=30)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+            report = json.loads((out / "oracle_report.json").read_text())
+            assert report["max_representer_vs_gain_rel_l2"] == 0.0
+            return
+        err = proc.stderr if clean else proc.stderr[proc.stderr.index("{\n") :]
+        report = json.loads(err)  # exactly one JSON document
+        assert report["exit_code"] == code
+        assert cause in report["message"]
+
+    @pytest.mark.parametrize("scenario", ["oracle_check", "blind"])
+    def test_a_nan_gain_fails_the_cross_check(self, tmp_path, capsys, monkeypatch, scenario):
+        # Python's max drops a NaN that comes second; the gate must see it
+        original = cli.gain_direction
+        calls = []
+
+        def planted(*args):
+            gain = original(*args)
+            calls.append(gain)
+            if len(calls) == 2:
+                return dataclasses.replace(gain, values=np.full_like(gain.values, np.nan))
+            return gain
+
+        monkeypatch.setattr(cli, "gain_direction", planted)
+        extra = {"blind": {"m": 4}} if scenario == "blind" else {}
+        code = run_cli(tmp_path, small_config(scenario, tmp_path / "out", **extra))
+        report = error_report(capsys)
+        assert code == 3
+        assert report["error"] == "DiagnosticError"
+        assert "nan" in report["message"]
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "model.k",
+            "model.w",
+            "initial",
+            "flux",
+            "prior.mean",
+            "blind.seed_function",
+            "observations.weights[1]",
+        ],
+    )
+    def test_every_function_spec_must_be_finite_on_its_grid(self, tmp_path, capsys, path):
+        # checked before any scenario work, whichever scenario runs
+        doc = {"grid": {"nz": 33, "nt": 16}}
+        if path.startswith("observations.weights"):
+            doc["observations"] = {"weights": ["uniform", OVERFLOWING, "uniform"]}
+        else:
+            cli._place(doc, path, OVERFLOWING)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["validate", "--config", str(config), "--out", str(tmp_path / "out")])
+        report = error_report(capsys)
+        assert code == 2
+        assert report["error"] == "ConfigError"
+        assert report["message"] == f"{path}: evaluates to a non-finite value on its grid"
+
+
 class TestScenarios:
     @pytest.mark.parametrize(
         "scenario",
@@ -497,6 +643,8 @@ class TestSchemaRegressions:
             ),
             ('{"flux": {"kind": "samples", "values": [1e400]}}', "flux.values[0]"),
             ('{"seed": -1}', "seed"),
+            ('{"prior": {"sigma": 1e-300}}', "prior.sigma"),
+            ('{"observations": {"noise": [0.1, 1e200, 0.1]}}', "observations.noise[1]"),
         ],
     )
     def test_bad_document_exits_2_naming_the_path(self, tmp_path, capsys, text, path):

@@ -23,6 +23,8 @@ from colflux.numerics import (
     exp_inner_coefficients,
     factor_tridiagonal,
     _csv_text,
+    _nodal,
+    _normal_square,
     _write_csv,
     trapezoid,
 )
@@ -56,6 +58,74 @@ class TestGrids:
         grid = TimeGrid(t_end=1.0, n=4)
         with pytest.raises(ValueError):
             grid.nodes[0] = 7.0
+
+    @pytest.mark.parametrize(
+        "cls, fields, message",
+        [
+            (ColumnGrid, (-1.0, 5), "column height must be finite and positive, got -1.0"),
+            (ColumnGrid, (math.inf, 5), "column height must be finite and positive, got inf"),
+            (ColumnGrid, (1.0, 2), "column grid needs at least 3 nodes, got 2"),
+            (ColumnGrid, (1.0, 4.5), "column grid needs at least 3 nodes, got 4.5"),
+            (TimeGrid, (0.0, 5), "t_end must be finite and positive, got 0.0"),
+            (TimeGrid, (1.0, 1), "time grid needs at least 2 nodes, got 1"),
+        ],
+    )
+    def test_error_texts(self, cls, fields, message):
+        with pytest.raises(ValueError) as err:
+            cls(*fields)
+        assert str(err.value) == message
+
+    def test_both_grids_share_one_implementation(self):
+        for name in ("__post_init__", "spacing", "nodes", "weights"):
+            assert getattr(ColumnGrid, name) is getattr(TimeGrid, name), name
+        assert "index_of" not in vars(ColumnGrid)
+
+    def test_equality_and_hashing_follow_the_fields(self):
+        assert ColumnGrid(1.0, 5) == ColumnGrid(h=1.0, n=5)
+        assert hash(TimeGrid(2.0, 9)) == hash(TimeGrid(t_end=2.0, n=9))
+        assert ColumnGrid(1.0, 5) != ColumnGrid(1.0, 6)
+        assert ColumnGrid(1.0, 5) != TimeGrid(1.0, 5)
+        assert len({ColumnGrid(1.0, 5), ColumnGrid(1.0, 5), TimeGrid(1.0, 5)}) == 2
+        time = TimeGrid(t_end=2.0, n=9)
+        assert time.spacing == 0.25 and time.nodes[-1] == 2.0
+        np.testing.assert_array_equal(time.weights, [0.125] + [0.25] * 7 + [0.125])
+
+
+class TestNodalInputs:
+    def test_returns_a_float_array_and_names_the_array(self):
+        out = _nodal([1, 2], (2,), "q0")
+        assert out.dtype == np.float64 and out.flags.writeable
+        expected = r"^seed needs nodal values of shape \(3,\), got shape \(2,\)$"
+        with pytest.raises(ValueError, match=expected):
+            _nodal(out, (3,), "seed")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^column values must be finite$"):
+                _nodal([0.0, bad], (2,), "column")
+
+    @pytest.mark.parametrize(
+        "x, normal",
+        [
+            (1.0, True),
+            (2.0**-511, True),
+            (np.nextafter(2.0**-511, 0.0), False),
+            (np.nextafter(2.0**512, 0.0), True),
+            (2.0**512, False),
+            (1e-300, False),
+            (1e300, False),
+            (0.0, False),
+            (-1.0, False),
+            (np.nan, False),
+            (np.inf, False),
+        ],
+    )
+    def test_normal_square_is_the_square_test(self, x, normal):
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = np.float64(x) * np.float64(x)
+        exact = bool(x > 0 and np.isfinite(square) and square >= np.finfo(float).tiny)
+        assert exact == normal
+        assert _normal_square(x) == normal
+        assert _normal_square([0.5, x]) == normal
+        assert _normal_square([])
 
 
 class TestTrapezoid:
@@ -167,6 +237,22 @@ class TestExpInner:
         grid = TimeGrid(t_end=1.0, n=5)
         with pytest.raises(ValueError, match="nonneg"):
             exp_inner(np.ones(5), grid, -1.0, 1.0)
+
+    def test_is_the_coefficient_functional(self):
+        # one segment kernel: the value is the coefficient vector applied to g
+        rng = np.random.default_rng(3)
+        grid = TimeGrid(t_end=1.0, n=33)
+        g = rng.standard_normal(grid.n)
+        for lam, t_obs in ((0.0, 1.0), (1e-9, 0.5), (3.0, 0.75), (400.0, 1.0)):
+            c = exp_inner_coefficients(grid, lam, t_obs)
+            assert exp_inner(g, grid, lam, t_obs) == float(c @ g)
+
+    def test_non_finite_signal_rejected(self):
+        grid = TimeGrid(t_end=1.0, n=5)
+        with pytest.raises(ValueError, match="^g values must be finite"):
+            exp_inner([0.0, 1.0, np.nan, 0.0, 0.0], grid, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^g needs nodal values of shape \(5,\)"):
+            exp_inner(np.ones(4), grid, 1.0, 1.0)
 
     def test_coefficients_represent_the_functional(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,5 @@
 """Package hygiene: unused imports, private names across modules, the one
-list of public names, _frozen."""
+list of public names, _frozen, and the one check of nodal inputs."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import colflux
-from colflux.numerics import _frozen
+from colflux.assimilate import PriorSpec, prior_apply_inverse
+from colflux.model import validate_profile
+from colflux.numerics import ColumnGrid, TimeGrid, _frozen, exp_inner
+from colflux.observe import Weight, apply_observation
+from colflux.posterior import blind_direction
+from colflux.spectral import eigensystem, expand_weight
+from colflux.transport import FluxSignal, solve_forward
 
 SRC = Path(colflux.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "cli"))
@@ -109,3 +115,40 @@ class TestFrozen:
         assert out is values and not out.flags.writeable
         converted = _frozen([1, 2])
         assert converted.dtype == np.float64 and not converted.flags.writeable
+
+
+def nodal_inputs():
+    """Each nodal input of the package, as (name, call(values))."""
+    zgrid = ColumnGrid(h=1.0, n=33)
+    tgrid = TimeGrid(t_end=1.0, n=17)
+    profile = validate_profile(np.ones(zgrid.n), np.zeros(zgrid.n), zgrid)
+    flux = FluxSignal(grid=tgrid, values=np.zeros(tgrid.n))
+    prior = PriorSpec(mean=flux, kind="diagonal")
+    eig = eigensystem(profile, 4)
+    weight = Weight(grid=zgrid, values=np.ones(zgrid.n))
+    q0 = np.zeros(zgrid.n)
+    return {
+        "prior_apply_inverse": ("g", tgrid.n, lambda v: prior_apply_inverse(prior, v)),
+        "exp_inner": ("g", tgrid.n, lambda v: exp_inner(v, tgrid, 1.0, 1.0)),
+        "expand_weight": ("weight", zgrid.n, lambda v: expand_weight(v, eig)),
+        "apply_observation": ("column", zgrid.n, lambda v: apply_observation(weight, v)),
+        "solve_forward.q0": ("q0", zgrid.n, lambda v: solve_forward(profile, flux, v)),
+        "solve_forward.source": (
+            "source",
+            (zgrid.n, tgrid.n),
+            lambda v: solve_forward(profile, flux, q0, source=v),
+        ),
+        "blind_direction": ("seed", tgrid.n, lambda v: blind_direction(eig, 1.0, 2, tgrid, v)),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(nodal_inputs()))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_nodal_input_is_checked_by_name(site, bad):
+    name, shape, call = nodal_inputs()[site]
+    values = np.full(shape, 0.5)
+    values.flat[1] = bad
+    with pytest.raises(ValueError, match=f"^{name} values must be finite$"):
+        call(values)
+    with pytest.raises(ValueError, match=f"^{name} needs nodal values of shape"):
+        call(np.zeros(3))

@@ -415,6 +415,15 @@ class TestBlindDirection:
         with pytest.raises(DegenerateSeedError):
             blind_direction(eig, t_obs, 6, tgrid, seed)
 
+    def test_seed_whose_squared_norm_overflows_is_rejected(self, eig):
+        # its norm would be inf, and every relative check would pass on it
+        tgrid = TimeGrid(t_end=1.0, n=129)
+        seed = 1e160 * tgrid.nodes * (1.0 - tgrid.nodes)
+        with pytest.raises(ValueError, match="seed's squared norm overflows"):
+            blind_direction(eig, 0.5, 4, tgrid, seed)
+        with pytest.raises(ValueError, match="^seed values must be finite"):
+            blind_direction(eig, 0.5, 4, tgrid, lambda t: np.inf if t > 0.25 else t)
+
     def test_mode_count_guards(self, eig):
         tgrid = TimeGrid(t_end=1.0, n=257)
         with pytest.raises(DomainError, match="n_modes"):

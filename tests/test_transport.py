@@ -228,6 +228,20 @@ class TestEnergyFit:
         with pytest.raises(DiagnosticError):
             energy_fit(field, flux, np.zeros(5))
 
+    @pytest.mark.parametrize("where", ["field", "flux", "q0"])
+    def test_overflowing_squares_are_diagnosed(self, where):
+        # an infinite squared norm makes every K > 0 admissible, and the
+        # bisection then never ended; no overflow warning may escape either
+        grid = ColumnGrid(h=1.0, n=5)
+        tgrid = TimeGrid(t_end=1.0, n=3)
+        big = {name: 1e200 if name == where else 1.0 for name in ("field", "flux", "q0")}
+        field = MixingRatioField(
+            grid=grid, time_grid=tgrid, values=np.full((5, 3), big["field"])
+        )
+        flux = FluxSignal(grid=tgrid, values=np.full(3, big["flux"]))
+        with pytest.raises(DiagnosticError, match="overflow"):
+            energy_fit(field, flux, np.full(5, big["q0"]))
+
 
 class TestFieldCsv:
     def test_round_trip_bytes(self, tmp_path):
