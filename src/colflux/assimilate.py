@@ -9,11 +9,10 @@ The unknown is the surface flux F on the time grid. The cost is
 with the data-misfit term evaluated by the forward solver and the prior an
 inverse-Laplacian (Dirichlet or periodic zero-mean) or diagonal form on the
 time grid. One class per prior kind, named in ``_KINDS``, holds the kind's
-admissible set and projection, C0^{-1}, C0, diag(C0) and the oracle's dense
-inverse. Gradients come from the exact discrete adjoint: the backward
-sweep uses the transposes of the Crank-Nicolson step matrices, so the
-directional-derivative identity holds to rounding and finite-difference
-checks are tight.
+admissible set and projection, C0^{-1}, C0 and diag(C0). Gradients come
+from the exact discrete adjoint: the backward sweep uses the transposes of
+the Crank-Nicolson step matrices, so the directional-derivative identity
+holds to rounding and finite-difference checks are tight.
 
 The estimators work on the discrete forward map G (observations per nodal
 flux value), which each AssimilationProblem builds at most once: one
@@ -35,8 +34,9 @@ with the Woodbury identity): with S = G C0 G^T + R,
 ``lowrank_posterior`` returns the mean F0 + C0 G^T S^-1 (y - G F0 - free
 response) and the variance diag(C0) - diag(C0 G^T S^-1 G C0) in O(N nt),
 applying C0 by the CG preconditioner and taking diag(C0) in closed form.
-``oracle_bayes`` inverts the dense nt x nt posterior precision instead; it
-is the check, capped at 2048 time nodes.
+``oracle_bayes`` solves with the dense nt x nt posterior precision instead,
+and ``oracle_covariance`` inverts it, on the subspace the kind's projection
+admits; they are the check, capped at 2048 time nodes.
 
 Conventions: arrays indexed by time nodes are "nodal functions"; the
 Euclidean gradient (sensitivity per nodal value) is converted to a nodal
@@ -71,6 +71,7 @@ __all__ = [
     "map_estimate",
     "representer_rows",
     "oracle_bayes",
+    "oracle_covariance",
     "lowrank_posterior",
 ]
 
@@ -126,11 +127,6 @@ class _DiagonalPrior:
         """diag(C0), the diagonal of what ``covariance`` applies."""
         return self.s2 / self.w
 
-    def invert(self, prec: np.ndarray) -> np.ndarray:
-        """Invert the dense nt x nt posterior precision on the admissible
-        coordinates; pinned nodes get zero rows, identified ones copies."""
-        return np.linalg.inv(prec)
-
 
 class _DirichletPrior(_DiagonalPrior):
     """Inverse Laplacian -sigma^-2 d^2/dt^2 on functions vanishing at both ends."""
@@ -150,15 +146,21 @@ class _DirichletPrior(_DiagonalPrior):
         return y
 
     def apply_inverse(self, g):
-        out = np.zeros(self.n)
-        out[1:-1] = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / (self.s2 * self.dt**2)
+        # in place: an n x n g (the dense precision) gets no n x n temporaries
+        out = np.zeros(g.shape)
+        lap = out[1:-1]
+        np.multiply(g[1:-1], -2.0, out=lap)
+        lap += g[2:]
+        lap += g[:-2]
+        lap /= -(self.s2 * self.dt**2)
         return out
 
     def covariance(self):
         if self.n == 2:  # both nodes pinned, nothing to solve
             return lambda r: np.zeros(2)
         coef = self.w[1:-1] / (self.s2 * self.dt**2)
-        solve = factor_tridiagonal(-coef[1:], 2.0 * coef, -coef[:-1])
+        # the interior weights are all dt, so the matrix is symmetric
+        solve = factor_tridiagonal(2.0 * coef, -coef[1:])
         return lambda r: np.pad(solve(r[1:-1]), 1)
 
     def variance(self):
@@ -167,15 +169,6 @@ class _DirichletPrior(_DiagonalPrior):
         m = self.n - 2
         i = np.arange(self.n, dtype=float)
         return self.s2 * self.dt * i * (m + 1 - i) / (m + 1)
-
-    def invert(self, prec):
-        sub = slice(1, self.n - 1)
-        cov_red = np.linalg.inv(prec[sub, sub])
-        # allocated only now: zeroing nt x nt pages while the inverse's
-        # temporaries are live raises the oracle's peak memory
-        cov = np.zeros((self.n, self.n))
-        cov[sub, sub] = cov_red
-        return cov
 
 
 class _PeriodicPrior(_DiagonalPrior):
@@ -210,7 +203,7 @@ class _PeriodicPrior(_DiagonalPrior):
         # point of the wrong constraint pairing.
         m = x.shape[0] - 1
         glue = x[0] - x[-1]
-        total = x[:-1].sum()
+        total = x[:-1].sum(axis=0)
         det = 2.0 * m - 1.0
         alpha = (m * glue - total) / det
         beta = (2.0 * total - glue) / det
@@ -226,11 +219,18 @@ class _PeriodicPrior(_DiagonalPrior):
         return out - out[:-1].mean()
 
     def apply_inverse(self, g):
-        # circular stencil on the n-1 distinct nodes
+        # circular stencil on the n-1 distinct nodes, in place as above
         h = g[:-1]
-        lap = np.roll(h, -1) - 2.0 * h + np.roll(h, 1)
-        out = -lap / (self.s2 * self.dt**2)
-        return np.append(out, out[0])
+        out = np.empty(g.shape)
+        lap = out[:-1]
+        np.multiply(h, -2.0, out=lap)
+        lap[:-1] += h[1:]
+        lap[-1] += h[0]
+        lap[1:] += h[:-1]
+        lap[0] += h[-1]
+        lap /= -(self.s2 * self.dt**2)
+        out[-1] = out[0]
+        return out
 
     def covariance(self):
         # the stencil is circulant on the distinct nodes, diagonal in the
@@ -258,23 +258,6 @@ class _PeriodicPrior(_DiagonalPrior):
         # sum_{k=1}^{m-1} 1 / (2 - 2 cos(2 pi k/m)) = (m^2 - 1) / 12
         m = self.n - 1
         return np.full(self.n, self.s2 * self.dt * (m * m - 1) / (12.0 * m))
-
-    def invert(self, prec):
-        # glue the identified last node onto the first and invert on the m
-        # distinct nodes. The constant is the known null direction: adding
-        # J/m (J all ones) gives it eigenvalue 1, so no rounded zero
-        # eigenvalue is inverted, and the projections remove it again
-        m = self.n - 1
-        pr = prec[:m, :m].copy()
-        pr[:, 0] += prec[:m, -1]
-        pr[0, :] += prec[-1, :m]
-        pr[0, 0] += prec[-1, -1]
-        proj = np.eye(m) - np.full((m, m), 1.0 / m)
-        cov_red = np.linalg.inv(proj @ pr @ proj + 1.0 / m)
-        cov_red = proj @ cov_red @ proj
-        # expand: the last node is the first
-        nodes = np.append(np.arange(m), 0)
-        return cov_red[np.ix_(nodes, nodes)]
 
 
 _KINDS = {
@@ -527,6 +510,7 @@ def hessian_form(problem: AssimilationProblem, g) -> float:
     return float(np.dot(scaled, scaled) + penalty)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises below
 def map_estimate(problem: AssimilationProblem):
     """Minimize the cost by preconditioned conjugate gradients.
 
@@ -547,8 +531,8 @@ def map_estimate(problem: AssimilationProblem):
     Raises
     ------
     ConditioningError
-        If r.z overflows, or the relative residual has not reached 1e-8
-        within 2 * nt iterations.
+        If |b| or r.z overflows, or the relative residual has not reached
+        1e-8 within 2 * nt iterations.
     NumericalError
         If the two forward-map constructions disagree.
     """
@@ -569,6 +553,8 @@ def map_estimate(problem: AssimilationProblem):
     report = {"iterations": 0, "relative_residual": 0.0, "converged": True}
     if rhs_norm == 0.0:
         return FluxSignal(grid=spec.grid, values=spec.mean.values.copy()), report
+    if not np.isfinite(rhs_norm):  # every relative residual would read 0
+        raise ConditioningError(f"conjugate gradients overflowed: |b| = {rhs_norm}")
 
     z = project(precond(r))
     p = z.copy()
@@ -627,57 +613,67 @@ def representer_rows(problem: AssimilationProblem) -> np.ndarray:
 def _dense_prior_precision(problem: AssimilationProblem) -> np.ndarray:
     """Dense W C0^{-1} on the full node set (Euclidean form matrix)."""
     spec = problem.prior
-    n = spec.grid.n
     family = spec._family
-    p = np.zeros((n, n))
-    basis = np.eye(n)
-    for j in range(n):
-        # projected columns are admissible, so no check is needed
-        p[:, j] = spec.grid.weights * family.apply_inverse(family.project(basis[:, j]))
+    # projected columns are admissible, so no check is needed
+    p = family.apply_inverse(family.project(np.eye(spec.grid.n)))
+    p *= spec.grid.weights[:, None]
     return p
 
 
-def oracle_bayes(problem: AssimilationProblem):
-    """Exact dense Gaussian posterior on the time grid.
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises
+def _dense_posterior(problem: AssimilationProblem):
+    """P (A - I) P + I for the dense posterior precision A = W C0^{-1} +
+    G^T R^{-1} G and the prior's projection P, and P G^T R^{-1} (y - G F0 -
+    free response). The matrix is A on the admissible subspace and the
+    identity across it, so a solve with a projected right-hand side stays
+    in the subspace: zero on pinned nodes, equal on identified ones."""
+    n = problem.prior.grid.n
+    if n > ORACLE_MAX_NODES:
+        msg = f"dense oracle supports at most {ORACLE_MAX_NODES} time nodes, got {n}"
+        raise CapacityError(msg)
+    project = problem.prior._family.project
+    ghat = problem.forward_rows
+    r2 = problem.observations.noise_levels**2
+    prec = _dense_prior_precision(problem)
+    prec += (ghat.T / r2) @ ghat
+    prec.flat[:: n + 1] -= 1.0
+    prec = project(prec)  # one projected copy alive at a time
+    prec = project(prec.T).T  # P^T = P, and A is symmetric
+    prec.flat[:: n + 1] += 1.0
+    rhs = project(ghat.T @ (problem.innovation / r2))
+    if not (np.isfinite(prec).all() and np.isfinite(rhs).all()):
+        raise NumericalError("the dense posterior precision overflows")
+    return prec, rhs
+
+
+def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
+    """Exact dense Gaussian posterior mean on the time grid.
 
     Takes the problem's checked forward map G, forms the posterior
-    precision W C0^{-1} + G^T R^{-1} G on the admissible coordinates and
-    factors it. The prior-mean misfit is the problem's ``innovation``, as
-    in ``map_estimate``.
-
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        Posterior mean on the time grid and the nt x nt posterior
-        covariance (rows and columns of constrained nodes are zero).
+    precision W C0^{-1} + G^T R^{-1} G on the admissible subspace and
+    solves with it. The prior-mean misfit is the problem's ``innovation``,
+    as in ``map_estimate``.
 
     Raises
     ------
     CapacityError
         If the time grid exceeds 2048 nodes.
     NumericalError
-        If the two forward-map constructions disagree.
+        If the two forward-map constructions disagree, or the precision
+        overflows.
     """
-    tgrid = problem.prior.grid
-    if tgrid.n > ORACLE_MAX_NODES:
-        msg = (
-            f"dense oracle supports at most {ORACLE_MAX_NODES} time nodes, "
-            f"got {tgrid.n}"
-        )
-        raise CapacityError(msg)
-
-    ghat = problem.forward_rows
-    spec = problem.prior
-    r2 = problem.observations.noise_levels**2
-    prec = _dense_prior_precision(problem) + (ghat.T / r2) @ ghat
-    cov = spec._family.invert(prec)
-    rhs = ghat.T @ (problem.innovation / r2)
-    # cov is the expanded dual-to-primal map (zero rows on pinned nodes,
-    # glued rows on identified ones), so it consumes the raw dual vector
-    mean = spec.mean.values + cov @ rhs
-    return mean, cov
+    prec, rhs = _dense_posterior(problem)
+    return problem.prior.mean.values + np.linalg.solve(prec, rhs)
 
 
+def oracle_covariance(problem: AssimilationProblem) -> np.ndarray:
+    """The dense nt x nt posterior covariance, the precision of ``oracle_bayes``
+    inverted on the admissible subspace; it raises as ``oracle_bayes`` does."""
+    prec, _ = _dense_posterior(problem)
+    return np.linalg.solve(prec, problem.prior._family.project(np.eye(len(prec))))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises
 def lowrank_posterior(problem: AssimilationProblem):
     """Posterior mean and pointwise variance from the representer form.
 
@@ -701,7 +697,8 @@ def lowrank_posterior(problem: AssimilationProblem):
     Raises
     ------
     NumericalError
-        If the two forward-map constructions disagree.
+        If the two forward-map constructions disagree, or the result
+        overflows.
     """
     g = problem.forward_rows
     spec = problem.prior
@@ -709,9 +706,14 @@ def lowrank_posterior(problem: AssimilationProblem):
     # rows C0 g_i; the reshape keeps the (0, nt) shape with no observations
     c0g = np.array([precond(row) for row in g]).reshape(g.shape)
     r2 = problem.observations.noise_levels**2
+    s = g @ c0g.T + np.diag(r2)
+    if not np.isfinite(s).all():  # its Cholesky factor would hide the overflow
+        raise NumericalError("the low-rank posterior overflows: G C0 G^T is not finite")
     # S = L L^T; with V = L^-1 C0 G^T the update is V^T V, a sum of squares
-    chol = np.linalg.cholesky(g @ c0g.T + np.diag(r2))
+    chol = np.linalg.cholesky(s)
     v = np.linalg.solve(chol, c0g)
     mean = spec.mean.values + v.T @ np.linalg.solve(chol, problem.innovation)
     variance = spec._family.variance() - np.einsum("ij,ij->j", v, v)
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
+        raise NumericalError("the low-rank posterior overflows")
     return mean, variance

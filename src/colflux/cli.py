@@ -328,7 +328,7 @@ def _scenario_assimilate(ws: _Workspace, out: Path) -> list:
 
 def _scenario_oracle_check(ws: _Workspace, out: Path) -> list:
     problem = ws.problem()
-    mean, cov = oracle_bayes(problem)
+    mean = oracle_bayes(problem)
     flux_map, report = map_estimate(problem)
     rows = representer_rows(problem)
 

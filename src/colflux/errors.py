@@ -39,7 +39,8 @@ class AssumptionError(ColfluxError, ValueError):
 
     ``assumption`` is one of ``"A1"`` (smoothness proxy or non-finite data),
     ``"A2"`` (diffusion not strictly positive), ``"A3"`` (velocity not zero
-    at the column boundaries).
+    at the column boundaries), ``"A4"`` (a cell Peclet number of 1 or more,
+    or a symmetrizing scaling outside the double range).
     """
 
     def __init__(self, assumption: str, message: str):
@@ -62,7 +63,7 @@ class NumericalError(ColfluxError):
 
 
 class SingularSystemError(NumericalError):
-    """A tridiagonal solve hit a zero pivot / exactly singular matrix."""
+    """A tridiagonal matrix to factor is not positive definite."""
 
 
 class StabilityError(NumericalError):

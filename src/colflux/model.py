@@ -1,13 +1,15 @@
 """Coefficient profiles of the column model and their admissibility checks.
 
 A profile carries the diffusion coefficient k(z) and vertical velocity w(z)
-sampled on a column grid. Three standing assumptions are enforced:
+sampled on a column grid. Four standing assumptions are enforced:
 
 * A1, smoothness: k and w are twice continuously differentiable. On samples
   this is approximated by bounding second divided differences.
 * A2, ellipticity: k is strictly positive; the attained minimum is stored
   as ``epsilon``.
 * A3, closed boundaries: w vanishes at the surface and at the column top.
+* A4, resolved advection: every cell Peclet number |w| dz / (2 k) is below
+  1, and the scaling that then symmetrizes the stepper is a finite double.
 """
 
 from __future__ import annotations
@@ -33,14 +35,19 @@ class CoefficientProfile:
     """Validated diffusion/velocity profile on a column grid.
 
     Instances should be built through :func:`validate_profile`; direct
-    construction re-checks A2, A3 and finiteness but skips the smoothness
-    proxy.
+    construction re-checks A2, A3, A4 and finiteness but skips the
+    smoothness proxy.
+
+    ``scaling`` is d with d[0] = 1 and d[j+1] / d[j] = sqrt((1 + P) / (1 - P)),
+    P = w dz / (2 k) of face means between nodes j and j+1: D^-1 S D is
+    symmetric for the flux-difference operator S of ``transport``.
     """
 
     grid: ColumnGrid
     k: np.ndarray
     w: np.ndarray
     epsilon: float = field(init=False)
+    scaling: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.ascontiguousarray(self.k, dtype=float)
@@ -65,11 +72,21 @@ class CoefficientProfile:
                 "A3",
                 f"w must vanish at both boundaries; w(0)={w[0]}, w(h)={w[-1]}",
             )
-        k.setflags(write=False)
-        w.setflags(write=False)
+        peclet = (w[:-1] + w[1:]) * self.grid.spacing / (2.0 * (k[:-1] + k[1:]))
+        face = int(np.abs(peclet).argmax())
+        if not abs(peclet[face]) < 1.0:
+            msg = f"cell Peclet number |w| dz / (2 k) is {abs(peclet[face]):.3e} >= 1"
+            raise AssumptionError("A4", f"{msg} between nodes {face} and {face + 1}")
+        with np.errstate(over="ignore", divide="ignore"):
+            scaling = np.cumprod(np.append(1.0, np.sqrt((1.0 + peclet) / (1.0 - peclet))))
+            if not np.isfinite(np.append(scaling, 1.0 / scaling)).all():
+                raise AssumptionError("A4", "the symmetrizing scaling leaves the double range")
+        for a in (k, w, scaling):
+            a.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "epsilon", kmin)
+        object.__setattr__(self, "scaling", scaling)
 
 
 def validate_profile(k, w, grid: ColumnGrid) -> CoefficientProfile:
@@ -94,7 +111,8 @@ def validate_profile(k, w, grid: ColumnGrid) -> CoefficientProfile:
     ------
     AssumptionError
         Tagged "A1" (non-finite data or smoothness proxy violated),
-        "A2" (k not strictly positive), or "A3" (w nonzero at a boundary).
+        "A2" (k not strictly positive), "A3" (w nonzero at a boundary), or
+        "A4" (a cell Peclet number of 1 or more).
     """
     profile = CoefficientProfile(grid=grid, k=np.asarray(k, float), w=np.asarray(w, float))
     dz2 = grid.spacing**2

@@ -269,21 +269,20 @@ def exp_inner_coefficients(grid: TimeGrid, lam: float, t_obs: float) -> np.ndarr
     return c
 
 
-def factor_tridiagonal(lower, diag, upper):
-    """Factor a tridiagonal matrix once and return a solver for it.
+def factor_tridiagonal(diag, off):
+    """Factor a symmetric positive definite tridiagonal matrix once and
+    return a solver for it.
 
-    LU with partial pivoting (LAPACK ``dgttrf``); each call of the returned
-    ``solve(rhs)`` is one ``dgttrs`` solve against the stored factors, so a
+    LDL^T with no pivoting (LAPACK ``dpttrf``); each call of the returned
+    ``solve(rhs)`` is one ``dpttrs`` solve against the stored factors, so a
     sweep that solves the same matrix at every step factors it only once.
 
     Parameters
     ----------
-    lower : array_like, shape (n-1,)
-        Subdiagonal of A.
     diag : array_like, shape (n,)
-        Main diagonal.
-    upper : array_like, shape (n-1,)
-        Superdiagonal.
+        Main diagonal of A.
+    off : array_like, shape (n-1,)
+        Sub- and superdiagonal.
 
     Returns
     -------
@@ -294,39 +293,26 @@ def factor_tridiagonal(lower, diag, upper):
     Raises
     ------
     SingularSystemError
-        If the factorization hits a zero pivot (singular matrix).
+        If the matrix is not positive definite.
     """
     diag = np.asarray(diag, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    off = np.asarray(off, dtype=float)
     n = diag.shape[0]
-    if lower.shape != (n - 1,) or upper.shape != (n - 1,):
-        msg = (
-            f"off-diagonals must have length {n - 1}, "
-            f"got {lower.shape[0]} and {upper.shape[0]}"
-        )
+    if off.shape != (n - 1,):
+        msg = f"off-diagonal must have length {n - 1}, got {off.shape[0]}"
         raise ValueError(msg)
-    # the LAPACK wrappers need n >= 3; decoupled identity rows appended at
-    # the end leave the arithmetic on the first n rows unchanged
-    pad = max(0, 3 - n)
-    if pad:
-        diag = np.concatenate((diag, np.ones(pad)))
-        lower = np.concatenate((lower, np.zeros(pad)))
-        upper = np.concatenate((upper, np.zeros(pad)))
-    dl, d, du, du2, ipiv, info = scipy.linalg.lapack.dgttrf(lower, diag, upper)
+    # the LAPACK wrapper wants an off-diagonal of length 1 or more
+    d, e, info = scipy.linalg.lapack.dpttrf(diag, off if n > 1 else np.zeros(1))
     if info > 0:
-        raise SingularSystemError(f"singular matrix: zero pivot in row {info}")
+        msg = f"matrix is not positive definite: leading minor {info} is not positive"
+        raise SingularSystemError(msg)
 
     def solve(rhs):
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != n:
             msg = f"rhs has leading dimension {rhs.shape[0]}, expected {n}"
             raise ValueError(msg)
-        b = rhs.reshape(n, -1)
-        if pad:
-            b = np.concatenate((b, np.zeros((pad, b.shape[1]))))
-        x, _ = scipy.linalg.lapack.dgttrs(dl, d, du, du2, ipiv, b)
-        return x[:n].reshape(rhs.shape)
+        return scipy.linalg.lapack.dpttrs(d, e, rhs)[0]
 
     return solve
 

@@ -19,6 +19,7 @@ from colflux.assimilate import (
     lowrank_posterior,
     map_estimate,
     oracle_bayes,
+    oracle_covariance,
     prior_apply_inverse,
     prior_quadratic_form,
     representer_rows,
@@ -443,7 +444,7 @@ class TestMapEstimate:
     def test_matches_the_dense_posterior_mean(self, kind):
         problem = small_problem(3, nt=65, nz=49, kind=kind)
         flux, report = map_estimate(problem)
-        mean, _ = oracle_bayes(problem)
+        mean = oracle_bayes(problem)
         assert report["converged"]
         scale = np.abs(mean).max()
         assert np.abs(flux.values - mean).max() <= 1e-6 * max(scale, 1.0), (
@@ -451,14 +452,23 @@ class TestMapEstimate:
             f"{np.abs(flux.values - mean).max():.3e} at scale {scale:.3e}"
         )
 
-    def test_overflow_stops_before_a_hessian_product(self, monkeypatch):
-        # data near the double range: r.z overflows at once, and CG must say
-        # so instead of running 2 nt iterations on NaN (whose products would
-        # reach prior_apply_inverse as a bad input)
+    @pytest.mark.parametrize(
+        "value, sigma, message",
+        [
+            (1e300, 0.7, r"overflowed: \|b\| = inf$"),
+            (1e120, 1e150, "overflowed: r.z = inf at iteration 1$"),
+        ],
+        ids=["norm-of-b", "r.z"],
+    )
+    def test_overflow_stops_before_a_hessian_product(self, monkeypatch, value, sigma, message):
+        # data near the double range: |b| or r.z overflows at once, and CG
+        # must say so, with no warning, instead of running 2 nt iterations
+        # on NaN (whose products would reach prior_apply_inverse as a bad
+        # input) or reading every residual relative to |b| = inf as 0
         base = small_problem(2)
         obs = ObservationSet(
             times=base.observations.times,
-            values=np.full(2, 1e300),
+            values=np.full(2, value),
             noise_levels=base.observations.noise_levels,
         )
         problem = AssimilationProblem(
@@ -466,7 +476,7 @@ class TestMapEstimate:
             q0=base.q0,
             observations=obs,
             weights=base.weights,
-            prior=base.prior,
+            prior=dirichlet_prior(base.prior.grid, sigma=sigma),
         )
         products = Counter()
         original = assimilate.prior_apply_inverse
@@ -476,10 +486,8 @@ class TestMapEstimate:
             return original(*args)
 
         monkeypatch.setattr(assimilate, "prior_apply_inverse", counted)
-        # the overflow warnings themselves are not this check's subject
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ConditioningError, match="overflowed: r.z = inf at iteration 1$"):
-                map_estimate(problem)
+        with pytest.raises(ConditioningError, match=message):
+            map_estimate(problem)
         assert products["hessian"] == 0
 
     @pytest.mark.parametrize("nt", [2, 3, 4, 5])
@@ -498,7 +506,7 @@ class TestMapEstimate:
             prior=dirichlet_prior(tgrid),
         )
         flux, report = map_estimate(problem)
-        mean, _ = oracle_bayes(problem)
+        mean = oracle_bayes(problem)
         assert report["converged"]
         np.testing.assert_allclose(flux.values, mean, rtol=0.0, atol=1e-9)
         if nt == 2:
@@ -715,10 +723,18 @@ class TestForwardMapReuse:
         assert np.abs(problem.free_response).min() > 0.0
 
 
+KINDS = (
+    "dirichlet_inverse_laplacian",
+    "periodic_zero_mean_inverse_laplacian",
+    "diagonal",
+)
+
+
 class TestOracleBayes:
     def test_zero_observations_return_the_prior(self):
         problem = small_problem(0, nt=49)
-        mean, cov = oracle_bayes(problem)
+        mean = oracle_bayes(problem)
+        cov = oracle_covariance(problem)
         np.testing.assert_array_equal(mean, problem.prior.mean.values)
         # the covariance must invert the prior precision on admissible
         # functions: C (W C0^{-1} g) = g whenever g has zero endpoints
@@ -731,11 +747,11 @@ class TestOracleBayes:
 
     def test_covariance_is_symmetric_psd_and_contracting(self):
         problem = small_problem(3, nt=65)
-        _, cov = oracle_bayes(problem)
+        cov = oracle_covariance(problem)
         assert np.abs(cov - cov.T).max() <= 1e-12 * np.abs(cov).max()
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-12 * eigs.max()
-        _, cov_prior = oracle_bayes(small_problem(0, nt=65))
+        cov_prior = oracle_covariance(small_problem(0, nt=65))
         assert np.all(np.diag(cov) <= np.diag(cov_prior) + 1e-12)
 
     def test_time_grid_capacity(self):
@@ -767,17 +783,83 @@ class TestOracleBayes:
         with pytest.raises(NumericalError, match="disagree"):
             oracle_bayes(problem)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mean_is_the_covariance_applied_to_the_dual_vector(self, kind):
+        # the solve with the mean's right-hand side against the inverse
+        problem = released_problem(kind)
+        g = problem.forward_rows
+        dual = g.T @ (problem.innovation / problem.observations.noise_levels**2)
+        expected = problem.prior.mean.values + oracle_covariance(problem) @ dual
+        assert max_rel(oracle_bayes(problem), expected) <= 1e-10
 
-KINDS = (
-    "dirichlet_inverse_laplacian",
-    "periodic_zero_mean_inverse_laplacian",
-    "diagonal",
-)
+    def test_dirichlet_mean_holds_two_nt_x_nt_arrays(self):
+        # the default prior's oracle at 1025 nodes: the precision and one
+        # projected copy, with no inverse and no n x n temporaries beside them
+        problem = released_problem("dirichlet_inverse_laplacian", nodes=1025)
+        problem.innovation
+        tracemalloc.start()
+        try:
+            oracle_bayes(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * 1025**2 * 8, f"peaked at {peak / 1e6:.1f} MB"
+
+
+def column_loop_prior_precision(problem):
+    """Dense W C0^{-1} one projected unit column at a time."""
+    spec = problem.prior
+    family = spec._family
+    n = spec.grid.n
+    p = np.zeros((n, n))
+    basis = np.eye(n)
+    for j in range(n):
+        p[:, j] = spec.grid.weights * family.apply_inverse(family.project(basis[:, j]))
+    return p
+
+
+class TestDensePriorPrecision:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 65, 1025])
+    def test_one_call_equals_the_column_loop(self, kind, nodes):
+        problem = released_problem(kind, nodes=nodes)
+        expected = column_loop_prior_precision(problem)
+        assert np.array_equal(_dense_prior_precision(problem), expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_holds_two_nt_x_nt_arrays_at_most(self, kind):
+        # the projected identity and the result
+        problem = released_problem(kind, nodes=1025)
+        tracemalloc.start()
+        try:
+            _dense_prior_precision(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * 1025**2 * 8, f"peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("nodes", [2, 3, 257])
+    def test_in_place_stencils_keep_their_rounding(self, nodes):
+        # the stencils CG applies, bit-equal to the expressions they were
+        # written as before they computed in place
+        rng = np.random.default_rng(8)
+        dirichlet, periodic = (
+            released_problem(kind, nodes).prior._family for kind in KINDS[:2]
+        )
+        g = dirichlet.project(rng.standard_normal(nodes))
+        expected = np.zeros(nodes)
+        k = dirichlet.s2 * dirichlet.dt**2
+        expected[1:-1] = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / k
+        assert np.array_equal(dirichlet.apply_inverse(g), expected)
+        h = periodic.project(rng.standard_normal(nodes))[:-1]
+        lap = -(np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / k
+        expected = np.append(lap, lap[0])
+        assert np.array_equal(periodic.apply_inverse(np.append(h, h[0])), expected)
 
 
 def dense_prior_variance(problem):
     """diag of the pseudo-inverse of the dense prior precision, taken on the
-    admissible coordinates the way oracle_bayes takes them."""
+    admissible coordinates, glued as the periodic kind identifies them."""
     p = _dense_prior_precision(problem)
     n = p.shape[0]
     kind = problem.prior.kind
@@ -841,18 +923,14 @@ class TestLowRankPosterior:
             (kind, nt)
             for kind in KINDS
             for nt in (1, 2, 3, 256, 2047)
-            # the dense oracle's periodic inverse is itself off by 2.9e-10
-            # (mean) and 7.2e-10 (variance) at 2048 nodes, where the
-            # precision's conditioning limits any dense inverse; the
-            # closed-form test below covers that grid
-            if (kind, nt) != ("periodic_zero_mean_inverse_laplacian", 2047)
         ],
     )
     def test_matches_the_dense_oracle(self, kind, nt):
         # nt + 1 nodes; 2048 is the oracle's cap
         problem = released_problem(kind, nodes=nt + 1)
         mean, variance = lowrank_posterior(problem)
-        dense_mean, cov = oracle_bayes(problem)
+        dense_mean = oracle_bayes(problem)
+        cov = oracle_covariance(problem)
         assert max_rel(mean, dense_mean) <= 1e-10
         assert max_rel(variance, np.diag(cov)) <= 1e-10
 
@@ -864,9 +942,10 @@ class TestLowRankPosterior:
         assert max_rel(mean, ref_mean) <= 1e-10
         assert max_rel(variance, ref_variance) <= 1e-10
         # the dense oracle too, though it inverts the nt x nt precision
-        dense_mean, cov = oracle_bayes(problem)
-        assert max_rel(dense_mean, ref_mean) <= 2e-9
-        assert max_rel(np.diag(cov), ref_variance) <= 2e-9
+        dense_mean = oracle_bayes(problem)
+        cov = oracle_covariance(problem)
+        assert max_rel(dense_mean, ref_mean) <= 1e-10
+        assert max_rel(np.diag(cov), ref_variance) <= 1e-10
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_observing_never_adds_uncertainty(self, kind):

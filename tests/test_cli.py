@@ -236,10 +236,19 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("the dense oracle ran")
 
-        for name in ("oracle_bayes", "_dense_prior_precision"):
+        for name in ("oracle_bayes", "oracle_covariance", "_dense_prior_precision"):
             monkeypatch.setattr(colflux.assimilate, name, refuse)
         monkeypatch.setattr(cli, "oracle_bayes", refuse)
         assert run_cli(tmp_path, small_config("assimilate", tmp_path / "out")) == 0
+
+    def test_oracle_check_forms_no_inverse(self, tmp_path, monkeypatch):
+        # it writes the dense posterior mean only, so it needs no covariance
+        def refuse(*args, **kwargs):
+            raise AssertionError("an nt x nt inverse was formed")
+
+        monkeypatch.setattr(colflux.assimilate, "oracle_covariance", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert run_cli(tmp_path, small_config("oracle_check", tmp_path / "out")) == 0
 
     @pytest.mark.parametrize(
         "scenario, report",
@@ -290,11 +299,14 @@ class TestExitCodes:
 OVERFLOWING = {"kind": "linear", "base": 1e308, "slope": 1e308}
 CONSTANT_1E300 = {"kind": "constant", "value": 1e300}
 ZERO = {"kind": "constant", "value": 0.0}
+# w = 500 sin(2 pi z): cell Peclet number 3.9 at nz = 65
+PECLET_3_9 = {"kind": "sine", "amplitude": 500.0, "cycles": 2.0}
 
 
 class TestFailClosed:
-    """Schema-valid inputs that once hung, exited 0 on a NaN result, or
-    exited 3 with warnings and a message that hid the cause."""
+    """Schema-valid inputs that once hung, exited 0 on a NaN result or on a
+    grid too coarse for their advection, or printed warnings beside the
+    report."""
 
     @pytest.mark.parametrize(
         "scenario, extra, code, cause, clean",
@@ -323,14 +335,53 @@ class TestFailClosed:
                 True,
                 id="simulate-flux-1e300",
             ),
-            # its overflow warnings still reach stderr before the report
             pytest.param(
                 "assimilate",
                 {"flux": CONSTANT_1E300},
                 3,
                 "conjugate gradients overflowed",
-                False,
+                True,
                 id="assimilate-flux-1e300",
+            ),
+            pytest.param(
+                "assimilate",
+                {"observations": {"weights": [CONSTANT_1E300, "rho_plus", "rho_plus"]}},
+                3,
+                "the low-rank posterior overflows",
+                True,
+                id="assimilate-weight-1e300",
+            ),
+            pytest.param(
+                "oracle_check",
+                {"observations": {"weights": [CONSTANT_1E300, "rho_plus", "rho_plus"]}},
+                3,
+                "the dense posterior precision overflows",
+                True,
+                id="oracle_check-weight-1e300",
+            ),
+            pytest.param(
+                "simulate",
+                {"grid": {"nz": 65, "nt": 64, "t_end": 1000.0}},
+                0,
+                None,
+                True,
+                id="simulate-t_end-1000",
+            ),
+            pytest.param(
+                "simulate",
+                {"model": {"w": PECLET_3_9}},
+                2,
+                "[A4] cell Peclet number |w| dz / (2 k) is 3.897e+00 >= 1 between nodes 16 and 17",
+                True,
+                id="simulate-cell-peclet-3.9",
+            ),
+            pytest.param(
+                "oracle_check",
+                {"model": {"w": PECLET_3_9}},
+                2,
+                "[A4] cell Peclet number",
+                True,
+                id="oracle_check-cell-peclet-3.9",
             ),
             pytest.param(
                 "assimilate",
@@ -376,8 +427,9 @@ class TestFailClosed:
         assert proc.returncode == code, proc.stderr
         if code == 0:
             assert proc.stderr == ""
-            report = json.loads((out / "oracle_report.json").read_text())
-            assert report["max_representer_vs_gain_rel_l2"] == 0.0
+            if scenario == "oracle_check":
+                report = json.loads((out / "oracle_report.json").read_text())
+                assert report["max_representer_vs_gain_rel_l2"] == 0.0
             return
         err = proc.stderr if clean else proc.stderr[proc.stderr.index("{\n") :]
         report = json.loads(err)  # exactly one JSON document

@@ -71,10 +71,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="nodes"):
             CoefficientProfile(grid=grid, k=np.ones(7), w=np.zeros(7))
 
+    def test_cell_peclet_of_one_or_more_names_the_worst_face(self):
+        grid = ColumnGrid(h=1.0, n=65)
+        w = 500.0 * np.sin(2.0 * np.pi * grid.nodes)
+        with pytest.raises(AssumptionError, match="between nodes 16 and 17") as err:
+            validate_profile(np.ones(grid.n), w, grid)
+        assert err.value.assumption == "A4"
+        assert "cell Peclet number |w| dz / (2 k) is 3.897e+00 >= 1" in str(err.value)
+
+    def test_cell_peclet_just_below_one_is_accepted(self):
+        grid = ColumnGrid(h=1.0, n=65)
+        peak = 0.999 * 2.0 / grid.spacing  # |w| dz / (2 k) <= 0.999 at every face
+        profile = validate_profile(np.ones(grid.n), peak * np.sin(np.pi * grid.nodes), grid)
+        ratio = profile.scaling[1:] / profile.scaling[:-1]
+        assert profile.scaling[0] == 1.0 and np.all(ratio >= 1.0)
+
+    def test_scaling_beyond_the_double_range_is_rejected(self):
+        # cell Peclet 0.99 on 398 faces: d grows by sqrt(199) per face, to 1e458
+        grid = ColumnGrid(h=1.0, n=401)
+        w = np.full(grid.n, 0.99 * 2.0 / grid.spacing)
+        w[[0, -1]] = 0.0
+        with pytest.raises(AssumptionError, match="double range") as err:
+            CoefficientProfile(grid=grid, k=np.ones(grid.n), w=w)
+        assert err.value.assumption == "A4"
+
     def test_arrays_are_frozen(self, grid):
         profile = validate_profile(np.ones(grid.n), np.zeros(grid.n), grid)
-        with pytest.raises(ValueError):
-            profile.k[0] = 3.0
+        for values in (profile.k, profile.w, profile.scaling):
+            with pytest.raises(ValueError):
+                values[0] = 3.0
 
 
 class TestMuWeight:

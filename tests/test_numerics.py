@@ -28,7 +28,7 @@ from colflux.numerics import (
     _write_csv,
     trapezoid,
 )
-from colflux.transport import _cn_bands
+from colflux.transport import _symmetric_flux_divergence
 
 
 class TestGrids:
@@ -289,37 +289,42 @@ class TestExpInner:
             assert abs(ramp - series) < tol
 
 
+def spd_bands(rng, n):
+    """Random symmetric, diagonally dominant (so positive definite) bands."""
+    off = rng.standard_normal(n - 1)
+    diag = 4.0 + rng.random(n) + 2.0 * np.abs(off).max(initial=0.0)
+    return diag, off
+
+
+def dense(diag, off):
+    return np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+
+
 class TestSolveTridiagonal:
     def test_frozen_three_node_case(self):
         # [[2,-1,0],[-1,2,-1],[0,-1,2]] x = (1,1,1) -> x = (1.5, 2, 1.5)
-        x = factor_tridiagonal(
-            np.array([-1.0, -1.0]),
-            np.array([2.0, 2.0, 2.0]),
-            np.array([-1.0, -1.0]),
-        )(np.array([1.0, 1.0, 1.0]))
+        x = factor_tridiagonal(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0]))(
+            np.array([1.0, 1.0, 1.0])
+        )
         np.testing.assert_allclose(x, [1.5, 2.0, 1.5], atol=1e-14)
 
     def test_frozen_two_node_case(self):
         # [[2,-1],[-1,2]] x = (1,0) -> x = (2/3, 1/3)
-        x = factor_tridiagonal(np.array([-1.0]), np.array([2.0, 2.0]), np.array([-1.0]))(
+        x = factor_tridiagonal(np.array([2.0, 2.0]), np.array([-1.0]))(
             np.array([1.0, 0.0])
         )
         np.testing.assert_allclose(x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_multiple_right_hand_sides(self):
         rng = np.random.default_rng(2)
-        n = 20
-        lower = rng.standard_normal(n - 1)
-        upper = rng.standard_normal(n - 1)
-        diag = 5.0 + rng.random(n)
-        rhs = rng.standard_normal((n, 4))
-        x = factor_tridiagonal(lower, diag, upper)(rhs)
-        full = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        np.testing.assert_allclose(full @ x, rhs, atol=1e-10)
+        diag, off = spd_bands(rng, 20)
+        rhs = rng.standard_normal((20, 4))
+        x = factor_tridiagonal(diag, off)(rhs)
+        np.testing.assert_allclose(dense(diag, off) @ x, rhs, atol=1e-10)
 
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularSystemError):
-            factor_tridiagonal(np.array([0.0]), np.array([0.0, 1.0]), np.array([0.0]))(
+            factor_tridiagonal(np.array([0.0, 1.0]), np.array([0.0]))(
                 np.array([1.0, 1.0])
             )
 
@@ -327,43 +332,41 @@ class TestSolveTridiagonal:
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 30))
     def test_matches_dense_solver(self, seed, n):
         rng = np.random.default_rng(seed)
-        lower = rng.standard_normal(n - 1)
-        upper = rng.standard_normal(n - 1)
-        diag = 4.0 + rng.random(n) + np.abs(lower).max() + np.abs(upper).max()
+        diag, off = spd_bands(rng, n)
         rhs = rng.standard_normal(n)
-        x = factor_tridiagonal(lower, diag, upper)(rhs)
-        full = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        expected = np.linalg.solve(full, rhs)
+        x = factor_tridiagonal(diag, off)(rhs)
+        expected = np.linalg.solve(dense(diag, off), rhs)
         np.testing.assert_allclose(x, expected, rtol=1e-9, atol=1e-12)
 
 
 def cn_left_bands(nz=201, nt=256):
-    """Left Crank-Nicolson bands of a variable, advective profile."""
+    """Symmetrized left Crank-Nicolson bands of a variable, advective profile."""
     grid = ColumnGrid(h=1.0, n=nz)
     z = grid.nodes
     profile = validate_profile(
         0.5 + z * (1.0 - z), 0.3 * np.sin(np.pi * z), grid
     )
-    return _cn_bands(profile, 1.0 / (nt - 1))[0]
+    diag, off = _symmetric_flux_divergence(profile)
+    half = 0.5 / (nt - 1)
+    return grid.weights - half * diag, -half * off
 
 
 class TestFactorTridiagonal:
     def test_one_and_two_dimensional_right_hand_sides(self):
-        left = cn_left_bands(nz=31)
-        full = np.diag(left[1]) + np.diag(left[0], -1) + np.diag(left[2], 1)
-        solve = factor_tridiagonal(*left)
+        diag, off = cn_left_bands(nz=31)
+        solve = factor_tridiagonal(diag, off)
         rng = np.random.default_rng(6)
         for shape in [(31,), (31, 1), (31, 4)]:
             rhs = rng.standard_normal(shape)
             x = solve(rhs)
             assert x.shape == shape
-            np.testing.assert_allclose(full @ x, rhs, atol=1e-12)
+            np.testing.assert_allclose(dense(diag, off) @ x, rhs, atol=1e-12)
 
     def test_factors_are_reused_across_solves(self):
         # the solver keeps its own copy: later solves are unaffected by
         # changes to the bands or to earlier right-hand sides
-        lower, diag, upper = (b.copy() for b in cn_left_bands(nz=17))
-        solve = factor_tridiagonal(lower, diag, upper)
+        diag, off = (b.copy() for b in cn_left_bands(nz=17))
+        solve = factor_tridiagonal(diag, off)
         rhs = np.linspace(-1.0, 1.0, 17)
         first = solve(rhs)
         diag[:] = 1.0
@@ -374,33 +377,29 @@ class TestFactorTridiagonal:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_smallest_systems(self, n):
         rng = np.random.default_rng(n)
-        lower = rng.standard_normal(n - 1)
-        upper = rng.standard_normal(n - 1)
-        diag = 4.0 + rng.random(n)
+        diag, off = spd_bands(rng, n)
         rhs = rng.standard_normal((n, 2))
-        full = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        x = factor_tridiagonal(lower, diag, upper)(rhs)
-        np.testing.assert_allclose(x, np.linalg.solve(full, rhs), rtol=1e-13)
+        x = factor_tridiagonal(diag, off)(rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(dense(diag, off), rhs), rtol=1e-13)
 
     @pytest.mark.parametrize(
         "bands",
         [
-            ([0.0], [0.0, 1.0], [0.0]),
-            # rows 0 and 1 coincide; the zero pivot appears after a swap
-            ([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0]),
-            ([], [0.0], []),
+            ([0.0, 1.0], [0.0]),
+            # positive diagonal, but the second leading minor is 1 - 4 < 0
+            ([1.0, 1.0, 1.0], [2.0, 0.0]),
+            ([-1.0, -1.0], [0.0]),
+            ([0.0], []),
         ],
+        ids=["zero-pivot", "indefinite", "negative-definite", "one-node"],
     )
-    def test_singular_matrix_raises(self, bands):
-        with pytest.raises(SingularSystemError):
+    def test_not_positive_definite_raises(self, bands):
+        with pytest.raises(SingularSystemError, match="not positive definite"):
             factor_tridiagonal(*(np.array(b) for b in bands))
 
     def test_shape_errors(self):
-        with pytest.raises(ValueError, match="off-diagonals"):
-            factor_tridiagonal(np.ones(2), np.ones(4), np.ones(3))
-        solve = factor_tridiagonal(np.ones(2), 3.0 * np.ones(3), np.ones(2))
-        with pytest.raises(ValueError, match="leading dimension"):
-            solve(np.ones(4))
+        with pytest.raises(ValueError, match="off-diagonal"):
+            factor_tridiagonal(np.ones(4), np.ones(2))
 
 
 def reference_csv(header, columns):

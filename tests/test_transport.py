@@ -131,6 +131,53 @@ class TestSolveForward:
             FluxSignal(grid=tgrid, values=np.full(9, np.inf))
 
 
+def dense_cn_matrices(profile, dt):
+    """Dense L = M - dt/2 S and R = M + dt/2 S, with S assembled face by
+    face: face j+1/2 carries the flux kf (q[j+1] - q[j]) - wf (q[j] + q[j+1])
+    out of node j and into node j+1."""
+    n, dz = profile.grid.n, profile.grid.spacing
+    kf = 0.5 * (profile.k[:-1] + profile.k[1:]) / dz
+    wf = 0.25 * (profile.w[:-1] + profile.w[1:])
+    s = np.zeros((n, n))
+    for j in range(n - 1):
+        flux = np.zeros(n)
+        flux[j], flux[j + 1] = -kf[j] - wf[j], kf[j] - wf[j]
+        s[j] += flux
+        s[j + 1] -= flux
+    m = np.diag(profile.grid.weights)
+    return m - 0.5 * dt * s, m + 0.5 * dt * s
+
+
+class TestCrankNicolsonStep:
+    @pytest.mark.parametrize("transpose", [False, True], ids=["forward", "transposed"])
+    @pytest.mark.parametrize("peclet", [0.3, 0.95])
+    def test_one_step_matches_the_dense_solve(self, transpose, peclet):
+        # the symmetrized step without R against L q' = R q + b (or the
+        # transposes) solved densely, with an advective, variable profile
+        grid = ColumnGrid(h=1.0, n=41)
+        z = grid.nodes
+        k = 0.5 + z * (1.0 - z)
+        w = peclet * (2.0 * 0.5 / grid.spacing) * np.sin(np.pi * z)
+        profile = validate_profile(k, w, grid)
+        rng = np.random.default_rng(3)
+        q, b = rng.standard_normal((2, grid.n))
+        left, right = dense_cn_matrices(profile, 0.01)
+        if transpose:
+            left, right = left.T, right.T
+        expected = np.linalg.solve(left, right @ q + b)
+
+        scale = profile.scaling if transpose else 1.0 / profile.scaling  # u = scale q
+        seen = []
+
+        def forcing(n, rhs):
+            rhs += scale * b
+
+        transport._cn_sweep(
+            profile, 0.01, q, range(1), forcing, lambda n, u: seen.append(u / scale), transpose
+        )
+        assert np.abs(seen[0] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestMassBalance:
     def test_constant_injection_grows_linearly(self):
         profile = constant_profile(51, k=2.0)
