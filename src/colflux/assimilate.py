@@ -127,6 +127,10 @@ class _DiagonalPrior:
         """diag(C0), the diagonal of what ``covariance`` applies."""
         return self.s2 / self.w
 
+    def shift(self, diag: np.ndarray) -> float:
+        """The oracle's c: at most each diagonal entry P keeps (P = I: none)."""
+        return 0.0
+
 
 class _DirichletPrior(_DiagonalPrior):
     """Inverse Laplacian -sigma^-2 d^2/dt^2 on functions vanishing at both ends."""
@@ -169,6 +173,9 @@ class _DirichletPrior(_DiagonalPrior):
         m = self.n - 2
         i = np.arange(self.n, dtype=float)
         return self.s2 * self.dt * i * (m + 1 - i) / (m + 1)
+
+    def shift(self, diag):
+        return diag[1:-1].min(initial=1.0)  # the pinned rows decouple exactly
 
 
 class _PeriodicPrior(_DiagonalPrior):
@@ -259,6 +266,9 @@ class _PeriodicPrior(_DiagonalPrior):
         m = self.n - 1
         return np.full(self.n, self.s2 * self.dt * (m * m - 1) / (12.0 * m))
 
+    def shift(self, diag):
+        return diag.min()
+
 
 _KINDS = {
     "dirichlet_inverse_laplacian": _DirichletPrior,
@@ -327,9 +337,7 @@ class AssimilationProblem:
             msg = "assimilation requires positive noise levels with normal-double squares"
             raise ValueError(msg)
         # observation times must be nodes of the flux time grid
-        idx = tuple(
-            self.prior.grid.index_of(t) for t in self.observations.times
-        )
+        idx = tuple(self.prior.grid.index_of(t) for t in self.observations.times)
         object.__setattr__(self, "_obs_indices", idx)
 
     @property
@@ -612,35 +620,37 @@ def representer_rows(problem: AssimilationProblem) -> np.ndarray:
 
 def _dense_prior_precision(problem: AssimilationProblem) -> np.ndarray:
     """Dense W C0^{-1} on the full node set (Euclidean form matrix)."""
-    spec = problem.prior
-    family = spec._family
+    family = problem.prior._family
     # projected columns are admissible, so no check is needed
-    p = family.apply_inverse(family.project(np.eye(spec.grid.n)))
-    p *= spec.grid.weights[:, None]
+    p = family.apply_inverse(family.project(np.eye(family.n)))
+    p *= family.w[:, None]
     return p
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises
 def _dense_posterior(problem: AssimilationProblem):
-    """P (A - I) P + I for the dense posterior precision A = W C0^{-1} +
-    G^T R^{-1} G and the prior's projection P, and P G^T R^{-1} (y - G F0 -
-    free response). The matrix is A on the admissible subspace and the
-    identity across it, so a solve with a projected right-hand side stays
-    in the subspace: zero on pinned nodes, equal on identified ones."""
+    """P (A - cI) P + cI for the dense posterior precision A = W C0^{-1} +
+    G^T R^{-1} G, the prior's projection P and its ``shift`` c, and
+    P G^T R^{-1} (y - G F0 - free response). The matrix is A on the
+    admissible subspace and c across it, so a solve with a projected
+    right-hand side stays in the subspace: zero on pinned nodes, equal on
+    identified ones. c is at most each diagonal entry a that P keeps, so
+    (a - c) + c loses at most an ulp of a in any units."""
     n = problem.prior.grid.n
     if n > ORACLE_MAX_NODES:
         msg = f"dense oracle supports at most {ORACLE_MAX_NODES} time nodes, got {n}"
         raise CapacityError(msg)
-    project = problem.prior._family.project
+    family = problem.prior._family
     ghat = problem.forward_rows
     r2 = problem.observations.noise_levels**2
     prec = _dense_prior_precision(problem)
     prec += (ghat.T / r2) @ ghat
-    prec.flat[:: n + 1] -= 1.0
-    prec = project(prec)  # one projected copy alive at a time
-    prec = project(prec.T).T  # P^T = P, and A is symmetric
-    prec.flat[:: n + 1] += 1.0
-    rhs = project(ghat.T @ (problem.innovation / r2))
+    c = family.shift(prec.diagonal())
+    prec.flat[:: n + 1] -= c
+    prec = family.project(prec)  # one projected copy alive at a time
+    prec = family.project(prec.T).T  # P^T = P, and A is symmetric
+    prec.flat[:: n + 1] += c
+    rhs = family.project(ghat.T @ (problem.innovation / r2))
     if not (np.isfinite(prec).all() and np.isfinite(rhs).all()):
         raise NumericalError("the dense posterior precision overflows")
     return prec, rhs
@@ -659,8 +669,7 @@ def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
     CapacityError
         If the time grid exceeds 2048 nodes.
     NumericalError
-        If the two forward-map constructions disagree, or the precision
-        overflows.
+        If the forward-map constructions disagree or the precision overflows.
     """
     prec, rhs = _dense_posterior(problem)
     return problem.prior.mean.values + np.linalg.solve(prec, rhs)
@@ -697,8 +706,7 @@ def lowrank_posterior(problem: AssimilationProblem):
     Raises
     ------
     NumericalError
-        If the two forward-map constructions disagree, or the result
-        overflows.
+        If the forward-map constructions disagree or the result overflows.
     """
     g = problem.forward_rows
     spec = problem.prior

@@ -8,8 +8,8 @@ sampled on a column grid. Four standing assumptions are enforced:
 * A2, ellipticity: k is strictly positive; the attained minimum is stored
   as ``epsilon``.
 * A3, closed boundaries: w vanishes at the surface and at the column top.
-* A4, resolved advection: every cell Peclet number |w| dz / (2 k) is below
-  1, and the scaling that then symmetrizes the stepper is a finite double.
+* A4, resolved advection: every cell Peclet number P = |w| dz / (2 k) is
+  below 1, and prod sqrt((1 + P) / (1 - P)) is a finite, nonzero double.
 """
 
 from __future__ import annotations
@@ -37,17 +37,12 @@ class CoefficientProfile:
     Instances should be built through :func:`validate_profile`; direct
     construction re-checks A2, A3, A4 and finiteness but skips the
     smoothness proxy.
-
-    ``scaling`` is d with d[0] = 1 and d[j+1] / d[j] = sqrt((1 + P) / (1 - P)),
-    P = w dz / (2 k) of face means between nodes j and j+1: D^-1 S D is
-    symmetric for the flux-difference operator S of ``transport``.
     """
 
     grid: ColumnGrid
     k: np.ndarray
     w: np.ndarray
     epsilon: float = field(init=False)
-    scaling: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.ascontiguousarray(self.k, dtype=float)
@@ -77,16 +72,14 @@ class CoefficientProfile:
         if not abs(peclet[face]) < 1.0:
             msg = f"cell Peclet number |w| dz / (2 k) is {abs(peclet[face]):.3e} >= 1"
             raise AssumptionError("A4", f"{msg} between nodes {face} and {face + 1}")
-        with np.errstate(over="ignore", divide="ignore"):
-            scaling = np.cumprod(np.append(1.0, np.sqrt((1.0 + peclet) / (1.0 - peclet))))
-            if not np.isfinite(np.append(scaling, 1.0 / scaling)).all():
-                raise AssumptionError("A4", "the symmetrizing scaling leaves the double range")
-        for a in (k, w, scaling):
-            a.setflags(write=False)
+        # transport's scaling in log space: 0.5 log((1 + P) / (1 - P)) = arctanh(P)
+        if np.abs(np.cumsum(np.arctanh(peclet))).max() >= np.log(np.finfo(float).max):
+            raise AssumptionError("A4", "the symmetrizing scaling leaves the double range")
+        k.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "epsilon", kmin)
-        object.__setattr__(self, "scaling", scaling)
 
 
 def validate_profile(k, w, grid: ColumnGrid) -> CoefficientProfile:

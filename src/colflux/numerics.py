@@ -270,8 +270,7 @@ def exp_inner_coefficients(grid: TimeGrid, lam: float, t_obs: float) -> np.ndarr
 
 
 def factor_tridiagonal(diag, off):
-    """Factor a symmetric positive definite tridiagonal matrix once and
-    return a solver for it.
+    """Factor an SPD tridiagonal matrix once and return a solver for it.
 
     LDL^T with no pivoting (LAPACK ``dpttrf``); each call of the returned
     ``solve(rhs)`` is one ``dpttrs`` solve against the stored factors, so a

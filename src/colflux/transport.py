@@ -91,14 +91,15 @@ class MixingRatioField:
 
 
 def _symmetric_flux_divergence(profile: CoefficientProfile):
-    """Diagonal and off-diagonal of D^-1 S D for the flux-difference operator S.
+    """Diagonals of D^-1 S D for the flux-difference operator S, and d = diag(D).
 
     (S q)_j collects the interface fluxes k q_z - w q around node j, with
     the two boundary fluxes excluded (they enter as forcing). Interface
     coefficients are arithmetic means of the nodal samples. The columns of
     S sum to zero, which is what makes the discrete mass balance exact.
-    S has kf + wf below the diagonal and kf - wf above it, so with D =
-    ``profile.scaling`` both off-diagonals of D^-1 S D are sqrt(kf^2 - wf^2).
+    S has kf + wf below the diagonal and kf - wf above it, so with d[0] = 1
+    and d[j+1] / d[j] = sqrt((kf + wf) / (kf - wf)) both off-diagonals of
+    D^-1 S D are sqrt(kf^2 - wf^2). A4 keeps kf > |wf| and d finite.
     """
     dz = profile.grid.spacing
     kf = 0.5 * (profile.k[:-1] + profile.k[1:]) / dz
@@ -107,25 +108,26 @@ def _symmetric_flux_divergence(profile: CoefficientProfile):
     # flux through face j+1/2 adds to row j, subtracts from row j+1
     diag[:-1] -= kf + wf
     diag[1:] -= kf - wf
-    return diag, np.sqrt((kf + wf) * (kf - wf))
+    d = np.cumprod(np.append(1.0, np.sqrt((kf + wf) / (kf - wf))))
+    return diag, np.sqrt((kf + wf) * (kf - wf)), d
 
 
 def _cn_sweep(profile, dt, q, steps, forcing, visit, transpose=False):
     """The one Crank-Nicolson loop: L q' = R q + b_n for each step n in ``steps``.
 
-    L = M - dt/2 S and R = M + dt/2 S = 2M - L (their transposes when
-    ``transpose``), so q' = L^-1 (2 M q + b_n) - q. With D = ``profile.scaling``,
-    L = D Ls D^-1 and L^T = D^-1 Ls D for one SPD Ls, factored once, so the
-    loop runs on u = D^-1 q (D q when ``transpose``): u' = Ls^-1 (2 M u + c_n) - u.
+    L = M - dt/2 S and R = M + dt/2 S = 2M - L (transposed if ``transpose``),
+    so q' = L^-1 (2 M q + b_n) - q. With D from ``_symmetric_flux_divergence``,
+    L = D Ls D^-1 and L^T = D^-1 Ls D for one SPD Ls, factored once: the loop
+    runs on u = D^-1 q (D q if ``transpose``), u' = Ls^-1 (2 M u + c_n) - u.
     ``forcing(n, rhs)`` adds c_n = D^-1 b_n (D b_n) in place and ``visit(n, u')``
     sees each new state; nothing is stored. d[0] = 1: surface entries are unscaled.
     """
-    diag, off = _symmetric_flux_divergence(profile)
+    diag, off, d = _symmetric_flux_divergence(profile)
     half = 0.5 * dt
     m = profile.grid.weights
     solve = factor_tridiagonal(m - half * diag, -half * off)
     m2 = 2.0 * m
-    u = q * profile.scaling if transpose else q / profile.scaling
+    u = q * d if transpose else q / d
     for n in steps:
         rhs = m2 * u
         forcing(n, rhs)
@@ -188,7 +190,7 @@ def solve_forward(
         columns.setdefault(n, []).append(j)
     out = np.empty((grid.n, len(kept)))
     out[:, columns.get(0, [])] = q0[:, None]
-    d = profile.scaling
+    d = _symmetric_flux_divergence(profile)[2]
 
     def forcing(n, rhs):
         rhs[0] += 0.5 * dt * k0 * (f[n] + f[n + 1])
@@ -226,7 +228,7 @@ def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
     dt = tgrid.spacing
     steps = max(nodes, default=0)
     a = np.empty((len(functionals), steps))
-    observe = functionals * profile.scaling  # the functionals of u = D^-1 q
+    observe = functionals * _symmetric_flux_divergence(profile)[2]  # of u = D^-1 q
 
     def forcing(n, rhs):
         if n == 0:
@@ -254,7 +256,8 @@ def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, impulses):
     """
     out = np.zeros(tgrid.n)
     half = 0.5 * tgrid.spacing * profile.k[0]
-    scaled = {n: profile.scaling * v for n, v in impulses.items()}
+    d = _symmetric_flux_divergence(profile)[2]
+    scaled = {n: d * v for n, v in impulses.items()}
 
     def forcing(n, rhs):
         if n + 1 in scaled:
@@ -319,8 +322,7 @@ def energy_fit(field: MixingRatioField, flux: FluxSignal, q0) -> float:
         raise DiagnosticError("squared norms of the field or the flux overflow")
 
     def admissible(kappa: float) -> bool:
-        # e^{kappa t} overflows once kappa t > 709; the inf bound admits
-        # every finite norm, as the exact one would
+        # e^{kappa t} overflows past kappa t = 709; inf admits every finite norm
         with np.errstate(over="ignore", invalid="ignore"):
             return bool(np.all(norms2 <= kappa * np.exp(kappa * t) * budget))
 

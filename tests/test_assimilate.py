@@ -12,6 +12,7 @@ from colflux.assimilate import (
     PRIOR_KINDS,
     AssimilationProblem,
     PriorSpec,
+    _dense_posterior,
     _dense_prior_precision,
     cost,
     gradient,
@@ -791,6 +792,53 @@ class TestOracleBayes:
         dual = g.T @ (problem.innovation / problem.observations.noise_levels**2)
         expected = problem.prior.mean.values + oracle_covariance(problem) @ dual
         assert max_rel(oracle_bayes(problem), expected) <= 1e-10
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("nodes", [65, 513])
+    @pytest.mark.parametrize("scale", [1e-8, 1e8, 1e100])
+    def test_mean_is_free_of_units(self, kind, nodes, scale):
+        # sigma and the noise levels times `scale` divide the precision and
+        # its right-hand side by scale^2 and leave the mean as it was; sigma
+        # alone at 1e8 would leave a precision too ill-conditioned to compare
+        base = released_problem(kind, nodes=nodes)
+        obs = base.observations
+        problem = AssimilationProblem(
+            profile=base.profile,
+            q0=base.q0,
+            observations=ObservationSet(
+                times=obs.times, values=obs.values, noise_levels=scale * obs.noise_levels
+            ),
+            weights=base.weights,
+            prior=PriorSpec(mean=base.prior.mean, kind=kind, sigma=scale * base.prior.sigma),
+        )
+        f0 = base.prior.mean.values
+        expected = oracle_bayes(base) - f0
+        assert max_rel(oracle_bayes(problem) - f0, expected) <= 1e-10
+        assert max_rel(oracle_bayes(problem) - f0, lowrank_posterior(problem)[0] - f0) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["dirichlet_inverse_laplacian", "diagonal"])
+    def test_precision_keeps_its_digits_at_large_sigma(self, kind):
+        # at sigma = 1e8 the prior's part of A is ~1e-14, the data's ~1e-2;
+        # the oracle's matrix must still equal A on the nodes the projection
+        # keeps, to an ulp
+        base = released_problem(kind)
+        prior = PriorSpec(mean=base.prior.mean, kind=kind, sigma=1e8)
+        problem = AssimilationProblem(
+            profile=base.profile,
+            q0=base.q0,
+            observations=base.observations,
+            weights=base.weights,
+            prior=prior,
+        )
+        g = problem.forward_rows
+        a = _dense_prior_precision(problem) + (g.T / problem.observations.noise_levels**2) @ g
+        prec, _ = _dense_posterior(problem)
+        if kind == "diagonal":  # P = I: no shift at all
+            assert np.array_equal(prec, a)
+            return
+        kept = slice(1, -1)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(prec[kept, kept] - a[kept, kept]) <= eps * np.abs(a[kept, kept]))
 
     def test_dirichlet_mean_holds_two_nt_x_nt_arrays(self):
         # the default prior's oracle at 1025 nodes: the precision and one

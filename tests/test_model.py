@@ -6,6 +6,7 @@ import pytest
 from colflux.errors import AssumptionError
 from colflux.model import CoefficientProfile, mu_weight, validate_profile
 from colflux.numerics import ColumnGrid
+from colflux.transport import _symmetric_flux_divergence
 
 
 @pytest.fixture
@@ -83,8 +84,8 @@ class TestValidation:
         grid = ColumnGrid(h=1.0, n=65)
         peak = 0.999 * 2.0 / grid.spacing  # |w| dz / (2 k) <= 0.999 at every face
         profile = validate_profile(np.ones(grid.n), peak * np.sin(np.pi * grid.nodes), grid)
-        ratio = profile.scaling[1:] / profile.scaling[:-1]
-        assert profile.scaling[0] == 1.0 and np.all(ratio >= 1.0)
+        d = _symmetric_flux_divergence(profile)[2]
+        assert d[0] == 1.0 and np.all(d[1:] / d[:-1] >= 1.0) and np.isfinite(d).all()
 
     def test_scaling_beyond_the_double_range_is_rejected(self):
         # cell Peclet 0.99 on 398 faces: d grows by sqrt(199) per face, to 1e458
@@ -95,9 +96,24 @@ class TestValidation:
             CoefficientProfile(grid=grid, k=np.ones(grid.n), w=w)
         assert err.value.assumption == "A4"
 
+    @pytest.mark.parametrize("n", range(266, 274))
+    def test_accepted_scalings_are_finite_both_ways(self, n):
+        # the A4 bound in log space against the scaling transport builds:
+        # at cell Peclet 0.99 it reaches 2.3e307 at 270 nodes, 3.3e308 at 271
+        grid = ColumnGrid(h=1.0, n=n)
+        w = np.full(n, 0.99 * 2.0 / grid.spacing)
+        w[[0, -1]] = 0.0
+        try:
+            profile = CoefficientProfile(grid=grid, k=np.ones(n), w=w)
+        except AssumptionError as err:
+            assert err.assumption == "A4" and n >= 271
+            return
+        d = _symmetric_flux_divergence(profile)[2]
+        assert np.isfinite(d).all() and np.isfinite(1.0 / d).all()
+
     def test_arrays_are_frozen(self, grid):
         profile = validate_profile(np.ones(grid.n), np.zeros(grid.n), grid)
-        for values in (profile.k, profile.w, profile.scaling):
+        for values in (profile.k, profile.w):
             with pytest.raises(ValueError):
                 values[0] = 3.0
 

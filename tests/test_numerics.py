@@ -346,7 +346,7 @@ def cn_left_bands(nz=201, nt=256):
     profile = validate_profile(
         0.5 + z * (1.0 - z), 0.3 * np.sin(np.pi * z), grid
     )
-    diag, off = _symmetric_flux_divergence(profile)
+    diag, off, _ = _symmetric_flux_divergence(profile)
     half = 0.5 / (nt - 1)
     return grid.weights - half * diag, -half * off
 
@@ -400,6 +400,9 @@ class TestFactorTridiagonal:
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="off-diagonal"):
             factor_tridiagonal(np.ones(4), np.ones(2))
+        solve = factor_tridiagonal(3.0 * np.ones(3), np.ones(2))
+        with pytest.raises(ValueError, match="leading dimension"):
+            solve(np.ones(4))
 
 
 def reference_csv(header, columns):

@@ -166,7 +166,8 @@ class TestCrankNicolsonStep:
             left, right = left.T, right.T
         expected = np.linalg.solve(left, right @ q + b)
 
-        scale = profile.scaling if transpose else 1.0 / profile.scaling  # u = scale q
+        d = transport._symmetric_flux_divergence(profile)[2]
+        scale = d if transpose else 1.0 / d  # u = scale q
         seen = []
 
         def forcing(n, rhs):
