@@ -7,6 +7,7 @@ diagnostics (gain directions, monotonicity, blind directions) that say
 what such observations can and cannot see.
 """
 
+from . import assimilate, errors, model, numerics, observe, posterior, spectral, transport
 from .assimilate import *
 from .errors import *
 from .model import *
@@ -15,10 +16,6 @@ from .observe import *
 from .posterior import *
 from .spectral import *
 from .transport import *
-
-# The submodules are bound after the star imports: binding them first made
-# scipy.linalg's import measurably slower (python -X importtime).
-from . import assimilate, errors, model, numerics, observe, posterior, spectral, transport
 
 __version__ = "0.1.0"
 

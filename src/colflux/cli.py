@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from numpy.random import Generator, Philox
 
 from . import __version__
 from .assimilate import (
@@ -375,7 +376,7 @@ def _scenario_blind(ws: _Workspace, out: Path) -> list:
     g = blind_direction(ws.eig, t_obs, config.blind_m, ws.tgrid, seed_values)
     _write_csv(out / "blind.csv", "t,G", (ws.tgrid.nodes, g))
 
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = Generator(Philox(key=config.seed))
     g_norm = np.sqrt(trapezoid(g**2, ws.tgrid))
     projections = []
     for _ in range(50):

@@ -9,11 +9,14 @@ allocation-light, and safe to call concurrently.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
+from sysconfig import get_config_var
 
 import numpy as np
-import scipy.linalg.lapack
+import scipy
 
 from .errors import SingularSystemError
 
@@ -38,6 +41,23 @@ NODE_RTOL = 1e-9
 # text is all the formatter holds, whatever the file's size. Three times
 # as many raised the peak RSS of a 16385-row `blind` run by about 0.15 MB.
 _CSV_BLOCK_CELLS = 1024
+
+
+def _load_flapack():
+    """SciPy's LAPACK extension, without scipy.linalg's 0.2 s package import."""
+    path = Path(scipy.__file__).parent / "linalg" / f"_flapack{get_config_var('EXT_SUFFIX')}"
+    module = None
+    if path.is_file():
+        spec = importlib.util.spec_from_file_location("colflux._flapack", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    missing = sorted({"dpttrf", "dpttrs", "dstebz", "dstein"} - set(dir(module)))
+    if missing:
+        raise ImportError(f"{missing} not found in {path} (SciPy {scipy.__version__})")
+    return module
+
+
+_flapack = _load_flapack()
 
 
 def _nodal(values, shape: tuple, name: str) -> np.ndarray:
@@ -301,7 +321,7 @@ def factor_tridiagonal(diag, off):
         msg = f"off-diagonal must have length {n - 1}, got {off.shape[0]}"
         raise ValueError(msg)
     # the LAPACK wrapper wants an off-diagonal of length 1 or more
-    d, e, info = scipy.linalg.lapack.dpttrf(diag, off if n > 1 else np.zeros(1))
+    d, e, info = _flapack.dpttrf(diag, off if n > 1 else np.zeros(1))
     if info > 0:
         msg = f"matrix is not positive definite: leading minor {info} is not positive"
         raise SingularSystemError(msg)
@@ -311,7 +331,7 @@ def factor_tridiagonal(diag, off):
         if rhs.shape[0] != n:
             msg = f"rhs has leading dimension {rhs.shape[0]}, expected {n}"
             raise ValueError(msg)
-        return scipy.linalg.lapack.dpttrs(d, e, rhs)[0]
+        return _flapack.dpttrs(d, e, rhs)[0]
 
     return solve
 

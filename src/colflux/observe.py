@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .model import CoefficientProfile
 from .numerics import ColumnGrid, _frozen, _nodal, _write_csv, trapezoid
@@ -148,7 +149,7 @@ def _standard_normal(seed: int, index: int) -> float:
     Philox 4x64 keyed by the seed, counter block [index, 0, 0, 0]; two
     uniforms through Box-Muller (cosine branch). See the module docstring.
     """
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[index, 0, 0, 0]))
+    gen = Generator(Philox(key=seed, counter=[index, 0, 0, 0]))
     u = gen.random(2)
     return float(np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1]))
 

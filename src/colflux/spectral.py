@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .errors import DomainError, NormalizationError
+from .errors import DomainError, NormalizationError, NumericalError
 from .model import CoefficientProfile, mu_weight
-from .numerics import _nodal
+from .numerics import _flapack, _nodal
 
 __all__ = [
     "EigenSystem",
@@ -108,9 +107,10 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     ------
     DomainError
         If ``n_modes`` is out of range for the grid.
-    NormalizationError
-        If a computed mode (nearly) vanishes at the surface, so the
-        surface-one gauge cannot be applied.
+    NumericalError
+        NormalizationError if a computed mode (nearly) vanishes at the
+        surface, so the surface-one gauge cannot be applied; NumericalError
+        itself if LAPACK reports a failed eigensolve.
     """
     grid = profile.grid
     n_modes = int(n_modes)
@@ -135,18 +135,24 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
 
     # similarity transform to an ordinary symmetric tridiagonal problem
     sqrt_b = np.sqrt(b)
-    d_main = a_diag / b
-    d_off = a_off / (sqrt_b[:-1] * sqrt_b[1:])
-    vals, vecs = eigh_tridiagonal(
-        d_main, d_off, select="i", select_range=(0, n_modes - 1)
-    )
+    d = _nodal(a_diag / b, (grid.n,), "eigenproblem diagonal")
+    e = _nodal(a_off / (sqrt_b[:-1] * sqrt_b[1:]), (grid.n - 1,), "eigenproblem band")
+    # eigh_tridiagonal(select="i")'s calls: bisection, inverse iteration, sort
+    m, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, 1, n_modes, 0.0, "B")
+    if info != 0:
+        raise NumericalError(f"LAPACK dstebz failed with info={info}")
+    vecs, info = _flapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise NumericalError(f"LAPACK dstein failed with info={info}")
+    order = np.argsort(w[:m])
+    vals, vecs = w[order], vecs[:, order]
 
     # the operator is positive semidefinite with an exact null vector: the
     # stiffness rows sum to zero, so constants are annihilated in exact
     # arithmetic and the first eigenvalue is zero up to solver rounding.
     # Pin it, and treat anything beyond backward-error scale as a failure.
-    tol = 100.0 * np.finfo(float).eps * max(float(np.abs(d_main).max()), 1.0)
-    if abs(vals[0]) > tol:
+    tol = 100.0 * np.finfo(float).eps * max(float(np.abs(d).max()), 1.0)
+    if not abs(vals[0]) <= tol:
         msg = f"constant-mode eigenvalue {vals[0]!r} exceeds rounding scale"
         raise NormalizationError(msg)
     vals = np.maximum(vals, 0.0)
@@ -155,7 +161,7 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     modes = vecs / sqrt_b[:, None]
     sup = np.max(np.abs(modes), axis=0)
     surface = modes[0] / sup
-    small = np.abs(surface) < SURFACE_GAUGE_TOL
+    small = ~(np.abs(surface) >= SURFACE_GAUGE_TOL)
     if small.any():
         idx = int(np.argmax(small))
         msg = (

@@ -653,11 +653,19 @@ class TestRunScenarioDirect:
         assert "colflux" in manifest["versions"]
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    code = "import sys, colflux.cli; print('scipy.integrate' in sys.modules)"
+@pytest.mark.parametrize(
+    "module", ["scipy.integrate", "scipy.linalg", "numpy.f2py", "numpy.testing"]
+)
+def test_cli_import_does_not_load(module):
+    # each of these costs tens of milliseconds in every colflux process
+    prefix = module.split(".")
+    code = (
+        "import sys, colflux.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[:2] == {prefix!r}))"
+    )
     proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def error_report(capsys) -> dict:

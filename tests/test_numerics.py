@@ -1,16 +1,20 @@
 """Grids, quadrature, exponential inner products, tridiagonal solves, CSV."""
 
+import importlib.util
 import io
 import math
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+import scipy
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colflux.numerics as numerics
 from colflux.errors import SingularSystemError
 from colflux.model import validate_profile
 from colflux.numerics import (
@@ -403,6 +407,37 @@ class TestFactorTridiagonal:
         solve = factor_tridiagonal(3.0 * np.ones(3), np.ones(2))
         with pytest.raises(ValueError, match="leading dimension"):
             solve(np.ones(4))
+
+
+class TestLapackModule:
+    """``numerics`` loads SciPy's LAPACK extension without scipy.linalg."""
+
+    def test_scipy_linalg_imported_later_gets_its_own_copy(self):
+        import scipy.linalg.lapack as lapack
+
+        assert numerics._flapack is not lapack._flapack
+        diag, off = cn_left_bands(nz=41)
+        rhs = np.random.default_rng(8).standard_normal((41, 3))
+        d, e, info = lapack.dpttrf(diag, off)
+        assert info == 0
+        expected = lapack.dpttrs(d, e, rhs)[0]
+        np.testing.assert_array_equal(factor_tridiagonal(diag, off)(rhs), expected)
+
+    def test_missing_extension_names_path_and_version(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(ImportError) as exc:
+            numerics._load_flapack()
+        message = str(exc.value)
+        assert str(tmp_path / "linalg" / "_flapack") in message
+        assert f"SciPy {scipy.__version__}" in message
+        assert "'dpttrf', 'dpttrs', 'dstebz', 'dstein'" in message
+
+    def test_missing_routine_is_named(self, monkeypatch):
+        stub = types.ModuleType("stub")
+        stub.dpttrf = stub.dpttrs = stub.dstebz = object()
+        monkeypatch.setattr(importlib.util, "module_from_spec", lambda spec: stub)
+        with pytest.raises(ImportError, match=r"\['dstein'\] not found in .*_flapack"):
+            numerics._load_flapack()
 
 
 def reference_csv(header, columns):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
-from colflux.errors import DomainError
-from colflux.model import validate_profile
-from colflux.numerics import ColumnGrid
+import colflux.spectral as spectral
+from colflux.errors import DomainError, NormalizationError, NumericalError
+from colflux.model import CoefficientProfile, validate_profile
+from colflux.numerics import ColumnGrid, _flapack
 from colflux.spectral import (
     eigensystem,
     expand_weight,
@@ -106,6 +108,91 @@ class TestGeneralProfiles:
         with pytest.raises(DomainError, match="n_modes"):
             eigensystem(profile, 0)
         assert eigensystem(profile, 10).n_modes == 10
+
+
+class ScipyEigensolver:
+    """Stands in for the LAPACK module in ``spectral``: SciPy's
+    ``eigh_tridiagonal(select="i")``, the slower, independent reference,
+    answers the bisection request and hands its modes to ``dstein``."""
+
+    def dstebz(self, d, e, rng, vl, vu, il, iu, tol, order):
+        assert (rng, il, tol, order) == (2, 1, 0.0, "B")
+        self.w, self.v = eigh_tridiagonal(d, e, select="i", select_range=(il - 1, iu - 1))
+        return len(self.w), self.w, None, None, 0
+
+    def dstein(self, d, e, w, iblock, isplit):
+        assert np.array_equal(w, self.w)
+        return self.v, 0
+
+
+class PatchedLapack:
+    """The real routines, with one fault planted in what they return."""
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def dstebz(self, *args):
+        m, w, iblock, isplit, info = _flapack.dstebz(*args)
+        self.w = w.copy()
+        if self.fault == "nan eigenvalues":
+            w[:] = np.nan
+        return m, w, iblock, isplit, 1 if self.fault == "dstebz info" else info
+
+    def dstein(self, d, e, w, iblock, isplit):
+        vecs, info = _flapack.dstein(d, e, self.w[: len(w)], iblock, isplit)
+        if self.fault == "nan mode":
+            vecs[:, 2] = np.nan
+        return vecs, 1 if self.fault == "dstein info" else info
+
+
+class TestLapackEigensolve:
+    """``eigensystem`` calls dstebz and dstein itself, as SciPy would."""
+
+    @pytest.mark.parametrize(
+        "profile, n_modes",
+        [
+            (lambda: constant_profile(65), 8),
+            (lambda: smooth_profile(3), 20),
+            (lambda: smooth_profile(11, nz=1001), 32),
+            (lambda: smooth_profile(5, nz=4001), 40),
+        ],
+        ids=["constant-65", "advective-161", "advective-1001", "diagnose-4001"],
+    )
+    def test_bit_identical_to_scipy_eigh_tridiagonal(self, monkeypatch, profile, n_modes):
+        profile = profile()
+        ours = eigensystem(profile, n_modes)
+        monkeypatch.setattr(spectral, "_flapack", ScipyEigensolver())
+        ref = eigensystem(profile, n_modes)
+        for name in ("eigenvalues", "modes", "mu_norms", "mu"):
+            assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_lapack_failure_is_a_numerical_error(self, monkeypatch, routine):
+        monkeypatch.setattr(spectral, "_flapack", PatchedLapack(f"{routine} info"))
+        message = f"LAPACK {routine} failed with info=1"
+        with pytest.raises(NumericalError, match=message) as exc:
+            eigensystem(constant_profile(65), 4)
+        assert type(exc.value) is NumericalError
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("nan eigenvalues", r"constant-mode eigenvalue .*nan"),
+            ("nan mode", "mode 2 has surface value nan"),
+        ],
+    )
+    def test_nan_from_the_eigensolver_fails_its_gate(self, monkeypatch, fault, message):
+        monkeypatch.setattr(spectral, "_flapack", PatchedLapack(fault))
+        with pytest.raises(NormalizationError, match=message):
+            eigensystem(smooth_profile(3), 6)
+
+    def test_non_finite_bands_are_rejected(self):
+        # k*mu overflows at k = 1e308, so every band is infinite
+        grid = ColumnGrid(h=1.0, n=65)
+        with np.errstate(over="ignore"):
+            profile = CoefficientProfile(grid=grid, k=np.full(65, 1e308), w=np.zeros(65))
+            with pytest.raises(ValueError, match="eigenproblem diagonal values must be finite"):
+                eigensystem(profile, 4)
 
 
 class TestExpansion:
