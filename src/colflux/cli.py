@@ -46,7 +46,7 @@ from .errors import (
     DiagnosticError,
     NumericalError,
 )
-from .model import validate_profile
+from .model import CoefficientProfile
 from .numerics import (
     ColumnGrid,
     TimeGrid,
@@ -142,8 +142,8 @@ class _Workspace:
         # where it is used, so no run holds the values of specs it never uses
         for path in self._specs:
             self.values(path)
-        self.profile = validate_profile(
-            self.values("model.k"), self.values("model.w"), self.zgrid
+        self.profile = CoefficientProfile(
+            grid=self.zgrid, k=self.values("model.k"), w=self.values("model.w")
         )
 
     def values(self, path: str) -> np.ndarray:
@@ -666,8 +666,6 @@ def parse_config(
     if "scenario" not in kwargs:
         _fail("scenario", f"missing; expected one of {SCENARIOS}")
     config = ExperimentConfig(**kwargs)
-    if config.k_spec["kind"] == "constant" and config.k_spec["value"] <= 0:
-        _fail("model.k.value", "diffusivity must be positive (assumption A2)")
     n_times = len(config.obs_times)
     for label in ("weights", "noise"):
         got = len(getattr(config, f"obs_{label}"))

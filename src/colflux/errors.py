@@ -38,9 +38,10 @@ class AssumptionError(ColfluxError, ValueError):
     """A coefficient profile violates one of the standing model assumptions.
 
     ``assumption`` is one of ``"A1"`` (smoothness proxy or non-finite data),
-    ``"A2"`` (diffusion not strictly positive), ``"A3"`` (velocity not zero
-    at the column boundaries), ``"A4"`` (a cell Peclet number of 1 or more,
-    or a symmetrizing scaling outside the double range).
+    ``"A2"`` (diffusion not strictly positive, or k / dz or k / dz**2 at a
+    face without a normal square), ``"A3"`` (velocity not zero at the
+    column boundaries), ``"A4"`` (a cell Peclet number of 1 or more, or a
+    symmetrizing scaling or the weight mu outside the double range).
     """
 
     def __init__(self, assumption: str, message: str):

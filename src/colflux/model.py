@@ -1,15 +1,16 @@
 """Coefficient profiles of the column model and their admissibility checks.
 
 A profile carries the diffusion coefficient k(z) and vertical velocity w(z)
-sampled on a column grid. Four standing assumptions are enforced:
+sampled on a column grid. Its constructor checks four standing assumptions:
 
-* A1, smoothness: k and w are twice continuously differentiable. On samples
-  this is approximated by bounding second divided differences.
-* A2, ellipticity: k is strictly positive; the attained minimum is stored
-  as ``epsilon``.
+* A1, smoothness: k and w are finite, and their second divided differences
+  (the sampled proxy for twice-differentiability) are bounded.
+* A2, ellipticity: k is strictly positive (its minimum is ``epsilon``), and
+  k / dz and k / dz**2 at every face have squares that are normal doubles.
 * A3, closed boundaries: w vanishes at the surface and at the column top.
 * A4, resolved advection: every cell Peclet number P = |w| dz / (2 k) is
-  below 1, and prod sqrt((1 + P) / (1 - P)) is a finite, nonzero double.
+  below 1; prod sqrt((1 + P) / (1 - P)), mu = exp(int w/k), k mu, k mu / dz
+  and the mass weights times mu are finite, nonzero doubles.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionError
-from .numerics import ColumnGrid, cumulative_trapezoid
+from .numerics import ColumnGrid, _frozen, _normal_square, cumulative_trapezoid
 
-__all__ = ["CoefficientProfile", "validate_profile", "mu_weight"]
+__all__ = ["CoefficientProfile", "mu_weight"]
 
 #: Bound on second divided differences used as the A1 proxy.
 SMOOTHNESS_BOUND = 1e6
@@ -29,14 +30,27 @@ SMOOTHNESS_BOUND = 1e6
 #: Absolute tolerance (scaled by max(1, |w|_inf)) for the A3 boundary check.
 BOUNDARY_W_TOL = 1e-12
 
+#: Logs of the least normal double and of half the largest (room for a face
+#: sum): the A4 range of mu, k mu, k mu / dz and the mass weights times mu.
+_LOG_RANGE = (np.log(np.finfo(float).tiny), np.log(np.finfo(float).max / 2.0))
+
 
 @dataclass(frozen=True)
 class CoefficientProfile:
-    """Validated diffusion/velocity profile on a column grid.
+    """Diffusion/velocity profile on a column grid, checked against A1-A4.
 
-    Instances should be built through :func:`validate_profile`; direct
-    construction re-checks A2, A3, A4 and finiteness but skips the
-    smoothness proxy.
+    ``k`` and ``w`` take one sample per grid node and are stored as
+    read-only float arrays.
+
+    Raises
+    ------
+    ValueError
+        If k or w does not have one value per grid node.
+    AssumptionError
+        Tagged with the first assumption violated, checked in the order A1
+        (finiteness), A2, A3, A4, A1 (second divided differences above
+        ``SMOOTHNESS_BOUND``); see the module docstring. No check warns: a
+        quantity that overflows becomes inf or NaN, which its check rejects.
     """
 
     grid: ColumnGrid
@@ -61,13 +75,30 @@ class CoefficientProfile:
             raise AssumptionError(
                 "A2", f"k must be strictly positive; k={kmin} at node {node}"
             )
+        dz = self.grid.spacing
+        # what the solvers form from k, w and dz, with transport's and
+        # mu_weight's arithmetic; an overflow gives inf or NaN, which fails
+        # its check below without a warning
+        with np.errstate(all="ignore"):
+            kf = 0.5 * (k[:-1] + k[1:]) / dz
+            faces = (kf, kf / dz)
+            peclet = 0.25 * (w[:-1] + w[1:]) / kf
+            log_mu = cumulative_trapezoid(w / k, dz)
+            log_km = np.log(k) + log_mu
+            logs = (log_mu, log_km, log_km - np.log(dz), np.log(self.grid.weights) + log_mu)
+            second = [np.abs(np.diff(v, n=2)) / dz**2 for v in (k, w)]
+        if not all(_normal_square(x) for x in faces):
+            spans = [f"[{x.min():.3e}, {x.max():.3e}]" for x in faces]
+            msg = f"k / dz at the faces ranges over {spans[0]} and k / dz**2 over {spans[1]}"
+            raise AssumptionError(
+                "A2", f"{msg}; both must lie in [2**-511, 2**512), where squares are normal"
+            )
         wtol = BOUNDARY_W_TOL * max(1.0, float(np.abs(w).max()))
         if abs(w[0]) > wtol or abs(w[-1]) > wtol:
             raise AssumptionError(
                 "A3",
                 f"w must vanish at both boundaries; w(0)={w[0]}, w(h)={w[-1]}",
             )
-        peclet = (w[:-1] + w[1:]) * self.grid.spacing / (2.0 * (k[:-1] + k[1:]))
         face = int(np.abs(peclet).argmax())
         if not abs(peclet[face]) < 1.0:
             msg = f"cell Peclet number |w| dz / (2 k) is {abs(peclet[face]):.3e} >= 1"
@@ -75,50 +106,21 @@ class CoefficientProfile:
         # transport's scaling in log space: 0.5 log((1 + P) / (1 - P)) = arctanh(P)
         if np.abs(np.cumsum(np.arctanh(peclet))).max() >= np.log(np.finfo(float).max):
             raise AssumptionError("A4", "the symmetrizing scaling leaves the double range")
-        k.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "epsilon", kmin)
-
-
-def validate_profile(k, w, grid: ColumnGrid) -> CoefficientProfile:
-    """Validate coefficient samples and build a profile.
-
-    The A1 proxy caps the second divided differences of k and w at
-    ``SMOOTHNESS_BOUND``: a testable surrogate for twice-differentiability,
-    which cannot be decided from samples alone.
-
-    Parameters
-    ----------
-    k, w : array_like
-        Nodal samples of diffusion and velocity, one value per grid node.
-    grid : ColumnGrid
-
-    Returns
-    -------
-    CoefficientProfile
-        With ``epsilon`` set to the attained minimum of k.
-
-    Raises
-    ------
-    AssumptionError
-        Tagged "A1" (non-finite data or smoothness proxy violated),
-        "A2" (k not strictly positive), "A3" (w nonzero at a boundary), or
-        "A4" (a cell Peclet number of 1 or more).
-    """
-    profile = CoefficientProfile(grid=grid, k=np.asarray(k, float), w=np.asarray(w, float))
-    dz2 = grid.spacing**2
-    for name, values in (("k", profile.k), ("w", profile.w)):
-        second = np.abs(np.diff(values, n=2)) / dz2
-        if second.size and float(second.max()) > SMOOTHNESS_BOUND:
-            worst = int(second.argmax()) + 1
+        lo, hi = _LOG_RANGE
+        if not all(((x >= lo) & (x < hi)).all() for x in logs):
+            msg = f"log mu ranges over [{log_mu.min():.3e}, {log_mu.max():.3e}]"
             raise AssumptionError(
-                "A1",
-                f"second divided difference of {name} is {second.max():.3e} "
-                f"at node {worst}, above the bound {SMOOTHNESS_BOUND:.3e}",
+                "A4", f"mu = exp(int w/k), k mu / dz or the mass weights times mu "
+                f"leave the double range; {msg}"
             )
-    return profile
+        for name, values in zip("kw", second):  # a grid has 3 nodes or more
+            if not values.max() <= SMOOTHNESS_BOUND:
+                msg = f"second divided difference of {name} is {values.max():.3e} at node"
+                bound = f"above the bound {SMOOTHNESS_BOUND:.3e}"
+                raise AssumptionError("A1", f"{msg} {values.argmax() + 1}, {bound}")
+        object.__setattr__(self, "k", _frozen(k))
+        object.__setattr__(self, "w", _frozen(w))
+        object.__setattr__(self, "epsilon", kmin)
 
 
 def mu_weight(profile: CoefficientProfile) -> np.ndarray:

@@ -87,29 +87,24 @@ class ObservationSet:
     noise_levels: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.times, dtype=float)
-        y = np.ascontiguousarray(self.values, dtype=float)
-        r = np.ascontiguousarray(self.noise_levels, dtype=float)
-        if not (t.ndim == 1 and t.shape == y.shape == r.shape):
+        fields = ("times", "values", "noise_levels")
+        labels = ("observation time", "observed", "noise level")
+        shapes = [np.shape(getattr(self, f)) for f in fields]
+        if not (len(shapes[0]) == 1 and shapes.count(shapes[0]) == 3):
             msg = (
                 "times, values and noise_levels must be 1-d and equally "
-                f"long, got {t.shape}, {y.shape}, {r.shape}"
+                f"long, got {', '.join(map(str, shapes))}"
             )
             raise ValueError(msg)
-        for name, arr in (("times", t), ("values", y), ("noise_levels", r)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
+        t, y, r = (_nodal(getattr(self, f), shapes[0], s) for f, s in zip(fields, labels))
         if not (np.diff(t) > 0).all():
             raise ValueError("observation times must be strictly increasing")
         if t.size and t[0] <= 0:
             raise ValueError("observation times must be positive")
         if (r < 0).any():
             raise ValueError("noise levels must be nonnegative")
-        for arr in (t, y, r):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", y)
-        object.__setattr__(self, "noise_levels", r)
+        for f, arr in zip(fields, (t, y, r)):
+            object.__setattr__(self, f, _frozen(arr))
 
     def __len__(self) -> int:
         return self.times.size

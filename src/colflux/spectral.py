@@ -153,7 +153,7 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     # Pin it, and treat anything beyond backward-error scale as a failure.
     tol = 100.0 * np.finfo(float).eps * max(float(np.abs(d).max()), 1.0)
     if not abs(vals[0]) <= tol:
-        msg = f"constant-mode eigenvalue {vals[0]!r} exceeds rounding scale"
+        msg = f"constant-mode eigenvalue {float(vals[0])} exceeds rounding scale"
         raise NormalizationError(msg)
     vals = np.maximum(vals, 0.0)
     vals[0] = 0.0

@@ -26,7 +26,7 @@ from colflux.assimilate import (
     representer_rows,
 )
 from colflux.cli import main
-from colflux.model import validate_profile
+from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.observe import (
     ObservationSet,
@@ -67,13 +67,15 @@ def criterion(label, budget=None):
 
 def constant_profile(nz):
     grid = ColumnGrid(h=1.0, n=nz)
-    return validate_profile(np.ones(nz), np.zeros(nz), grid)
+    return CoefficientProfile(grid=grid, k=np.ones(nz), w=np.zeros(nz))
 
 
 def sloped_profile(nz, slope=0.5, w_amp=0.0):
     grid = ColumnGrid(h=1.0, n=nz)
     z = grid.nodes
-    return validate_profile(1.0 + slope * z, w_amp * np.sin(np.pi * z) ** 2, grid)
+    return CoefficientProfile(
+        grid=grid, k=1.0 + slope * z, w=w_amp * np.sin(np.pi * z) ** 2
+    )
 
 
 def time_weights(tgrid):
@@ -116,7 +118,7 @@ def test_ac02_column_mass_conservation():
             rng = np.random.default_rng(1000 + case)
             k = 0.4 + np.exp(rng.uniform(-1, 1) * np.sin(np.pi * z + rng.uniform(0, 6)))
             w = rng.uniform(-1.5, 1.5) * np.sin(np.pi * z) ** 2
-            profile = validate_profile(k, w, zgrid)
+            profile = CoefficientProfile(grid=zgrid, k=k, w=w)
             flux = FluxSignal(
                 grid=tgrid,
                 values=rng.normal(size=4)
@@ -254,8 +256,8 @@ def test_ac06_monotone_weights_give_counter_monotone_gains():
         zgrid = ColumnGrid(h=1.0, n=401)
         z = zgrid.nodes
         profiles = (
-            validate_profile(np.ones(401), np.zeros(401), zgrid),
-            validate_profile(1.0 + 0.5 * z, np.zeros(401), zgrid),
+            CoefficientProfile(grid=zgrid, k=np.ones(401), w=np.zeros(401)),
+            CoefficientProfile(grid=zgrid, k=1.0 + 0.5 * z, w=np.zeros(401)),
         )
         # smooth nondecreasing ramps: z itself plus z - sin(2 pi k z)/(2 pi k),
         # whose derivatives 1 - cos(2 pi k z) never go negative

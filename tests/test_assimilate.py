@@ -26,7 +26,7 @@ from colflux.assimilate import (
     representer_rows,
 )
 from colflux.errors import CapacityError, ConditioningError, DomainError, NumericalError
-from colflux.model import validate_profile
+from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.observe import ObservationSet, Weight, apply_observation, synthesize_data
 from colflux.transport import FluxSignal, solve_forward
@@ -34,7 +34,7 @@ from colflux.transport import FluxSignal, solve_forward
 
 def constant_profile(nz=65, k=1.0):
     g = ColumnGrid(h=1.0, n=nz)
-    return validate_profile(np.full(nz, k), np.zeros(nz), g)
+    return CoefficientProfile(grid=g, k=np.full(nz, k), w=np.zeros(nz))
 
 
 def dirichlet_prior(tgrid, sigma=1.0, mean=None):
@@ -1042,7 +1042,7 @@ def kernel_problem(obs_indices, nt=33, nz=17):
     """
     grid = ColumnGrid(h=1.0, n=nz)
     z = grid.nodes
-    profile = validate_profile(1.0 + 0.5 * z, 0.2 * np.sin(np.pi * z), grid)
+    profile = CoefficientProfile(grid=grid, k=1.0 + 0.5 * z, w=0.2 * np.sin(np.pi * z))
     tgrid = TimeGrid(t_end=1.0, n=nt)
     n_obs = len(obs_indices)
     weights = tuple(

@@ -79,16 +79,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grid.bogus"):
             parse_config('{"scenario": "validate", "grid": {"nz": 65, "bogus": 1}}')
 
-    def test_nonpositive_diffusivity_cites_the_assumption(self):
-        text = json.dumps(
-            {
-                "scenario": "validate",
-                "model": {"k": {"kind": "constant", "value": -1.0}},
-            }
-        )
-        with pytest.raises(ConfigError, match="A2"):
-            parse_config(text)
-
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
@@ -406,6 +396,44 @@ class TestFailClosed:
                 None,
                 True,
                 id="oracle_check-zero-weights",
+            ),
+            pytest.param(
+                "validate",
+                {"model": {"k": {"kind": "constant", "value": -1.0}}},
+                2,
+                "[A2] k must be strictly positive; k=-1.0 at node 0",
+                True,
+                id="k-constant-negative",
+            ),
+            pytest.param(
+                "validate",
+                {"model": {"k": {"kind": "linear", "base": 1.0, "slope": -2.0}}},
+                2,
+                "[A2] k must be strictly positive; k=-1.0 at node 64",
+                True,
+                id="k-linear-crosses-zero",
+            ),
+            *(
+                pytest.param(
+                    scenario,
+                    {"model": {"k": {"kind": "constant", "value": 1e308}}},
+                    2,
+                    "[A2] k / dz at the faces ranges over [inf, inf]",
+                    True,
+                    id=f"{scenario}-k-1e308",
+                )
+                for scenario in ("validate", "eigen")
+            ),
+            pytest.param(
+                "eigen",
+                {
+                    "grid": {"nz": 1001, "nt": 64},
+                    "model": {"w": {"kind": "sine", "amplitude": 1200.0, "cycles": 1.0}},
+                },
+                2,
+                "[A4] mu = exp(int w/k), k mu / dz or the mass weights times mu leave",
+                True,
+                id="eigen-mu-overflows",
             ),
             pytest.param(
                 "validate",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import colflux.numerics as numerics
 from colflux.errors import SingularSystemError
-from colflux.model import validate_profile
+from colflux.model import CoefficientProfile
 from colflux.numerics import (
     _CSV_BLOCK_CELLS,
     SERIES_CUTOFF,
@@ -347,9 +347,8 @@ def cn_left_bands(nz=201, nt=256):
     """Symmetrized left Crank-Nicolson bands of a variable, advective profile."""
     grid = ColumnGrid(h=1.0, n=nz)
     z = grid.nodes
-    profile = validate_profile(
-        0.5 + z * (1.0 - z), 0.3 * np.sin(np.pi * z), grid
-    )
+    w = 0.3 * np.sin(np.pi * z)
+    profile = CoefficientProfile(grid=grid, k=0.5 + z * (1.0 - z), w=w)
     diag, off, _ = _symmetric_flux_divergence(profile)
     half = 0.5 / (nt - 1)
     return grid.weights - half * diag, -half * off

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from colflux.errors import StabilityError
-from colflux.model import validate_profile
+from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.observe import (
     ObservationSet,
@@ -29,7 +29,7 @@ def grid():
 
 def constant_profile(nz=201, k=1.0):
     g = ColumnGrid(h=1.0, n=nz)
-    return validate_profile(np.full(nz, k), np.zeros(nz), g)
+    return CoefficientProfile(grid=g, k=np.full(nz, k), w=np.zeros(nz))
 
 
 class TestApplyObservation:
@@ -214,6 +214,20 @@ class TestObservationSet:
                 values=np.zeros(1),
                 noise_levels=np.array([-0.1]),
             )
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("times", "observation time values must be finite"),
+            ("values", "observed values must be finite"),
+            ("noise_levels", "noise level values must be finite"),
+        ],
+    )
+    def test_entries_must_be_finite(self, field, message):
+        arrays = {"times": [0.5, 1.0], "values": [1.0, 2.0], "noise_levels": [0.1, 0.1]}
+        arrays[field] = [arrays[field][0], np.nan]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ObservationSet(**arrays)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="1-d"):

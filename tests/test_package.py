@@ -9,7 +9,7 @@ import pytest
 
 import colflux
 from colflux.assimilate import PriorSpec, prior_apply_inverse
-from colflux.model import validate_profile
+from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, TimeGrid, _frozen, exp_inner
 from colflux.observe import Weight, apply_observation
 from colflux.posterior import blind_direction
@@ -121,7 +121,7 @@ def nodal_inputs():
     """Each nodal input of the package, as (name, call(values))."""
     zgrid = ColumnGrid(h=1.0, n=33)
     tgrid = TimeGrid(t_end=1.0, n=17)
-    profile = validate_profile(np.ones(zgrid.n), np.zeros(zgrid.n), zgrid)
+    profile = CoefficientProfile(grid=zgrid, k=np.ones(zgrid.n), w=np.zeros(zgrid.n))
     flux = FluxSignal(grid=tgrid, values=np.zeros(tgrid.n))
     prior = PriorSpec(mean=flux, kind="diagonal")
     eig = eigensystem(profile, 4)

@@ -8,7 +8,7 @@ import pytest
 import colflux.posterior as posterior
 from colflux.assimilate import PriorSpec, prior_quadratic_form
 from colflux.errors import DegenerateSeedError, DomainError
-from colflux.model import validate_profile
+from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.observe import Weight, apply_observation
 from colflux.posterior import (
@@ -35,7 +35,7 @@ MEAN_MINUS = 0.8986840570121102
 @pytest.fixture(scope="module")
 def eig():
     grid = ColumnGrid(h=1.0, n=401)
-    profile = validate_profile(np.ones(401), np.zeros(401), grid)
+    profile = CoefficientProfile(grid=grid, k=np.ones(401), w=np.zeros(401))
     return eigensystem(profile, 24)
 
 
@@ -135,7 +135,8 @@ class TestDecayMatrix:
             other_grid, t_obs = TimeGrid(t_end=2.0, n=513), 1.5
         else:
             grid = eig.profile.grid
-            profile = validate_profile(np.full(grid.n, 2.0), np.zeros(grid.n), grid)
+            k, w = np.full(grid.n, 2.0), np.zeros(grid.n)
+            profile = CoefficientProfile(grid=grid, k=k, w=w)
             other_eig = eigensystem(profile, 12)
         posterior._decay_slot.clear()
         gain_direction(eig, a, 0.75, 1.0, tgrid)
@@ -324,9 +325,7 @@ class TestMonotoneWeightCheck:
 
     def test_increasing_weight_with_variable_diffusivity(self):
         grid = ColumnGrid(h=1.0, n=401)
-        profile = validate_profile(
-            1.0 + 0.5 * grid.nodes, np.zeros(401), grid
-        )
+        profile = CoefficientProfile(grid=grid, k=1.0 + 0.5 * grid.nodes, w=np.zeros(401))
         eig = eigensystem(profile, 16)
         rho = Weight(grid=grid, values=grid.nodes)
         assert monotone_weight_check(profile, eig, rho, 0.75)
@@ -433,7 +432,7 @@ class TestBlindDirection:
 
     def test_conditioning_cap(self):
         grid = ColumnGrid(h=1.0, n=401)
-        profile = validate_profile(np.ones(401), np.zeros(401), grid)
+        profile = CoefficientProfile(grid=grid, k=np.ones(401), w=np.zeros(401))
         eig = eigensystem(profile, 44)
         tgrid = TimeGrid(t_end=1.0, n=4097)
         with pytest.raises(DomainError, match="conditioning cap"):

@@ -7,7 +7,7 @@ import pytest
 
 import colflux.transport as transport
 from colflux.errors import DiagnosticError, StabilityError
-from colflux.model import validate_profile
+from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.transport import (
     FluxSignal,
@@ -21,7 +21,7 @@ from colflux.transport import (
 
 def constant_profile(nz, k=1.0, h=1.0):
     grid = ColumnGrid(h=h, n=nz)
-    return validate_profile(np.full(nz, k), np.zeros(nz), grid)
+    return CoefficientProfile(grid=grid, k=np.full(nz, k), w=np.zeros(nz))
 
 
 def random_profile(rng, nz, h=1.0):
@@ -30,7 +30,7 @@ def random_profile(rng, nz, h=1.0):
     z = grid.nodes / h
     k = 1.0 + 0.5 * rng.random() + 0.3 * rng.random() * np.cos(np.pi * z)
     w = rng.uniform(-1.0, 1.0) * np.sin(np.pi * z) ** 2
-    return validate_profile(k, w, grid)
+    return CoefficientProfile(grid=grid, k=k, w=w)
 
 
 class TestSolveForward:
@@ -158,7 +158,7 @@ class TestCrankNicolsonStep:
         z = grid.nodes
         k = 0.5 + z * (1.0 - z)
         w = peclet * (2.0 * 0.5 / grid.spacing) * np.sin(np.pi * z)
-        profile = validate_profile(k, w, grid)
+        profile = CoefficientProfile(grid=grid, k=k, w=w)
         rng = np.random.default_rng(3)
         q, b = rng.standard_normal((2, grid.n))
         left, right = dense_cn_matrices(profile, 0.01)
