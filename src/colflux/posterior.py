@@ -291,17 +291,11 @@ def monotone_weight_check(
     tgrid = TimeGrid(t_end=float(t_obs), n=_CHECK_NODES)
     gain = gain_direction(eig, a, float(t_obs), 1.0, tgrid)
     g_inc, g_dec = _trend(gain.values, 1.0)
-
-    ok = True
-    if w_inc:
-        ok = ok and g_dec
-    if w_dec:
-        ok = ok and g_inc
-    return ok
+    return (g_dec or not w_inc) and (g_inc or not w_dec)
 
 
 def _blind_constraints(eig, t_obs, m, grid):
-    """The 2m constraint functions a blind direction must annihilate.
+    """Yield, one by one, the 2m constraint functions a blind direction annihilates.
 
     For each retained decay rate there are two functionals of a nodal
     function G supported on [0, t_obs]: the trapezoid pairing with the
@@ -312,15 +306,11 @@ def _blind_constraints(eig, t_obs, m, grid):
     """
     idx = grid.index_of(t_obs)
     t = grid.nodes
-    w = grid.weights
-    funcs = []
     for lam in eig.eigenvalues[:m]:
         nodal = np.zeros(grid.n)
         nodal[: idx + 1] = np.exp(lam * (t[: idx + 1] - t[idx]))
-        funcs.append(nodal)
-        exact = exp_inner_coefficients(grid, lam, t[idx]) / w
-        funcs.append(exact)
-    return funcs, idx
+        yield nodal
+        yield exp_inner_coefficients(grid, lam, t[idx]) / grid.weights
 
 
 def blind_direction(
@@ -333,8 +323,8 @@ def blind_direction(
     alike) to every retained decay exponential, hence to the gain
     direction of any weight resolved by the first ``m`` modes: observing
     along such weights gains no information about G. Construction is
-    modified Gram-Schmidt in the trapezoid inner product over the
-    constraint family, with one reorthogonalization pass; near-duplicate
+    classical Gram-Schmidt in the trapezoid inner product, run twice per
+    vector, over the constraint rows as they are generated; near-duplicate
     constraints (the family is Muntz-degenerate by design) are dropped.
 
     Parameters
@@ -385,21 +375,25 @@ def blind_direction(
         seed_function = [float(seed_function(t)) for t in grid.nodes]
     seed = _nodal(seed_function, (grid.n,), "seed")
 
-    funcs, idx = _blind_constraints(eig, t_obs, m, grid)
+    idx = grid.index_of(t_obs)
     w = grid.weights
+    basis = np.empty((2 * m, grid.n))  # rows past `kept` stay unwritten and unpaged
+    kept = 0
 
     def wdot(x, y):
         return float(np.dot(w * x, y))
 
-    basis = []
-    for f in funcs:
-        v = f.copy()
-        for _ in range(2):  # MGS plus one reorthogonalization pass
-            for b in basis:
-                v -= wdot(b, v) * b
-        norm = np.sqrt(wdot(v, v))
-        if norm > 1e-12 * np.sqrt(max(wdot(f, f), 1e-300)):
-            basis.append(v / norm)
+    def project_out(v):  # twice is enough (Giraud, Langou and Rozloznik 2005)
+        for _ in range(2):
+            v -= (basis[:kept] @ (w * v)) @ basis[:kept]
+
+    for f in _blind_constraints(eig, t_obs, m, grid):
+        floor = 1e-12 * np.sqrt(max(wdot(f, f), 1e-300))
+        project_out(f)
+        norm = np.sqrt(wdot(f, f))
+        if norm > floor:
+            np.divide(f, norm, out=basis[kept])
+            kept += 1
 
     g = seed.copy()
     g[idx + 1 :] = 0.0
@@ -407,9 +401,7 @@ def blind_direction(
         seed_norm = np.sqrt(wdot(g, g))
     if not np.isfinite(seed_norm):
         raise ValueError("seed's squared norm overflows")
-    for _ in range(2):
-        for b in basis:
-            g -= wdot(b, g) * b
+    project_out(g)
     g[idx + 1 :] = 0.0
 
     g_norm = np.sqrt(wdot(g, g))
@@ -420,7 +412,9 @@ def blind_direction(
         )
         raise DegenerateSeedError(msg)
 
-    worst = float(np.max([abs(wdot(f, g)) for f in funcs]))
+    # regenerated, so the check does not rest on the basis built from it
+    family = _blind_constraints(eig, t_obs, m, grid)
+    worst = float(np.max([abs(wdot(f, g)) for f in family]))
     if not worst <= 1e-6 * g_norm:
         msg = (
             f"orthogonalization failed: residual projection {worst:.3e} "

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError, StabilityError
+from .errors import DiagnosticError, SingularSystemError, StabilityError
 from .model import CoefficientProfile
 from .numerics import (
     ColumnGrid,
@@ -125,7 +125,13 @@ def _cn_sweep(profile, dt, q, steps, forcing, visit, transpose=False):
     diag, off, d = _symmetric_flux_divergence(profile)
     half = 0.5 * dt
     m = profile.grid.weights
-    solve = factor_tridiagonal(m - half * diag, -half * off)
+    try:
+        solve = factor_tridiagonal(m - half * diag, -half * off)
+    except SingularSystemError as exc:
+        ratio = dt / profile.grid.spacing * float(np.max(profile.k)) / profile.grid.spacing
+        msg = f"M - dt/2 S is not positive definite at dt k / dz**2 = {ratio:.3e}"
+        msg += " (M rounds away above about 1e16); lower model.k or raise grid.nt"
+        raise SingularSystemError(msg) from exc
     m2 = 2.0 * m
     u = q * d if transpose else q / d
     for n in steps:

@@ -436,6 +436,15 @@ class TestFailClosed:
                 id="eigen-mu-overflows",
             ),
             pytest.param(
+                "simulate",
+                {"model": {"k": {"kind": "constant", "value": 1e15}}},
+                3,
+                "dt k / dz**2 = 6.400e+16 (M rounds away above about 1e16); "
+                "lower model.k or raise grid.nt",
+                True,
+                id="simulate-k-1e15",
+            ),
+            pytest.param(
                 "validate",
                 {"grid": {"nz": 2, "nt": 64}},
                 2,
@@ -628,6 +637,21 @@ def test_every_csv_goes_through_the_one_formatter(tmp_path, monkeypatch):
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blind_holds_its_bound_at_each_blas_thread_count(
+        self, tmp_path, monkeypatch, threads
+    ):
+        # rounding picks which near-duplicate constraints survive, so the
+        # bytes of blind.csv depend on the thread count; the bound does not
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / "out"
+        golden = str(DATA / "golden_config.json")
+        args = ["-m", "colflux.cli", "blind", "--config", golden, "--out", str(out)]
+        proc = run_python(args, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "blind_report.json").read_text(encoding="utf-8"))
+        assert report["max_normalized_projection"] <= 1e-6
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "det"
         config = small_config("assimilate", out, seed=3)

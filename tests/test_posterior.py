@@ -7,9 +7,9 @@ import pytest
 
 import colflux.posterior as posterior
 from colflux.assimilate import PriorSpec, prior_quadratic_form
-from colflux.errors import DegenerateSeedError, DomainError
+from colflux.errors import ConditioningError, DegenerateSeedError, DomainError
 from colflux.model import CoefficientProfile
-from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
+from colflux.numerics import ColumnGrid, TimeGrid, exp_inner_coefficients, trapezoid
 from colflux.observe import Weight, apply_observation
 from colflux.posterior import (
     PosteriorModel,
@@ -337,7 +337,63 @@ class TestMonotoneWeightCheck:
             monotone_weight_check(eig.profile, eig, rho, 0.5)
 
 
+def qr_blind(eig, t_obs, m, tgrid, seed):
+    """seed - Q Q^T seed in the trapezoid inner product, Q from Householder QR
+    of the sqrt(w)-scaled constraint rows; a row is kept when its QR
+    diagonal entry beside the rows kept before it passes the 1e-12 drop rule."""
+    idx = tgrid.index_of(t_obs)
+    root = np.sqrt(tgrid.weights)
+    support = np.arange(tgrid.n) <= idx
+    kept = np.empty((tgrid.n, 0))
+    for lam in eig.eigenvalues[:m]:
+        nodal = np.where(support, np.exp(lam * (tgrid.nodes - t_obs)), 0.0)
+        exact = exp_inner_coefficients(tgrid, lam, t_obs) / tgrid.weights
+        for row in (nodal, exact):
+            trial = np.column_stack([kept, root * row])
+            r = np.linalg.qr(trial, mode="r")
+            if abs(r[-1, -1]) > 1e-12 * np.linalg.norm(root * row):
+                kept = trial
+    q = np.linalg.qr(kept)[0]
+    s = root * np.where(support, seed, 0.0)
+    return (s - q @ (q.T @ s)) / root
+
+
 class TestBlindDirection:
+    @pytest.mark.parametrize(
+        "t_obs, m, tol",
+        [
+            *((0.5, m, 1e-10) for m in (1, 2, 3, 4)),
+            (1.0, 1, 1e-10),
+            (1.0, 2, 1e-10),
+            # at the window's end a third rate leaves a row 1e-6 of its norm
+            # from the span of the others (family condition number ~2e7)
+            (1.0, 3, 1e-8),
+            (1.0, 4, 1e-8),
+        ],
+    )
+    def test_matches_a_householder_projection(self, eig, t_obs, m, tol):
+        tgrid = TimeGrid(t_end=1.0, n=257)
+        seed = np.sin(5.0 * tgrid.nodes) + tgrid.nodes
+        g = blind_direction(eig, t_obs, m, tgrid, seed)
+        expected = qr_blind(eig, t_obs, m, tgrid, seed)
+        assert np.linalg.norm(g - expected) <= tol * np.linalg.norm(expected)
+
+    def test_a_leaking_direction_fails_the_final_check(self, eig, monkeypatch):
+        # the check regenerates the family; one that differs from the family
+        # orthogonalized (here by one more decay rate) must fail it
+        original = posterior._blind_constraints
+        calls = []
+
+        def family(eig, t_obs, m, grid):
+            calls.append(m)
+            return original(eig, t_obs, m + len(calls) - 1, grid)
+
+        monkeypatch.setattr(posterior, "_blind_constraints", family)
+        tgrid = TimeGrid(t_end=1.0, n=257)
+        with pytest.raises(ConditioningError, match="orthogonalization failed"):
+            blind_direction(eig, 0.5, 4, tgrid, lambda t: np.cos(7.0 * t))
+        assert calls == [4, 4]
+
     def test_single_rate_at_the_horizon_is_mean_removal(self, eig):
         # blinding only the constant mode with t_obs at the end of the
         # window reduces to removing the weighted time average
