@@ -34,9 +34,9 @@ with the Woodbury identity): with S = G C0 G^T + R,
 ``lowrank_posterior`` returns the mean F0 + C0 G^T S^-1 (y - G F0 - free
 response) and the variance diag(C0) - diag(C0 G^T S^-1 G C0) in O(N nt),
 applying C0 by the CG preconditioner and taking diag(C0) in closed form.
-``oracle_bayes`` solves with the dense nt x nt posterior precision instead,
-and ``oracle_covariance`` inverts it, on the subspace the kind's projection
-admits; they are the check, capped at 2048 time nodes.
+``oracle_bayes`` instead factors the dense nt x nt posterior precision, on
+the subspace the kind's projection admits, by Cholesky in one buffer, and
+``oracle_covariance`` inverts it there; they are the check, capped at 2048.
 
 Conventions: arrays indexed by time nodes are "nodal functions"; the
 Euclidean gradient (sensitivity per nodal value) is converted to a nodal
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import CapacityError, ConditioningError, DomainError, NumericalError
 from .model import CoefficientProfile
-from .numerics import _frozen, _nodal, _normal_square, factor_tridiagonal, trapezoid
+from .numerics import _flapack, _frozen, _nodal, _normal_square, factor_tridiagonal, trapezoid
 from .observe import ObservationSet, Weight, synthesize_data
 from .transport import FluxSignal, flux_sensitivity, impulse_response
 
@@ -127,9 +127,16 @@ class _DiagonalPrior:
         """diag(C0), the diagonal of what ``covariance`` applies."""
         return self.s2 / self.w
 
-    def shift(self, diag: np.ndarray) -> float:
-        """The oracle's c: at most each diagonal entry P keeps (P = I: none)."""
-        return 0.0
+    free = slice(None)  # the nodes the dense oracle solves for
+
+    def add_form(self, a: np.ndarray) -> None:
+        """Add W C0^{-1} on the ``free`` nodes, a Euclidean form matrix, onto a."""
+        a.flat[:: self.n + 1] += self.w / self.s2
+
+    def reduce(self, a: np.ndarray, c: float | None = None) -> None:
+        """P (a - cI) P + cI in place, for a symmetric a on the ``free`` nodes:
+        a on the admissible subspace and c (by default a's scale) across it,
+        so a solve with a projected right-hand side stays in the subspace."""
 
 
 class _DirichletPrior(_DiagonalPrior):
@@ -150,13 +157,8 @@ class _DirichletPrior(_DiagonalPrior):
         return y
 
     def apply_inverse(self, g):
-        # in place: an n x n g (the dense precision) gets no n x n temporaries
         out = np.zeros(g.shape)
-        lap = out[1:-1]
-        np.multiply(g[1:-1], -2.0, out=lap)
-        lap += g[2:]
-        lap += g[:-2]
-        lap /= -(self.s2 * self.dt**2)
+        out[1:-1] = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / (self.s2 * self.dt**2)
         return out
 
     def covariance(self):
@@ -174,8 +176,17 @@ class _DirichletPrior(_DiagonalPrior):
         i = np.arange(self.n, dtype=float)
         return self.s2 * self.dt * i * (m + 1 - i) / (m + 1)
 
-    def shift(self, diag):
-        return diag[1:-1].min(initial=1.0)  # the pinned rows decouple exactly
+    free = slice(1, -1)  # the interior block is the admissible subspace
+
+    def add_form(self, a):
+        # <g, W C0^{-1} g> = sum (delta g)^2 / (s2 dt) over the intervals:
+        # tridiagonal, with one interval at each end node
+        coef, k = 1.0 / (self.s2 * self.dt), len(a)
+        diag = np.full(self.n, 2.0 * coef)
+        diag[[0, -1]] = coef
+        a.flat[:: k + 1] += diag[self.free]
+        a.flat[1 :: k + 1] -= coef
+        a.flat[k :: k + 1] -= coef
 
 
 class _PeriodicPrior(_DiagonalPrior):
@@ -226,18 +237,10 @@ class _PeriodicPrior(_DiagonalPrior):
         return out - out[:-1].mean()
 
     def apply_inverse(self, g):
-        # circular stencil on the n-1 distinct nodes, in place as above
+        # circular stencil on the n-1 distinct nodes
         h = g[:-1]
-        out = np.empty(g.shape)
-        lap = out[:-1]
-        np.multiply(h, -2.0, out=lap)
-        lap[:-1] += h[1:]
-        lap[-1] += h[0]
-        lap[1:] += h[:-1]
-        lap[0] += h[-1]
-        lap /= -(self.s2 * self.dt**2)
-        out[-1] = out[0]
-        return out
+        lap = -(np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (self.s2 * self.dt**2)
+        return np.append(lap, lap[0])
 
     def covariance(self):
         # the stencil is circulant on the distinct nodes, diagonal in the
@@ -266,8 +269,25 @@ class _PeriodicPrior(_DiagonalPrior):
         m = self.n - 1
         return np.full(self.n, self.s2 * self.dt * (m * m - 1) / (12.0 * m))
 
-    def shift(self, diag):
-        return diag.min()
+    add_form = _DirichletPrior.add_form
+
+    def reduce(self, a, c=None):
+        # P = I - V G V^T with V = [e_0 - e_{n-1}, ones on the distinct
+        # nodes] and G = (V^T V)^-1, as in ``project``. With Y = a V G,
+        # P a P + c V G V^T = a - V Y^T - (Y - V (G V^T Y + c G)) V^T: a
+        # rank-2 update, made a block of rows at a time; no entry is shifted
+        n, m = self.n, self.n - 1
+        c = a.diagonal().min() if c is None else c
+        v = np.zeros((n, 2))
+        v[[0, -1], 0] = 1.0, -1.0
+        v[:-1, 1] = 1.0
+        gram_inv = np.array([[m, -1.0], [-1.0, 2.0]]) / (2.0 * m - 1.0)
+        y = a @ v @ gram_inv
+        left = np.hstack([v, y - v @ (gram_inv @ (v.T @ y) + c * gram_inv)])
+        right = np.hstack([y, v])
+        rows = max(1, 16384 // n)  # 128 kB of temporaries per block
+        for start in range(0, n, rows):
+            a[start : start + rows] -= left[start : start + rows] @ right.T
 
 
 _KINDS = {
@@ -618,42 +638,36 @@ def representer_rows(problem: AssimilationProblem) -> np.ndarray:
     return out
 
 
-def _dense_prior_precision(problem: AssimilationProblem) -> np.ndarray:
-    """Dense W C0^{-1} on the full node set (Euclidean form matrix)."""
-    family = problem.prior._family
-    # projected columns are admissible, so no check is needed
-    p = family.apply_inverse(family.project(np.eye(family.n)))
-    p *= family.w[:, None]
-    return p
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises
 def _dense_posterior(problem: AssimilationProblem):
-    """P (A - cI) P + cI for the dense posterior precision A = W C0^{-1} +
-    G^T R^{-1} G, the prior's projection P and its ``shift`` c, and
-    P G^T R^{-1} (y - G F0 - free response). The matrix is A on the
-    admissible subspace and c across it, so a solve with a projected
-    right-hand side stays in the subspace: zero on pinned nodes, equal on
-    identified ones. c is at most each diagonal entry a that P keeps, so
-    (a - c) + c loses at most an ulp of a in any units."""
+    """The posterior mean, by the Cholesky factor of the kind's ``reduce`` of
+    A = W C0^{-1} + G^T R^{-1} G on its ``free`` nodes, solved with the
+    projected G^T R^{-1} (y - G F0 - free response); and the n x n buffer
+    with the k x k factor at its start (Fortran order, lower triangle)."""
     n = problem.prior.grid.n
     if n > ORACLE_MAX_NODES:
         msg = f"dense oracle supports at most {ORACLE_MAX_NODES} time nodes, got {n}"
         raise CapacityError(msg)
     family = problem.prior._family
-    ghat = problem.forward_rows
-    r2 = problem.observations.noise_levels**2
-    prec = _dense_prior_precision(problem)
-    prec += (ghat.T / r2) @ ghat
-    c = family.shift(prec.diagonal())
-    prec.flat[:: n + 1] -= c
-    prec = family.project(prec)  # one projected copy alive at a time
-    prec = family.project(prec.T).T  # P^T = P, and A is symmetric
-    prec.flat[:: n + 1] += c
-    rhs = family.project(ghat.T @ (problem.innovation / r2))
-    if not (np.isfinite(prec).all() and np.isfinite(rhs).all()):
+    g, noise = problem.forward_rows, problem.observations.noise_levels
+    rhs = family.project(g.T @ (problem.innovation / noise**2))[family.free]
+    h = g[:, family.free] / noise[:, None]
+    k, square = h.shape[1], np.empty((n, n))
+    # h^T h is symmetric: its C-order block is the Fortran-order matrix LAPACK overwrites
+    a = np.matmul(h.T, h, out=square.reshape(-1)[: k * k].reshape(k, k))
+    family.add_form(a)
+    # A is positive semidefinite, so no entry exceeds its diagonal's largest
+    if not (np.isfinite(a.diagonal()).all() and np.isfinite(rhs).all()):
         raise NumericalError("the dense posterior precision overflows")
-    return prec, rhs
+    family.reduce(a)
+    factor, info = _flapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        msg = f"not positive definite: leading minor {info} is not positive"
+        raise NumericalError(f"the dense posterior precision is {msg}")
+    mean = problem.prior.mean.values.copy()
+    if k:  # a two-node Dirichlet grid has no free node
+        mean[family.free] += _flapack.dpotrs(factor, rhs, lower=1)[0]
+    return mean, square, factor
 
 
 def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
@@ -661,25 +675,36 @@ def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
 
     Takes the problem's checked forward map G, forms the posterior
     precision W C0^{-1} + G^T R^{-1} G on the admissible subspace and
-    solves with it. The prior-mean misfit is the problem's ``innovation``,
-    as in ``map_estimate``.
+    solves with its Cholesky factor. The prior-mean misfit is the
+    problem's ``innovation``, as in ``map_estimate``.
 
     Raises
     ------
     CapacityError
         If the time grid exceeds 2048 nodes.
     NumericalError
-        If the forward-map constructions disagree or the precision overflows.
+        If the forward-map constructions disagree or the precision
+        overflows or is not numerically positive definite.
     """
-    prec, rhs = _dense_posterior(problem)
-    return problem.prior.mean.values + np.linalg.solve(prec, rhs)
+    return _dense_posterior(problem)[0]
 
 
 def oracle_covariance(problem: AssimilationProblem) -> np.ndarray:
-    """The dense nt x nt posterior covariance, the precision of ``oracle_bayes``
-    inverted on the admissible subspace; it raises as ``oracle_bayes`` does."""
-    prec, _ = _dense_posterior(problem)
-    return np.linalg.solve(prec, problem.prior._family.project(np.eye(len(prec))))
+    """The dense nt x nt posterior covariance, the factor of ``oracle_bayes``
+    inverted in place; it raises as ``oracle_bayes`` does."""
+    _, square, factor = _dense_posterior(problem)
+    n, k = len(square), len(factor)
+    if k:
+        _flapack.dpotri(factor, lower=1, overwrite_c=1)
+    inv = factor.T  # C order, with the inverse in its upper triangle
+    for i in range(1, k):
+        inv[i, :i] = inv[:i, i]
+    problem.prior._family.reduce(inv, 0.0)
+    if k < n:  # Dirichlet's interior block to its place, last row first
+        for j in range(k - 1, -1, -1):
+            square[j + 1, 1:-1] = square.reshape(-1)[j * k : (j + 1) * k]
+        square[[0, -1]] = square[:, [0, -1]] = 0.0
+    return square
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises

@@ -25,7 +25,6 @@ __all__ = [
     "TimeGrid",
     "trapezoid",
     "cumulative_trapezoid",
-    "exp_inner",
     "exp_inner_coefficients",
     "factor_tridiagonal",
 ]
@@ -51,7 +50,8 @@ def _load_flapack():
         spec = importlib.util.spec_from_file_location("colflux._flapack", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    missing = sorted({"dpttrf", "dpttrs", "dstebz", "dstein"} - set(dir(module)))
+    routines = {"dpotrf", "dpotri", "dpotrs", "dpttrf", "dpttrs", "dstebz", "dstein"}
+    missing = sorted(routines - set(dir(module)))
     if missing:
         raise ImportError(f"{missing} not found in {path} (SciPy {scipy.__version__})")
     return module
@@ -233,46 +233,11 @@ def _segment_shape_factors(x):
     return phi, psi
 
 
-def exp_inner(values, grid: TimeGrid, lam: float, t_obs: float) -> float:
-    """Integral of a piecewise-linear signal against a decaying exponential.
-
-    Computes ``int_0^t_obs g(s) exp(lam (s - t_obs)) ds`` where ``g`` is the
-    piecewise-linear interpolant of ``values`` on ``grid``. Each segment is
-    integrated in closed form, so there is no quadrature error; only the
-    interpolation of ``g`` itself is an approximation.
-
-    Parameters
-    ----------
-    values : array_like
-        Nodal samples of g on the full grid.
-    grid : TimeGrid
-    lam : float
-        Decay rate, must be nonnegative.
-    t_obs : float
-        Upper integration limit; must coincide with a grid node.
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    ValueError
-        If ``t_obs`` is off-grid, ``lam`` is negative, or ``values`` has
-        the wrong length or a non-finite entry.
-    """
-    g = _nodal(values, (grid.n,), "g")
-    return float(exp_inner_coefficients(grid, lam, t_obs) @ g)
-
-
 def exp_inner_coefficients(grid: TimeGrid, lam: float, t_obs: float) -> np.ndarray:
-    """Nodal coefficient vector of the exp_inner functional.
-
-    Returns ``c`` with ``exp_inner(g, grid, lam, t_obs) == c @ g`` for every
-    nodal vector ``g``; entries beyond ``t_obs`` are zero. Used where the
-    functional itself (not just its value) is needed, e.g. to orthogonalize
-    against exponentials exactly.
-    """
+    """Coefficients ``c`` with ``c @ g == int_0^t_obs g(s) exp(lam (s - t_obs)) ds``
+    for the piecewise-linear interpolant of every nodal ``g`` on ``grid``:
+    each segment in closed form, so no quadrature error; zero beyond
+    ``t_obs``. ValueError if ``t_obs`` is off-grid or ``lam`` negative."""
     j = grid.index_of(t_obs)
     if not np.isfinite(lam) or lam < 0.0:
         msg = f"decay rate must be finite and nonnegative, got {lam}"

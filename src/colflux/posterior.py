@@ -9,11 +9,11 @@ posterior only along one time-domain function, the gain direction
 
 where a_n are the weight's mode coefficients. The posterior precision is
 the prior precision plus the rank-N sum of these directions. Everything
-here is built from a truncated mode set; inner products against a gain use
-per-mode closed forms (the jump at t_i is never integrated by raw
-quadrature), while the rank-one updates of the discrete posterior use the
-same trapezoid weights as the prior discretization, keeping the two dense
-and low-rank routes comparable at the discrete level.
+here is built from a truncated mode set; the blind direction's constraints
+against each mode's exponential use closed forms (the jump at t_i is never
+integrated by raw quadrature), while the rank-one updates of the discrete
+posterior use the same trapezoid weights as the prior discretization,
+keeping the two dense and low-rank routes comparable at the discrete level.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .numerics import (
     _frozen,
     _nodal,
     _segment_shape_factors,
-    exp_inner,
     exp_inner_coefficients,
     trapezoid,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "PosteriorModel",
     "GainAnalysis",
     "gain_direction",
-    "gain_inner",
     "quadratic_form",
     "precision_apply",
     "analyze_gain",
@@ -189,21 +187,6 @@ def gain_direction(
         prefactor=float(pref),
         truncation_envelope=envelope,
     )
-
-
-def gain_inner(gain: GainDirection, values) -> float:
-    """Inner product <f, G_i> over [0, t_obs], exactly per mode.
-
-    ``values`` samples f on the gain's time grid; f is treated as
-    piecewise linear and each modal integral int f e^{lambda (t - t_obs)}
-    is evaluated in closed form, so the jump of G_i at t_obs costs no
-    quadrature error.
-    """
-    terms = [
-        an * exp_inner(values, gain.grid, lam, gain.t_obs)
-        for an, lam in zip(gain.coefficients, gain.lambdas)
-    ]
-    return gain.prefactor * float(sum(terms))
 
 
 def quadratic_form(model: PosteriorModel, g) -> float:

@@ -110,7 +110,7 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     NumericalError
         NormalizationError if a computed mode (nearly) vanishes at the
         surface, so the surface-one gauge cannot be applied; NumericalError
-        itself if LAPACK reports a failed eigensolve.
+        itself if LAPACK fails or returns non-finite modes (k / dz**2 near 1e151).
     """
     grid = profile.grid
     n_modes = int(n_modes)
@@ -139,11 +139,14 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     e = _nodal(a_off / (sqrt_b[:-1] * sqrt_b[1:]), (grid.n - 1,), "eigenproblem band")
     # eigh_tridiagonal(select="i")'s calls: bisection, inverse iteration, sort
     m, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, 1, n_modes, 0.0, "B")
+    scale = f"largest diagonal {np.abs(d).max():.3e}; lower model.k or grid.nz"
     if info != 0:
-        raise NumericalError(f"LAPACK dstebz failed with info={info}")
+        raise NumericalError(f"LAPACK dstebz failed with info={info} at {scale}")
     vecs, info = _flapack.dstein(d, e, w[:m], iblock, isplit)
     if info != 0:
         raise NumericalError(f"LAPACK dstein failed with info={info}")
+    if not np.isfinite(vecs.sum()):  # info=0 with NaN modes; unit columns sum finitely
+        raise NumericalError(f"LAPACK dstein gave non-finite modes at {scale}")
     order = np.argsort(w[:m])
     vals, vecs = w[order], vecs[:, order]
 

@@ -3,6 +3,7 @@
 import sys
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from colflux.assimilate import (
     PRIOR_KINDS,
     AssimilationProblem,
     PriorSpec,
-    _dense_posterior,
-    _dense_prior_precision,
     cost,
     gradient,
     hessian_form,
@@ -817,10 +816,10 @@ class TestOracleBayes:
         assert max_rel(oracle_bayes(problem) - f0, lowrank_posterior(problem)[0] - f0) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["dirichlet_inverse_laplacian", "diagonal"])
-    def test_precision_keeps_its_digits_at_large_sigma(self, kind):
+    def test_precision_keeps_its_digits_at_large_sigma(self, kind, monkeypatch):
         # at sigma = 1e8 the prior's part of A is ~1e-14, the data's ~1e-2;
-        # the oracle's matrix must still equal A on the nodes the projection
-        # keeps, to an ulp
+        # the block the oracle factors (the interior for Dirichlet, every
+        # node for the diagonal kind) must still equal A there, to an ulp
         base = released_problem(kind)
         prior = PriorSpec(mean=base.prior.mean, kind=kind, sigma=1e8)
         problem = AssimilationProblem(
@@ -830,28 +829,43 @@ class TestOracleBayes:
             weights=base.weights,
             prior=prior,
         )
-        g = problem.forward_rows
-        a = _dense_prior_precision(problem) + (g.T / problem.observations.noise_levels**2) @ g
-        prec, _ = _dense_posterior(problem)
-        if kind == "diagonal":  # P = I: no shift at all
-            assert np.array_equal(prec, a)
-            return
-        kept = slice(1, -1)
-        eps = np.finfo(float).eps
-        assert np.all(np.abs(prec[kept, kept] - a[kept, kept]) <= eps * np.abs(a[kept, kept]))
+        factored = []
 
-    def test_dirichlet_mean_holds_two_nt_x_nt_arrays(self):
-        # the default prior's oracle at 1025 nodes: the precision and one
-        # projected copy, with no inverse and no n x n temporaries beside them
-        problem = released_problem("dirichlet_inverse_laplacian", nodes=1025)
+        class Factoring(Exception):
+            pass
+
+        def dpotrf(a, **kwargs):  # keep the block, and stop before factoring it
+            factored.append(a.copy())
+            raise Factoring
+
+        monkeypatch.setattr(assimilate, "_flapack", SimpleNamespace(dpotrf=dpotrf))
+        with pytest.raises(Factoring):
+            oracle_bayes(problem)
+        h = problem.forward_rows / problem.observations.noise_levels[:, None]
+        a = column_loop_prior_precision(problem) + h.T @ h
+        kept = problem.prior._family.free
+        block = a[kept, kept]
+        eps = np.finfo(float).eps
+        assert factored[0].shape == block.shape
+        assert np.all(np.abs(factored[0] - block) <= eps * np.abs(block))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "oracle, bound", [(oracle_bayes, 1.05), (oracle_covariance, 1.15)], ids=["mean", "cov"]
+    )
+    def test_holds_one_nt_x_nt_buffer(self, kind, oracle, bound):
+        # at 1025 nodes the precision is formed, reduced, factored and, for
+        # the covariance, inverted in one n x n buffer, with no n x n
+        # temporaries beside it
+        problem = released_problem(kind, nodes=1025)
         problem.innovation
         tracemalloc.start()
         try:
-            oracle_bayes(problem)
+            oracle(problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.05 * 1025**2 * 8, f"peaked at {peak / 1e6:.1f} MB"
+        assert peak <= bound * 1025**2 * 8, f"peaked at {peak / 1e6:.2f} MB"
 
 
 def column_loop_prior_precision(problem):
@@ -869,27 +883,21 @@ def column_loop_prior_precision(problem):
 class TestDensePriorPrecision:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("nodes", [2, 3, 4, 65, 1025])
-    def test_one_call_equals_the_column_loop(self, kind, nodes):
+    def test_banded_form_is_the_column_loop_on_the_admissible_subspace(self, kind, nodes):
+        # the oracle's tridiagonal form on the free nodes and the projected
+        # stencil columns agree as forms on the admissible subspace
         problem = released_problem(kind, nodes=nodes)
-        expected = column_loop_prior_precision(problem)
-        assert np.array_equal(_dense_prior_precision(problem), expected)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_holds_two_nt_x_nt_arrays_at_most(self, kind):
-        # the projected identity and the result
-        problem = released_problem(kind, nodes=1025)
-        tracemalloc.start()
-        try:
-            _dense_prior_precision(problem)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.05 * 1025**2 * 8, f"peaked at {peak / 1e6:.1f} MB"
+        family = problem.prior._family
+        banded = np.zeros((nodes, nodes))
+        family.add_form(banded[family.free, family.free])
+        proj = family.project(np.eye(nodes))
+        expected = proj @ column_loop_prior_precision(problem) @ proj
+        atol = 1e-13 * np.abs(expected).max(initial=0.0)
+        np.testing.assert_allclose(proj @ banded @ proj, expected, rtol=0.0, atol=atol)
 
     @pytest.mark.parametrize("nodes", [2, 3, 257])
     def test_in_place_stencils_keep_their_rounding(self, nodes):
-        # the stencils CG applies, bit-equal to the expressions they were
-        # written as before they computed in place
+        # the stencils CG applies, bit-equal to their reference expressions
         rng = np.random.default_rng(8)
         dirichlet, periodic = (
             released_problem(kind, nodes).prior._family for kind in KINDS[:2]
@@ -908,7 +916,7 @@ class TestDensePriorPrecision:
 def dense_prior_variance(problem):
     """diag of the pseudo-inverse of the dense prior precision, taken on the
     admissible coordinates, glued as the periodic kind identifies them."""
-    p = _dense_prior_precision(problem)
+    p = column_loop_prior_precision(problem)
     n = p.shape[0]
     kind = problem.prior.kind
     if kind == "diagonal":

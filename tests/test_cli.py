@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +204,20 @@ class TestExitCodes:
         assert not (out / "map_flux.csv").exists()
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
+    def test_a_failed_factorization_stops_before_the_posterior_mean(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a precision Cholesky finds is not positive definite gives no mean
+        failing = SimpleNamespace(dpotrf=lambda a, **kwargs: (a, 5))
+        monkeypatch.setattr(colflux.assimilate, "_flapack", failing)
+        out = tmp_path / "out"
+        code = run_cli(tmp_path, small_config("oracle_check", out))
+        report = error_report(capsys)
+        assert code == 3
+        assert report["error"] == "NumericalError"
+        assert "not positive definite: leading minor 5 is not positive" in report["message"]
+        assert not (out / "posterior_mean.csv").exists()
+
     def test_oracle_check_stays_capped_where_assimilate_runs(self, tmp_path, capsys):
         # 4097 time nodes: past the dense oracle's 2048, not the low-rank path's
         grid = {"nz": 161, "nt": 4096}
@@ -226,7 +241,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("the dense oracle ran")
 
-        for name in ("oracle_bayes", "oracle_covariance", "_dense_prior_precision"):
+        for name in ("oracle_bayes", "oracle_covariance", "_dense_posterior"):
             monkeypatch.setattr(colflux.assimilate, name, refuse)
         monkeypatch.setattr(cli, "oracle_bayes", refuse)
         assert run_cli(tmp_path, small_config("assimilate", tmp_path / "out")) == 0
@@ -443,6 +458,21 @@ class TestFailClosed:
                 "lower model.k or raise grid.nt",
                 True,
                 id="simulate-k-1e15",
+            ),
+            *(
+                pytest.param(
+                    "eigen",
+                    {
+                        "grid": {"nz": nz, "nt": 64},
+                        "model": {"k": {"kind": "constant", "value": k}},
+                    },
+                    3,
+                    f"LAPACK dstein gave non-finite modes at largest diagonal {scale}; "
+                    "lower model.k or grid.nz",
+                    True,
+                    id=f"eigen-k-{k:g}-nz-{nz}",
+                )
+                for nz, k, scale in ((1001, 1e145, "2.000e+151"), (65, 1e150, "8.192e+153"))
             ),
             pytest.param(
                 "validate",

@@ -23,7 +23,6 @@ from colflux.numerics import (
     ColumnGrid,
     TimeGrid,
     cumulative_trapezoid,
-    exp_inner,
     exp_inner_coefficients,
     factor_tridiagonal,
     _csv_text,
@@ -188,10 +187,12 @@ class TestCumulativeTrapezoid:
 
 
 class TestExpInner:
+    """The exponential-segment functional, as its coefficients applied to g."""
+
     def test_zero_rate_reduces_to_plain_quadrature(self):
         grid = TimeGrid(t_end=1.0, n=65)
         g = np.sin(2.0 * grid.nodes) + 0.5
-        assert abs(exp_inner(g, grid, 0.0, 1.0) - trapezoid(g, grid)) < 1e-14
+        assert abs(exp_inner_coefficients(grid, 0.0, 1.0) @ g - trapezoid(g, grid)) < 1e-14
 
     def test_constant_signal_closed_form(self):
         # int_0^T e^{lam (s-T)} ds = (1 - e^{-lam T}) / lam, exact for the
@@ -199,7 +200,7 @@ class TestExpInner:
         grid = TimeGrid(t_end=1.0, n=129)
         for lam in (0.5, 4.0, 97.0):
             expected = (1.0 - np.exp(-lam)) / lam
-            got = exp_inner(np.ones(grid.n), grid, lam, 1.0)
+            got = exp_inner_coefficients(grid, lam, 1.0) @ np.ones(grid.n)
             assert abs(got - expected) < 1e-14, f"lam={lam}"
 
     def test_linear_signal_closed_form(self):
@@ -207,7 +208,7 @@ class TestExpInner:
         grid = TimeGrid(t_end=2.0, n=257)
         lam = 3.0
         expected = 2.0 / lam - (1.0 - np.exp(-2.0 * lam)) / lam**2
-        got = exp_inner(grid.nodes, grid, lam, 2.0)
+        got = exp_inner_coefficients(grid, lam, 2.0) @ grid.nodes
         assert abs(got - expected) < 1e-13
 
     def test_partial_interval_upper_limit(self):
@@ -215,7 +216,7 @@ class TestExpInner:
         lam = 2.0
         t_obs = 0.5
         expected = (1.0 - np.exp(-lam * t_obs)) / lam
-        got = exp_inner(np.ones(grid.n), grid, lam, t_obs)
+        got = exp_inner_coefficients(grid, lam, t_obs) @ np.ones(grid.n)
         assert abs(got - expected) < 1e-14
 
     def test_huge_rate_localizes_at_the_end(self):
@@ -223,7 +224,7 @@ class TestExpInner:
         grid = TimeGrid(t_end=1.0, n=4097)
         g = 1.0 + grid.nodes
         lam = 4.0e4
-        got = exp_inner(g, grid, lam, 1.0)
+        got = exp_inner_coefficients(grid, lam, 1.0) @ g
         assert abs(got - 2.0 / lam) < 1e-3 / lam
 
     def test_matches_fine_quadrature_for_smooth_signal(self):
@@ -235,37 +236,12 @@ class TestExpInner:
         dense = np.trapezoid(
             np.interp(s, grid.nodes, g) * np.exp(lam * (s - 1.0)), s
         )
-        assert abs(exp_inner(g, grid, lam, 1.0) - dense) < 1e-8
+        assert abs(exp_inner_coefficients(grid, lam, 1.0) @ g - dense) < 1e-8
 
     def test_negative_rate_rejected(self):
         grid = TimeGrid(t_end=1.0, n=5)
         with pytest.raises(ValueError, match="nonneg"):
-            exp_inner(np.ones(5), grid, -1.0, 1.0)
-
-    def test_is_the_coefficient_functional(self):
-        # one segment kernel: the value is the coefficient vector applied to g
-        rng = np.random.default_rng(3)
-        grid = TimeGrid(t_end=1.0, n=33)
-        g = rng.standard_normal(grid.n)
-        for lam, t_obs in ((0.0, 1.0), (1e-9, 0.5), (3.0, 0.75), (400.0, 1.0)):
-            c = exp_inner_coefficients(grid, lam, t_obs)
-            assert exp_inner(g, grid, lam, t_obs) == float(c @ g)
-
-    def test_non_finite_signal_rejected(self):
-        grid = TimeGrid(t_end=1.0, n=5)
-        with pytest.raises(ValueError, match="^g values must be finite"):
-            exp_inner([0.0, 1.0, np.nan, 0.0, 0.0], grid, 1.0, 1.0)
-        with pytest.raises(ValueError, match=r"^g needs nodal values of shape \(5,\)"):
-            exp_inner(np.ones(4), grid, 1.0, 1.0)
-
-    def test_coefficients_represent_the_functional(self):
-        rng = np.random.default_rng(5)
-        grid = TimeGrid(t_end=1.0, n=97)
-        for lam in (0.0, 1.3, 40.0):
-            c = exp_inner_coefficients(grid, lam, 0.75)
-            for _ in range(3):
-                g = rng.standard_normal(grid.n)
-                assert abs(np.dot(c, g) - exp_inner(g, grid, lam, 0.75)) < 1e-13
+            exp_inner_coefficients(grid, -1.0, 1.0)
 
     def test_coefficients_vanish_beyond_the_limit(self):
         grid = TimeGrid(t_end=1.0, n=17)
@@ -279,9 +255,9 @@ class TestExpInner:
         t = grid.nodes
         for frac in (0.5, 0.99, 1.01, 10.0):
             lam = SERIES_CUTOFF * frac / grid.spacing
-            const = exp_inner(np.ones(grid.n), grid, lam, 1.0)
+            const = exp_inner_coefficients(grid, lam, 1.0) @ np.ones(grid.n)
             assert abs(const - (-np.expm1(-lam)) / lam) < 1e-12
-            ramp = exp_inner(t, grid, lam, 1.0)
+            ramp = exp_inner_coefficients(grid, lam, 1.0) @ t
             series = sum(
                 (-lam) ** k / (math.factorial(k) * (k + 1) * (k + 2))
                 for k in range(12)
@@ -408,6 +384,10 @@ class TestFactorTridiagonal:
             solve(np.ones(4))
 
 
+#: The routines colflux takes from SciPy's LAPACK extension, sorted.
+LAPACK_ROUTINES = ["dpotrf", "dpotri", "dpotrs", "dpttrf", "dpttrs", "dstebz", "dstein"]
+
+
 class TestLapackModule:
     """``numerics`` loads SciPy's LAPACK extension without scipy.linalg."""
 
@@ -429,13 +409,15 @@ class TestLapackModule:
         message = str(exc.value)
         assert str(tmp_path / "linalg" / "_flapack") in message
         assert f"SciPy {scipy.__version__}" in message
-        assert "'dpttrf', 'dpttrs', 'dstebz', 'dstein'" in message
+        assert str(LAPACK_ROUTINES).strip("[]") in message
 
-    def test_missing_routine_is_named(self, monkeypatch):
+    @pytest.mark.parametrize("missing", LAPACK_ROUTINES)
+    def test_missing_routine_is_named(self, monkeypatch, missing):
         stub = types.ModuleType("stub")
-        stub.dpttrf = stub.dpttrs = stub.dstebz = object()
+        for name in set(LAPACK_ROUTINES) - {missing}:
+            setattr(stub, name, object())
         monkeypatch.setattr(importlib.util, "module_from_spec", lambda spec: stub)
-        with pytest.raises(ImportError, match=r"\['dstein'\] not found in .*_flapack"):
+        with pytest.raises(ImportError, match=rf"\['{missing}'\] not found in .*_flapack"):
             numerics._load_flapack()
 
 

@@ -10,7 +10,7 @@ import pytest
 import colflux
 from colflux.assimilate import PriorSpec, prior_apply_inverse
 from colflux.model import CoefficientProfile
-from colflux.numerics import ColumnGrid, TimeGrid, _frozen, exp_inner
+from colflux.numerics import ColumnGrid, TimeGrid, _frozen
 from colflux.observe import Weight, apply_observation
 from colflux.posterior import blind_direction
 from colflux.spectral import eigensystem, expand_weight
@@ -129,7 +129,6 @@ def nodal_inputs():
     q0 = np.zeros(zgrid.n)
     return {
         "prior_apply_inverse": ("g", tgrid.n, lambda v: prior_apply_inverse(prior, v)),
-        "exp_inner": ("g", tgrid.n, lambda v: exp_inner(v, tgrid, 1.0, 1.0)),
         "expand_weight": ("weight", zgrid.n, lambda v: expand_weight(v, eig)),
         "apply_observation": ("column", zgrid.n, lambda v: apply_observation(weight, v)),
         "solve_forward.q0": ("q0", zgrid.n, lambda v: solve_forward(profile, flux, v)),
