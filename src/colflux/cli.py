@@ -26,7 +26,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy
 from numpy.random import Generator, Philox
 
 from . import __version__
@@ -51,6 +50,7 @@ from .numerics import (
     ColumnGrid,
     TimeGrid,
     _csv_text,
+    _flapack,
     _normal_square,
     _write_csv,
     trapezoid,
@@ -718,6 +718,7 @@ def run_scenario(config: ExperimentConfig) -> int:
         del ident["out"]
         canon = json.dumps(ident, sort_keys=True)
         manifest = {
+            "blas_threads": _flapack.blas_threads(),
             "config_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
             "outputs": sorted(files),
             "scenario": config.scenario,
@@ -726,7 +727,6 @@ def run_scenario(config: ExperimentConfig) -> int:
                 "colflux": __version__,
                 "numpy": np.__version__,
                 "python": ".".join(str(v) for v in sys.version_info[:3]),
-                "scipy": scipy.__version__,
             },
         }
         _write_json(out / "manifest.json", manifest)

@@ -9,14 +9,12 @@ allocation-light, and safe to call concurrently.
 
 from __future__ import annotations
 
-import importlib.util
+import ctypes
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from sysconfig import get_config_var
 
 import numpy as np
-import scipy
+from numpy.linalg import _umath_linalg
 
 from .errors import SingularSystemError
 
@@ -42,22 +40,105 @@ NODE_RTOL = 1e-9
 _CSV_BLOCK_CELLS = 1024
 
 
-def _load_flapack():
-    """SciPy's LAPACK extension, without scipy.linalg's 0.2 s package import."""
-    path = Path(scipy.__file__).parent / "linalg" / f"_flapack{get_config_var('EXT_SUFFIX')}"
-    module = None
-    if path.is_file():
-        spec = importlib.util.spec_from_file_location("colflux._flapack", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    routines = {"dpotrf", "dpotri", "dpotrs", "dpttrf", "dpttrs", "dstebz", "dstein"}
-    missing = sorted(routines - set(dir(module)))
-    if missing:
-        raise ImportError(f"{missing} not found in {path} (SciPy {scipy.__version__})")
-    return module
+# How a LAPACK names routine r, and its integer: NumPy 2 and NumPy 1 wheels
+# (both ILP64 OpenBLAS), then an LP64 system LAPACK.
+_NAMES = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64), ("{}_", ctypes.c_int32))
+# Each routine's arguments before ``info``: c a character, i an integer, d a
+# double, D an array of doubles, I an array of integers.
+_SIGNATURES = {
+    "dpotrf": "ciDi", "dpotri": "ciDi", "dpotrs": "ciiDiDi", "dpttrf": "iDD", "dpttrs": "iiDDDi",
+    "dstebz": "cciddiidDDIIDIIDI", "dstein": "iDDiDIIDiDII",
+}
 
 
-_flapack = _load_flapack()
+class _Lapack:
+    """The seven LAPACK routines colflux calls, from the library NumPy links
+    (``dlsym`` on its ``_umath_linalg`` extension searches it), with the call
+    shapes of ``scipy.linalg.lapack``'s f2py wrappers: an array is copied into
+    Fortran order unless its overwrite flag is set and it is in that order."""
+
+    def __init__(self, path=_umath_linalg.__file__):
+        lib = ctypes.CDLL(path)
+        for name, self._int in _NAMES:  # the first naming the library uses
+            self._fn = {r: getattr(lib, name.format(r), None) for r in _SIGNATURES}
+            if any(self._fn.values()):
+                break
+        missing = [r for r, fn in self._fn.items() if fn is None]
+        if missing:
+            raise ImportError(f"LAPACK routines {missing} not found in {path}")
+        for fn in self._fn.values():  # subroutines; see _bind for their arguments
+            fn.restype = None
+        # OpenBLAS's thread count; None from another LAPACK
+        threads = getattr(lib, name.format("openblas_get_num_threads"), None)
+        if threads:
+            threads.argtypes, threads.restype = (), ctypes.c_int
+        self.blas_threads = threads or (lambda: None)
+
+    def _bind(self, routine, *args):
+        """A call of ``routine`` on ``args`` that returns ``info``, its arguments
+        converted once by the routine's signature; an array of the declared
+        type in Fortran order is passed as it is, so the routine can write it.
+        No ``argtypes`` are declared: ctypes would check every argument again
+        on each call, 1.7 us (15%) of a sweep's step at nz = 1001 on an x86-64
+        Xeon."""
+        convert = {
+            "c": lambda a: a,
+            "i": lambda a: ctypes.byref(self._int(a)),
+            "d": lambda a: ctypes.byref(ctypes.c_double(a)),
+            "D": lambda a: np.require(a, float, "F").ctypes.data_as(ctypes.c_void_p),
+            "I": lambda a: np.require(a, self._int, "F").ctypes.data_as(ctypes.c_void_p),
+        }
+        kinds = _SIGNATURES[routine]
+        info, fn = self._int(), self._fn[routine]
+        refs = [convert[k](a) for k, a in zip(kinds, args, strict=True)]
+        refs += [ctypes.byref(info)] + [ctypes.c_size_t(1)] * kinds.count("c")
+
+        def call():
+            fn(*refs)
+            return info.value
+
+        return call
+
+    def dpotrf(self, a, lower=0, clean=1, overwrite_a=0):
+        c = np.asfortranarray(a, float) if overwrite_a else np.array(a, float, order="F")
+        info = self._bind("dpotrf", b"UL"[lower : lower + 1], len(c), c, max(len(c), 1))()
+        if clean:
+            c[:] = np.tril(c) if lower else np.triu(c)
+        return c, info
+
+    def dpotri(self, c, lower=0, overwrite_c=0):
+        c = np.asfortranarray(c, float) if overwrite_c else np.array(c, float, order="F")
+        return c, self._bind("dpotri", b"UL"[lower : lower + 1], len(c), c, max(len(c), 1))()
+
+    def dpotrs(self, c, b, lower=0):
+        x, n = np.array(b, float, order="F"), max(len(c), 1)
+        return x, self._bind("dpotrs", b"UL"[lower : lower + 1], len(c), x.size // n, c, n, x, n)()
+
+    def dpttrf(self, d, e):
+        d, e = np.array(d, float), np.array(e, float)
+        return d, e, self._bind("dpttrf", len(d), d, e)()
+
+    def dpttrs(self, d, e, b):
+        x, n = np.array(b, float, order="F"), max(len(d), 1)
+        return x, self._bind("dpttrs", len(d), x.size // n, d, e, x, n)()
+
+    def dstebz(self, d, e, range, vl, vu, il, iu, tol, order):
+        n = len(d)
+        w, work, ints = np.zeros(n), np.empty(4 * n), np.zeros(5 * n + 2, self._int)
+        m, nsplit, iblock, isplit, iwork = np.split(ints, [1, 2, n + 2, 2 * n + 2])
+        args = (n, vl, vu, il, iu, tol, d, e, m, nsplit, w, iblock, isplit, work, iwork)
+        info = self._bind("dstebz", b"AVI"[range : range + 1], order.encode(), *args)()
+        return int(m[0]), w, iblock, isplit, info
+
+    def dstein(self, d, e, w, iblock, isplit):
+        n, m = len(d), len(w)
+        z, work = np.empty((n, m), order="F"), np.empty(5 * n)
+        iwork, ifail = np.empty(n, self._int), np.empty(m, self._int)
+        args = (n, d, e, m, w, iblock, isplit, z, max(n, 1), work, iwork, ifail)
+        return z, self._bind("dstein", *args)()
+
+
+_flapack = _Lapack()
 
 
 def _nodal(values, shape: tuple, name: str) -> np.ndarray:
@@ -272,7 +353,8 @@ def factor_tridiagonal(diag, off):
     -------
     callable
         ``solve(rhs)`` for ``rhs`` of shape (n,) or (n, k); the solution
-        has the shape of ``rhs``.
+        has the shape of ``rhs``. ``solve.in_place(b)`` is a call, built once,
+        that overwrites the float vector ``b`` of shape (n,) with A^-1 b.
 
     Raises
     ------
@@ -285,8 +367,7 @@ def factor_tridiagonal(diag, off):
     if off.shape != (n - 1,):
         msg = f"off-diagonal must have length {n - 1}, got {off.shape[0]}"
         raise ValueError(msg)
-    # the LAPACK wrapper wants an off-diagonal of length 1 or more
-    d, e, info = _flapack.dpttrf(diag, off if n > 1 else np.zeros(1))
+    d, e, info = _flapack.dpttrf(diag, off)
     if info > 0:
         msg = f"matrix is not positive definite: leading minor {info} is not positive"
         raise SingularSystemError(msg)
@@ -298,6 +379,12 @@ def factor_tridiagonal(diag, off):
             raise ValueError(msg)
         return _flapack.dpttrs(d, e, rhs)[0]
 
+    def in_place(b):  # LAPACK writes through b's address: it must be the vector itself
+        if b.shape != (n,) or b.dtype != float or not b.flags.c_contiguous:
+            raise ValueError(f"in-place rhs must be a contiguous float vector of length {n}")
+        return _flapack._bind("dpttrs", n, 1, d, e, b, max(n, 1))
+
+    solve.in_place = in_place
     return solve
 
 

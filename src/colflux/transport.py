@@ -120,7 +120,8 @@ def _cn_sweep(profile, dt, q, steps, forcing, visit, transpose=False):
     L = D Ls D^-1 and L^T = D^-1 Ls D for one SPD Ls, factored once: the loop
     runs on u = D^-1 q (D q if ``transpose``), u' = Ls^-1 (2 M u + c_n) - u.
     ``forcing(n, rhs)`` adds c_n = D^-1 b_n (D b_n) in place and ``visit(n, u')``
-    sees each new state; nothing is stored. d[0] = 1: surface entries are unscaled.
+    sees each new state, which the next step overwrites; nothing is stored.
+    d[0] = 1: surface entries are unscaled.
     """
     diag, off, d = _symmetric_flux_divergence(profile)
     half = 0.5 * dt
@@ -132,12 +133,14 @@ def _cn_sweep(profile, dt, q, steps, forcing, visit, transpose=False):
         msg = f"M - dt/2 S is not positive definite at dt k / dz**2 = {ratio:.3e}"
         msg += " (M rounds away above about 1e16); lower model.k or raise grid.nt"
         raise SingularSystemError(msg) from exc
-    m2 = 2.0 * m
+    m2, rhs = 2.0 * m, np.empty_like(m)
+    step = solve.in_place(rhs)
     u = q * d if transpose else q / d
     for n in steps:
-        rhs = m2 * u
+        np.multiply(m2, u, out=rhs)
         forcing(n, rhs)
-        u = solve(rhs) - u
+        step()
+        np.subtract(rhs, u, out=u)
         visit(n, u)
 
 

@@ -1125,6 +1125,11 @@ class TestForwardMapKernel:
                 solves["n"] += 1
                 return solve(rhs)
 
+            def in_place(b):  # the sweep's step: one solve per call
+                step = solve.in_place(b)
+                return lambda: (solves.update(n=1), step())
+
+            counted.in_place = in_place
             return counted
 
         monkeypatch.setattr(transport, "factor_tridiagonal", counting)

@@ -736,7 +736,7 @@ class TestRunScenarioDirect:
 
 
 @pytest.mark.parametrize(
-    "module", ["scipy.integrate", "scipy.linalg", "numpy.f2py", "numpy.testing"]
+    "module", ["scipy", "scipy.integrate", "scipy.linalg", "numpy.f2py", "numpy.testing"]
 )
 def test_cli_import_does_not_load(module):
     # each of these costs tens of milliseconds in every colflux process
@@ -748,6 +748,41 @@ def test_cli_import_does_not_load(module):
     proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_one_openblas_per_process(tmp_path):
+    # LAPACK comes from the library NumPy links: no second OpenBLAS is mapped
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config("oracle_check", out)), encoding="utf-8")
+    code = (
+        "import json, colflux.cli; "
+        f"code = colflux.cli.main(['oracle_check', '--config', {str(path)!r}]); "
+        "maps = open('/proc/self/maps').read().splitlines(); "
+        "libraries = {m.split()[-1] for m in maps if 'openblas' in m.lower()}; "
+        "print(json.dumps([code, sorted(libraries)]))"
+    )
+    proc = run_python(["-c", code], timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    status, libraries = json.loads(proc.stdout)
+    assert status == 0 and len(libraries) == 1, libraries
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_manifest_records_the_blas_thread_count(tmp_path, threads):
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config("weights", out)), encoding="utf-8")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "colflux.cli", "weights", "--config", str(path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["blas_threads"] == threads
+    assert sorted(manifest["versions"]) == ["colflux", "numpy", "python"]
 
 
 def error_report(capsys) -> dict:

@@ -1,16 +1,20 @@
 """Grids, quadrature, exponential inner products, tridiagonal solves, CSV."""
 
-import importlib.util
+import _ctypes
+import ctypes
 import io
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
-import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 import scipy.integrate
+import scipy.linalg.lapack as scipy_lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +35,10 @@ from colflux.numerics import (
     _write_csv,
     trapezoid,
 )
-from colflux.transport import _symmetric_flux_divergence
+from colflux.transport import _cn_sweep, _symmetric_flux_divergence
+from numpy.linalg import _umath_linalg
+
+SRC = str(Path(numerics.__file__).resolve().parents[1])
 
 
 class TestGrids:
@@ -384,41 +391,197 @@ class TestFactorTridiagonal:
             solve(np.ones(4))
 
 
-#: The routines colflux takes from SciPy's LAPACK extension, sorted.
+#: The routines colflux binds from the LAPACK NumPy links, sorted.
 LAPACK_ROUTINES = ["dpotrf", "dpotri", "dpotrs", "dpttrf", "dpttrs", "dstebz", "dstein"]
 
 
+def openblas_version(module) -> str | None:
+    try:
+        return module.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+    except (TypeError, KeyError):
+        return None
+
+
+class HidingLibrary:
+    """A loaded library that lacks every name in ``hidden`` and answers
+    each name in ``renamed`` with the symbol it maps to."""
+
+    CDLL = ctypes.CDLL  # the loader itself, before a test replaces it
+
+    def __init__(self, path, hidden=(), renamed=None):
+        self.lib, self.hidden, self.renamed = self.CDLL(path), set(hidden), renamed or {}
+
+    def __getattr__(self, name):
+        if name in self.hidden:
+            raise AttributeError(name)
+        return getattr(self.lib, self.renamed.get(name, name))
+
+
+def spd_matrix(n, seed=13):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T / n + np.eye(n)
+
+
+def symmetric_bands(n, seed=14):
+    rng = np.random.default_rng(seed)
+    return 2.0 + rng.random(n), -rng.random(n - 1)
+
+
 class TestLapackModule:
-    """``numerics`` loads SciPy's LAPACK extension without scipy.linalg."""
+    """``numerics._flapack`` binds LAPACK from the library NumPy links, with
+    SciPy's f2py call shapes; ``scipy.linalg.lapack`` is the reference."""
 
-    def test_scipy_linalg_imported_later_gets_its_own_copy(self):
-        import scipy.linalg.lapack as lapack
+    @pytest.mark.parametrize("n", [513, 1023])
+    @pytest.mark.parametrize("lower", [0, 1])
+    def test_dpotrf_matches_scipy(self, n, lower):
+        a = spd_matrix(n)
+        ref, info = scipy_lapack.dpotrf(a, lower=lower, clean=0)
+        buffer = np.array(a, order="F")  # the dense oracle's call: in place
+        ours, our_info = numerics._flapack.dpotrf(buffer, lower=lower, clean=0, overwrite_a=1)
+        assert info == our_info == 0 and ours is buffer
+        if openblas_version(np) == openblas_version(scipy):
+            np.testing.assert_array_equal(ours, ref)
+        else:
+            # SciPy and NumPy ship different OpenBLAS releases, whose blocked
+            # factorizations may round differently: the backward-error bound
+            eps = np.finfo(float).eps
+            assert np.abs(ours - ref).max() <= n * eps * np.abs(a).max()
+        cleaned = numerics._flapack.dpotrf(a, lower=lower)[0]  # clean=1 zeroes the other half
+        np.testing.assert_array_equal(cleaned, np.tril(ours) if lower else np.triu(ours))
 
-        assert numerics._flapack is not lapack._flapack
-        diag, off = cn_left_bands(nz=41)
-        rhs = np.random.default_rng(8).standard_normal((41, 3))
-        d, e, info = lapack.dpttrf(diag, off)
+    @pytest.mark.parametrize("n", [513, 1023])
+    def test_dpotrs_and_dpotri_match_scipy(self, n):
+        factor = scipy_lapack.dpotrf(spd_matrix(n), lower=1)[0]
+        rhs = np.random.default_rng(n).standard_normal((n, 3))
+        for b in (rhs[:, 0], rhs):
+            ours, info = numerics._flapack.dpotrs(factor, b, lower=1)
+            assert info == 0 and ours.shape == b.shape
+            np.testing.assert_array_equal(ours, scipy_lapack.dpotrs(factor, b, lower=1)[0])
+        expected = scipy_lapack.dpotri(factor, lower=1)[0]
+        buffer = factor.copy(order="F")
+        ours, info = numerics._flapack.dpotri(buffer, lower=1, overwrite_c=1)
+        assert info == 0 and ours is buffer
+        np.testing.assert_array_equal(ours, expected)
+
+    @pytest.mark.parametrize("n", [41, 1001, 4001])
+    def test_tridiagonal_routines_match_scipy(self, n):
+        diag, off = symmetric_bands(n)
+        d, e, info = numerics._flapack.dpttrf(diag, off)
+        ref = scipy_lapack.dpttrf(diag, off)
+        assert info == ref[2] == 0
+        np.testing.assert_array_equal(d, ref[0])
+        np.testing.assert_array_equal(e, ref[1])
+        rhs = np.random.default_rng(n).standard_normal((n, 3))
+        for b in (rhs[:, 1], rhs):
+            x, info = numerics._flapack.dpttrs(d, e, b)
+            assert info == 0 and x.shape == b.shape
+            np.testing.assert_array_equal(x, scipy_lapack.dpttrs(*ref[:2], b)[0])
+        modes = min(n, 40)
+        m, w, iblock, isplit, info = numerics._flapack.dstebz(
+            diag, off, 2, 0.0, 1.0, 1, modes, 0.0, "B"
+        )
+        expected = scipy_lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, modes, 0.0, "B")
+        assert (m, info) == (expected[0], expected[4]) == (modes, 0)
+        np.testing.assert_array_equal(w[:m], expected[1][:m])
+        np.testing.assert_array_equal(iblock[:m], expected[2][:m])
+        blocks = iblock[:m].max()
+        np.testing.assert_array_equal(isplit[:blocks], expected[3][:blocks])
+        z, info = numerics._flapack.dstein(diag, off, w[:m], iblock, isplit)
         assert info == 0
-        expected = lapack.dpttrs(d, e, rhs)[0]
-        np.testing.assert_array_equal(factor_tridiagonal(diag, off)(rhs), expected)
+        ref_z = scipy_lapack.dstein(diag, off, expected[1][:m], *expected[2:4])[0]
+        np.testing.assert_array_equal(z, ref_z)
 
-    def test_missing_extension_names_path_and_version(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
-        with pytest.raises(ImportError) as exc:
-            numerics._load_flapack()
-        message = str(exc.value)
-        assert str(tmp_path / "linalg" / "_flapack") in message
-        assert f"SciPy {scipy.__version__}" in message
-        assert str(LAPACK_ROUTINES).strip("[]") in message
+    def test_sweep_step_in_place_equals_the_solver(self):
+        diag, off = cn_left_bands(nz=1001)
+        solve = factor_tridiagonal(diag, off)
+        buffer = np.empty(1001)
+        step = solve.in_place(buffer)
+        u = np.random.default_rng(9).standard_normal(1001)
+        for _ in range(5):  # the arguments built once serve every step
+            buffer[:] = u
+            step()
+            np.testing.assert_array_equal(buffer, solve(u))
+            u = buffer - u
+
+    @pytest.mark.parametrize(
+        "buffer", [np.empty(40), np.empty(41, dtype=np.float32), np.empty(82)[::2]],
+        ids=["short", "float32", "strided"],
+    )
+    def test_in_place_step_takes_only_the_vector_itself(self, buffer):
+        solve = factor_tridiagonal(*cn_left_bands(nz=41))
+        with pytest.raises(ValueError, match="contiguous float vector of length 41"):
+            solve.in_place(buffer)
+
+    def test_sweep_equals_a_copying_loop(self):
+        grid = ColumnGrid(h=1.0, n=201)
+        z = grid.nodes
+        profile = CoefficientProfile(grid=grid, k=0.5 + z * (1.0 - z), w=0.3 * np.sin(np.pi * z))
+        diag, off, d = _symmetric_flux_divergence(profile)
+        dt, q0 = 1.0 / 255, np.cos(np.pi * z)
+        solve = factor_tridiagonal(grid.weights - 0.5 * dt * diag, -0.5 * dt * off)
+
+        def forcing(n, rhs):
+            rhs[0] += 0.01 * (n + 1)
+
+        def visit(n, u):  # the sweep overwrites u: keep copies
+            states.append(u.copy())
+
+        for transpose in (False, True):
+            states = []
+            _cn_sweep(profile, dt, q0, range(40), forcing, visit, transpose)
+            u = q0 * d if transpose else q0 / d
+            for n, state in enumerate(states):
+                rhs = 2.0 * grid.weights * u
+                forcing(n, rhs)
+                u = solve(rhs) - u
+                np.testing.assert_array_equal(state, u)
 
     @pytest.mark.parametrize("missing", LAPACK_ROUTINES)
     def test_missing_routine_is_named(self, monkeypatch, missing):
-        stub = types.ModuleType("stub")
-        for name in set(LAPACK_ROUTINES) - {missing}:
-            setattr(stub, name, object())
-        monkeypatch.setattr(importlib.util, "module_from_spec", lambda spec: stub)
-        with pytest.raises(ImportError, match=rf"\['{missing}'\] not found in .*_flapack"):
-            numerics._load_flapack()
+        hidden = [layout.format(missing) for layout, _ in numerics._NAMES]
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: HidingLibrary(path, hidden))
+        path = _umath_linalg.__file__
+        with pytest.raises(ImportError) as exc:
+            numerics._Lapack()
+        assert str(exc.value) == f"LAPACK routines ['{missing}'] not found in {path}"
+
+    def test_library_without_lapack_names_every_routine(self):
+        path = _ctypes.__file__
+        with pytest.raises(ImportError) as exc:
+            numerics._Lapack(path)
+        assert str(exc.value) == f"LAPACK routines {LAPACK_ROUTINES} not found in {path}"
+
+    @pytest.mark.parametrize("layout", [0, 1, 2], ids=["numpy2", "numpy1", "lp64"])
+    def test_each_naming_is_found(self, monkeypatch, layout):
+        # present this NumPy's symbols under the names of ``layout`` only
+        names = [name for name, _ in numerics._NAMES]
+        lib = HidingLibrary.CDLL(_umath_linalg.__file__)
+        real = next(n for n in names if hasattr(lib, n.format("dpotrf")))
+        symbols = ["openblas_get_num_threads", *LAPACK_ROUTINES]
+        renamed = {names[layout].format(r): real.format(r) for r in symbols}
+        hidden = {real.format(r) for r in symbols} - set(renamed)
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: HidingLibrary(path, hidden, renamed))
+        lapack = numerics._Lapack()
+        assert lapack._int is numerics._NAMES[layout][1]
+        assert lapack.blas_threads() == numerics._flapack.blas_threads()
+        if lapack._int is numerics._flapack._int:  # the routines take this width
+            a = spd_matrix(41)
+            np.testing.assert_array_equal(lapack.dpotrf(a)[0], numerics._flapack.dpotrf(a)[0])
+
+    def test_thread_count_is_openblas_own(self):
+        code = "from colflux.numerics import _flapack; print(_flapack.blas_threads())"
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == threads
+
+    def test_thread_count_is_none_without_openblas(self, monkeypatch):
+        hidden = [layout.format("openblas_get_num_threads") for layout, _ in numerics._NAMES]
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: HidingLibrary(path, hidden))
+        assert numerics._Lapack().blas_threads() is None
 
 
 def reference_csv(header, columns):
