@@ -660,13 +660,13 @@ def _dense_posterior(problem: AssimilationProblem):
     if not (np.isfinite(a.diagonal()).all() and np.isfinite(rhs).all()):
         raise NumericalError("the dense posterior precision overflows")
     family.reduce(a)
-    factor, info = _flapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+    factor, info = _flapack.dpotrf(a.T)
     if info > 0:
         msg = f"not positive definite: leading minor {info} is not positive"
         raise NumericalError(f"the dense posterior precision is {msg}")
     mean = problem.prior.mean.values.copy()
     if k:  # a two-node Dirichlet grid has no free node
-        mean[family.free] += _flapack.dpotrs(factor, rhs, lower=1)[0]
+        mean[family.free] += _flapack.dpotrs(factor, rhs)[0]
     return mean, square, factor
 
 
@@ -695,7 +695,7 @@ def oracle_covariance(problem: AssimilationProblem) -> np.ndarray:
     _, square, factor = _dense_posterior(problem)
     n, k = len(square), len(factor)
     if k:
-        _flapack.dpotri(factor, lower=1, overwrite_c=1)
+        _flapack.dpotri(factor)
     inv = factor.T  # C order, with the inverse in its upper triangle
     for i in range(1, k):
         inv[i, :i] = inv[:i, i]

@@ -40,91 +40,69 @@ NODE_RTOL = 1e-9
 _CSV_BLOCK_CELLS = 1024
 
 
-# How a LAPACK names routine r, and its integer: NumPy 2 and NumPy 1 wheels
-# (both ILP64 OpenBLAS), then an LP64 system LAPACK.
-_NAMES = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64), ("{}_", ctypes.c_int32))
+# LAPACK routine r in the ILP64 OpenBLAS of NumPy 2 and of NumPy 1 wheels
+_NAMES = ("scipy_{}_64_", "{}_64_")
 # Each routine's arguments before ``info``: c a character, i an integer, d a
-# double, D an array of doubles, I an array of integers.
+# double, D and I arrays of doubles and integers, passed as they are (so the
+# routine can write into them) where of that type and in Fortran order.
 _SIGNATURES = {
     "dpotrf": "ciDi", "dpotri": "ciDi", "dpotrs": "ciiDiDi", "dpttrf": "iDD", "dpttrs": "iiDDDi",
     "dstebz": "cciddiidDDIIDIIDI", "dstein": "iDDiDIIDiDII",
 }
+_CONVERT = {
+    "c": lambda a: a,
+    "i": lambda a: ctypes.byref(ctypes.c_int64(a)),
+    "d": lambda a: ctypes.byref(ctypes.c_double(a)),
+    "D": lambda a: np.require(a, float, "F").ctypes.data_as(ctypes.c_void_p),
+    "I": lambda a: np.require(a, np.int64, "F").ctypes.data_as(ctypes.c_void_p),
+}
 
 
 class _Lapack:
-    """The seven LAPACK routines colflux calls, from the library NumPy links
-    (``dlsym`` on its ``_umath_linalg`` extension searches it), with the call
-    shapes of ``scipy.linalg.lapack``'s f2py wrappers: an array is copied into
-    Fortran order unless its overwrite flag is set and it is in that order."""
+    """LAPACK from the library NumPy links (``dlsym`` on its ``_umath_linalg``
+    extension searches it), in ``scipy.linalg.lapack``'s argument order. The
+    Cholesky routines take the lower triangle; ``dpotrf`` and ``dpotri`` work
+    in place on a float Fortran-order array. ``factor_tridiagonal`` binds
+    ``dpttrf`` and ``dpttrs`` itself."""
 
     def __init__(self, path=_umath_linalg.__file__):
         lib = ctypes.CDLL(path)
-        for name, self._int in _NAMES:  # the first naming the library uses
+        for name in _NAMES:  # the first naming the library uses
             self._fn = {r: getattr(lib, name.format(r), None) for r in _SIGNATURES}
             if any(self._fn.values()):
                 break
         missing = [r for r, fn in self._fn.items() if fn is None]
         if missing:
             raise ImportError(f"LAPACK routines {missing} not found in {path}")
-        for fn in self._fn.values():  # subroutines; see _bind for their arguments
-            fn.restype = None
+        for fn in self._fn.values():
+            fn.restype = None  # subroutines: ``info`` comes back through its pointer
         # OpenBLAS's thread count; None from another LAPACK
-        threads = getattr(lib, name.format("openblas_get_num_threads"), None)
-        if threads:
-            threads.argtypes, threads.restype = (), ctypes.c_int
-        self.blas_threads = threads or (lambda: None)
+        self.blas_threads = getattr(lib, name.format("openblas_get_num_threads"), lambda: None)
 
     def _bind(self, routine, *args):
-        """A call of ``routine`` on ``args`` that returns ``info``, its arguments
-        converted once by the routine's signature; an array of the declared
-        type in Fortran order is passed as it is, so the routine can write it.
-        No ``argtypes`` are declared: ctypes would check every argument again
-        on each call, 1.7 us (15%) of a sweep's step at nz = 1001 on an x86-64
-        Xeon."""
-        convert = {
-            "c": lambda a: a,
-            "i": lambda a: ctypes.byref(self._int(a)),
-            "d": lambda a: ctypes.byref(ctypes.c_double(a)),
-            "D": lambda a: np.require(a, float, "F").ctypes.data_as(ctypes.c_void_p),
-            "I": lambda a: np.require(a, self._int, "F").ctypes.data_as(ctypes.c_void_p),
-        }
-        kinds = _SIGNATURES[routine]
-        info, fn = self._int(), self._fn[routine]
-        refs = [convert[k](a) for k, a in zip(kinds, args, strict=True)]
+        """A call of ``routine`` on ``args``, converted once, that returns ``info``.
+        No ``argtypes``: ctypes would check each argument again on every call,
+        1.7 us (15%) of a sweep's step at nz = 1001 on an x86-64 Xeon."""
+        kinds, fn, info = _SIGNATURES[routine], self._fn[routine], ctypes.c_int64()
+        refs = [_CONVERT[k](a) for k, a in zip(kinds, args, strict=True)]
         refs += [ctypes.byref(info)] + [ctypes.c_size_t(1)] * kinds.count("c")
+        return lambda: fn(*refs) or info.value
 
-        def call():
-            fn(*refs)
-            return info.value
+    def dpotrf(self, a):
+        c = np.asfortranarray(a, float)
+        return c, self._bind("dpotrf", b"L", len(c), c, max(len(c), 1))()
 
-        return call
+    def dpotri(self, c):
+        c = np.asfortranarray(c, float)
+        return c, self._bind("dpotri", b"L", len(c), c, max(len(c), 1))()
 
-    def dpotrf(self, a, lower=0, clean=1, overwrite_a=0):
-        c = np.asfortranarray(a, float) if overwrite_a else np.array(a, float, order="F")
-        info = self._bind("dpotrf", b"UL"[lower : lower + 1], len(c), c, max(len(c), 1))()
-        if clean:
-            c[:] = np.tril(c) if lower else np.triu(c)
-        return c, info
-
-    def dpotri(self, c, lower=0, overwrite_c=0):
-        c = np.asfortranarray(c, float) if overwrite_c else np.array(c, float, order="F")
-        return c, self._bind("dpotri", b"UL"[lower : lower + 1], len(c), c, max(len(c), 1))()
-
-    def dpotrs(self, c, b, lower=0):
+    def dpotrs(self, c, b):
         x, n = np.array(b, float, order="F"), max(len(c), 1)
-        return x, self._bind("dpotrs", b"UL"[lower : lower + 1], len(c), x.size // n, c, n, x, n)()
-
-    def dpttrf(self, d, e):
-        d, e = np.array(d, float), np.array(e, float)
-        return d, e, self._bind("dpttrf", len(d), d, e)()
-
-    def dpttrs(self, d, e, b):
-        x, n = np.array(b, float, order="F"), max(len(d), 1)
-        return x, self._bind("dpttrs", len(d), x.size // n, d, e, x, n)()
+        return x, self._bind("dpotrs", b"L", len(c), x.size // n, c, n, x, n)()
 
     def dstebz(self, d, e, range, vl, vu, il, iu, tol, order):
         n = len(d)
-        w, work, ints = np.zeros(n), np.empty(4 * n), np.zeros(5 * n + 2, self._int)
+        w, work, ints = np.zeros(n), np.empty(4 * n), np.zeros(5 * n + 2, np.int64)
         m, nsplit, iblock, isplit, iwork = np.split(ints, [1, 2, n + 2, 2 * n + 2])
         args = (n, vl, vu, il, iu, tol, d, e, m, nsplit, w, iblock, isplit, work, iwork)
         info = self._bind("dstebz", b"AVI"[range : range + 1], order.encode(), *args)()
@@ -133,7 +111,7 @@ class _Lapack:
     def dstein(self, d, e, w, iblock, isplit):
         n, m = len(d), len(w)
         z, work = np.empty((n, m), order="F"), np.empty(5 * n)
-        iwork, ifail = np.empty(n, self._int), np.empty(m, self._int)
+        iwork, ifail = np.empty(n, np.int64), np.empty(m, np.int64)
         args = (n, d, e, m, w, iblock, isplit, z, max(n, 1), work, iwork, ifail)
         return z, self._bind("dstein", *args)()
 
@@ -354,35 +332,34 @@ def factor_tridiagonal(diag, off):
     callable
         ``solve(rhs)`` for ``rhs`` of shape (n,) or (n, k); the solution
         has the shape of ``rhs``. ``solve.in_place(b)`` is a call, built once,
-        that overwrites the float vector ``b`` of shape (n,) with A^-1 b.
+        that overwrites the Fortran-order float array ``b`` of shape (n,) or
+        (n, k) with A^-1 b.
 
     Raises
     ------
     SingularSystemError
         If the matrix is not positive definite.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    n = diag.shape[0]
-    if off.shape != (n - 1,):
-        msg = f"off-diagonal must have length {n - 1}, got {off.shape[0]}"
+    d, e = np.array(diag, dtype=float), np.array(off, dtype=float)
+    n = d.shape[0]
+    if e.shape != (n - 1,):
+        msg = f"off-diagonal must have length {n - 1}, got {e.shape[0]}"
         raise ValueError(msg)
-    d, e, info = _flapack.dpttrf(diag, off)
+    info = _flapack._bind("dpttrf", n, d, e)()  # d and e become the LDL^T factors
     if info > 0:
         msg = f"matrix is not positive definite: leading minor {info} is not positive"
         raise SingularSystemError(msg)
 
     def solve(rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != n:
-            msg = f"rhs has leading dimension {rhs.shape[0]}, expected {n}"
-            raise ValueError(msg)
-        return _flapack.dpttrs(d, e, rhs)[0]
+        x = np.array(rhs, dtype=float, order="F")
+        in_place(x)()
+        return x
 
-    def in_place(b):  # LAPACK writes through b's address: it must be the vector itself
-        if b.shape != (n,) or b.dtype != float or not b.flags.c_contiguous:
-            raise ValueError(f"in-place rhs must be a contiguous float vector of length {n}")
-        return _flapack._bind("dpttrs", n, 1, d, e, b, max(n, 1))
+    def in_place(b):  # LAPACK writes through b's address: it must be the array itself
+        if b.shape[:1] != (n,) or b.dtype != float or not b.flags.f_contiguous:
+            msg = f"rhs needs leading dimension {n}, float entries and Fortran order"
+            raise ValueError(f"{msg}; got shape {b.shape} of {b.dtype}")
+        return _flapack._bind("dpttrs", n, b.size // n, d, e, b, n)
 
     solve.in_place = in_place
     return solve
