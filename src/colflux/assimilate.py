@@ -375,12 +375,14 @@ class AssimilationProblem:
         rows = [self.profile.grid.weights * w.values for w in self.weights]
         return _frozen(np.array(rows).reshape(len(rows), self.profile.grid.n))
 
+    @property
+    def _sweep_args(self) -> tuple:
+        """The forward map's arguments to ``impulse_response`` and ``flux_sensitivity``."""
+        return (self.profile, self.prior.grid, self.functionals, self.obs_indices)
+
     @cached_property
     def _impulse_rows(self) -> np.ndarray:
-        rows = impulse_response(
-            self.profile, self.prior.grid, self.functionals, self.obs_indices
-        )
-        return _frozen(rows)
+        return _frozen(impulse_response(*self._sweep_args))
 
     @cached_property
     def forward_rows(self) -> np.ndarray:
@@ -405,8 +407,8 @@ class AssimilationProblem:
     def adjoint_rows(self) -> np.ndarray:
         """G again, from one transposed backward sweep per observation."""
         rows = np.empty((len(self.observations), self.prior.grid.n))
-        for i in range(len(self.observations)):
-            rows[i] = _adjoint_flux_sensitivity(self, {i: 1.0})
+        for i, c in enumerate(np.eye(len(rows))):
+            rows[i] = flux_sensitivity(*self._sweep_args, c)
         return _frozen(rows)
 
     @cached_property
@@ -493,21 +495,6 @@ def cost(problem: AssimilationProblem, flux: FluxSignal) -> float:
     return float(0.5 * np.dot(resid, resid) + 0.5 * penalty)
 
 
-def _adjoint_flux_sensitivity(problem: AssimilationProblem, impulses) -> np.ndarray:
-    """Backward sweep of the transposed stepper; returns dJ/dF per node.
-
-    ``impulses`` maps observation index -> Euclidean cost gradient with
-    respect to the state at that observation's time node. The return value
-    is the Euclidean gradient with respect to the nodal flux values.
-    """
-    g = {}
-    for i, n_i in enumerate(problem.obs_indices):
-        if i in impulses:
-            vec = problem.functionals[i] * impulses[i]
-            g[n_i] = g.get(n_i, 0.0) + vec
-    return flux_sensitivity(problem.profile, problem.prior.grid, g)
-
-
 def gradient(problem: AssimilationProblem, flux: FluxSignal) -> np.ndarray:
     """Gradient of the cost as a nodal function on the time grid.
 
@@ -519,8 +506,7 @@ def gradient(problem: AssimilationProblem, flux: FluxSignal) -> np.ndarray:
     prior_term = prior_apply_inverse(problem.prior, df)
     u = _forward_map(problem, flux.values)
     resid = (u - problem.observations.values) / problem.observations.noise_levels**2
-    impulses = {i: resid[i] for i in range(len(problem.observations))}
-    euclid = _adjoint_flux_sensitivity(problem, impulses)
+    euclid = flux_sensitivity(*problem._sweep_args, resid)
     return problem.prior._family.to_function(euclid) + prior_term
 
 

@@ -73,9 +73,9 @@ class StabilityError(NumericalError):
     ``step`` records the first offending time-step index.
     """
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite solution at time step {step}")
+        super().__init__(f"non-finite solution at time step {step}")
 
 
 class NormalizationError(NumericalError):

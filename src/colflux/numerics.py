@@ -47,7 +47,7 @@ _NAMES = ("scipy_{}_64_", "{}_64_")
 # routine can write into them) where of that type and in Fortran order.
 _SIGNATURES = {
     "dpotrf": "ciDi", "dpotri": "ciDi", "dpotrs": "ciiDiDi", "dpttrf": "iDD", "dpttrs": "iiDDDi",
-    "dstebz": "cciddiidDDIIDIIDI", "dstein": "iDDiDIIDiDII",
+    "dstevx": "cciDDddiidIDDiDII",
 }
 _CONVERT = {
     "c": lambda a: a,
@@ -60,9 +60,9 @@ _CONVERT = {
 
 class _Lapack:
     """LAPACK from the library NumPy links (``dlsym`` on its ``_umath_linalg``
-    extension searches it), in ``scipy.linalg.lapack``'s argument order. The
-    Cholesky routines take the lower triangle; ``dpotrf`` and ``dpotri`` work
-    in place on a float Fortran-order array. ``factor_tridiagonal`` binds
+    extension searches it). The Cholesky routines take ``scipy.linalg.lapack``'s
+    argument order and the lower triangle; ``dpotrf`` and ``dpotri`` work in
+    place on a float Fortran-order array. ``factor_tridiagonal`` binds
     ``dpttrf`` and ``dpttrs`` itself."""
 
     def __init__(self, path=_umath_linalg.__file__):
@@ -100,20 +100,18 @@ class _Lapack:
         x, n = np.array(b, float, order="F"), max(len(c), 1)
         return x, self._bind("dpotrs", b"L", len(c), x.size // n, c, n, x, n)()
 
-    def dstebz(self, d, e, range, vl, vu, il, iu, tol, order):
-        n = len(d)
-        w, work, ints = np.zeros(n), np.empty(4 * n), np.zeros(5 * n + 2, np.int64)
-        m, nsplit, iblock, isplit, iwork = np.split(ints, [1, 2, n + 2, 2 * n + 2])
-        args = (n, vl, vu, il, iu, tol, d, e, m, nsplit, w, iblock, isplit, work, iwork)
-        info = self._bind("dstebz", b"AVI"[range : range + 1], order.encode(), *args)()
-        return int(m[0]), w, iblock, isplit, info
-
-    def dstein(self, d, e, w, iblock, isplit):
-        n, m = len(d), len(w)
-        z, work = np.empty((n, m), order="F"), np.empty(5 * n)
-        iwork, ifail = np.empty(n, np.int64), np.empty(m, np.int64)
-        args = (n, d, e, m, w, iblock, isplit, z, max(n, 1), work, iwork, ifail)
-        return z, self._bind("dstein", *args)()
+    def dstevx(self, d, e, n_modes):
+        """The ``n_modes`` smallest eigenvalues of the symmetric tridiagonal
+        (``d``, ``e``), increasing, with unit eigenvectors: bisection to full
+        accuracy, inverse iteration and a sort, on copies of ``d`` and ``e``
+        (LAPACK may scale them). Returns the count found too."""
+        n, m = len(d), np.zeros(1, np.int64)
+        w, z, work = np.empty(n), np.empty((n, n_modes), order="F"), np.empty(5 * n)
+        iwork, ifail = np.empty(5 * n, np.int64), np.empty(n, np.int64)
+        d, e = np.array(d, float), np.array(e, float)
+        args = (n, d, e, 0.0, 0.0, 1, n_modes, 0.0, m, w, z, max(n, 1), work, iwork, ifail)
+        info = self._bind("dstevx", b"V", b"I", *args)()
+        return int(m[0]), w[: m[0]], z[:, : m[0]], info
 
 
 _flapack = _Lapack()

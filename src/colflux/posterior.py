@@ -76,7 +76,6 @@ class GainDirection:
     grid: TimeGrid
     values: np.ndarray
     t_obs: float
-    r: float
     coefficients: np.ndarray
     lambdas: np.ndarray
     prefactor: float
@@ -181,7 +180,6 @@ def gain_direction(
         grid=grid,
         values=values,
         t_obs=float(t[idx]),
-        r=float(r),
         coefficients=a.copy(),
         lambdas=lam.copy(),
         prefactor=float(pref),

@@ -110,7 +110,8 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     NumericalError
         NormalizationError if a computed mode (nearly) vanishes at the
         surface, so the surface-one gauge cannot be applied; NumericalError
-        itself if LAPACK fails or returns non-finite modes (k / dz**2 near 1e151).
+        itself if LAPACK fails, finds too few eigenvalues or returns non-finite
+        modes.
     """
     grid = profile.grid
     n_modes = int(n_modes)
@@ -137,18 +138,15 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     sqrt_b = np.sqrt(b)
     d = _nodal(a_diag / b, (grid.n,), "eigenproblem diagonal")
     e = _nodal(a_off / (sqrt_b[:-1] * sqrt_b[1:]), (grid.n - 1,), "eigenproblem band")
-    # eigh_tridiagonal(select="i")'s calls: bisection, inverse iteration, sort
-    m, w, iblock, isplit, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, 1, n_modes, 0.0, "B")
+    # eigh_tridiagonal(select="i")'s bisection, inverse iteration and sort in
+    # one call, which drops the bisection's info: a short count shows it
+    m, vals, vecs, info = _flapack.dstevx(d, e, n_modes)
     scale = f"largest diagonal {np.abs(d).max():.3e}; lower model.k or grid.nz"
-    if info != 0:
-        raise NumericalError(f"LAPACK dstebz failed with info={info} at {scale}")
-    vecs, info = _flapack.dstein(d, e, w[:m], iblock, isplit)
-    if info != 0:
-        raise NumericalError(f"LAPACK dstein failed with info={info}")
-    if not np.isfinite(vecs.sum()):  # info=0 with NaN modes; unit columns sum finitely
-        raise NumericalError(f"LAPACK dstein gave non-finite modes at {scale}")
-    order = np.argsort(w[:m])
-    vals, vecs = w[order], vecs[:, order]
+    if info != 0 or m < n_modes:
+        msg = f"LAPACK dstevx failed with info={info}, {m} of {n_modes} eigenvalues"
+        raise NumericalError(f"{msg} found at {scale}")
+    if not np.isfinite(vecs.sum()):  # NaN modes with info=0; unit columns sum finitely
+        raise NumericalError(f"LAPACK dstevx gave non-finite modes at {scale}")
 
     # the operator is positive semidefinite with an exact null vector: the
     # stiffness rows sum to zero, so constants are annihilated in exact

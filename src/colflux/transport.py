@@ -16,8 +16,8 @@ Time stepping is Crank-Nicolson, second order and unconditionally stable.
 Every sweep of the package runs the one private loop ``_cn_sweep``:
 ``solve_forward`` (the whole field, or only the states at given nodes),
 ``impulse_response`` (the rows of the discrete forward map G, one impulse
-sweep assembled by the flux hats) and ``flux_sensitivity`` (the
-transposed backward sweep of the adjoint, per nodal flux value). The loop
+sweep assembled by the flux hats) and ``flux_sensitivity`` (c^T G for
+any coefficients c, one transposed backward sweep of the adjoint). The loop
 keeps O(nz) state; its callers store what they read.
 """
 
@@ -148,7 +148,6 @@ def solve_forward(
     profile: CoefficientProfile,
     flux: FluxSignal,
     q0,
-    source: np.ndarray | None = None,
     nodes=None,
 ):
     """Integrate the tracer equation forward in time.
@@ -162,11 +161,6 @@ def solve_forward(
         interpolant).
     q0 : array_like
         Initial condition on the column grid.
-    source : numpy.ndarray, optional
-        Nodal volumetric source of shape (nz, nt). This is a diagnostic
-        hook for manufactured-solution studies; production paths leave it
-        None, and the mass-balance identity assumes the source-free
-        equation.
     nodes : sequence of int, optional
         Time-node indices to keep. The solve then stops at the latest of
         them and stores only those states, in O(nz) memory per node.
@@ -184,15 +178,12 @@ def solve_forward(
     grid = profile.grid
     tgrid = flux.grid
     q0 = _nodal(q0, (grid.n,), "q0")
-    if source is not None:
-        source = _nodal(source, (grid.n, tgrid.n), "source")
     kept = range(tgrid.n) if nodes is None else [int(n) for n in nodes]
     if not all(0 <= n < tgrid.n for n in kept):
         raise ValueError(f"nodes must lie in [0, {tgrid.n})")
 
     dt = tgrid.spacing
     k0 = profile.k[0]
-    m = grid.weights
     f = flux.values
     columns = {}
     for j, n in enumerate(kept):
@@ -203,8 +194,6 @@ def solve_forward(
 
     def forcing(n, rhs):
         rhs[0] += 0.5 * dt * k0 * (f[n] + f[n + 1])
-        if source is not None:
-            rhs += 0.5 * dt * m * (source[:, n] + source[:, n + 1]) / d
 
     def visit(n, u):
         q = d * u
@@ -255,16 +244,21 @@ def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
     return rows
 
 
-def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, impulses):
-    """Gradient of sum_n impulses[n] . q(., t_n) in the nodal flux values.
+def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, functionals, nodes, c):
+    """``c @ impulse_response(profile, tgrid, functionals, nodes)`` from one sweep.
 
-    ``impulses`` maps a time node to a vector on the column. The transposed
-    stepper runs backward from the latest node, where the adjoint state
+    That is the gradient of sum_i c[i] functionals[i] . q(., t_n) at n =
+    nodes[i] in the nodal flux values. The transposed stepper runs backward
+    from the latest node with a nonzero coefficient, where the adjoint state
     starts (it is zero after it); each step's surface value feeds the flux
     at both of the step's nodes. A state at node 0 does not see the flux.
     """
     out = np.zeros(tgrid.n)
     half = 0.5 * tgrid.spacing * profile.k[0]
+    impulses = {}
+    for row, n_i, c_i in zip(functionals, nodes, c):
+        if c_i != 0.0:
+            impulses[n_i] = impulses.get(n_i, 0.0) + row * c_i
     d = _symmetric_flux_divergence(profile)[2]
     scaled = {n: d * v for n, v in impulses.items()}
 
@@ -290,8 +284,8 @@ def mass_balance_residual(
     Returns r(t) = trapz(q(., t)) - trapz(q(., 0)) - k(0) * int_0^t F, with
     the time integral taken by the cumulative trapezoid rule (the one the
     stepper conserves exactly). For fields produced by
-    :func:`solve_forward` without a source term, every entry sits at the
-    accumulation-rounding level, below 1e-10 * (1 + |q0| + |F|).
+    :func:`solve_forward`, every entry sits at the accumulation-rounding
+    level, below 1e-10 * (1 + |q0| + |F|).
     """
     totals = trapezoid(field.values, field.grid, axis=0)
     injected = profile.k[0] * cumulative_trapezoid(flux.values, flux.grid.spacing)

@@ -459,21 +459,6 @@ class TestFailClosed:
                 True,
                 id="simulate-k-1e15",
             ),
-            *(
-                pytest.param(
-                    "eigen",
-                    {
-                        "grid": {"nz": nz, "nt": 64},
-                        "model": {"k": {"kind": "constant", "value": k}},
-                    },
-                    3,
-                    f"LAPACK dstein gave non-finite modes at largest diagonal {scale}; "
-                    "lower model.k or grid.nz",
-                    True,
-                    id=f"eigen-k-{k:g}-nz-{nz}",
-                )
-                for nz, k, scale in ((1001, 1e145, "2.000e+151"), (65, 1e150, "8.192e+153"))
-            ),
             pytest.param(
                 "validate",
                 {"grid": {"nz": 2, "nt": 64}},
@@ -502,6 +487,29 @@ class TestFailClosed:
         report = json.loads(err)  # exactly one JSON document
         assert report["exit_code"] == code
         assert cause in report["message"]
+
+    @pytest.mark.parametrize("nz, k", [(1001, 1e145), (65, 1e150)], ids=["nz-1001", "nz-65"])
+    def test_eigenproblem_with_huge_diagonal_is_solved_scaled(self, tmp_path, capsys, nz, k):
+        # largest diagonals 2.0e151 and 8.2e153 once gave NaN modes (exit 3);
+        # LAPACK now scales such a problem, so its eigenvalues are k times
+        # those at k = 1, and its surface-gauged modes the same
+        tables = []
+        for value in (1.0, k):
+            out = tmp_path / f"k{value:g}"
+            config = small_config(
+                "eigen", out, grid={"nz": nz, "nt": 64}, spectral={"n_modes": 4},
+                model={"k": {"kind": "constant", "value": value}},
+            )
+            assert run_cli(tmp_path, config) == 0
+            assert capsys.readouterr().err == ""
+            tables.append(np.loadtxt(out / "eig.csv", delimiter=",", skiprows=1))
+        ref, scaled = tables
+        lam = ref[:, 1]
+        # relative to the largest kept eigenvalue: bisection's error is
+        # eps ||T|| absolute, 2.5e-12 of lambda_1 at nz = 1001
+        assert np.abs(scaled[:, 1] - k * lam).max() <= 1e-12 * k * lam.max()
+        # inverse iteration's error is about eps ||T|| / gap, 3e-11 at nz = 1001
+        assert np.abs(scaled[:, 3:] - ref[:, 3:]).max() <= 1e-10
 
     @pytest.mark.parametrize("scenario", ["oracle_check", "blind"])
     def test_a_nan_gain_fails_the_cross_check(self, tmp_path, capsys, monkeypatch, scenario):

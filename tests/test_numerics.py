@@ -17,6 +17,7 @@ import scipy.integrate
 import scipy.linalg.lapack as scipy_lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import colflux.numerics as numerics
 from colflux.errors import SingularSystemError
@@ -392,7 +393,7 @@ class TestFactorTridiagonal:
 
 
 #: The routines colflux binds from the LAPACK NumPy links, sorted.
-LAPACK_ROUTINES = ["dpotrf", "dpotri", "dpotrs", "dpttrf", "dpttrs", "dstebz", "dstein"]
+LAPACK_ROUTINES = ["dpotrf", "dpotri", "dpotrs", "dpttrf", "dpttrs", "dstevx"]
 
 
 def openblas_version(module) -> str | None:
@@ -475,20 +476,26 @@ class TestLapackModule:
             x = solve(b)
             assert x.shape == b.shape
             np.testing.assert_array_equal(x, scipy_lapack.dpttrs(*ref[:2], b)[0])
-        modes = min(n, 40)
-        m, w, iblock, isplit, info = numerics._flapack.dstebz(
-            diag, off, 2, 0.0, 1.0, 1, modes, 0.0, "B"
-        )
-        expected = scipy_lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, modes, 0.0, "B")
-        assert (m, info) == (expected[0], expected[4]) == (modes, 0)
-        np.testing.assert_array_equal(w[:m], expected[1][:m])
-        np.testing.assert_array_equal(iblock[:m], expected[2][:m])
-        blocks = iblock[:m].max()
-        np.testing.assert_array_equal(isplit[:blocks], expected[3][:blocks])
-        z, info = numerics._flapack.dstein(diag, off, w[:m], iblock, isplit)
-        assert info == 0
-        ref_z = scipy_lapack.dstein(diag, off, expected[1][:m], *expected[2:4])[0]
+        modes = min(n, 40)  # one call for eigh_tridiagonal(select="i")'s three
+        m, w, z, info = numerics._flapack.dstevx(diag, off, modes)
+        ref_w, ref_z = eigh_tridiagonal(diag, off, select="i", select_range=(0, modes - 1))
+        assert (m, info) == (modes, 0)
+        np.testing.assert_array_equal(w, ref_w)
         np.testing.assert_array_equal(z, ref_z)
+
+    def test_dstevx_scales_copies_of_its_bands(self):
+        # past a norm of about 8e76 LAPACK scales the bands in place; the
+        # caller's arrays must stay as they were
+        diag, off = symmetric_bands(101)
+        big = (1e150 * diag, 1e150 * off)
+        kept = [band.copy() for band in big]
+        m, w, z, info = numerics._flapack.dstevx(*big, 8)
+        assert (m, info) == (8, 0)
+        for band, copy in zip(big, kept):
+            np.testing.assert_array_equal(band, copy)
+        ref_w, ref_z = numerics._flapack.dstevx(diag, off, 8)[1:3]
+        np.testing.assert_allclose(w, 1e150 * ref_w, rtol=1e-13)
+        np.testing.assert_allclose(np.abs(z), np.abs(ref_z), rtol=0, atol=1e-12)
 
     def test_sweep_step_in_place_equals_the_solver(self):
         diag, off = cn_left_bands(nz=1001)

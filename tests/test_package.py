@@ -126,17 +126,11 @@ def nodal_inputs():
     prior = PriorSpec(mean=flux, kind="diagonal")
     eig = eigensystem(profile, 4)
     weight = Weight(grid=zgrid, values=np.ones(zgrid.n))
-    q0 = np.zeros(zgrid.n)
     return {
         "prior_apply_inverse": ("g", tgrid.n, lambda v: prior_apply_inverse(prior, v)),
         "expand_weight": ("weight", zgrid.n, lambda v: expand_weight(v, eig)),
         "apply_observation": ("column", zgrid.n, lambda v: apply_observation(weight, v)),
         "solve_forward.q0": ("q0", zgrid.n, lambda v: solve_forward(profile, flux, v)),
-        "solve_forward.source": (
-            "source",
-            (zgrid.n, tgrid.n),
-            lambda v: solve_forward(profile, flux, q0, source=v),
-        ),
         "blind_direction": ("seed", tgrid.n, lambda v: blind_direction(eig, 1.0, 2, tgrid, v)),
     }
 

@@ -1,11 +1,14 @@
 """Adjoint eigensystem, weight expansions, and the mode-density sums."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+import colflux.cli as cli
 import colflux.spectral as spectral
 from colflux.errors import DomainError, NormalizationError, NumericalError
 from colflux.model import CoefficientProfile
@@ -113,40 +116,32 @@ class TestGeneralProfiles:
 class ScipyEigensolver:
     """Stands in for the LAPACK module in ``spectral``: SciPy's
     ``eigh_tridiagonal(select="i")``, the slower, independent reference,
-    answers the bisection request and hands its modes to ``dstein``."""
+    answers the ``dstevx`` request."""
 
-    def dstebz(self, d, e, rng, vl, vu, il, iu, tol, order):
-        assert (rng, il, tol, order) == (2, 1, 0.0, "B")
-        self.w, self.v = eigh_tridiagonal(d, e, select="i", select_range=(il - 1, iu - 1))
-        return len(self.w), self.w, None, None, 0
-
-    def dstein(self, d, e, w, iblock, isplit):
-        assert np.array_equal(w, self.w)
-        return self.v, 0
+    def dstevx(self, d, e, n_modes):
+        w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n_modes - 1))
+        return len(w), w, v, 0
 
 
 class PatchedLapack:
-    """The real routines, with one fault planted in what they return."""
+    """The real routine, with one fault planted in what it returns."""
 
     def __init__(self, fault):
         self.fault = fault
 
-    def dstebz(self, *args):
-        m, w, iblock, isplit, info = _flapack.dstebz(*args)
-        self.w = w.copy()
+    def dstevx(self, d, e, n_modes):
+        m, w, vecs, info = _flapack.dstevx(d, e, n_modes)
         if self.fault == "nan eigenvalues":
             w[:] = np.nan
-        return m, w, iblock, isplit, 1 if self.fault == "dstebz info" else info
-
-    def dstein(self, d, e, w, iblock, isplit):
-        vecs, info = _flapack.dstein(d, e, self.w[: len(w)], iblock, isplit)
         if self.fault == "nan mode":
             vecs[:, 2] = np.nan
-        return vecs, 1 if self.fault == "dstein info" else info
+        if self.fault == "too few":  # what a failed bisection leaves
+            m, w, vecs = m - 1, w[:-1], vecs[:, :-1]
+        return m, w, vecs, 1 if self.fault == "info" else info
 
 
 class TestLapackEigensolve:
-    """``eigensystem`` calls dstebz and dstein itself, as SciPy would."""
+    """``eigensystem`` makes SciPy's calls in one ``dstevx``."""
 
     @pytest.mark.parametrize(
         "profile, n_modes",
@@ -166,31 +161,34 @@ class TestLapackEigensolve:
         for name in ("eigenvalues", "modes", "mu_norms", "mu"):
             assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
 
-    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
-    def test_lapack_failure_is_a_numerical_error(self, monkeypatch, routine):
-        monkeypatch.setattr(spectral, "_flapack", PatchedLapack(f"{routine} info"))
-        message = f"LAPACK {routine} failed with info=1"
-        with pytest.raises(NumericalError, match=message) as exc:
-            eigensystem(constant_profile(65), 4)
-        assert type(exc.value) is NumericalError
-
     @pytest.mark.parametrize(
         "fault, error, message",
         [
-            ("nan eigenvalues", NormalizationError, r"constant-mode eigenvalue .*nan"),
+            ("info", "NumericalError", "failed with info=1, 6 of 6 eigenvalues found"),
+            ("too few", "NumericalError", "failed with info=0, 5 of 6 eigenvalues found"),
+            ("nan mode", "NumericalError", "gave non-finite modes"),
             (
-                "nan mode",
-                NumericalError,
-                r"dstein gave non-finite modes at largest diagonal 6\.636e\+04; "
-                r"lower model\.k or grid\.nz",
+                "nan eigenvalues",
+                "NormalizationError",
+                "constant-mode eigenvalue nan exceeds rounding scale",
             ),
         ],
+        ids=["info", "too-few", "nan-mode", "nan-eigenvalues"],
     )
-    def test_nan_from_the_eigensolver_fails_its_gate(self, monkeypatch, fault, error, message):
+    def test_planted_fault_exits_3_naming_its_cause(
+        self, tmp_path, capsys, monkeypatch, fault, error, message
+    ):
         monkeypatch.setattr(spectral, "_flapack", PatchedLapack(fault))
-        with pytest.raises(error, match=message) as err:
-            eigensystem(smooth_profile(3), 6)
-        assert type(err.value) is error and "np.float64" not in str(err.value)
+        config = {"grid": {"nz": 161, "nt": 64}, "spectral": {"n_modes": 6}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["eigen", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == error
+        if error == "NumericalError":  # with the eigenproblem's scale and what to change
+            message = f"LAPACK dstevx {message} at largest diagonal 5.120e+04; "
+            message += "lower model.k or grid.nz"
+        assert report["message"] == message
 
     def test_non_finite_bands_are_rejected(self, monkeypatch):
         # the profile's constructor rejects a weight that leaves the double

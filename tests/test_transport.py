@@ -60,24 +60,6 @@ class TestSolveForward:
         order = np.log2(errors[0] / errors[1])
         assert order > 1.9, f"observed order {order:.2f}, errors {errors}"
 
-    def test_manufactured_source_convergence(self):
-        # q = e^{-t} cos(pi z) solves q_t = q_zz + S with
-        # S = (pi^2 - 1) e^{-t} cos(pi z) and zero boundary flux
-        errors = []
-        for nz, nt in ((41, 40), (81, 80)):
-            profile = constant_profile(nz)
-            tgrid = TimeGrid(t_end=0.5, n=nt + 1)
-            z = profile.grid.nodes
-            flux = FluxSignal(grid=tgrid, values=np.zeros(nt + 1))
-            source = (np.pi**2 - 1.0) * np.outer(
-                np.cos(np.pi * z), np.exp(-tgrid.nodes)
-            )
-            field = solve_forward(profile, flux, np.cos(np.pi * z), source=source)
-            expected = np.exp(-0.5) * np.cos(np.pi * z)
-            errors.append(np.abs(field.column(nt) - expected).max())
-        order = np.log2(errors[0] / errors[1])
-        assert order > 1.9, f"observed order {order:.2f}, errors {errors}"
-
     def test_zero_everything_stays_zero(self):
         profile = constant_profile(11)
         tgrid = TimeGrid(t_end=1.0, n=9)
@@ -100,8 +82,6 @@ class TestSolveForward:
         flux = FluxSignal(grid=tgrid, values=np.zeros(9))
         with pytest.raises(ValueError, match="q0"):
             solve_forward(profile, flux, np.zeros(10))
-        with pytest.raises(ValueError, match="source"):
-            solve_forward(profile, flux, np.zeros(11), source=np.zeros((11, 8)))
 
     def test_kept_nodes_are_the_field_columns(self):
         # the observing solve stores no field, yet its states are the same
@@ -129,6 +109,23 @@ class TestSolveForward:
             FluxSignal(grid=tgrid, values=np.zeros(8))
         with pytest.raises(ValueError, match="finite"):
             FluxSignal(grid=tgrid, values=np.full(9, np.inf))
+
+
+class TestFluxSensitivity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_c_times_the_impulse_rows(self, seed):
+        # two observations on node 20, and a zero coefficient on the latest node
+        rng = np.random.default_rng(seed)
+        profile = random_profile(rng, 49)
+        tgrid = TimeGrid(t_end=0.5, n=65)
+        nodes = (5, 20, 20, 40, 64)
+        functionals = rng.random((len(nodes), 49)) * profile.grid.weights
+        c = rng.standard_normal(len(nodes))
+        c[-1] = 0.0
+        expected = c @ transport.impulse_response(profile, tgrid, functionals, nodes)
+        got = transport.flux_sensitivity(profile, tgrid, functionals, nodes, c)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert not got[41:].any()
 
 
 def dense_cn_matrices(profile, dt):
