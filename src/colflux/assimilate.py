@@ -48,7 +48,7 @@ entries there are reported as zero (the projected gradient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -338,6 +338,7 @@ class AssimilationProblem:
     observations: ObservationSet
     weights: tuple
     prior: PriorSpec
+    obs_indices: tuple = field(init=False)
 
     def __post_init__(self):
         q0 = _frozen(self.q0, (self.profile.grid.n,), "q0")
@@ -358,11 +359,7 @@ class AssimilationProblem:
             raise ValueError(msg)
         # observation times must be nodes of the flux time grid
         idx = tuple(self.prior.grid.index_of(t) for t in self.observations.times)
-        object.__setattr__(self, "_obs_indices", idx)
-
-    @property
-    def obs_indices(self) -> tuple:
-        return self._obs_indices
+        object.__setattr__(self, "obs_indices", idx)
 
     # The discrete forward map G (one row per observation, one column per
     # flux node) and the arrays built from it, each on first use and shared

@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -73,68 +73,17 @@ from .transport import (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description with all defaults applied.
-
-    ``nz`` counts column nodes (spacing h/(nz-1)); ``nt`` counts time
-    steps, so the time grid has nt+1 nodes and spacing t_end/nt. With the
-    defaults both spacings come out as round binary fractions and the
-    default observation times (quarter points) are exact grid nodes.
-    """
-
-    scenario: str
-    h: float = 1.0
-    t_end: float = 1.0
-    nz: int = 1001
-    nt: int = 1024
-    n_modes: int = 32
-    seed: int = 0
-    out_dir: str = "colflux_out"
-    k_spec: dict = field(default_factory=lambda: {"kind": "constant", "value": 1.0})
-    w_spec: dict = field(default_factory=lambda: {"kind": "constant", "value": 0.0})
-    flux_spec: dict = field(
-        default_factory=lambda: {"kind": "sine", "amplitude": 1.0, "cycles": 1.0}
-    )
-    initial_spec: dict = field(
-        default_factory=lambda: {"kind": "constant", "value": 0.0}
-    )
-    prior_kind: str = "dirichlet_inverse_laplacian"
-    prior_sigma: float = 1.0
-    prior_mean_spec: dict = field(
-        default_factory=lambda: {"kind": "constant", "value": 0.0}
-    )
-    obs_times: tuple = (0.25, 0.5, 1.0)
-    obs_weights: tuple = ("rho_plus", "rho_minus", "rho_plus")
-    obs_noise: tuple = (0.1, 0.1, 0.1)
-    blind_m: int = 20
-    blind_t_obs: float | None = None
-    blind_seed_spec: dict = field(
-        default_factory=lambda: {"kind": "parabola", "amplitude": 1.0}
-    )
-
-    def canonical(self) -> dict:
-        """The config as a plain nested dict in the documented schema.
-
-        ``blind.t_obs`` is omitted while unset: the schema has no null.
-        """
-        doc = {}
-        for path, name, _ in _SCHEMA:
-            if getattr(self, name) is not None:
-                _place(doc, path, getattr(self, name))
-        # through JSON, so tuples become lists and nothing is shared with self
-        return json.loads(json.dumps(doc))
-
-
 # ---------------------------------------------------------------------------
 # scenario machinery
 
 
 class _Workspace:
-    """Objects shared by the scenario implementations, built lazily."""
+    """Objects shared by the scenarios, built lazily, and the artifact paths they write."""
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig, out: Path):
         self.config = config
+        self.out = out
+        self.written = set()
         self.zgrid = ColumnGrid(h=config.h, n=config.nz)
         self.tgrid = TimeGrid(t_end=config.t_end, n=config.nt + 1)
         self._specs = _function_specs(config)
@@ -149,13 +98,17 @@ class _Workspace:
     def values(self, path: str) -> np.ndarray:
         """The function spec at ``path`` on its grid; ConfigError unless finite."""
         spec, on_time = self._specs[path]
-        grid = self.tgrid if on_time else self.zgrid
-        span = self.config.t_end if on_time else self.config.h
+        nodes = (self.tgrid if on_time else self.zgrid).nodes  # the last node is the span
         with np.errstate(all="ignore"):
-            values = _FUNCTION_KINDS[spec["kind"]][1](spec, grid.nodes, span)
+            values = _FUNCTION_KINDS[spec["kind"]][1](spec, nodes, nodes[-1])
         if not np.isfinite(values).all():
             _fail(path, "evaluates to a non-finite value on its grid")
         return values
+
+    def path(self, name: str) -> Path:
+        """Where the artifact ``name`` goes; the manifest lists every such name."""
+        self.written.add(name)
+        return self.out / name
 
     @cached_property
     def eig(self):
@@ -216,10 +169,10 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _scenario_validate(ws: _Workspace, out: Path) -> list:
+def _scenario_validate(ws: _Workspace) -> None:
     profile = ws.profile
     _write_json(
-        out / "validate.json",
+        ws.path("validate.json"),
         {
             "epsilon": float(profile.epsilon),
             "h": ws.config.h,
@@ -228,48 +181,43 @@ def _scenario_validate(ws: _Workspace, out: Path) -> list:
             "w_range": [float(profile.w.min()), float(profile.w.max())],
         },
     )
-    return ["validate.json"]
 
 
-def _scenario_simulate(ws: _Workspace, out: Path) -> list:
+def _scenario_simulate(ws: _Workspace) -> None:
     flux = ws.flux
     field_ = solve_forward(ws.profile, flux, ws.q0)
-    write_field_csv(field_, out / "field.csv")
+    write_field_csv(field_, ws.path("field.csv"))
     resid = mass_balance_residual(field_, ws.profile, flux)
-    _write_csv(out / "mass_residual.csv", "t,residual", (ws.tgrid.nodes, resid))
+    _write_csv(ws.path("mass_residual.csv"), "t,residual", (ws.tgrid.nodes, resid))
     constant = energy_fit(field_, flux, ws.q0)
     _write_json(
-        out / "energy.json",
+        ws.path("energy.json"),
         {"energy_constant": constant, "max_abs_mass_residual": float(np.abs(resid).max())},
     )
-    return ["energy.json", "field.csv", "mass_residual.csv"]
 
 
-def _scenario_eigen(ws: _Workspace, out: Path) -> list:
+def _scenario_eigen(ws: _Workspace) -> None:
     eig = ws.eig
     sample_cols = ",".join(f"p_z{j}" for j in range(ws.zgrid.n))
     _write_csv(
-        out / "eig.csv",
+        ws.path("eig.csv"),
         f"n,lambda,mu_norm,{sample_cols}",
         (np.arange(eig.n_modes), eig.eigenvalues, eig.mu_norms, eig.modes.T),
     )
-    return ["eig.csv"]
 
 
-def _scenario_weights(ws: _Workspace, out: Path) -> list:
+def _scenario_weights(ws: _Workspace) -> None:
     records = {}
     for weight in canonical_weights(ws.eig):
-        write_weight_csv(weight, out / f"{weight.label}.csv")
+        write_weight_csv(weight, ws.path(f"{weight.label}.csv"))
         records[weight.label] = {
             "is_nonnegative": weight.is_nonnegative,
             "expansion_residual": expansion_residual(weight.values, ws.eig),
         }
-    _write_json(out / "weights.json", records)
-    return ["rho_minus.csv", "rho_plus.csv", "weights.json"]
+    _write_json(ws.path("weights.json"), records)
 
 
-def _scenario_gains(ws: _Workspace, out: Path) -> list:
-    files = []
+def _scenario_gains(ws: _Workspace) -> None:
     summary = {}
     times = _csv_text(ws.tgrid.nodes)  # shared by every gain file
     for i, (t_obs, r) in enumerate(zip(ws.config.obs_times, ws.config.obs_noise)):
@@ -280,13 +228,11 @@ def _scenario_gains(ws: _Workspace, out: Path) -> list:
             else expand_weight(weight.values, ws.eig)
         )
         gain = gain_direction(ws.eig, a, t_obs, r, ws.tgrid)
-        name = f"gain_{i:02d}.csv"
         _write_csv(
-            out / name,
+            ws.path(f"gain_{i:02d}.csv"),
             "t,G,truncation_envelope",
             (times, gain.values, gain.truncation_envelope),
         )
-        files.append(name)
         analysis = analyze_gain(gain)
         summary[f"observation_{i:02d}"] = {
             "mean_projection": analysis.mean_projection,
@@ -296,25 +242,23 @@ def _scenario_gains(ws: _Workspace, out: Path) -> list:
                 gain.truncation_envelope[: max(1, ws.tgrid.index_of(gain.t_obs) // 2)].max()
             ),
         }
-    _write_json(out / "gains.json", summary)
-    files.append("gains.json")
-    return sorted(files)
+    _write_json(ws.path("gains.json"), summary)
 
 
-def _scenario_assimilate(ws: _Workspace, out: Path) -> list:
+def _scenario_assimilate(ws: _Workspace) -> None:
     problem = ws.problem()
     mean, variance = lowrank_posterior(problem)
     flux_map, report = map_estimate(problem)
     times = _csv_text(ws.tgrid.nodes)
-    _write_csv(out / "map_flux.csv", "t,F", (times, flux_map.values))
-    _write_csv(out / "posterior_variance.csv", "t,variance", (times, variance))
-    write_observations_csv(problem.observations, out / "observations.csv")
+    _write_csv(ws.path("map_flux.csv"), "t,F", (times, flux_map.values))
+    _write_csv(ws.path("posterior_variance.csv"), "t,variance", (times, variance))
+    write_observations_csv(problem.observations, ws.path("observations.csv"))
     map_vs_mean = float(
         np.linalg.norm(flux_map.values - mean)
         / max(np.linalg.norm(mean), 1e-300)
     )
     _write_json(
-        out / "assimilate.json",
+        ws.path("assimilate.json"),
         {
             "converged": report["converged"],
             "forward_map_rel_gap": problem.forward_map_rel_gap,
@@ -324,10 +268,9 @@ def _scenario_assimilate(ws: _Workspace, out: Path) -> list:
             "relative_residual": report["relative_residual"],
         },
     )
-    return ["assimilate.json", "map_flux.csv", "observations.csv", "posterior_variance.csv"]
 
 
-def _scenario_oracle_check(ws: _Workspace, out: Path) -> list:
+def _scenario_oracle_check(ws: _Workspace) -> None:
     problem = ws.problem()
     mean = oracle_bayes(problem)
     flux_map, report = map_estimate(problem)
@@ -358,23 +301,22 @@ def _scenario_oracle_check(ws: _Workspace, out: Path) -> list:
         "n_modes": ws.config.n_modes,
         "n_observations": len(problem.observations),
     }
-    _write_json(out / "oracle_report.json", payload)
-    _write_csv(out / "posterior_mean.csv", "t,F", (ws.tgrid.nodes, mean))
+    _write_json(ws.path("oracle_report.json"), payload)
+    _write_csv(ws.path("posterior_mean.csv"), "t,F", (ws.tgrid.nodes, mean))
     if not max_rel <= 1e-2:
         msg = (
             "spectral gains and discrete representers disagree: max relative "
             f"L2 difference {max_rel:.3e} > 1e-2"
         )
         raise DiagnosticError(msg)
-    return ["oracle_report.json", "posterior_mean.csv"]
 
 
-def _scenario_blind(ws: _Workspace, out: Path) -> list:
+def _scenario_blind(ws: _Workspace) -> None:
     config = ws.config
     t_obs = config.blind_t_obs if config.blind_t_obs is not None else config.t_end
     seed_values = ws.values("blind.seed_function")
     g = blind_direction(ws.eig, t_obs, config.blind_m, ws.tgrid, seed_values)
-    _write_csv(out / "blind.csv", "t,G", (ws.tgrid.nodes, g))
+    _write_csv(ws.path("blind.csv"), "t,G", (ws.tgrid.nodes, g))
 
     rng = Generator(Philox(key=config.seed))
     g_norm = np.sqrt(trapezoid(g**2, ws.tgrid))
@@ -388,7 +330,7 @@ def _scenario_blind(ws: _Workspace, out: Path) -> list:
         projections.append(abs(inner) / (g_norm * gain_norm))
     worst = float(np.max(projections))  # a NaN stays, and fails the gate
     _write_json(
-        out / "blind_report.json",
+        ws.path("blind_report.json"),
         {
             "m": config.blind_m,
             "max_normalized_projection": worst,
@@ -399,10 +341,9 @@ def _scenario_blind(ws: _Workspace, out: Path) -> list:
     if not worst <= 1e-6:
         msg = f"blind direction leaks: normalized projection {worst:.3e} > 1e-6"
         raise DiagnosticError(msg)
-    return ["blind.csv", "blind_report.json"]
 
 
-def _scenario_compare_altitude(ws: _Workspace, out: Path) -> list:
+def _scenario_compare_altitude(ws: _Workspace) -> None:
     eig = ws.eig
     t_end = ws.config.t_end
     results = {}
@@ -415,7 +356,7 @@ def _scenario_compare_altitude(ws: _Workspace, out: Path) -> list:
         results["rho_minus"].mean_projection
     )
     _write_json(
-        out / "compare_altitude.json",
+        ws.path("compare_altitude.json"),
         {
             "closed_form_difference": closed_form,
             "lambda_1": lam1,
@@ -423,7 +364,6 @@ def _scenario_compare_altitude(ws: _Workspace, out: Path) -> list:
             **{label: analysis._asdict() for label, analysis in results.items()},
         },
     )
-    return ["compare_altitude.json"]
 
 
 _SCENARIO_IMPL = {
@@ -441,10 +381,11 @@ SCENARIOS = tuple(_SCENARIO_IMPL)
 
 
 # ---------------------------------------------------------------------------
-# config schema: value checks, function specs, the table and its walk
+# config schema: value checks, function specs, the config, its table and its walk
 
 
 WEIGHT_LABELS = ("uniform", "rho_plus", "rho_minus")
+_ZERO = {"kind": "constant", "value": 0.0}  # the default of three function specs
 
 
 def _fail(path: str, message: str):
@@ -579,33 +520,76 @@ def _weight(value, path: str):
     return _function_spec(value, path)
 
 
-#: The config document as (dotted path, ExperimentConfig field, check). A
-#: check takes the value and its path, raises ConfigError naming the path,
-#: and returns the value as the field stores it. Every proper prefix of a
-#: path is a block, which must be an object; absent keys keep the field's
-#: default.
-_SCHEMA = (
-    ("scenario", "scenario", _choice(SCENARIOS)),
-    ("model.h", "h", _positive),
-    ("model.k", "k_spec", _function_spec),
-    ("model.w", "w_spec", _function_spec),
-    ("grid.nz", "nz", _count),
-    ("grid.nt", "nt", _count),
-    ("grid.t_end", "t_end", _positive),
-    ("spectral.n_modes", "n_modes", _count),
-    ("prior.kind", "prior_kind", _choice(PRIOR_KINDS)),
-    ("prior.sigma", "prior_sigma", _scale),
-    ("prior.mean", "prior_mean_spec", _function_spec),
-    ("observations.times", "obs_times", _list_of(_number)),
-    ("observations.weights", "obs_weights", _list_of(_weight)),
-    ("observations.noise", "obs_noise", _list_of(_scale)),
-    ("flux", "flux_spec", _function_spec),
-    ("initial", "initial_spec", _function_spec),
-    ("blind.m", "blind_m", _count),
-    ("blind.seed_function", "blind_seed_spec", _function_spec),
-    ("blind.t_obs", "blind_t_obs", _positive),
-    ("seed", "seed", _seed),
-    ("out", "out_dir", _nonempty_string),
+def _key(path: str, check, default=MISSING, grid: str | None = None):
+    """An ExperimentConfig field: its dotted ``path``, ``check`` and default, and
+    for a function spec (or a list that may hold some) its ``grid``, "time" or "column"."""
+    metadata = {"path": path, "check": check, "grid": grid}
+    if isinstance(default, dict):  # a fresh copy for each config
+        return field(default_factory=lambda: dict(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated experiment description with all defaults applied.
+
+    ``nz`` counts column nodes (spacing h/(nz-1)); ``nt`` counts time
+    steps, so the time grid has nt+1 nodes and spacing t_end/nt. With the
+    defaults both spacings come out as round binary fractions and the
+    default observation times (quarter points) are exact grid nodes.
+
+    Each field states its config key once (see ``_key``); function specs
+    are checked in field order.
+    """
+
+    scenario: str = _key("scenario", _choice(SCENARIOS))
+    h: float = _key("model.h", _positive, 1.0)
+    t_end: float = _key("grid.t_end", _positive, 1.0)
+    nz: int = _key("grid.nz", _count, 1001)
+    nt: int = _key("grid.nt", _count, 1024)
+    n_modes: int = _key("spectral.n_modes", _count, 32)
+    seed: int = _key("seed", _seed, 0)
+    out_dir: str = _key("out", _nonempty_string, "colflux_out")
+    k_spec: dict = _key("model.k", _function_spec, {"kind": "constant", "value": 1.0}, "column")
+    w_spec: dict = _key("model.w", _function_spec, _ZERO, "column")
+    initial_spec: dict = _key("initial", _function_spec, _ZERO, "column")
+    flux_spec: dict = _key(
+        "flux", _function_spec, {"kind": "sine", "amplitude": 1.0, "cycles": 1.0}, "time"
+    )
+    prior_kind: str = _key("prior.kind", _choice(PRIOR_KINDS), "dirichlet_inverse_laplacian")
+    prior_sigma: float = _key("prior.sigma", _scale, 1.0)
+    prior_mean_spec: dict = _key("prior.mean", _function_spec, _ZERO, "time")
+    blind_m: int = _key("blind.m", _count, 20)
+    blind_t_obs: float | None = _key("blind.t_obs", _positive, None)
+    blind_seed_spec: dict = _key(
+        "blind.seed_function", _function_spec, {"kind": "parabola", "amplitude": 1.0}, "time"
+    )
+    obs_times: tuple = _key("observations.times", _list_of(_number), (0.25, 0.5, 1.0))
+    obs_weights: tuple = _key(
+        "observations.weights", _list_of(_weight), ("rho_plus", "rho_minus", "rho_plus"), "column"
+    )
+    obs_noise: tuple = _key("observations.noise", _list_of(_scale), (0.1, 0.1, 0.1))
+
+    def canonical(self) -> dict:
+        """The config as a plain nested dict in the documented schema.
+
+        ``blind.t_obs`` is omitted while unset: the schema has no null.
+        """
+        doc = {}
+        for path, name, _ in _SCHEMA:
+            if getattr(self, name) is not None:
+                _place(doc, path, getattr(self, name))
+        # through JSON, so tuples become lists and nothing is shared with self
+        return json.loads(json.dumps(doc))
+
+
+#: The config document as (dotted path, ExperimentConfig field, check), read
+#: from the fields. A check takes the value and its path, raises ConfigError
+#: naming the path, and returns the value as the field stores it. Every
+#: proper prefix of a path is a block, which must be an object; absent keys
+#: keep the field's default.
+_SCHEMA = tuple(
+    (f.metadata["path"], f.name, f.metadata["check"]) for f in fields(ExperimentConfig)
 )
 _LEAVES = {tuple(path.split(".")): (name, check) for path, name, check in _SCHEMA}
 _BLOCKS = {keys[:i] for keys in _LEAVES for i in range(1, len(keys))}
@@ -635,16 +619,14 @@ def _walk(value, keys: tuple, kwargs: dict) -> None:
             _walk(item, keys + (key,), kwargs)
 
 
-def parse_config(
-    text: str, scenario: str | None = None, overrides: dict | None = None
-) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a JSON config document against the schema.
 
     Every block must be an object, unknown keys are rejected with their
     path, and absent keys keep the ExperimentConfig defaults. ``overrides``
     maps schema paths to values placed in the document before the walk, so
-    they are checked alike (the CLI flags arrive this way); ``scenario`` is
-    the override at "scenario", which makes the document's key optional.
+    they are checked alike; the CLI's scenario and flags arrive this way,
+    which makes the document's "scenario" key optional.
 
     Raises
     ------
@@ -656,8 +638,6 @@ def parse_config(
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    if scenario is not None:
-        _place(raw, "scenario", scenario)
     for path, value in (overrides or {}).items():
         _place(raw, path, value)
 
@@ -672,6 +652,15 @@ def parse_config(
         if got != n_times:
             message = f"{got} entries for {n_times} observation times"
             _fail(f"observations.{label}", message)
+    tgrid = TimeGrid(t_end=config.t_end, n=config.nt + 1)
+    times = {f"observations.times[{i}]": t for i, t in enumerate(config.obs_times)}
+    if config.blind_t_obs is not None:
+        times["blind.t_obs"] = config.blind_t_obs
+    for path, t in times.items():
+        try:
+            tgrid.index_of(t)
+        except ValueError as exc:
+            _fail(path, str(exc))
     for path, (spec, on_time) in _function_specs(config).items():
         nodes = config.nt + 1 if on_time else config.nz
         if spec["kind"] == "samples" and len(spec["values"]) != nodes:
@@ -683,17 +672,16 @@ def parse_config(
 
 def _function_specs(config: ExperimentConfig) -> dict:
     """Every function spec, by path: (spec, whether on the time grid)."""
-    specs = {
-        "model.k": (config.k_spec, False),
-        "model.w": (config.w_spec, False),
-        "initial": (config.initial_spec, False),
-        "flux": (config.flux_spec, True),
-        "prior.mean": (config.prior_mean_spec, True),
-        "blind.seed_function": (config.blind_seed_spec, True),
-    }
-    for i, spec in enumerate(config.obs_weights):
-        if isinstance(spec, dict):
-            specs[f"observations.weights[{i}]"] = (spec, False)
+    specs = {}
+    for f in fields(config):
+        path, grid = f.metadata["path"], f.metadata["grid"]
+        value = getattr(config, f.name)
+        if isinstance(value, dict):
+            specs[path] = (value, grid == "time")
+        elif grid is not None:  # a weight list: labels beside function specs
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    specs[f"{path}[{i}]"] = (item, grid == "time")
     return specs
 
 
@@ -708,10 +696,10 @@ def run_scenario(config: ExperimentConfig) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         try:
-            ws = _Workspace(config)
+            ws = _Workspace(config, out)
         except AssumptionError as exc:
             raise ConfigError(str(exc)) from exc
-        files = _SCENARIO_IMPL[config.scenario](ws, out)
+        _SCENARIO_IMPL[config.scenario](ws)
         # the hash identifies the experiment, so the output location (where
         # it lands, not what it is) stays out of the hashed form
         ident = config.canonical()
@@ -720,7 +708,7 @@ def run_scenario(config: ExperimentConfig) -> int:
         manifest = {
             "blas_threads": _flapack.blas_threads(),
             "config_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
-            "outputs": sorted(files),
+            "outputs": sorted(ws.written),
             "scenario": config.scenario,
             "seed": config.seed,
             "versions": {
@@ -749,7 +737,7 @@ def _report_error(error: str, code: int, message: str, out: Path | None = None) 
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, CapacityError):
         return 4
-    if isinstance(exc, (NumericalError, DiagnosticError)):
+    if isinstance(exc, NumericalError):
         return 3
     if isinstance(exc, (ConfigError, ValueError, OSError, KeyError, TypeError)):
         return 2

@@ -221,11 +221,12 @@ class TimeGrid(_UniformGrid):
 
     def index_of(self, t: float) -> int:
         """Index of the node equal to ``t``, or ValueError if ``t`` is off-grid."""
-        j = int(round(t / self.spacing))
-        if j < 0 or j >= self.n or abs(t - j * self.spacing) > NODE_RTOL * self.t_end:
+        with np.errstate(all="ignore"):  # a far or non-finite t is just off the grid
+            j = np.rint(np.float64(t) / self.spacing)
+        if not 0 <= j < self.n or abs(t - j * self.spacing) > NODE_RTOL * self.t_end:
             msg = f"t={t} is not a node of the time grid (dt={self.spacing})"
             raise ValueError(msg)
-        return j
+        return int(j)
 
 
 def trapezoid(values, grid, axis: int = -1):

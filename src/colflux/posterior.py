@@ -170,16 +170,15 @@ def gain_direction(
     k0 = eig.profile.k[0]
     pref = k0 / r
 
-    t = grid.nodes
+    decay = _decay_matrix(grid, idx, lam)
     values = np.zeros(grid.n)
-    sup = t[: idx + 1] - t[idx]
-    values[: idx + 1] = pref * (_decay_matrix(grid, idx, lam) @ a)
+    values[: idx + 1] = pref * (decay @ a)
     envelope = np.zeros(grid.n)
-    envelope[: idx + 1] = np.exp(lam[-1] * sup)
+    envelope[: idx + 1] = decay[:, -1]  # exp(lam_last (t_j - t_obs))
     return GainDirection(
         grid=grid,
         values=values,
-        t_obs=float(t[idx]),
+        t_obs=float(grid.nodes[idx]),
         coefficients=a.copy(),
         lambdas=lam.copy(),
         prefactor=float(pref),

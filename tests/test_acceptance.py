@@ -11,7 +11,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from colflux.assimilate import (
     AssimilationProblem,

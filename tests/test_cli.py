@@ -90,14 +90,14 @@ class TestParseConfig:
 
     def test_scenario_argument_fills_in_for_a_missing_key(self):
         # the CLI passes its positional scenario, so the document needs none
-        config = parse_config("{}", scenario="eigen")
+        config = parse_config("{}", overrides={"scenario": "eigen"})
         assert config.scenario == "eigen"
         assert config.nz == 1001
         with pytest.raises(ConfigError, match="scenario"):
             parse_config("{}")
 
     def test_scenario_argument_wins_over_the_key(self):
-        config = parse_config('{"scenario": "validate"}', scenario="eigen")
+        config = parse_config('{"scenario": "validate"}', overrides={"scenario": "eigen"})
         assert config.scenario == "eigen"
 
     def test_unknown_weight_label(self):
@@ -309,9 +309,9 @@ PECLET_3_9 = {"kind": "sine", "amplitude": 500.0, "cycles": 2.0}
 
 
 class TestFailClosed:
-    """Schema-valid inputs that once hung, exited 0 on a NaN result or on a
-    grid too coarse for their advection, or printed warnings beside the
-    report."""
+    """Schema-valid inputs that once hung, exited 0 on a NaN result, on a
+    grid too coarse for their advection or with times off the time grid,
+    or printed warnings beside the report."""
 
     @pytest.mark.parametrize(
         "scenario, extra, code, cause, clean",
@@ -366,7 +366,12 @@ class TestFailClosed:
             ),
             pytest.param(
                 "simulate",
-                {"grid": {"nz": 65, "nt": 64, "t_end": 1000.0}},
+                # observation times must be nodes of the grid: the default
+                # quarter points are not at t_end 1000 and nt 64
+                {
+                    "grid": {"nz": 65, "nt": 64, "t_end": 1000.0},
+                    "observations": {"times": [250.0, 500.0, 1000.0]},
+                },
                 0,
                 None,
                 True,
@@ -466,6 +471,30 @@ class TestFailClosed:
                 "column grid needs at least 3 nodes, got 2",
                 True,
                 id="nz-2",
+            ),
+            pytest.param(
+                "validate",
+                {"observations": {"times": [0.3, 0.5, 1.0]}},
+                2,
+                "observations.times[0]: t=0.3 is not a node of the time grid (dt=0.015625)",
+                True,
+                id="observation-time-off-grid",
+            ),
+            pytest.param(
+                "blind",
+                {"blind": {"m": 3, "t_obs": 2.0}},
+                2,
+                "blind.t_obs: t=2.0 is not a node of the time grid",
+                True,
+                id="blind-t_obs-past-t_end",
+            ),
+            pytest.param(
+                "assimilate",
+                {"observations": {"times": [0.25, 0.5, 1e308]}},
+                2,
+                "observations.times[2]: t=1e+308 is not a node of the time grid",
+                True,
+                id="observation-time-1e308",
             ),
         ],
     )
@@ -667,7 +696,8 @@ def test_every_csv_goes_through_the_one_formatter(tmp_path, monkeypatch):
     assert len(csvs) >= 10
     assert csvs <= {Path(p) for p in written if not hasattr(p, "write")}
     # the library's text form and the artifact are one format
-    ws = cli._Workspace(parse_config(golden.read_text(encoding="utf-8"), "assimilate"))
+    config = parse_config(golden.read_text(encoding="utf-8"), overrides={"scenario": "assimilate"})
+    ws = cli._Workspace(config, tmp_path / "assimilate")
     stream = io.StringIO()
     observe.write_observations_csv(ws.problem().observations, stream)
     text = stream.getvalue()
@@ -741,6 +771,18 @@ class TestRunScenarioDirect:
         )
         assert manifest["seed"] == 0
         assert "colflux" in manifest["versions"]
+
+    def test_manifest_lists_the_names_the_workspace_handed_out(self, tmp_path, monkeypatch):
+        # a scenario names each artifact once, where it writes it
+        def stub(ws):
+            ws.path("a.csv").write_text("t\n0.0\n", encoding="utf-8")
+
+        monkeypatch.setitem(cli._SCENARIO_IMPL, "validate", stub)
+        out = tmp_path / "out"
+        config = ExperimentConfig(scenario="validate", nz=33, nt=16, n_modes=4, out_dir=str(out))
+        assert run_scenario(config) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["outputs"] == ["a.csv"]
 
 
 @pytest.mark.parametrize(
@@ -907,7 +949,7 @@ class TestSchemaRegressions:
                 cli._place(doc, path, spec)
             return json.dumps(doc)
 
-        assert parse_config(document(nodes), scenario="validate")
+        assert parse_config(document(nodes), overrides={"scenario": "validate"})
         config = tmp_path / "config.json"
         config.write_text(document(2), encoding="utf-8")
         out = tmp_path / "out"
@@ -921,21 +963,17 @@ class TestSchemaRegressions:
         assert not out.exists()
 
     def test_seed_range_is_the_philox_key_range(self):
-        assert parse_config('{"seed": 0}', scenario="blind").seed == 0
-        top = parse_config(json.dumps({"seed": 2**128 - 1}), scenario="blind")
+        blind = {"scenario": "blind"}
+        assert parse_config('{"seed": 0}', overrides=blind).seed == 0
+        top = parse_config(json.dumps({"seed": 2**128 - 1}), overrides=blind)
         assert top.seed == 2**128 - 1
         for seed in (-1, 2**128, 1.5, True, 10**400):
             with pytest.raises(ConfigError, match="^seed: "):
-                parse_config(json.dumps({"seed": seed}), scenario="blind")
+                parse_config(json.dumps({"seed": seed}), overrides=blind)
 
     def test_integral_floats_are_counts(self):
-        config = parse_config('{"grid": {"nz": 65.0}}', scenario="eigen")
+        config = parse_config('{"grid": {"nz": 65.0}}', overrides={"scenario": "eigen"})
         assert config.nz == 65 and isinstance(config.nz, int)
-
-    def test_schema_has_one_path_per_field(self):
-        names = [name for _, name, _ in cli._SCHEMA]
-        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
-        assert sorted(names) == sorted(fields)
 
 
 # any JSON value, including the non-finite floats Python's json reads and writes
@@ -1016,10 +1054,10 @@ def test_any_document_parses_or_raises_config_error(placed):
 def test_manifest_config_hash_is_pinned(tmp_path, monkeypatch, name, expected):
     # manifests from older runs must keep matching: the hash depends only on
     # canonical(), so the scenario itself is replaced by a no-op here
-    monkeypatch.setitem(cli._SCENARIO_IMPL, "assimilate", lambda ws, out: [])
+    monkeypatch.setitem(cli._SCENARIO_IMPL, "assimilate", lambda ws: None)
     text = (DATA / name).read_text(encoding="utf-8") if name else "{}"
     out = tmp_path / "out"
-    config = parse_config(text, scenario="assimilate", overrides={"out": str(out)})
+    config = parse_config(text, overrides={"scenario": "assimilate", "out": str(out)})
     assert run_scenario(config) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config_hash"] == expected

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,13 @@ class TestGrids:
         assert grid.index_of(1.0) == 4
         with pytest.raises(ValueError, match="node"):
             grid.index_of(0.3)
+
+    @pytest.mark.parametrize("t", [1e308, -1e308, np.float64(1e308), np.inf, np.nan])
+    def test_time_grid_index_of_a_far_time_is_off_grid_without_a_warning(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="is not a node of the time grid"):
+                TimeGrid(t_end=1.0, n=17).index_of(t)
 
     def test_grids_are_immutable(self):
         grid = TimeGrid(t_end=1.0, n=4)

@@ -1,5 +1,6 @@
-"""Package hygiene: unused imports, private names across modules, the one
-list of public names, _frozen, and the one check of nodal inputs."""
+"""Package hygiene: unused imports (in the tests too), private names across
+modules, the one list of public names, _frozen, and the one check of nodal
+inputs."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,7 @@ from colflux.spectral import eigensystem, expand_weight
 from colflux.transport import FluxSignal, solve_forward
 
 SRC = Path(colflux.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "cli"))
 
 
@@ -38,7 +40,9 @@ def unused_imports(tree: ast.Module) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_no_module_imports_a_name_it_never_uses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert unused_imports(tree) == []

@@ -20,7 +20,7 @@ from colflux.posterior import (
     precision_apply,
     quadratic_form,
 )
-from colflux.spectral import eigensystem, expand_weight
+from colflux.spectral import eigensystem
 from colflux.transport import FluxSignal, solve_forward
 
 # continuum reference constants for the slowest nonzero decay pi^2:

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import colflux.cli as cli
 import colflux.spectral as spectral
-from colflux.errors import DomainError, NormalizationError, NumericalError
+from colflux.errors import DomainError
 from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, _flapack
 from colflux.spectral import (
