@@ -62,7 +62,7 @@ from .observe import (
     write_observations_csv,
     write_weight_csv,
 )
-from .posterior import analyze_gain, blind_direction, gain_direction
+from .posterior import analyze_gain, blind_direction, gain_direction, gain_projections
 from .spectral import eigensystem, expand_weight, expansion_residual
 from .transport import (
     FluxSignal,
@@ -319,16 +319,9 @@ def _scenario_blind(ws: _Workspace) -> None:
     _write_csv(ws.path("blind.csv"), "t,G", (ws.tgrid.nodes, g))
 
     rng = Generator(Philox(key=config.seed))
-    g_norm = np.sqrt(trapezoid(g**2, ws.tgrid))
-    projections = []
-    for _ in range(50):
-        rho = rng.random(ws.zgrid.n)
-        a = expand_weight(rho, ws.eig)[: config.blind_m]
-        gain = gain_direction(ws.eig, a, t_obs, 1.0, ws.tgrid)
-        inner = trapezoid(g * gain.values, ws.tgrid)
-        gain_norm = np.sqrt(trapezoid(gain.values**2, ws.tgrid))
-        projections.append(abs(inner) / (g_norm * gain_norm))
-    worst = float(np.max(projections))  # a NaN stays, and fails the gate
+    rows = [expand_weight(rng.random(ws.zgrid.n), ws.eig)[: config.blind_m] for _ in range(50)]
+    # np.max keeps a NaN, and the gate below fails on it
+    worst = float(np.max(gain_projections(ws.eig, rows, t_obs, ws.tgrid, g)))
     _write_json(
         ws.path("blind_report.json"),
         {
@@ -564,7 +557,7 @@ class ExperimentConfig:
     blind_seed_spec: dict = _key(
         "blind.seed_function", _function_spec, {"kind": "parabola", "amplitude": 1.0}, "time"
     )
-    obs_times: tuple = _key("observations.times", _list_of(_number), (0.25, 0.5, 1.0))
+    obs_times: tuple = _key("observations.times", _list_of(_positive), (0.25, 0.5, 1.0))
     obs_weights: tuple = _key(
         "observations.weights", _list_of(_weight), ("rho_plus", "rho_minus", "rho_plus"), "column"
     )
@@ -652,6 +645,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         if got != n_times:
             message = f"{got} entries for {n_times} observation times"
             _fail(f"observations.{label}", message)
+    for i, (before, t) in enumerate(zip(config.obs_times, config.obs_times[1:])):
+        if not t > before:
+            message = f"must exceed observations.times[{i}] = {before!r}, got {t!r}"
+            _fail(f"observations.times[{i + 1}]", message)
     tgrid = TimeGrid(t_end=config.t_end, n=config.nt + 1)
     times = {f"observations.times[{i}]": t for i, t in enumerate(config.obs_times)}
     if config.blind_t_obs is not None:
@@ -690,10 +687,13 @@ def run_scenario(config: ExperimentConfig) -> int:
 
     Errors are reported as a structured JSON document on stderr (and in
     error.json under the output directory when it exists) rather than a
-    traceback.
+    traceback. The scenario runs on one BLAS thread, so its bytes do not
+    depend on the caller's thread count, which is restored on return.
     """
     out = Path(config.out_dir)
+    threads = _flapack.blas_threads()
     try:
+        _flapack.set_blas_threads(1)
         out.mkdir(parents=True, exist_ok=True)
         try:
             ws = _Workspace(config, out)
@@ -722,6 +722,8 @@ def run_scenario(config: ExperimentConfig) -> int:
         return 0
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps errors to codes
         return _report_error(type(exc).__name__, _exit_code_for(exc), str(exc), out)
+    finally:
+        _flapack.set_blas_threads(threads)
 
 
 def _report_error(error: str, code: int, message: str, out: Path | None = None) -> int:

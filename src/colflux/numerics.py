@@ -76,8 +76,17 @@ class _Lapack:
             raise ImportError(f"LAPACK routines {missing} not found in {path}")
         for fn in self._fn.values():
             fn.restype = None  # subroutines: ``info`` comes back through its pointer
-        # OpenBLAS's thread count; None from another LAPACK
+        # OpenBLAS's thread count (None from another LAPACK) and its setter
         self.blas_threads = getattr(lib, name.format("openblas_get_num_threads"), lambda: None)
+        self._set_threads = getattr(lib, name.format("openblas_set_num_threads"), None)
+        if self._set_threads is not None:  # a Fortran subroutine: the count by reference
+            self._set_threads.argtypes = [ctypes.POINTER(ctypes.c_int64)]
+            self._set_threads.restype = None
+
+    def set_blas_threads(self, n):
+        """Have OpenBLAS use ``n`` threads; a no-op for ``None`` or another LAPACK."""
+        if n is not None and self._set_threads is not None:
+            self._set_threads(_CONVERT["i"](n))
 
     def _bind(self, routine, *args):
         """A call of ``routine`` on ``args``, converted once, that returns ``info``.

@@ -14,6 +14,9 @@ against each mode's exponential use closed forms (the jump at t_i is never
 integrated by raw quadrature), while the rank-one updates of the discrete
 posterior use the same trapezoid weights as the prior discretization,
 keeping the two dense and low-rank routes comparable at the discrete level.
+The decay kernel exp(lambda_n (t_j - t_i)) is made in blocks of rows, so
+no gain holds an nt x n_modes matrix; ``gain_projections`` pairs many
+weights with one function in a single pass over the same blocks.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "PosteriorModel",
     "GainAnalysis",
     "gain_direction",
+    "gain_projections",
     "quadratic_form",
     "precision_apply",
     "analyze_gain",
@@ -106,23 +110,17 @@ class PosteriorModel:
                 raise ValueError("all gain directions must share the prior's time grid")
 
 
-# The last decay matrix built, under its key: blind's weights all share one
-# observation time, and the matrix does not depend on the weight.
-_decay_slot = {}
+#: Rows per block of the decay kernel: 320 KB at 40 modes.
+_DECAY_ROWS = 1024
 
 
-def _decay_matrix(grid: TimeGrid, idx: int, lam: np.ndarray) -> np.ndarray:
-    """E[j, n] = exp(lam_n (t_j - t_idx)) for j <= idx, kept for the next call."""
-    key = (grid, idx, lam.tobytes())
-    matrix = _decay_slot.get(key)
-    if matrix is None:
-        _decay_slot.clear()  # never hold two matrices at once
-        t = grid.nodes
-        matrix = np.outer(t[: idx + 1] - t[idx], lam)
-        np.exp(matrix, out=matrix)
-        matrix.setflags(write=False)
-        _decay_slot[key] = matrix
-    return matrix
+def _decay_blocks(grid: TimeGrid, idx: int, lam: np.ndarray):
+    """Yield (rows, E[rows]) for E[j, n] = exp(lam_n (t_j - t_idx)), j <= idx, in blocks."""
+    t = grid.nodes
+    for start in range(0, idx + 1, _DECAY_ROWS):
+        rows = slice(start, min(start + _DECAY_ROWS, idx + 1))
+        block = np.outer(t[rows] - t[idx], lam)
+        yield rows, np.exp(block, out=block)
 
 
 def gain_direction(
@@ -167,14 +165,12 @@ def gain_direction(
         raise ValueError(msg)
     idx = grid.index_of(t_obs)
     lam = eig.eigenvalues[: a.size]
-    k0 = eig.profile.k[0]
-    pref = k0 / r
+    pref = eig.profile.k[0] / r
 
-    decay = _decay_matrix(grid, idx, lam)
-    values = np.zeros(grid.n)
-    values[: idx + 1] = pref * (decay @ a)
-    envelope = np.zeros(grid.n)
-    envelope[: idx + 1] = decay[:, -1]  # exp(lam_last (t_j - t_obs))
+    values, envelope = np.zeros(grid.n), np.zeros(grid.n)
+    for rows, decay in _decay_blocks(grid, idx, lam):
+        values[rows] = pref * (decay @ a)
+        envelope[rows] = decay[:, -1]  # exp(lam_last (t_j - t_obs))
     return GainDirection(
         grid=grid,
         values=values,
@@ -184,6 +180,20 @@ def gain_direction(
         prefactor=float(pref),
         truncation_envelope=envelope,
     )
+
+
+def gain_projections(eig: EigenSystem, coefficients, t_obs: float, grid: TimeGrid, g):
+    """|<g, G_k>| / (|g| |G_k|) in the trapezoid inner product, for the gain
+    direction G_k at ``t_obs`` of each row of ``coefficients``, at any noise
+    level. One pass over the decay blocks sums every inner product and
+    squared norm, building no G_k whole; a NaN in a row stays in its ratio."""
+    a, g, w = np.asarray(coefficients, dtype=float), _nodal(g, (grid.n,), "g"), grid.weights
+    inner, norm2 = np.zeros((2, len(a)))
+    for rows, decay in _decay_blocks(grid, grid.index_of(t_obs), eig.eigenvalues[: a.shape[1]]):
+        gains = decay @ a.T  # one column per weight
+        inner += (w[rows] * g[rows]) @ gains
+        norm2 += w[rows] @ gains**2
+    return np.abs(inner) / (np.sqrt(trapezoid(g**2, grid)) * np.sqrt(norm2))
 
 
 def quadratic_form(model: PosteriorModel, g) -> float:

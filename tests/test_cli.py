@@ -308,6 +308,10 @@ ZERO = {"kind": "constant", "value": 0.0}
 PECLET_3_9 = {"kind": "sine", "amplitude": 500.0, "cycles": 2.0}
 
 
+def two_observations_at(times):
+    return {"times": times, "weights": ["uniform", "uniform"], "noise": [0.1, 0.1]}
+
+
 class TestFailClosed:
     """Schema-valid inputs that once hung, exited 0 on a NaN result, on a
     grid too coarse for their advection or with times off the time grid,
@@ -496,6 +500,30 @@ class TestFailClosed:
                 True,
                 id="observation-time-1e308",
             ),
+            pytest.param(
+                "validate",
+                {"observations": two_observations_at([0.0, 0.5])},
+                2,
+                "observations.times[0]: must be positive, got 0.0",
+                True,
+                id="observation-time-zero",
+            ),
+            pytest.param(
+                "gains",
+                {"observations": two_observations_at([0.5, 0.25])},
+                2,
+                "observations.times[1]: must exceed observations.times[0] = 0.5, got 0.25",
+                True,
+                id="observation-times-unordered",
+            ),
+            pytest.param(
+                "assimilate",
+                {"observations": two_observations_at([0.5, 0.5])},
+                2,
+                "observations.times[1]: must exceed observations.times[0] = 0.5, got 0.5",
+                True,
+                id="observation-times-repeated",
+            ),
         ],
     )
     def test_table(self, tmp_path, scenario, extra, code, cause, clean):
@@ -543,17 +571,27 @@ class TestFailClosed:
     @pytest.mark.parametrize("scenario", ["oracle_check", "blind"])
     def test_a_nan_gain_fails_the_cross_check(self, tmp_path, capsys, monkeypatch, scenario):
         # Python's max drops a NaN that comes second; the gate must see it
-        original = cli.gain_direction
-        calls = []
+        if scenario == "oracle_check":
+            original = cli.gain_direction
+            calls = []
 
-        def planted(*args):
-            gain = original(*args)
-            calls.append(gain)
-            if len(calls) == 2:
-                return dataclasses.replace(gain, values=np.full_like(gain.values, np.nan))
-            return gain
+            def planted(*args):
+                gain = original(*args)
+                calls.append(gain)
+                if len(calls) == 2:
+                    return dataclasses.replace(gain, values=np.full_like(gain.values, np.nan))
+                return gain
 
-        monkeypatch.setattr(cli, "gain_direction", planted)
+            monkeypatch.setattr(cli, "gain_direction", planted)
+        else:  # one pass pairs the blind direction with every weight
+            original = cli.gain_projections
+
+            def planted(eig, rows, *args):
+                rows = np.array(rows)
+                rows[1] = np.nan
+                return original(eig, rows, *args)
+
+            monkeypatch.setattr(cli, "gain_projections", planted)
         extra = {"blind": {"m": 4}} if scenario == "blind" else {}
         code = run_cli(tmp_path, small_config(scenario, tmp_path / "out", **extra))
         report = error_report(capsys)
@@ -709,8 +747,8 @@ class TestDeterminism:
     def test_blind_holds_its_bound_at_each_blas_thread_count(
         self, tmp_path, monkeypatch, threads
     ):
-        # rounding picks which near-duplicate constraints survive, so the
-        # bytes of blind.csv depend on the thread count; the bound does not
+        # the CLI runs the scenario on one thread whatever the count; at any
+        # count, blind's guarantee is its projection bound
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
         out = tmp_path / "out"
         golden = str(DATA / "golden_config.json")
@@ -719,6 +757,51 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         report = json.loads((out / "blind_report.json").read_text(encoding="utf-8"))
         assert report["max_normalized_projection"] <= 1e-6
+
+    def test_artifacts_are_the_same_at_one_and_two_blas_threads(self, tmp_path):
+        golden = str(DATA / "golden_config.json")
+        code = (
+            "import sys; from colflux.cli import main; "
+            "sys.exit(max(main([s, '--config', sys.argv[1], '--out', f'{sys.argv[2]}/{s}']) "
+            "for s in ('simulate', 'oracle_check', 'blind', 'gains')))"
+        )
+        artifacts = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, golden, str(tmp_path / threads)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = sorted(p for p in (tmp_path / threads).rglob("*") if p.is_file())
+            artifacts[threads] = {p.relative_to(tmp_path / threads): p.read_bytes() for p in files}
+        assert len(artifacts["1"]) == 15
+        assert artifacts["1"] == artifacts["2"]
+
+    @pytest.mark.skipif(numerics._flapack.blas_threads() is None, reason="OpenBLAS only")
+    @pytest.mark.parametrize("raised", [None, NumericalError, KeyboardInterrupt])
+    def test_main_gives_the_callers_thread_count_back(self, tmp_path, monkeypatch, raised):
+        seen = []
+
+        def stub(ws):
+            seen.append(numerics._flapack.blas_threads())
+            if raised is not None:
+                raise raised("planted")
+
+        monkeypatch.setitem(cli._SCENARIO_IMPL, "validate", stub)
+        before = numerics._flapack.blas_threads()
+        numerics._flapack.set_blas_threads(2)
+        try:
+            if raised is KeyboardInterrupt:  # not the CLI's to report: it propagates
+                with pytest.raises(KeyboardInterrupt):
+                    run_cli(tmp_path, small_config("validate", tmp_path / "out"))
+            else:
+                code = run_cli(tmp_path, small_config("validate", tmp_path / "out"))
+                assert code == (0 if raised is None else 3)
+            after = numerics._flapack.blas_threads()
+        finally:
+            numerics._flapack.set_blas_threads(before)
+        assert (seen, after) == ([1], 2)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "det"
@@ -831,7 +914,7 @@ def test_manifest_records_the_blas_thread_count(tmp_path, threads):
     )
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["blas_threads"] == threads
+    assert manifest["blas_threads"] == 1  # the scenario's own count, at any caller's
     assert sorted(manifest["versions"]) == ["colflux", "numpy", "python"]
 
 

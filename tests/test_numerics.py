@@ -576,12 +576,18 @@ class TestLapackModule:
         names = numerics._NAMES
         lib = HidingLibrary.CDLL(_umath_linalg.__file__)
         real = next(n for n in names if hasattr(lib, n.format("dpotrf")))
-        symbols = ["openblas_get_num_threads", *LAPACK_ROUTINES]
+        symbols = ["openblas_get_num_threads", "openblas_set_num_threads", *LAPACK_ROUTINES]
         renamed = {names[layout].format(r): real.format(r) for r in symbols}
         hidden = {real.format(r) for r in symbols} - set(renamed)
         monkeypatch.setattr(ctypes, "CDLL", lambda path: HidingLibrary(path, hidden, renamed))
         lapack = numerics._Lapack()
-        assert lapack.blas_threads() == numerics._flapack.blas_threads()
+        threads = numerics._flapack.blas_threads()
+        assert lapack.blas_threads() == threads
+        try:  # the setter takes its count by reference under either name
+            lapack.set_blas_threads(threads + 1)
+            assert numerics._flapack.blas_threads() == threads + 1
+        finally:
+            numerics._flapack.set_blas_threads(threads)
         a = spd_matrix(41)
         np.testing.assert_array_equal(lapack.dpotrf(a)[0], numerics._flapack.dpotrf(a)[0])
 
@@ -596,9 +602,17 @@ class TestLapackModule:
             assert proc.stdout.strip() == threads
 
     def test_thread_count_is_none_without_openblas(self, monkeypatch):
-        hidden = [layout.format("openblas_get_num_threads") for layout in numerics._NAMES]
+        hidden = [
+            layout.format(f"openblas_{verb}_num_threads")
+            for layout in numerics._NAMES
+            for verb in ("get", "set")
+        ]
         monkeypatch.setattr(ctypes, "CDLL", lambda path: HidingLibrary(path, hidden))
-        assert numerics._Lapack().blas_threads() is None
+        lapack = numerics._Lapack()
+        assert lapack.blas_threads() is None
+        threads = numerics._flapack.blas_threads()
+        lapack.set_blas_threads(threads + 1)  # no setter: nothing changes
+        assert numerics._flapack.blas_threads() == threads
 
 
 def reference_csv(header, columns):
