@@ -621,6 +621,13 @@ def representer_rows(problem: AssimilationProblem) -> np.ndarray:
     return out
 
 
+def check_oracle_capacity(n: int) -> None:
+    """Raise CapacityError if the dense oracle cannot take ``n`` time nodes."""
+    if n > ORACLE_MAX_NODES:
+        msg = f"dense oracle supports at most {ORACLE_MAX_NODES} time nodes, got {n}"
+        raise CapacityError(msg)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises
 def _dense_posterior(problem: AssimilationProblem):
     """The posterior mean, by the Cholesky factor of the kind's ``reduce`` of
@@ -628,9 +635,7 @@ def _dense_posterior(problem: AssimilationProblem):
     projected G^T R^{-1} (y - G F0 - free response); and the n x n buffer
     with the k x k factor at its start (Fortran order, lower triangle)."""
     n = problem.prior.grid.n
-    if n > ORACLE_MAX_NODES:
-        msg = f"dense oracle supports at most {ORACLE_MAX_NODES} time nodes, got {n}"
-        raise CapacityError(msg)
+    check_oracle_capacity(n)
     family = problem.prior._family
     g, noise = problem.forward_rows, problem.observations.noise_levels
     rhs = family.project(g.T @ (problem.innovation / noise**2))[family.free]

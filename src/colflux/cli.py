@@ -33,6 +33,7 @@ from .assimilate import (
     PRIOR_KINDS,
     AssimilationProblem,
     PriorSpec,
+    check_oracle_capacity,
     lowrank_posterior,
     map_estimate,
     oracle_bayes,
@@ -271,6 +272,7 @@ def _scenario_assimilate(ws: _Workspace) -> None:
 
 
 def _scenario_oracle_check(ws: _Workspace) -> None:
+    check_oracle_capacity(ws.tgrid.n)  # before the eigensolve and the data
     problem = ws.problem()
     mean = oracle_bayes(problem)
     flux_map, report = map_estimate(problem)

@@ -14,9 +14,9 @@ against each mode's exponential use closed forms (the jump at t_i is never
 integrated by raw quadrature), while the rank-one updates of the discrete
 posterior use the same trapezoid weights as the prior discretization,
 keeping the two dense and low-rank routes comparable at the discrete level.
-The decay kernel exp(lambda_n (t_j - t_i)) is made in blocks of rows, so
-no gain holds an nt x n_modes matrix; ``gain_projections`` pairs many
-weights with one function in a single pass over the same blocks.
+One kernel forms every gain in blocks of rows of exp(lambda_n (t_j - t_i)),
+up to the last nonzero mode coefficient, so none holds an nt x n_modes
+matrix; ``gain_projections`` pairs many weights with one function in one pass.
 """
 
 from __future__ import annotations
@@ -110,17 +110,32 @@ class PosteriorModel:
                 raise ValueError("all gain directions must share the prior's time grid")
 
 
-#: Rows per block of the decay kernel: 320 KB at 40 modes.
+#: Rows per block of the gain kernel: 320 KB at 40 modes.
 _DECAY_ROWS = 1024
 
 
-def _decay_blocks(grid: TimeGrid, idx: int, lam: np.ndarray):
-    """Yield (rows, E[rows]) for E[j, n] = exp(lam_n (t_j - t_idx)), j <= idx, in blocks."""
-    t = grid.nodes
+def _decay_column(grid: TimeGrid, idx: int, lam: float) -> np.ndarray:
+    """exp(lam (t_j - t_idx)) at the nodes j <= idx, and 0 after."""
+    column = np.zeros(grid.n)
+    head = np.subtract(grid.nodes[: idx + 1], grid.nodes[idx], out=column[: idx + 1])
+    np.exp(np.multiply(head, lam, out=head), out=head)
+    return column
+
+
+def _gain_blocks(eig: EigenSystem, A, t_obs: float, grid: TimeGrid):
+    """Yield (rows, E[rows] @ A.T) in row blocks for a k x m coefficient matrix A,
+    E[j, n] = exp(lambda_n (t_j - t_obs)) for t_j <= t_obs. As 0 < E <= 1, modes
+    past A's last nonzero column (a NaN counts) add exact zeros and are skipped."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or not 0 < A.shape[1] <= eig.n_modes:
+        msg = f"coefficients of shape {A.shape} are not k x m with 0 < m <= {eig.n_modes} modes"
+        raise ValueError(msg)
+    A = A[:, : len(np.trim_zeros(A.any(axis=0), "b"))]
+    idx, t, lam = grid.index_of(t_obs), grid.nodes, eig.eigenvalues[: A.shape[1]]
     for start in range(0, idx + 1, _DECAY_ROWS):
         rows = slice(start, min(start + _DECAY_ROWS, idx + 1))
         block = np.outer(t[rows] - t[idx], lam)
-        yield rows, np.exp(block, out=block)
+        yield rows, np.exp(block, out=block) @ A.T
 
 
 def gain_direction(
@@ -154,31 +169,23 @@ def gain_direction(
     derived quantity (means, gaps, projections) scales with k(0)/r too.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        msg = f"need a nonempty 1-d coefficient vector, got shape {a.shape}"
-        raise ValueError(msg)
-    if a.size > eig.n_modes:
-        msg = f"{a.size} coefficients for {eig.n_modes} modes"
-        raise ValueError(msg)
     if not (np.isfinite(r) and r > 0):
         msg = f"noise level must be positive, got {r!r}"
         raise ValueError(msg)
     idx = grid.index_of(t_obs)
-    lam = eig.eigenvalues[: a.size]
     pref = eig.profile.k[0] / r
 
-    values, envelope = np.zeros(grid.n), np.zeros(grid.n)
-    for rows, decay in _decay_blocks(grid, idx, lam):
-        values[rows] = pref * (decay @ a)
-        envelope[rows] = decay[:, -1]  # exp(lam_last (t_j - t_obs))
+    values = np.zeros(grid.n)
+    for rows, gains in _gain_blocks(eig, a[None], t_obs, grid):
+        values[rows] = pref * gains[:, 0]
     return GainDirection(
         grid=grid,
         values=values,
         t_obs=float(grid.nodes[idx]),
         coefficients=a.copy(),
-        lambdas=lam.copy(),
+        lambdas=eig.eigenvalues[: a.size].copy(),
         prefactor=float(pref),
-        truncation_envelope=envelope,
+        truncation_envelope=_decay_column(grid, idx, eig.eigenvalues[a.size - 1]),
     )
 
 
@@ -187,10 +194,9 @@ def gain_projections(eig: EigenSystem, coefficients, t_obs: float, grid: TimeGri
     direction G_k at ``t_obs`` of each row of ``coefficients``, at any noise
     level. One pass over the decay blocks sums every inner product and
     squared norm, building no G_k whole; a NaN in a row stays in its ratio."""
-    a, g, w = np.asarray(coefficients, dtype=float), _nodal(g, (grid.n,), "g"), grid.weights
-    inner, norm2 = np.zeros((2, len(a)))
-    for rows, decay in _decay_blocks(grid, grid.index_of(t_obs), eig.eigenvalues[: a.shape[1]]):
-        gains = decay @ a.T  # one column per weight
+    g, w = _nodal(g, (grid.n,), "g"), grid.weights
+    inner = norm2 = 0.0
+    for rows, gains in _gain_blocks(eig, coefficients, t_obs, grid):  # a column per weight
         inner += (w[rows] * g[rows]) @ gains
         norm2 += w[rows] @ gains**2
     return np.abs(inner) / (np.sqrt(trapezoid(g**2, grid)) * np.sqrt(norm2))
@@ -295,12 +301,9 @@ def _blind_constraints(eig, t_obs, m, grid):
     a nodal function whose weighted inner product with G evaluates it.
     """
     idx = grid.index_of(t_obs)
-    t = grid.nodes
     for lam in eig.eigenvalues[:m]:
-        nodal = np.zeros(grid.n)
-        nodal[: idx + 1] = np.exp(lam * (t[: idx + 1] - t[idx]))
-        yield nodal
-        yield exp_inner_coefficients(grid, lam, t[idx]) / grid.weights
+        yield _decay_column(grid, idx, lam)
+        yield exp_inner_coefficients(grid, lam, grid.nodes[idx]) / grid.weights
 
 
 def blind_direction(

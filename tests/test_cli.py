@@ -218,7 +218,9 @@ class TestExitCodes:
         assert "not positive definite: leading minor 5 is not positive" in report["message"]
         assert not (out / "posterior_mean.csv").exists()
 
-    def test_oracle_check_stays_capped_where_assimilate_runs(self, tmp_path, capsys):
+    def test_oracle_check_stays_capped_where_assimilate_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
         # 4097 time nodes: past the dense oracle's 2048, not the low-rank path's
         grid = {"nz": 161, "nt": 4096}
         out = tmp_path / "assimilate"
@@ -231,11 +233,19 @@ class TestExitCodes:
         assert report["map_vs_oracle_mean_rel"] <= 1e-6
         assert report["forward_map_rel_gap"] <= 1e-8
         capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data synthesized before the capacity check")
+
+        # the cap is checked before any eigensolve, sweep or data
+        monkeypatch.setattr(cli, "synthesize_data", refuse)
         config = small_config(
             "oracle_check", tmp_path / "oracle", grid=grid, spectral={"n_modes": 16}
         )
         assert run_cli(tmp_path, config, name="oracle.json") == 4
-        assert error_report(capsys)["error"] == "CapacityError"
+        report = error_report(capsys)
+        assert report["error"] == "CapacityError"
+        assert report["message"] == "dense oracle supports at most 2048 time nodes, got 4097"
 
     def test_assimilate_runs_no_dense_oracle(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

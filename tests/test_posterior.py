@@ -1,5 +1,6 @@
 """Gain directions, posterior forms, monotonicity, blind perturbations."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,11 @@ class TestGainDirection:
             gain_direction(eig, np.ones(2), 0.5, 0.0, tgrid)
         with pytest.raises(ValueError, match="node"):
             gain_direction(eig, np.ones(2), 0.503, 1.0, tgrid)
+        # gain_projections shares the check: a vector, too many modes, no mode
+        g = np.ones(tgrid.n)
+        for shape in [(24,), (2, 25), (2, 0)]:
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                gain_projections(eig, np.ones(shape), 0.5, tgrid, g)
 
 
 class TestStreamedDecay:
@@ -101,30 +107,38 @@ class TestStreamedDecay:
     @pytest.mark.parametrize("idx", [3000, 4096, 7000])
     def test_matches_the_dense_product(self, eig, idx):
         tgrid = TimeGrid(t_end=1.0, n=8193)
-        a = np.random.default_rng(11).standard_normal(eig.n_modes)
         t_obs = tgrid.nodes[idx]
-        gain = gain_direction(eig, a, t_obs, 0.3, tgrid)
         decay = np.exp(np.outer(tgrid.nodes[: idx + 1] - t_obs, eig.eigenvalues))
-        dense = eig.profile.k[0] / 0.3 * (decay @ a)
-        assert np.abs(gain.values[: idx + 1] - dense).max() <= 1e-14 * np.abs(dense).max()
-        assert np.array_equal(gain.truncation_envelope[: idx + 1], decay[:, -1])
-        assert not gain.values[idx + 1 :].any()
-        assert not gain.truncation_envelope[idx + 1 :].any()
+        dense_a = np.random.default_rng(11).standard_normal(eig.n_modes)
+        # trailing zero modes are left out, which changes no bit of the sum
+        trimmed_a = np.zeros(eig.n_modes)
+        trimmed_a[:2] = 1.0
+        for a, tol in [(dense_a, 1e-14), (trimmed_a, 0.0)]:
+            gain = gain_direction(eig, a, t_obs, 0.3, tgrid)
+            dense = eig.profile.k[0] / 0.3 * (decay @ a)
+            assert np.abs(gain.values[: idx + 1] - dense).max() <= tol * np.abs(dense).max()
+            assert np.array_equal(gain.truncation_envelope[: idx + 1], decay[:, -1])
+            assert not gain.values[idx + 1 :].any()
+            assert not gain.truncation_envelope[idx + 1 :].any()
 
     def test_allocates_no_decay_matrix(self):
         grid = ColumnGrid(h=1.0, n=401)
         eig = eigensystem(CoefficientProfile(grid=grid, k=np.ones(401), w=np.zeros(401)), 40)
         tgrid = TimeGrid(t_end=1.0, n=16385)
         tgrid.nodes  # cached on the grid, not allocated by the gain
-        tracemalloc.start()
-        try:
-            gain = gain_direction(eig, np.ones(40), 1.0, 1.0, tgrid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        outputs = gain.values.nbytes + gain.truncation_envelope.nbytes
-        # the whole nt x n_modes matrix would take 5.2 MB
-        assert peak - outputs < 1e6, f"peak {peak / 1e6:.2f} MB, outputs {outputs / 1e6:.2f} MB"
+        # the whole nt x n_modes matrix would take 5.2 MB; with two modes
+        # used, the kernel takes well under one 1024 x 40 block (320 KB)
+        for used, bound in [(40, 1e6), (2, 1e5)]:
+            a = np.zeros(40)
+            a[:used] = 1.0
+            tracemalloc.start()
+            try:
+                gain = gain_direction(eig, a, 1.0, 1.0, tgrid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs = gain.values.nbytes + gain.truncation_envelope.nbytes
+            assert peak - outputs < bound, f"{used} modes: peak {peak}, outputs {outputs}"
 
     def test_projections_match_each_gain(self, eig):
         tgrid = TimeGrid(t_end=1.0, n=8193)
@@ -138,6 +152,11 @@ class TestStreamedDecay:
             inner = trapezoid(g * gain, tgrid)
             expected = abs(inner) / (g_norm * np.sqrt(trapezoid(gain**2, tgrid)))
             assert projection == pytest.approx(expected, rel=1e-12)
+        # a NaN counts as a nonzero coefficient, so its mode is not trimmed
+        rows[:, 2:] = 0.0
+        rows[0, -1] = np.nan
+        got = gain_projections(eig, rows, t_obs, tgrid, g)
+        assert np.isnan(got[0]) and np.isfinite(got[1:]).all()
 
 
 def gain_pairing(gain, f):
