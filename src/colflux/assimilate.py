@@ -15,19 +15,19 @@ the Crank-Nicolson step matrices, so the directional-derivative identity
 holds to rounding and finite-difference checks are tight.
 
 The estimators work on the discrete forward map G (observations per nodal
-flux value), which each AssimilationProblem builds at most once: one
-impulse-response sweep of ``transport`` gives every row, and N transposed
-backward sweeps give them again, for the representers and for the
-agreement check. ``forward_rows`` hands out G only once the two agree, so
-no estimator can use an unchecked map, and ``innovation`` forms the
-prior-mean misfit y - G F0 - free response once for all of them. CG then
-costs O(N nt) per iteration and sweeps the column no more. ``cost``,
-``gradient`` and ``hessian_form`` keep their own forward and adjoint
-sweeps, so they stay an independent check on the reused map. Every sweep
-is the one Crank-Nicolson loop of ``transport``, and the forward solves
-(the free response and those of the cost) observe through
-``synthesize_data``, so they keep only the N observed states, never the
-field.
+flux value), which each AssimilationProblem builds at most once by one
+impulse-response sweep of ``transport``. ``forward_rows`` hands out G only
+once one sketched transposed sweep agrees with it (Freivalds' check), so
+neither an estimator nor the data of ``AssimilationProblem.synthesized``
+can use an unchecked map; N transposed sweeps rebuild every row only for
+the representers, which the full gap checks. ``innovation`` forms the
+prior-mean misfit y - G F0 - free response once for all estimators, and
+CG costs O(N nt) per iteration with no sweep. ``cost``, ``gradient`` and
+``hessian_form`` keep their own forward and adjoint sweeps, so they stay an
+independent check on the reused map. Every sweep is the one Crank-Nicolson
+loop of ``transport``; the forward solves (the free response and those of
+the cost) observe through ``synthesize_data``, keeping only the N observed
+states, never the field.
 
 The posterior is the prior minus a rank-N update (the representer form
 with the Woodbury identity): with S = G C0 G^T + R,
@@ -48,15 +48,16 @@ entries there are reported as zero (the projected gradient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import CapacityError, ConditioningError, DomainError, NumericalError
 from .model import CoefficientProfile
 from .numerics import _flapack, _frozen, _nodal, _normal_square, factor_tridiagonal, trapezoid
-from .observe import ObservationSet, Weight, synthesize_data
+from .observe import ObservationSet, Weight, add_noise, synthesize_data
 from .transport import FluxSignal, flux_sensitivity, impulse_response
 
 __all__ = [
@@ -83,8 +84,8 @@ DOMAIN_TOL = 1e-10
 #: a desk-scale check.
 ORACLE_MAX_NODES = 2048
 
-#: The two constructions of the forward map must agree to this, relative
-#: to the largest entry, before an estimator uses it.
+#: The impulse rows and a transposed-sweep construction of the forward map
+#: must agree to this, relative to the largest entry, before it is used.
 FORWARD_MAP_TOL = 1e-8
 
 
@@ -383,22 +384,36 @@ class AssimilationProblem:
 
     @cached_property
     def forward_rows(self) -> np.ndarray:
-        """G from one impulse-response sweep, once it agrees with ``adjoint_rows``.
+        """G from one impulse-response sweep, once its sketched check passes.
 
         Raises
         ------
         NumericalError
-            If the impulse-response and adjoint-solve rows differ by more
-            than 1e-8 of the largest entry.
+            If ``forward_map_sketch_rel_gap`` exceeds 1e-8 or is NaN.
         """
-        gap = self.forward_map_rel_gap
-        if not gap <= FORWARD_MAP_TOL:
-            msg = (
-                "impulse-response and adjoint-solve constructions of the discrete "
-                f"forward map disagree (relative {gap:.3e})"
-            )
-            raise NumericalError(msg)
+        _check_gap(self.forward_map_sketch_rel_gap, "sketched")
         return self._impulse_rows
+
+    def _gap(self, c: np.ndarray, swept: np.ndarray) -> float:
+        """Largest |swept - c @ impulse rows| over max(c) max|G|, for ``swept``
+        a transposed-sweep construction of c^T G."""
+        rows = self._impulse_rows
+        if not rows.size:
+            return 0.0
+        gap = float(np.abs(swept - c @ rows).max())
+        return gap / float(c.max()) / max(float(np.abs(rows).max()), 1e-300)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite gap fails the check
+    def forward_map_sketch_rel_gap(self) -> float:
+        """Freivalds' check of the impulse rows, by one transposed sweep.
+
+        For c uniform in [1, 2] from a fixed Philox key, ``flux_sensitivity``
+        gives c^T G, so one entry wrong by d max|G| reads at least about d/2,
+        whatever N is.
+        """
+        c = Generator(Philox(key=1)).uniform(1.0, 2.0, len(self.observations))
+        return self._gap(c, flux_sensitivity(*self._sweep_args, c))
 
     @cached_property
     def adjoint_rows(self) -> np.ndarray:
@@ -410,12 +425,8 @@ class AssimilationProblem:
 
     @cached_property
     def forward_map_rel_gap(self) -> float:
-        """Largest |impulse rows - adjoint_rows| over the largest |entry|."""
-        fwd, adj = self._impulse_rows, self.adjoint_rows
-        if not fwd.size:
-            return 0.0
-        scale = max(float(np.abs(fwd).max()), 1e-300)
-        return float(np.abs(fwd - adj).max()) / scale
+        """The full check: the gap of every adjoint row, c = I; N sweeps."""
+        return self._gap(np.eye(len(self.observations)), self.adjoint_rows)
 
     @cached_property
     def free_response(self) -> np.ndarray:
@@ -433,6 +444,32 @@ class AssimilationProblem:
         """y - G F0 - free_response: the data the prior mean leaves unexplained."""
         u0 = self.forward_rows @ self.prior.mean.values + self.free_response
         return _frozen(self.observations.values - u0)
+
+    @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite data raise below
+    def synthesized(cls, profile, q0, weights, times, noise_levels, prior, true_flux, seed):
+        """The problem whose data are G ``true_flux`` + free_response plus the noise
+        ``synthesize_data`` adds for ``seed``; G is built after every argument is
+        checked, checked itself, and kept."""
+        noise = np.asarray(noise_levels, dtype=float)
+        blank = ObservationSet(times=times, values=np.zeros(noise.size), noise_levels=noise)
+        problem = cls(profile=profile, q0=q0, observations=blank, weights=weights, prior=prior)
+        if true_flux.grid != prior.grid:
+            raise ValueError("the true flux must live on the prior's time grid")
+        clean = problem.forward_rows @ true_flux.values + problem.free_response
+        values = add_noise(clean, noise, seed)
+        if not np.isfinite(values).all():
+            raise NumericalError("the synthesized observations overflow")
+        # the values are the one field replaced, and nothing cached reads them yet
+        object.__setattr__(problem, "observations", replace(blank, values=values))
+        return problem
+
+
+def _check_gap(gap: float, how: str) -> None:
+    """NumericalError unless the forward map's ``how`` gap is within 1e-8; NaN fails."""
+    if not gap <= FORWARD_MAP_TOL:
+        msg = f"impulse-response and adjoint-solve maps disagree ({how} relative gap {gap:.3e})"
+        raise NumericalError(msg)
 
 
 def prior_apply_inverse(spec: PriorSpec, g) -> np.ndarray:
@@ -545,7 +582,7 @@ def map_estimate(problem: AssimilationProblem):
         If |b| or r.z overflows, or the relative residual has not reached
         1e-8 within 2 * nt iterations.
     NumericalError
-        If the two forward-map constructions disagree.
+        If the forward map fails its sketched check.
     """
     spec = problem.prior
     project = spec._family.project
@@ -605,8 +642,10 @@ def representer_rows(problem: AssimilationProblem) -> np.ndarray:
     ``adjoint_rows``, shared with the oracle) divided by r_i and by the
     trapezoid weights of the interval [0, t_i] (so the node at t_i carries
     the half weight of a subinterval endpoint and the value there is the
-    one-sided limit). Entries beyond t_i are zero.
+    one-sided limit). Entries beyond t_i are zero. Raises NumericalError if
+    the adjoint and impulse rows differ by over 1e-8 (``forward_map_rel_gap``).
     """
+    _check_gap(problem.forward_map_rel_gap, "full")
     rows = problem.adjoint_rows
     tgrid = problem.prior.grid
     dt = tgrid.spacing
@@ -671,7 +710,7 @@ def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
     CapacityError
         If the time grid exceeds 2048 nodes.
     NumericalError
-        If the forward-map constructions disagree or the precision
+        If the forward map fails its sketched check or the precision
         overflows or is not numerically positive definite.
     """
     return _dense_posterior(problem)[0]
@@ -719,7 +758,7 @@ def lowrank_posterior(problem: AssimilationProblem):
     Raises
     ------
     NumericalError
-        If the forward-map constructions disagree or the result overflows.
+        If the forward map fails its sketched check or the result overflows.
     """
     g = problem.forward_rows
     spec = problem.prior

@@ -59,7 +59,6 @@ from .numerics import (
 from .observe import (
     Weight,
     canonical_weights,
-    synthesize_data,
     write_observations_csv,
     write_weight_csv,
 )
@@ -145,22 +144,16 @@ class _Workspace:
         )
 
     def problem(self) -> AssimilationProblem:
-        weights = [self.weight_for(i) for i in range(len(self.config.obs_weights))]
-        obs = synthesize_data(
-            self.profile,
-            self.flux,
-            self.q0,
-            weights,
-            np.asarray(self.config.obs_times, dtype=float),
-            np.asarray(self.config.obs_noise, dtype=float),
-            self.config.seed,
-        )
-        return AssimilationProblem(
+        # the prior first: a bad one fails before the eigensolve and any sweep
+        return AssimilationProblem.synthesized(
+            prior=self.prior(),
             profile=self.profile,
             q0=self.q0,
-            observations=obs,
-            weights=tuple(weights),
-            prior=self.prior(),
+            weights=[self.weight_for(i) for i in range(len(self.config.obs_weights))],
+            times=self.config.obs_times,
+            noise_levels=self.config.obs_noise,
+            true_flux=self.flux,
+            seed=self.config.seed,
         )
 
 
@@ -262,7 +255,7 @@ def _scenario_assimilate(ws: _Workspace) -> None:
         ws.path("assimilate.json"),
         {
             "converged": report["converged"],
-            "forward_map_rel_gap": problem.forward_map_rel_gap,
+            "forward_map_sketch_rel_gap": problem.forward_map_sketch_rel_gap,
             "iterations": report["iterations"],
             # CG's MAP against the low-rank posterior mean
             "map_vs_oracle_mean_rel": map_vs_mean,

@@ -30,6 +30,7 @@ from .transport import FluxSignal, solve_forward
 __all__ = [
     "Weight",
     "ObservationSet",
+    "add_noise",
     "apply_observation",
     "canonical_weights",
     "synthesize_data",
@@ -149,6 +150,13 @@ def _standard_normal(seed: int, index: int) -> float:
     return float(np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1]))
 
 
+def add_noise(clean, noise_levels, seed: int) -> np.ndarray:
+    """``clean[i] + noise_levels[i] * xi_i`` for the (seed, i) draw xi_i;
+    an observation with zero noise level stays clean."""
+    pairs = enumerate(zip(clean, noise_levels))
+    return np.array([u if r == 0.0 else u + r * _standard_normal(seed, i) for i, (u, r) in pairs])
+
+
 def synthesize_data(
     profile: CoefficientProfile,
     true_flux: FluxSignal,
@@ -193,10 +201,8 @@ def synthesize_data(
         raise ValueError(msg)
     indices = [true_flux.grid.index_of(t) for t in times]
     states = solve_forward(profile, true_flux, q0, nodes=indices)
-    y = np.empty(times.size)
-    for i, (w, r) in enumerate(zip(weights, noise_levels)):
-        clean = apply_observation(w, states[:, i])
-        y[i] = clean if r == 0.0 else clean + r * _standard_normal(seed, i)
+    clean = [apply_observation(w, states[:, i]) for i, w in enumerate(weights)]
+    y = add_noise(clean, noise_levels, seed)
     return ObservationSet(times=times, values=y, noise_levels=noise_levels)
 
 

@@ -136,6 +136,7 @@ def _gain_blocks(eig: EigenSystem, A, t_obs: float, grid: TimeGrid):
         rows = slice(start, min(start + _DECAY_ROWS, idx + 1))
         block = np.outer(t[rows] - t[idx], lam)
         yield rows, np.exp(block, out=block) @ A.T
+        del block  # so the next block is not allocated beside it
 
 
 def gain_direction(

@@ -615,21 +615,34 @@ def bumped_impulse_rows(monkeypatch):
     monkeypatch.setattr(assimilate, "impulse_response", bumped)
 
 
+def plant(monkeypatch, row, value):
+    """Make entry (row, 5) of the impulse-response rows ``value`` times their scale."""
+    original = assimilate.impulse_response
+
+    def planted(*args):
+        rows = original(*args)
+        rows[row, 5] += value * np.abs(rows).max()
+        return rows
+
+    monkeypatch.setattr(assimilate, "impulse_response", planted)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Runs of the one Crank-Nicolson loop, counted from here on by the
+    sweep that started them."""
+    calls = Counter()
+    original = transport._cn_sweep
+
+    def counted(*args, **kwargs):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_cn_sweep", counted)
+    return calls
+
+
 class TestForwardMapReuse:
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        """Runs of the one Crank-Nicolson loop, counted from here on by the
-        sweep that started them."""
-        calls = Counter()
-        original = transport._cn_sweep
-
-        def counted(*args, **kwargs):
-            calls[sys._getframe(1).f_code.co_name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(transport, "_cn_sweep", counted)
-        return calls
-
     @pytest.mark.parametrize("released", [False, True], ids=["q0-zero", "q0-nonzero"])
     def test_estimators_share_one_build(self, counts, released):
         problem = (
@@ -641,33 +654,66 @@ class TestForwardMapReuse:
             map_estimate(problem)
             oracle_bayes(problem)
             representer_rows(problem)
+        # one sketch sweep checks G for the estimators, N more build the representers
         assert counts == Counter(
             impulse_response=1,
-            flux_sensitivity=len(problem.observations),
+            flux_sensitivity=1 + len(problem.observations),
             solve_forward=1 if released else 0,
         )
+
+    @pytest.mark.parametrize("released", [False, True], ids=["q0-zero", "q0-nonzero"])
+    def test_the_estimators_take_one_sketch_sweep_and_the_oracle_n_more(
+        self, counts, released
+    ):
+        problem = (
+            released_problem("dirichlet_inverse_laplacian")
+            if released
+            else small_problem(3, nt=65, nz=49)
+        )
+        map_estimate(problem)
+        lowrank_posterior(problem)
+        expected = Counter(impulse_response=1, flux_sensitivity=1)
+        if released:
+            expected["solve_forward"] = 1
+        assert counts == expected
+        oracle_bayes(problem)
+        representer_rows(problem)
+        expected["flux_sensitivity"] += len(problem.observations)
+        assert counts == expected
 
     def test_map_estimate_refuses_an_unchecked_map(self, bumped_impulse_rows):
         problem = small_problem(2, nt=33)
         with pytest.raises(NumericalError, match="disagree"):
             map_estimate(problem)
+        assert problem.forward_map_sketch_rel_gap > 1e-8
         assert problem.forward_map_rel_gap > 1e-8
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
+    def test_the_sketch_sees_one_wrong_entry(self, monkeypatch, counts, row):
+        # 1e-6 of the scale in one entry reads at least about half of it
+        plant(monkeypatch, row, 1e-6)
+        problem = small_problem(4, nt=33)
+        with pytest.raises(NumericalError, match="disagree [(]sketched"):
+            map_estimate(problem)
+        assert problem.forward_map_sketch_rel_gap >= 4.9e-7
+        assert counts == Counter(impulse_response=1, flux_sensitivity=1)
 
     def test_a_nan_in_the_impulse_rows_fails_the_check(self, monkeypatch):
         # a NaN gap is not above the bound either; the check must still fail
-        original = assimilate.impulse_response
-
-        def planted(*args):
-            rows = original(*args)
-            rows[1, 5] = np.nan
-            return rows
-
-        monkeypatch.setattr(assimilate, "impulse_response", planted)
+        plant(monkeypatch, 1, np.nan)
         problem = small_problem(2, nt=33)
         with pytest.raises(NumericalError, match="disagree"):
             problem.forward_rows
         with pytest.raises(NumericalError, match="disagree"):
             map_estimate(problem)
+
+    def test_the_representers_check_the_full_gap(self, monkeypatch, bumped_impulse_rows):
+        # with the sketch blinded, the full N-sweep comparison still refuses
+        monkeypatch.setattr(AssimilationProblem, "forward_map_sketch_rel_gap", 0.0)
+        problem = small_problem(2, nt=33)
+        oracle_bayes(problem)
+        with pytest.raises(NumericalError, match="disagree [(]full"):
+            representer_rows(problem)
 
     def test_rows_are_read_only(self):
         problem = small_problem(2, nt=33)
@@ -721,6 +767,70 @@ class TestForwardMapReuse:
         ]
         np.testing.assert_array_equal(problem.free_response, expected)
         assert np.abs(problem.free_response).min() > 0.0
+
+
+def synthesized_from(base, seed=3):
+    """The problem of ``base`` with its data synthesized from a known flux."""
+    tgrid = base.prior.grid
+    truth = FluxSignal(grid=tgrid, values=np.sin(3.0 * tgrid.nodes) ** 2)
+    obs = base.observations
+    args = (base.profile, base.q0, base.weights, obs.times, obs.noise_levels)
+    return args, truth, AssimilationProblem.synthesized(
+        *args, prior=base.prior, true_flux=truth, seed=seed
+    )
+
+
+class TestSynthesized:
+    @pytest.mark.parametrize("released", [False, True], ids=["q0-zero", "q0-nonzero"])
+    def test_data_agree_with_the_sweep(self, released):
+        base = released_problem("diagonal") if released else small_problem(3, nt=65, nz=49)
+        args, truth, problem = synthesized_from(base)
+        profile, q0, weights, times, noise = args
+        swept = synthesize_data(profile, truth, q0, weights, times, noise, seed=3)
+        y, ref = problem.observations.values, swept.values
+        assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+        np.testing.assert_array_equal(problem.observations.times, swept.times)
+        np.testing.assert_array_equal(problem.observations.noise_levels, noise)
+        assert problem.q0.any() == released
+
+    @pytest.mark.parametrize("released", [False, True], ids=["q0-zero", "q0-nonzero"])
+    def test_the_estimators_reuse_the_map_the_data_came_from(self, counts, released):
+        base = released_problem("diagonal") if released else small_problem(3, nt=65, nz=49)
+        _, _, problem = synthesized_from(base)
+        map_estimate(problem)
+        lowrank_posterior(problem)
+        expected = Counter(impulse_response=1, flux_sensitivity=1)
+        if released:
+            expected["solve_forward"] = 1
+        assert counts == expected
+
+    def test_the_true_flux_must_share_the_prior_grid(self, monkeypatch):
+        base = small_problem(2, nt=33)
+        tgrid = TimeGrid(t_end=2.0, n=33)
+        truth = FluxSignal(grid=tgrid, values=np.zeros(33))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep ran before the grid check")
+
+        monkeypatch.setattr(transport, "_cn_sweep", refuse)
+        obs = base.observations
+        with pytest.raises(ValueError, match="prior's time grid"):
+            AssimilationProblem.synthesized(
+                base.profile, base.q0, base.weights, obs.times, obs.noise_levels,
+                prior=base.prior, true_flux=truth, seed=0,
+            )
+
+    def test_data_the_map_overflows_fail_closed(self):
+        # G near 1e300 is finite and passes its check; G times the flux is not
+        base = small_problem(2, nt=33)
+        weights = [Weight(grid=w.grid, values=1e300 * w.values) for w in base.weights]
+        truth = FluxSignal(grid=base.prior.grid, values=np.full(33, 1e10))
+        obs = base.observations
+        with pytest.raises(NumericalError, match="synthesized observations overflow"):
+            AssimilationProblem.synthesized(
+                base.profile, base.q0, weights, obs.times, obs.noise_levels,
+                prior=base.prior, true_flux=truth, seed=0,
+            )
 
 
 KINDS = (
@@ -1038,6 +1148,7 @@ class TestLowRankPosterior:
         gap = problem.forward_map_rel_gap
         assert gap == np.abs(fwd - adj).max() / np.abs(fwd).max()
         assert 0.0 <= gap <= 1e-8
+        assert 0.0 <= problem.forward_map_sketch_rel_gap <= 1e-12
 
 
 def kernel_problem(obs_indices, nt=33, nz=17):

@@ -163,12 +163,15 @@ class TestExitCodes:
         error_file = json.loads((tmp_path / "out" / "error.json").read_text())
         assert error_file == report
 
-    @pytest.mark.parametrize("scenario", ["simulate", "assimilate"])
-    def test_stepper_overflow_reports_only_json_on_stderr(self, tmp_path, scenario):
+    @pytest.mark.parametrize(
+        "scenario, error",
+        [("simulate", "StabilityError"), ("assimilate", "ConditioningError")],
+    )
+    def test_stepper_overflow_reports_only_json_on_stderr(self, tmp_path, scenario, error):
         # a fresh process, so nothing but the program writes to stderr; the
-        # overflow must surface as the StabilityError report, not a warning.
-        # It comes before the latest observation (t = 1), so the observing
-        # sweep of assimilate meets it too
+        # overflow must surface as its report, not a warning. simulate's
+        # stepper meets it; assimilate takes its data from G, not from a
+        # sweep of this flux, and meets it in CG's right-hand side instead
         config = {
             "flux": {"kind": "sine", "amplitude": 1e308, "cycles": 1.0},
             "grid": {"nz": 33, "nt": 64},
@@ -180,28 +183,67 @@ class TestExitCodes:
         proc = run_python([*args, "--out", str(tmp_path / "out")], timeout=120)
         assert proc.returncode == 3
         report = json.loads(proc.stderr)
-        assert report["error"] == "StabilityError"
+        assert report["error"] == error
         assert report["exit_code"] == 3
 
+    @pytest.mark.parametrize(
+        "row, value",
+        [(None, 1e-6), (0, 1e-6), (-1, 1e-6), (1, np.nan)],
+        ids=["every-entry", "first-row", "last-row", "nan"],
+    )
     def test_forward_map_disagreement_stops_before_any_artifact(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, row, value
     ):
-        # no estimator reads a forward map that fails the check, so such a
-        # map must not reach map_flux.csv
+        # neither the data nor an estimator read a forward map that fails
+        # the sketched check, so such a map must not reach any artifact
         original = colflux.assimilate.impulse_response
 
-        def bumped(*args):
+        def planted(*args):
             rows = original(*args)
-            return rows + 1e-6 * np.abs(rows).max()
+            entries = ... if row is None else (row, 5)
+            rows[entries] += value * np.abs(rows).max()
+            return rows
 
-        monkeypatch.setattr(colflux.assimilate, "impulse_response", bumped)
+        monkeypatch.setattr(colflux.assimilate, "impulse_response", planted)
         out = tmp_path / "out"
         code = run_cli(tmp_path, small_config("assimilate", out))
         report = error_report(capsys)
         assert code == 3
         assert report["error"] == "NumericalError"
-        assert "disagree" in report["message"]
-        assert not (out / "map_flux.csv").exists()
+        assert "disagree (sketched relative gap" in report["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    def test_oracle_check_gates_the_full_gap(self, tmp_path, capsys, monkeypatch):
+        # a sketch blinded to a bumped map leaves the N-sweep comparison to refuse it
+        original = colflux.assimilate.impulse_response
+        monkeypatch.setattr(
+            colflux.assimilate, "impulse_response",
+            lambda *args: original(*args) * (1.0 + 1e-6),
+        )
+        monkeypatch.setattr(
+            colflux.assimilate.AssimilationProblem, "forward_map_sketch_rel_gap", 0.0
+        )
+        out = tmp_path / "out"
+        code = run_cli(tmp_path, small_config("oracle_check", out))
+        report = error_report(capsys)
+        assert code == 3
+        assert "disagree (full relative gap" in report["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("scenario", ["assimilate", "oracle_check"])
+    def test_a_bad_prior_fails_before_any_sweep(self, tmp_path, capsys, monkeypatch, scenario):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep ran before the prior was checked")
+
+        monkeypatch.setattr(transport, "_cn_sweep", refuse)
+        prior = {
+            "kind": "periodic_zero_mean_inverse_laplacian",
+            "mean": {"kind": "linear", "base": 0.0, "slope": 1.0},
+        }
+        out = tmp_path / "out"
+        assert run_cli(tmp_path, small_config(scenario, out, prior=prior)) == 2
+        report = error_report(capsys)
+        assert "periodic prior needs a periodic mean" in report["message"]
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
     def test_a_failed_factorization_stops_before_the_posterior_mean(
@@ -231,14 +273,15 @@ class TestExitCodes:
         assert np.isfinite(variance).all() and (variance[:, 1] >= 0.0).all()
         report = json.loads((out / "assimilate.json").read_text())
         assert report["map_vs_oracle_mean_rel"] <= 1e-6
-        assert report["forward_map_rel_gap"] <= 1e-8
+        assert report["forward_map_sketch_rel_gap"] <= 1e-8
         capsys.readouterr()
 
         def refuse(*args, **kwargs):
-            raise AssertionError("data synthesized before the capacity check")
+            raise AssertionError("a sweep ran before the capacity check")
 
         # the cap is checked before any eigensolve, sweep or data
-        monkeypatch.setattr(cli, "synthesize_data", refuse)
+        monkeypatch.setattr(transport, "_cn_sweep", refuse)
+        monkeypatch.setattr(cli, "eigensystem", refuse)
         config = small_config(
             "oracle_check", tmp_path / "oracle", grid=grid, spectral={"n_modes": 16}
         )
@@ -266,14 +309,47 @@ class TestExitCodes:
         assert run_cli(tmp_path, small_config("oracle_check", tmp_path / "out")) == 0
 
     @pytest.mark.parametrize(
-        "scenario, report",
-        [("assimilate", "assimilate.json"), ("oracle_check", "oracle_report.json")],
+        "scenario, report, key, other",
+        [
+            ("assimilate", "assimilate.json", "forward_map_sketch_rel_gap", "forward_map_rel_gap"),
+            ("oracle_check", "oracle_report.json", "forward_map_rel_gap", None),
+        ],
     )
-    def test_forward_map_gap_is_recorded(self, tmp_path, scenario, report):
+    def test_forward_map_gap_is_recorded(self, tmp_path, scenario, report, key, other):
         out = tmp_path / "out"
         assert run_cli(tmp_path, small_config(scenario, out)) == 0
-        gap = json.loads((out / report).read_text())["forward_map_rel_gap"]
-        assert 0.0 <= gap <= 1e-8
+        values = json.loads((out / report).read_text())
+        assert 0.0 <= values[key] <= 1e-8
+        assert other not in values  # assimilate runs no N-sweep comparison
+
+    def test_both_gaps_are_at_rounding_on_the_golden_config(self, tmp_path):
+        golden = str(DATA / "golden_config.json")
+        for scenario in ("assimilate", "oracle_check"):
+            assert main([scenario, "--config", golden, "--out", str(tmp_path / scenario)]) == 0
+        sketch = json.loads((tmp_path / "assimilate" / "assimilate.json").read_text())
+        full = json.loads((tmp_path / "oracle_check" / "oracle_report.json").read_text())
+        assert sketch["forward_map_sketch_rel_gap"] < 1e-12
+        assert full["forward_map_rel_gap"] < 1e-12
+
+    @pytest.mark.parametrize("initial", [None, {"kind": "cosine", "amplitude": 0.5, "mode": 1}])
+    def test_observations_agree_with_the_sweep(self, tmp_path, initial):
+        doc = json.loads((DATA / "golden_config.json").read_text(encoding="utf-8"))
+        if initial is not None:
+            doc["initial"] = initial
+        out = tmp_path / "out"
+        doc["out"] = str(out)
+        assert run_cli(tmp_path, doc) == 0
+        written = np.loadtxt(out / "observations.csv", delimiter=",", skiprows=1)
+        ws = cli._Workspace(parse_config(json.dumps(doc)), out)
+        assert ws.q0.any() == (initial is not None)
+        weights = [ws.weight_for(i) for i in range(len(ws.config.obs_weights))]
+        obs = observe.synthesize_data(
+            ws.profile, ws.flux, ws.q0, weights, ws.config.obs_times, ws.config.obs_noise,
+            ws.config.seed,
+        )
+        np.testing.assert_array_equal(written[:, 0], obs.times)
+        np.testing.assert_array_equal(written[:, 2], obs.noise_levels)
+        assert np.abs(written[:, 1] - obs.values).max() <= 1e-12 * np.abs(obs.values).max()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -667,16 +743,19 @@ class TestScenarios:
 
     @pytest.mark.parametrize("kind", PRIOR_KINDS)
     @pytest.mark.parametrize(
-        "scenario, report",
-        [("assimilate", "assimilate.json"), ("oracle_check", "oracle_report.json")],
+        "scenario, report, gap",
+        [
+            ("assimilate", "assimilate.json", "forward_map_sketch_rel_gap"),
+            ("oracle_check", "oracle_report.json", "forward_map_rel_gap"),
+        ],
     )
-    def test_every_prior_kind_runs_clean(self, tmp_path, kind, scenario, report):
+    def test_every_prior_kind_runs_clean(self, tmp_path, kind, scenario, report, gap):
         out = tmp_path / "out"
         config = small_config(scenario, out, prior={"kind": kind})
         assert run_cli(tmp_path, config) == 0
         first = {p.name: p.read_bytes() for p in out.iterdir()}
         values = json.loads(first[report])
-        assert values["forward_map_rel_gap"] <= 1e-8
+        assert values[gap] <= 1e-8
         assert values["map_vs_oracle_mean_rel"] <= 1e-6
         assert run_cli(tmp_path, config) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
@@ -773,7 +852,7 @@ class TestDeterminism:
         code = (
             "import sys; from colflux.cli import main; "
             "sys.exit(max(main([s, '--config', sys.argv[1], '--out', f'{sys.argv[2]}/{s}']) "
-            "for s in ('simulate', 'oracle_check', 'blind', 'gains')))"
+            "for s in ('simulate', 'assimilate', 'oracle_check', 'blind', 'gains')))"
         )
         artifacts = {}
         for threads in ("1", "2"):
@@ -785,7 +864,7 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             files = sorted(p for p in (tmp_path / threads).rglob("*") if p.is_file())
             artifacts[threads] = {p.relative_to(tmp_path / threads): p.read_bytes() for p in files}
-        assert len(artifacts["1"]) == 15
+        assert len(artifacts["1"]) == 20
         assert artifacts["1"] == artifacts["2"]
 
     @pytest.mark.skipif(numerics._flapack.blas_threads() is None, reason="OpenBLAS only")

@@ -128,7 +128,7 @@ class TestStreamedDecay:
         tgrid.nodes  # cached on the grid, not allocated by the gain
         # the whole nt x n_modes matrix would take 5.2 MB; with two modes
         # used, the kernel takes well under one 1024 x 40 block (320 KB)
-        for used, bound in [(40, 1e6), (2, 1e5)]:
+        for used, bound in [(40, 5e5), (2, 1e5)]:
             a = np.zeros(40)
             a[:used] = 1.0
             tracemalloc.start()
