@@ -579,8 +579,8 @@ def map_estimate(problem: AssimilationProblem):
     Raises
     ------
     ConditioningError
-        If |b| or r.z overflows, or the relative residual has not reached
-        1e-8 within 2 * nt iterations.
+        If |b|, r.z, p.Hp or the MAP flux overflows, or the relative
+        residual has not reached 1e-8 within 2 * nt iterations.
     NumericalError
         If the forward map fails its sketched check.
     """
@@ -589,7 +589,12 @@ def map_estimate(problem: AssimilationProblem):
     n = spec.grid.n
     g = problem.forward_rows
     r2 = problem.observations.noise_levels**2
-    rhs = project(g.T @ (problem.innovation / r2))
+    # CG is linear in the innovation d: it solves for d scaled by a power of
+    # two (exact) to below 1, so data near the double range do not overflow
+    # b, and the increment is scaled back on return
+    d = problem.innovation
+    _, scale = np.frexp(np.abs(d).max(initial=0.0))
+    rhs = project(g.T @ (np.ldexp(d, -scale) / r2))
 
     def hessian(x):  # W C0^{-1} x + G^T R^{-1} G x, for admissible x
         return spec.grid.weights * prior_apply_inverse(spec, x) + g.T @ (g @ x / r2)
@@ -615,14 +620,20 @@ def map_estimate(problem: AssimilationProblem):
             msg = f"conjugate gradients overflowed: r.z = {rz} at iteration {it}"
             raise ConditioningError(msg)
         hp = project(hessian(p))
-        alpha = rz / float(np.dot(p, hp))
+        curvature = float(np.dot(p, hp))
+        if not np.isfinite(curvature):  # alpha would read 0, and CG stall
+            msg = f"conjugate gradients overflowed: p.Hp = {curvature} at iteration {it}"
+            raise ConditioningError(msg)
+        alpha = rz / curvature
         x = x + alpha * p
         r = r - alpha * hp
         rel = float(np.linalg.norm(r)) / rhs_norm
         if rel <= tol:
             report["iterations"] = it
             report["relative_residual"] = rel
-            values = spec.mean.values + x
+            values = spec.mean.values + np.ldexp(x, scale)
+            if not np.isfinite(values).all():
+                raise ConditioningError("the MAP flux overflows")
             return FluxSignal(grid=spec.grid, values=values), report
         z = project(precond(r))
         rz_new = float(np.dot(r, z))

@@ -452,43 +452,76 @@ class TestMapEstimate:
             f"{np.abs(flux.values - mean).max():.3e} at scale {scale:.3e}"
         )
 
-    @pytest.mark.parametrize(
-        "value, sigma, message",
-        [
-            (1e300, 0.7, r"overflowed: \|b\| = inf$"),
-            (1e120, 1e150, "overflowed: r.z = inf at iteration 1$"),
-        ],
-        ids=["norm-of-b", "r.z"],
-    )
-    def test_overflow_stops_before_a_hessian_product(self, monkeypatch, value, sigma, message):
-        # data near the double range: |b| or r.z overflows at once, and CG
-        # must say so, with no warning, instead of running 2 nt iterations
-        # on NaN (whose products would reach prior_apply_inverse as a bad
-        # input) or reading every residual relative to |b| = inf as 0
+    @staticmethod
+    def scaled_problem(value, noise=0.2, sigma=0.7):
+        """small_problem(2) with data ``value`` at both observations."""
         base = small_problem(2)
         obs = ObservationSet(
             times=base.observations.times,
             values=np.full(2, value),
-            noise_levels=base.observations.noise_levels,
+            noise_levels=np.full(2, noise),
         )
-        problem = AssimilationProblem(
+        return AssimilationProblem(
             profile=base.profile,
             q0=base.q0,
             observations=obs,
             weights=base.weights,
             prior=dirichlet_prior(base.prior.grid, sigma=sigma),
         )
-        products = Counter()
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """Counts map_estimate's Hessian products (one prior_apply_inverse each)."""
+        counts = Counter()
         original = assimilate.prior_apply_inverse
 
         def counted(*args):
-            products["hessian"] += 1
+            counts["hessian"] += 1
             return original(*args)
 
         monkeypatch.setattr(assimilate, "prior_apply_inverse", counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "noise, sigma, message",
+        [
+            (1e-150, 0.7, r"overflowed: \|b\| = inf$"),
+            (0.2, 1e154, "overflowed: r.z = inf at iteration 1$"),
+        ],
+        ids=["norm-of-b", "r.z"],
+    )
+    def test_overflow_stops_before_a_hessian_product(self, products, noise, sigma, message):
+        # CG scales the data to below 1, but a noise level near the normal
+        # range's floor still overflows |b| = |G^T R^-1 d|, and a prior sigma
+        # near its ceiling r.z = b^T C0 b. CG must say so at once, with no
+        # warning, instead of running 2 nt iterations on NaN (whose products
+        # would reach prior_apply_inverse as a bad input) or reading every
+        # residual relative to |b| = inf as 0
+        problem = self.scaled_problem(1.0, noise=noise, sigma=sigma)
         with pytest.raises(ConditioningError, match=message):
             map_estimate(problem)
         assert products["hessian"] == 0
+
+    def test_an_overflowing_curvature_stops_at_the_first_product(self, products):
+        # at a prior sigma of 1e150, p = C0 r is near 1e300 and p.Hp is inf:
+        # alpha would read 0, and CG would stall for 2 nt products
+        with pytest.raises(ConditioningError, match="overflowed: p.Hp = inf at iteration 1$"):
+            map_estimate(self.scaled_problem(1.0, sigma=1e150))
+        assert products["hessian"] == 1
+
+    def test_data_near_the_double_range_scale_exactly(self):
+        # CG is linear in the data and solves for them scaled by a power of
+        # two, so data 2**900 times larger give the MAP flux 2**900 times
+        # larger, bit for bit; unscaled, G^T R^-1 d overflowed at 1e300
+        small, small_report = map_estimate(self.scaled_problem(1.0))
+        big, big_report = map_estimate(self.scaled_problem(2.0**900))
+        assert big_report == small_report and small_report["converged"]
+        np.testing.assert_array_equal(big.values, np.ldexp(small.values, 900))
+
+    def test_a_map_flux_beyond_the_double_range_fails_closed(self):
+        # the scaled solve converges; the flux it scales back to does not fit
+        with pytest.raises(ConditioningError, match="^the MAP flux overflows$"):
+            map_estimate(self.scaled_problem(1e308, sigma=1e3))
 
     @pytest.mark.parametrize("nt", [2, 3, 4, 5])
     def test_smallest_time_grids(self, nt):

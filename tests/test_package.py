@@ -3,6 +3,9 @@ modules, the one list of public names, _frozen, and the one check of nodal
 inputs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +105,32 @@ def test_package_exports_exactly_the_modules_public_names():
     assert len(set(expected)) == len(expected)
     for name in expected:
         assert hasattr(colflux, name), name
+
+
+def test_importing_the_package_loads_no_numpy():
+    # the namespace is lazy, so colflux.cli imports NumPy first and picks
+    # how its OpenBLAS loads; an eager import here would take that away
+    code = "import sys, colflux; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from colflux import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(colflux.__all__)
+    assert namespace["map_estimate"] is colflux.assimilate.map_estimate
+    assert set(colflux.__all__) <= set(dir(colflux))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'colflux' has no attribute 'nowhere'$"):
+        getattr(colflux, "nowhere")
 
 
 class TestFrozen:
