@@ -71,6 +71,7 @@ __all__ = [
     "hessian_form",
     "map_estimate",
     "representer_rows",
+    "check_oracle_capacity",
     "oracle_bayes",
     "oracle_covariance",
     "lowrank_posterior",
@@ -128,16 +129,14 @@ class _DiagonalPrior:
         """diag(C0), the diagonal of what ``covariance`` applies."""
         return self.s2 / self.w
 
-    free = slice(None)  # the nodes the dense oracle solves for
-
     def add_form(self, a: np.ndarray) -> None:
-        """Add W C0^{-1} on the ``free`` nodes, a Euclidean form matrix, onto a."""
+        """Add W C0^{-1}, the n x n Euclidean form matrix, onto a."""
         a.flat[:: self.n + 1] += self.w / self.s2
 
-    def reduce(self, a: np.ndarray, c: float | None = None) -> None:
-        """P (a - cI) P + cI in place, for a symmetric a on the ``free`` nodes:
-        a on the admissible subspace and c (by default a's scale) across it,
-        so a solve with a projected right-hand side stays in the subspace."""
+    def reduce(self, a: np.ndarray, c: float) -> None:
+        """P a P + c (I - P) in place, for a symmetric n x n a: a on the
+        admissible subspace and c across it, so a solve with a projected
+        right-hand side stays in the subspace."""
 
 
 class _DirichletPrior(_DiagonalPrior):
@@ -163,12 +162,13 @@ class _DirichletPrior(_DiagonalPrior):
         return out
 
     def covariance(self):
-        if self.n == 2:  # both nodes pinned, nothing to solve
-            return lambda r: np.zeros(2)
-        coef = self.w[1:-1] / (self.s2 * self.dt**2)
-        # the interior weights are all dt, so the matrix is symmetric
-        solve = factor_tridiagonal(2.0 * coef, -coef[1:])
-        return lambda r: np.pad(solve(r[1:-1]), 1)
+        # the interior weights are all dt, so the matrix is symmetric; its
+        # end rows are unit rows decoupled from it, and their values dropped
+        coef = self.w / (self.s2 * self.dt**2)
+        diag, off = 2.0 * coef, -coef[1:]
+        diag[[0, -1]], off[[0, -1]] = 1.0, 0.0
+        solve = factor_tridiagonal(diag, off)
+        return lambda r: self.project(solve(r))
 
     def variance(self):
         # inverse of the (m x m) second-difference matrix: i (m+1-i) / (m+1)
@@ -177,17 +177,21 @@ class _DirichletPrior(_DiagonalPrior):
         i = np.arange(self.n, dtype=float)
         return self.s2 * self.dt * i * (m + 1 - i) / (m + 1)
 
-    free = slice(1, -1)  # the interior block is the admissible subspace
-
     def add_form(self, a):
         # <g, W C0^{-1} g> = sum (delta g)^2 / (s2 dt) over the intervals:
         # tridiagonal, with one interval at each end node
-        coef, k = 1.0 / (self.s2 * self.dt), len(a)
-        diag = np.full(self.n, 2.0 * coef)
+        coef, n = 1.0 / (self.s2 * self.dt), self.n
+        diag = np.full(n, 2.0 * coef)
         diag[[0, -1]] = coef
-        a.flat[:: k + 1] += diag[self.free]
-        a.flat[1 :: k + 1] -= coef
-        a.flat[k :: k + 1] -= coef
+        a.flat[:: n + 1] += diag
+        a.flat[1 :: n + 1] -= coef
+        a.flat[n :: n + 1] -= coef
+
+    def reduce(self, a, c):
+        # P zeroes the end rows and columns: P a P + c (I - P) pins them
+        # with no arithmetic, and leaves every interior entry as it is
+        a[[0, -1]] = a[:, [0, -1]] = 0.0
+        a[0, 0] = a[-1, -1] = c
 
 
 class _PeriodicPrior(_DiagonalPrior):
@@ -272,13 +276,12 @@ class _PeriodicPrior(_DiagonalPrior):
 
     add_form = _DirichletPrior.add_form
 
-    def reduce(self, a, c=None):
+    def reduce(self, a, c):
         # P = I - V G V^T with V = [e_0 - e_{n-1}, ones on the distinct
         # nodes] and G = (V^T V)^-1, as in ``project``. With Y = a V G,
         # P a P + c V G V^T = a - V Y^T - (Y - V (G V^T Y + c G)) V^T: a
         # rank-2 update, made a block of rows at a time; no entry is shifted
         n, m = self.n, self.n - 1
-        c = a.diagonal().min() if c is None else c
         v = np.zeros((n, 2))
         v[[0, -1], 0] = 1.0, -1.0
         v[:-1, 1] = 1.0
@@ -658,17 +661,11 @@ def representer_rows(problem: AssimilationProblem) -> np.ndarray:
     """
     _check_gap(problem.forward_map_rel_gap, "full")
     rows = problem.adjoint_rows
-    tgrid = problem.prior.grid
-    dt = tgrid.spacing
-    out = np.zeros_like(rows)
-    for i, n_i in enumerate(problem.obs_indices):
-        w = np.full(n_i + 1, dt)
-        w[0] = 0.5 * dt
-        w[-1] = 0.5 * dt
-        out[i, : n_i + 1] = rows[i, : n_i + 1] / (
-            problem.observations.noise_levels[i] * w
-        )
-    return out
+    dt = problem.prior.grid.spacing
+    # adjoint rows are exactly zero beyond t_i, whatever w holds there
+    w = np.full(rows.shape, dt)
+    w[:, 0] = w[np.arange(len(rows)), problem.obs_indices] = 0.5 * dt
+    return rows / (problem.observations.noise_levels[:, None] * w)
 
 
 def check_oracle_capacity(n: int) -> None:
@@ -681,31 +678,27 @@ def check_oracle_capacity(n: int) -> None:
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises
 def _dense_posterior(problem: AssimilationProblem):
     """The posterior mean, by the Cholesky factor of the kind's ``reduce`` of
-    A = W C0^{-1} + G^T R^{-1} G on its ``free`` nodes, solved with the
-    projected G^T R^{-1} (y - G F0 - free response); and the n x n buffer
-    with the k x k factor at its start (Fortran order, lower triangle)."""
+    A = W C0^{-1} + G^T R^{-1} G, solved with the projected
+    G^T R^{-1} (y - G F0 - free response); and that factor, in the lower
+    triangle of the one n x n Fortran-order buffer A was formed in."""
     n = problem.prior.grid.n
     check_oracle_capacity(n)
     family = problem.prior._family
     g, noise = problem.forward_rows, problem.observations.noise_levels
-    rhs = family.project(g.T @ (problem.innovation / noise**2))[family.free]
-    h = g[:, family.free] / noise[:, None]
-    k, square = h.shape[1], np.empty((n, n))
-    # h^T h is symmetric: its C-order block is the Fortran-order matrix LAPACK overwrites
-    a = np.matmul(h.T, h, out=square.reshape(-1)[: k * k].reshape(k, k))
+    rhs = family.project(g.T @ (problem.innovation / noise**2))
+    h = g / noise[:, None]
+    # h^T h is symmetric: the C-order buffer is the Fortran-order matrix LAPACK overwrites
+    a = np.matmul(h.T, h, out=np.empty((n, n)))
     family.add_form(a)
     # A is positive semidefinite, so no entry exceeds its diagonal's largest
     if not (np.isfinite(a.diagonal()).all() and np.isfinite(rhs).all()):
         raise NumericalError("the dense posterior precision overflows")
-    family.reduce(a)
+    family.reduce(a, a.diagonal().min())
     factor, info = _flapack.dpotrf(a.T)
     if info > 0:
         msg = f"not positive definite: leading minor {info} is not positive"
         raise NumericalError(f"the dense posterior precision is {msg}")
-    mean = problem.prior.mean.values.copy()
-    if k:  # a two-node Dirichlet grid has no free node
-        mean[family.free] += _flapack.dpotrs(factor, rhs)[0]
-    return mean, square, factor
+    return problem.prior.mean.values + _flapack.dpotrs(factor, rhs)[0], factor
 
 
 def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
@@ -730,19 +723,13 @@ def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
 def oracle_covariance(problem: AssimilationProblem) -> np.ndarray:
     """The dense nt x nt posterior covariance, the factor of ``oracle_bayes``
     inverted in place; it raises as ``oracle_bayes`` does."""
-    _, square, factor = _dense_posterior(problem)
-    n, k = len(square), len(factor)
-    if k:
-        _flapack.dpotri(factor)
+    factor = _dense_posterior(problem)[1]
+    _flapack.dpotri(factor)
     inv = factor.T  # C order, with the inverse in its upper triangle
-    for i in range(1, k):
+    for i in range(1, len(inv)):
         inv[i, :i] = inv[:i, i]
     problem.prior._family.reduce(inv, 0.0)
-    if k < n:  # Dirichlet's interior block to its place, last row first
-        for j in range(k - 1, -1, -1):
-            square[j + 1, 1:-1] = square.reshape(-1)[j * k : (j + 1) * k]
-        square[[0, -1]] = square[:, [0, -1]] = 0.0
-    return square
+    return inv
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises

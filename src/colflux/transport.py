@@ -45,6 +45,8 @@ __all__ = [
     "FluxSignal",
     "MixingRatioField",
     "solve_forward",
+    "impulse_response",
+    "flux_sensitivity",
     "mass_balance_residual",
     "energy_fit",
     "write_field_csv",

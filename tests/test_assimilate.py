@@ -26,7 +26,7 @@ from colflux.assimilate import (
 )
 from colflux.errors import CapacityError, ConditioningError, DomainError, NumericalError
 from colflux.model import CoefficientProfile
-from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
+from colflux.numerics import ColumnGrid, TimeGrid, factor_tridiagonal, trapezoid
 from colflux.observe import ObservationSet, Weight, apply_observation, synthesize_data
 from colflux.transport import FluxSignal, solve_forward
 
@@ -961,8 +961,9 @@ class TestOracleBayes:
     @pytest.mark.parametrize("kind", ["dirichlet_inverse_laplacian", "diagonal"])
     def test_precision_keeps_its_digits_at_large_sigma(self, kind, monkeypatch):
         # at sigma = 1e8 the prior's part of A is ~1e-14, the data's ~1e-2;
-        # the block the oracle factors (the interior for Dirichlet, every
-        # node for the diagonal kind) must still equal A there, to an ulp
+        # the matrix the oracle factors must still equal A on the admissible
+        # nodes (the interior for Dirichlet, every node for the diagonal
+        # kind), to an ulp
         base = released_problem(kind)
         prior = PriorSpec(mean=base.prior.mean, kind=kind, sigma=1e8)
         problem = AssimilationProblem(
@@ -986,11 +987,12 @@ class TestOracleBayes:
             oracle_bayes(problem)
         h = problem.forward_rows / problem.observations.noise_levels[:, None]
         a = column_loop_prior_precision(problem) + h.T @ h
-        kept = problem.prior._family.free
-        block = a[kept, kept]
+        kept = problem.prior._family.project(np.ones(len(a))) != 0.0
+        block = a[np.ix_(kept, kept)]
         eps = np.finfo(float).eps
-        assert factored[0].shape == block.shape
-        assert np.all(np.abs(factored[0] - block) <= eps * np.abs(block))
+        assert factored[0].shape == a.shape
+        factored_block = factored[0][np.ix_(kept, kept)]
+        assert np.all(np.abs(factored_block - block) <= eps * np.abs(block))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
@@ -1027,16 +1029,42 @@ class TestDensePriorPrecision:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("nodes", [2, 3, 4, 65, 1025])
     def test_banded_form_is_the_column_loop_on_the_admissible_subspace(self, kind, nodes):
-        # the oracle's tridiagonal form on the free nodes and the projected
-        # stencil columns agree as forms on the admissible subspace
+        # the oracle's tridiagonal form and the projected stencil columns
+        # agree as forms on the admissible subspace
         problem = released_problem(kind, nodes=nodes)
         family = problem.prior._family
         banded = np.zeros((nodes, nodes))
-        family.add_form(banded[family.free, family.free])
+        family.add_form(banded)
         proj = family.project(np.eye(nodes))
         expected = proj @ column_loop_prior_precision(problem) @ proj
         atol = 1e-13 * np.abs(expected).max(initial=0.0)
         np.testing.assert_allclose(proj @ banded @ proj, expected, rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 65])
+    def test_dirichlet_reduce_pins_the_end_nodes_and_keeps_the_interior(self, nodes):
+        # P a P + c (I - P) zeroes the end rows and columns, puts c on their
+        # diagonal, and touches no interior entry
+        family = released_problem(KINDS[0], nodes=nodes).prior._family
+        x = np.random.default_rng(5).standard_normal((nodes, nodes))
+        a, before = x + x.T, x + x.T
+        family.reduce(a, 3.5)
+        ends = np.zeros((2, nodes))
+        ends[0, 0] = ends[1, -1] = 3.5
+        assert a[1:-1, 1:-1].tobytes() == before[1:-1, 1:-1].tobytes()
+        assert np.array_equal(a[[0, -1]], ends) and np.array_equal(a[:, [0, -1]], ends.T)
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 65, 1025])
+    def test_dirichlet_covariance_is_the_interior_solve_bit_for_bit(self, nodes):
+        # the preconditioner solves all n nodes, with unit end rows decoupled
+        # from the interior; it must give the interior block's solve, padded
+        family = released_problem(KINDS[0], nodes=nodes).prior._family
+        coef = family.w[1:-1] / (family.s2 * family.dt**2)
+        apply = family.covariance()
+        for r in np.random.default_rng(6).standard_normal((3, nodes)):
+            interior = r[1:-1]
+            if interior.size:
+                interior = factor_tridiagonal(2.0 * coef, -coef[1:])(interior)
+            assert apply(r).tobytes() == np.pad(interior, 1).tobytes()
 
     @pytest.mark.parametrize("nodes", [2, 3, 257])
     def test_in_place_stencils_keep_their_rounding(self, nodes):

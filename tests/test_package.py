@@ -3,6 +3,7 @@ modules, the one list of public names, _frozen, and the one check of nodal
 inputs."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -56,10 +57,9 @@ def test_the_checker_sees_an_unused_import():
     assert unused_imports(tree) == [(1, "os"), (2, "b")]
 
 
-def foreign_private_imports(tree: ast.Module) -> list:
-    """(line, module, name) for each private name imported from a colflux
-    module other than numerics, the one home of shared private helpers."""
-    found = []
+def colflux_imports(tree: ast.Module):
+    """(line, module, name) for each name imported from a colflux module;
+    module is None for ``from . import``."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -70,9 +70,17 @@ def foreign_private_imports(tree: ast.Module) -> list:
         else:
             continue
         for alias in node.names:
-            private = alias.name.startswith("_") and not alias.name.startswith("__")
-            if private and module != "numerics":
-                found.append((node.lineno, module, alias.name))
+            yield node.lineno, module, alias.name
+
+
+def foreign_private_imports(tree: ast.Module) -> list:
+    """(line, module, name) for each private name imported from a colflux
+    module other than numerics, the one home of shared private helpers."""
+    found = []
+    for line, module, name in colflux_imports(tree):
+        private = name.startswith("_") and not name.startswith("__")
+        if private and module != "numerics":
+            found.append((line, module, name))
     return found
 
 
@@ -95,6 +103,26 @@ def test_the_checker_sees_a_foreign_private_import():
         (3, "transport", "_cn_sweep"),
         (4, "assimilate", "_KINDS"),
     ]
+
+
+def unlisted_public_imports(tree: ast.Module) -> list:
+    """(line, module, name) for each public name imported from a colflux
+    module whose ``__all__`` does not list it."""
+    return [
+        (line, module, name)
+        for line, module, name in colflux_imports(tree)
+        if module
+        and not name.startswith("_")
+        and name not in importlib.import_module(f"colflux.{module}").__all__
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_names_shared_across_modules_are_listed_in_all(path):
+    # a module's ``__all__`` is the one list of its public names: the
+    # package namespace and the benchmark's per-layer tracer read it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unlisted_public_imports(tree) == []
 
 
 def test_package_exports_exactly_the_modules_public_names():
