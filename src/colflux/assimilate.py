@@ -571,13 +571,14 @@ def map_estimate(problem: AssimilationProblem):
     the norm. The data term comes from the problem's forward map: the
     prior-mean observations are G F0 plus the free response to q0, and
     each Hessian product W C0^{-1} p + G^T R^{-1} G p costs O(N nt), with
-    no solver sweep.
+    no solver sweep. CG also stops when r.z = 0: C0 has mapped a residual
+    of rounding alone to zero, so p would be 0 and the step 0/0.
 
     Returns
     -------
     (FluxSignal, dict)
         The MAP flux and a report with iterations and final relative
-        residual.
+        residual (0 if no step ran).
 
     Raises
     ------
@@ -617,36 +618,39 @@ def map_estimate(problem: AssimilationProblem):
     rz = float(np.dot(r, z))
     tol = 1e-8
     max_iter = 2 * n
-    rel = 1.0
-    for it in range(1, max_iter + 1):
+    steps, rel = 0, 0.0
+    while rz != 0.0:
+        if steps == max_iter:
+            msg = (
+                f"conjugate gradients stalled: relative residual {rel:.3e} after "
+                f"{max_iter} iterations (target {tol:g})"
+            )
+            raise ConditioningError(msg)
         if not np.isfinite(rz):  # stop before a Hessian product spreads it
-            msg = f"conjugate gradients overflowed: r.z = {rz} at iteration {it}"
+            msg = f"conjugate gradients overflowed: r.z = {rz} at iteration {steps + 1}"
             raise ConditioningError(msg)
         hp = project(hessian(p))
         curvature = float(np.dot(p, hp))
         if not np.isfinite(curvature):  # alpha would read 0, and CG stall
-            msg = f"conjugate gradients overflowed: p.Hp = {curvature} at iteration {it}"
+            msg = f"conjugate gradients overflowed: p.Hp = {curvature} at iteration {steps + 1}"
             raise ConditioningError(msg)
         alpha = rz / curvature
         x = x + alpha * p
         r = r - alpha * hp
+        steps += 1
         rel = float(np.linalg.norm(r)) / rhs_norm
         if rel <= tol:
-            report["iterations"] = it
-            report["relative_residual"] = rel
-            values = spec.mean.values + np.ldexp(x, scale)
-            if not np.isfinite(values).all():
-                raise ConditioningError("the MAP flux overflows")
-            return FluxSignal(grid=spec.grid, values=values), report
+            break
         z = project(precond(r))
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    msg = (
-        f"conjugate gradients stalled: relative residual {rel:.3e} after "
-        f"{max_iter} iterations (target {tol:g})"
-    )
-    raise ConditioningError(msg)
+    report["iterations"] = steps
+    report["relative_residual"] = rel
+    values = spec.mean.values + np.ldexp(x, scale)
+    if not np.isfinite(values).all():
+        raise ConditioningError("the MAP flux overflows")
+    return FluxSignal(grid=spec.grid, values=values), report
 
 
 def representer_rows(problem: AssimilationProblem) -> np.ndarray:

@@ -150,6 +150,16 @@ class _Workspace:
         values = self.values(f"observations.weights[{i}]")
         return Weight(grid=self.zgrid, values=values, label="samples")
 
+    def gain(self, i: int):
+        """Observation i's spectral gain, from the coefficients its weight
+        carries, or else from the expansion of its nodal values."""
+        weight = self.weight_for(i)
+        a = weight.coefficients
+        if a is None:
+            a = expand_weight(weight.values, self.eig)
+        t_obs, r = self.config.obs_times[i], self.config.obs_noise[i]
+        return gain_direction(self.eig, a, t_obs, r, self.tgrid)
+
     def prior(self) -> PriorSpec:
         return PriorSpec(
             mean=FluxSignal(grid=self.tgrid, values=self.values("prior.mean")),
@@ -228,14 +238,8 @@ def _scenario_weights(ws: _Workspace) -> None:
 def _scenario_gains(ws: _Workspace) -> None:
     summary = {}
     times = _csv_text(ws.tgrid.nodes)  # shared by every gain file
-    for i, (t_obs, r) in enumerate(zip(ws.config.obs_times, ws.config.obs_noise)):
-        weight = ws.weight_for(i)
-        a = (
-            weight.coefficients
-            if weight.coefficients is not None
-            else expand_weight(weight.values, ws.eig)
-        )
-        gain = gain_direction(ws.eig, a, t_obs, r, ws.tgrid)
+    for i, t_obs in enumerate(ws.config.obs_times):
+        gain = ws.gain(i)
         _write_csv(
             ws.path(f"gain_{i:02d}.csv"),
             "t,G,truncation_envelope",
@@ -291,13 +295,9 @@ def _scenario_oracle_check(ws: _Workspace) -> None:
     rows = representer_rows(problem)
 
     rels = []
-    for i, (t_obs, r) in enumerate(
-        zip(ws.config.obs_times, ws.config.obs_noise)
-    ):
-        weight = problem.weights[i]
-        a = expand_weight(weight.values, ws.eig)
-        gain = gain_direction(ws.eig, a, t_obs, r, ws.tgrid)
-        diff = rows[i] - gain.values
+    for i, row in enumerate(rows):
+        gain = ws.gain(i)
+        diff = row - gain.values
         num = np.sqrt(trapezoid(diff**2, ws.tgrid))
         den = np.sqrt(trapezoid(gain.values**2, ws.tgrid))
         rels.append(num / max(den, 1e-300))

@@ -282,8 +282,8 @@ def _segment_shape_factors(x):
     # Per-segment factors for int_0^1 (g0 + (g1-g0) s) e^{x (s-1)} ds, written
     # as g0*phi + (g1-g0)*psi with phi = (1-e^{-x})/x, psi = (x-1+e^{-x})/x^2.
     # For x below the cutoff the closed forms cancel catastrophically, so a
-    # 3-term Taylor expansion is used instead. Scalar in, scalar out; arrays
-    # are handled elementwise.
+    # 3-term Taylor expansion is used instead. Elementwise: arrays out, 0-d
+    # for a scalar.
     x = np.asarray(x, dtype=float)
     small = x < SERIES_CUTOFF
     xs = np.where(small, x, 1.0)
@@ -293,11 +293,7 @@ def _segment_shape_factors(x):
     em = -np.expm1(-xl)  # 1 - e^{-x}, stable for small and large x
     phi_l = em / xl
     psi_l = (xl - em) / (xl * xl)
-    phi = np.where(small, phi_s, phi_l)
-    psi = np.where(small, psi_s, psi_l)
-    if phi.ndim == 0:
-        return float(phi), float(psi)
-    return phi, psi
+    return np.where(small, phi_s, phi_l), np.where(small, psi_s, psi_l)
 
 
 def exp_inner_coefficients(grid: TimeGrid, lam: float, t_obs: float) -> np.ndarray:

@@ -235,7 +235,7 @@ def analyze_gain(gain: GainDirection) -> GainAnalysis:
     zero both ways) reports "neither", since no strict trend exists.
     """
     x = gain.lambdas * gain.t_obs
-    phi, _ = _segment_shape_factors(np.atleast_1d(x))
+    phi, _ = _segment_shape_factors(x)
     mean = gain.prefactor * gain.t_obs * float(np.dot(gain.coefficients, phi))
 
     idx = gain.grid.index_of(gain.t_obs)

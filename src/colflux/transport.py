@@ -18,7 +18,8 @@ Every sweep of the package runs the one private loop ``_cn_sweep``:
 ``impulse_response`` (the rows of the discrete forward map G, one impulse
 sweep assembled by the flux hats) and ``flux_sensitivity`` (c^T G for
 any coefficients c, one transposed backward sweep of the adjoint). The loop
-keeps O(nz) state; its callers store what they read.
+keeps O(nz) state and yields each new state, which the next step overwrites;
+its callers iterate it and store what they read.
 """
 
 from __future__ import annotations
@@ -114,16 +115,16 @@ def _symmetric_flux_divergence(profile: CoefficientProfile):
     return diag, np.sqrt((kf + wf) * (kf - wf)), d
 
 
-def _cn_sweep(profile, dt, q, steps, forcing, visit, transpose=False):
+def _cn_sweep(profile, dt, q, steps, forcing, transpose=False):
     """The one Crank-Nicolson loop: L q' = R q + b_n for each step n in ``steps``.
 
     L = M - dt/2 S and R = M + dt/2 S = 2M - L (transposed if ``transpose``),
     so q' = L^-1 (2 M q + b_n) - q. With D from ``_symmetric_flux_divergence``,
     L = D Ls D^-1 and L^T = D^-1 Ls D for one SPD Ls, factored once: the loop
     runs on u = D^-1 q (D q if ``transpose``), u' = Ls^-1 (2 M u + c_n) - u.
-    ``forcing(n, rhs)`` adds c_n = D^-1 b_n (D b_n) in place and ``visit(n, u')``
-    sees each new state, which the next step overwrites; nothing is stored.
-    d[0] = 1: surface entries are unscaled.
+    ``forcing(n, rhs)`` adds c_n = D^-1 b_n (D b_n) in place. The loop yields
+    ``(n, u')`` after each step, and the next step overwrites u': nothing is
+    stored. d[0] = 1: surface entries are unscaled.
     """
     diag, off, d = _symmetric_flux_divergence(profile)
     half = 0.5 * dt
@@ -143,7 +144,7 @@ def _cn_sweep(profile, dt, q, steps, forcing, visit, transpose=False):
         forcing(n, rhs)
         step()
         np.subtract(rhs, u, out=u)
-        visit(n, u)
+        yield n, u
 
 
 def solve_forward(
@@ -197,16 +198,14 @@ def solve_forward(
     def forcing(n, rhs):
         rhs[0] += 0.5 * dt * k0 * (f[n] + f[n + 1])
 
-    def visit(n, u):
-        q = d * u
-        if not np.isfinite(q).all():
-            raise StabilityError(step=n + 1)
-        for j in columns.get(n + 1, ()):
-            out[:, j] = q
-
-    # overflow surfaces as the StabilityError of visit, not as warnings
+    # overflow surfaces as a StabilityError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _cn_sweep(profile, dt, q0, range(max(kept, default=0)), forcing, visit)
+        for n, u in _cn_sweep(profile, dt, q0, range(max(kept, default=0)), forcing):
+            q = d * u
+            if not np.isfinite(q).all():
+                raise StabilityError(step=n + 1)
+            for j in columns.get(n + 1, ()):
+                out[:, j] = q
     if nodes is None:
         return MixingRatioField(grid=grid, time_grid=tgrid, values=out)
     return out
@@ -234,10 +233,8 @@ def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
         if n == 0:
             rhs[0] += 0.5 * dt * profile.k[0]
 
-    def visit(n, u):
+    for n, u in _cn_sweep(profile, dt, np.zeros(profile.grid.n), range(steps), forcing):
         a[:, n] = observe @ u
-
-    _cn_sweep(profile, dt, np.zeros(profile.grid.n), range(steps), forcing, visit)
     rows = np.zeros((len(functionals), tgrid.n))
     for i, n_i in enumerate(nodes):
         response = a[i, :n_i][::-1]  # a_i[n_i - 1], ..., a_i[0]
@@ -262,19 +259,16 @@ def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
         if c_i != 0.0:
             impulses[n_i] = impulses.get(n_i, 0.0) + row * c_i
     d = _symmetric_flux_divergence(profile)[2]
-    scaled = {n: d * v for n, v in impulses.items()}
 
     def forcing(n, rhs):
-        if n + 1 in scaled:
-            rhs += scaled[n + 1]
-
-    def visit(n, psi):
-        out[n] += half * psi[0]
-        out[n + 1] += half * psi[0]
+        if n + 1 in impulses:
+            rhs += d * impulses[n + 1]
 
     steps = range(max(impulses, default=0) - 1, -1, -1)
     zero = np.zeros(profile.grid.n)
-    _cn_sweep(profile, tgrid.spacing, zero, steps, forcing, visit, transpose=True)
+    for n, psi in _cn_sweep(profile, tgrid.spacing, zero, steps, forcing, transpose=True):
+        out[n] += half * psi[0]
+        out[n + 1] += half * psi[0]
     return out
 
 

@@ -1,14 +1,16 @@
 """Priors, cost/gradient consistency, the MAP solve, and the dense oracle."""
 
+import json
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from colflux import assimilate, transport
+from colflux import assimilate, cli, transport
 from colflux.assimilate import (
     PRIOR_KINDS,
     AssimilationProblem,
@@ -574,6 +576,43 @@ class TestMapEstimate:
         flux, report = map_estimate(fitted)
         np.testing.assert_array_equal(flux.values, fitted.prior.mean.values)
         assert report["iterations"] == 0
+
+    @staticmethod
+    def rounding_only_problem(case):
+        """Periodic priors whose right-hand side is a rounding residue that C0
+        maps to zero: r.z = 0 before the first product on three time nodes,
+        and after two steps on the two-observation CLI config."""
+        if case == "released-3-nodes":
+            return released_problem("periodic_zero_mean_inverse_laplacian", nodes=3)
+        config = cli.parse_config(
+            json.dumps(
+                {
+                    "scenario": "assimilate",
+                    "grid": {"nz": 49, "nt": 2},
+                    "spectral": {"n_modes": 4},
+                    "observations": {
+                        "times": [0.5, 1.0],
+                        "noise": [0.2, 0.2],
+                        "weights": ["uniform", "rho_plus"],
+                    },
+                    "prior": {"kind": "periodic_zero_mean_inverse_laplacian", "sigma": 0.7},
+                }
+            )
+        )
+        return cli._Workspace(config, Path("unused")).problem()
+
+    @pytest.mark.parametrize("case", ["released-3-nodes", "cli-config"])
+    def test_a_residual_the_prior_maps_to_zero_stops_cg(self, case):
+        # r.z = 0 leaves p = 0 and p.Hp = 0: the next step would read 0/0
+        problem = self.rounding_only_problem(case)
+        flux, report = map_estimate(problem)
+        mean = oracle_bayes(problem)
+        assert report["converged"]
+        scale = np.abs(mean).max()
+        assert np.abs(flux.values - mean).max() <= 1e-6 * max(scale, 1.0)
+        if case == "released-3-nodes":
+            np.testing.assert_array_equal(flux.values, problem.prior.mean.values)
+            assert report == {"iterations": 0, "relative_residual": 0.0, "converged": True}
 
     def test_stationarity_at_the_estimate(self):
         problem = small_problem(3, nt=65)

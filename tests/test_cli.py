@@ -349,6 +349,25 @@ class TestExitCodes:
         assert sketch["forward_map_sketch_rel_gap"] < 1e-12
         assert full["forward_map_rel_gap"] < 1e-12
 
+    def test_gains_and_the_representer_gate_use_the_same_gains(self, tmp_path, monkeypatch):
+        # the gate checks each observation's gain_XX.csv: from the coefficients
+        # rho_plus and rho_minus carry, not from a re-expansion of their values
+        original = cli.gain_direction
+        golden = str(DATA / "golden_config.json")
+        seen = {}
+        for scenario in ("gains", "oracle_check"):
+            seen[scenario] = coefficients = []
+
+            def recorded(eig, a, *args):
+                coefficients.append(np.array(a))
+                return original(eig, a, *args)
+
+            monkeypatch.setattr(cli, "gain_direction", recorded)
+            assert main([scenario, "--config", golden, "--out", str(tmp_path / scenario)]) == 0
+        assert len(seen["gains"]) == len(seen["oracle_check"]) == 3
+        for ours, theirs in zip(seen["gains"], seen["oracle_check"]):
+            np.testing.assert_array_equal(ours, theirs)
+
     @pytest.mark.parametrize("initial", [None, {"kind": "cosine", "amplitude": 0.5, "mode": 1}])
     def test_observations_agree_with_the_sweep(self, tmp_path, initial):
         doc = json.loads((DATA / "golden_config.json").read_text(encoding="utf-8"))
@@ -410,6 +429,16 @@ CONSTANT_1E300 = {"kind": "constant", "value": 1e300}
 ZERO = {"kind": "constant", "value": 0.0}
 # w = 500 sin(2 pi z): cell Peclet number 3.9 at nz = 65
 PECLET_3_9 = {"kind": "sine", "amplitude": 500.0, "cycles": 2.0}
+# a periodic prior on three time nodes: C0 maps CG's residual, rounding
+# alone, to zero after two steps, so CG must stop at r.z = 0 (the next step
+# would read 0/0)
+ROUNDING_ONLY_RHS = {
+    "grid": {"nz": 49, "nt": 2},
+    "observations": {
+        "times": [0.5, 1.0], "noise": [0.2, 0.2], "weights": ["uniform", "rho_plus"]
+    },
+    "prior": {"kind": "periodic_zero_mean_inverse_laplacian", "sigma": 0.7},
+}
 
 
 def two_observations_at(times):
@@ -524,6 +553,17 @@ class TestFailClosed:
                 None,
                 True,
                 id="oracle_check-zero-weights",
+            ),
+            pytest.param(
+                "assimilate", ROUNDING_ONLY_RHS, 0, None, True, id="assimilate-rz-zero"
+            ),
+            pytest.param(
+                "oracle_check",
+                ROUNDING_ONLY_RHS,
+                3,
+                "spectral gains and discrete representers disagree",
+                True,
+                id="oracle_check-rz-zero",
             ),
             pytest.param(
                 "validate",

@@ -542,12 +542,9 @@ class TestLapackModule:
         def forcing(n, rhs):
             rhs[0] += 0.01 * (n + 1)
 
-        def visit(n, u):  # the sweep overwrites u: keep copies
-            states.append(u.copy())
-
         for transpose in (False, True):
-            states = []
-            _cn_sweep(profile, dt, q0, range(40), forcing, visit, transpose)
+            sweep = _cn_sweep(profile, dt, q0, range(40), forcing, transpose)
+            states = [u.copy() for _, u in sweep]  # the sweep overwrites u: keep copies
             u = q0 * d if transpose else q0 / d
             for n, state in enumerate(states):
                 rhs = 2.0 * grid.weights * u

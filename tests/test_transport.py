@@ -165,14 +165,12 @@ class TestCrankNicolsonStep:
 
         d = transport._symmetric_flux_divergence(profile)[2]
         scale = d if transpose else 1.0 / d  # u = scale q
-        seen = []
 
         def forcing(n, rhs):
             rhs += scale * b
 
-        transport._cn_sweep(
-            profile, 0.01, q, range(1), forcing, lambda n, u: seen.append(u / scale), transpose
-        )
+        sweep = transport._cn_sweep(profile, 0.01, q, range(1), forcing, transpose)
+        seen = [u / scale for _, u in sweep]
         assert np.abs(seen[0] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
