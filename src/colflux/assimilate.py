@@ -18,16 +18,15 @@ The estimators work on the discrete forward map G (observations per nodal
 flux value), which each AssimilationProblem builds at most once by one
 impulse-response sweep of ``transport``. ``forward_rows`` hands out G only
 once one sketched transposed sweep agrees with it (Freivalds' check), so
-neither an estimator nor the data of ``AssimilationProblem.synthesized``
-can use an unchecked map; N transposed sweeps rebuild every row only for
-the representers, which the full gap checks. ``innovation`` forms the
-prior-mean misfit y - G F0 - free response once for all estimators, and
-CG costs O(N nt) per iteration with no sweep. ``cost``, ``gradient`` and
-``hessian_form`` keep their own forward and adjoint sweeps, so they stay an
-independent check on the reused map. Every sweep is the one Crank-Nicolson
-loop of ``transport``; the forward solves (the free response and those of
-the cost) observe through ``synthesize_data``, keeping only the N observed
-states, never the field.
+neither an estimator, the representers nor the data of
+``AssimilationProblem.synthesized`` can use an unchecked map.
+``innovation`` forms the prior-mean misfit y - G F0 - free response once
+for all estimators, and CG costs O(N nt) per iteration with no sweep.
+``cost``, ``gradient`` and ``hessian_form`` keep their own forward and
+adjoint sweeps, so they stay an independent check on the reused map.
+Every sweep is the one Crank-Nicolson loop of ``transport``; the forward
+solves (the free response and those of the cost) observe through
+``synthesize_data``, keeping only the N observed states, never the field.
 
 The posterior is the prior minus a rank-N update (the representer form
 with the Woodbury identity): with S = G C0 G^T + R,
@@ -85,7 +84,7 @@ DOMAIN_TOL = 1e-10
 #: a desk-scale check.
 ORACLE_MAX_NODES = 2048
 
-#: The impulse rows and a transposed-sweep construction of the forward map
+#: The impulse rows and a sketched transposed sweep of the forward map
 #: must agree to this, relative to the largest entry, before it is used.
 FORWARD_MAP_TOL = 1e-8
 
@@ -394,17 +393,11 @@ class AssimilationProblem:
         NumericalError
             If ``forward_map_sketch_rel_gap`` exceeds 1e-8 or is NaN.
         """
-        _check_gap(self.forward_map_sketch_rel_gap, "sketched")
+        gap = self.forward_map_sketch_rel_gap
+        if not gap <= FORWARD_MAP_TOL:
+            msg = "impulse-response and adjoint-solve maps disagree"
+            raise NumericalError(f"{msg} (sketched relative gap {gap:.3e})")
         return self._impulse_rows
-
-    def _gap(self, c: np.ndarray, swept: np.ndarray) -> float:
-        """Largest |swept - c @ impulse rows| over max(c) max|G|, for ``swept``
-        a transposed-sweep construction of c^T G."""
-        rows = self._impulse_rows
-        if not rows.size:
-            return 0.0
-        gap = float(np.abs(swept - c @ rows).max())
-        return gap / float(c.max()) / max(float(np.abs(rows).max()), 1e-300)
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite gap fails the check
@@ -413,23 +406,16 @@ class AssimilationProblem:
 
         For c uniform in [1, 2] from a fixed Philox key, ``flux_sensitivity``
         gives c^T G, so one entry wrong by d max|G| reads at least about d/2,
-        whatever N is.
+        whatever N is. The gap is the largest difference from c times the
+        impulse rows over max(c) max|G|.
         """
         c = Generator(Philox(key=1)).uniform(1.0, 2.0, len(self.observations))
-        return self._gap(c, flux_sensitivity(*self._sweep_args, c))
-
-    @cached_property
-    def adjoint_rows(self) -> np.ndarray:
-        """G again, from one transposed backward sweep per observation."""
-        rows = np.empty((len(self.observations), self.prior.grid.n))
-        for i, c in enumerate(np.eye(len(rows))):
-            rows[i] = flux_sensitivity(*self._sweep_args, c)
-        return _frozen(rows)
-
-    @cached_property
-    def forward_map_rel_gap(self) -> float:
-        """The full check: the gap of every adjoint row, c = I; N sweeps."""
-        return self._gap(np.eye(len(self.observations)), self.adjoint_rows)
+        swept = flux_sensitivity(*self._sweep_args, c)
+        rows = self._impulse_rows
+        if not rows.size:
+            return 0.0
+        gap = float(np.abs(swept - c @ rows).max())
+        return gap / float(c.max()) / max(float(np.abs(rows).max()), 1e-300)
 
     @cached_property
     def free_response(self) -> np.ndarray:
@@ -466,13 +452,6 @@ class AssimilationProblem:
         # the values are the one field replaced, and nothing cached reads them yet
         object.__setattr__(problem, "observations", replace(blank, values=values))
         return problem
-
-
-def _check_gap(gap: float, how: str) -> None:
-    """NumericalError unless the forward map's ``how`` gap is within 1e-8; NaN fails."""
-    if not gap <= FORWARD_MAP_TOL:
-        msg = f"impulse-response and adjoint-solve maps disagree ({how} relative gap {gap:.3e})"
-        raise NumericalError(msg)
 
 
 def prior_apply_inverse(spec: PriorSpec, g) -> np.ndarray:
@@ -571,8 +550,11 @@ def map_estimate(problem: AssimilationProblem):
     the norm. The data term comes from the problem's forward map: the
     prior-mean observations are G F0 plus the free response to q0, and
     each Hessian product W C0^{-1} p + G^T R^{-1} G p costs O(N nt), with
-    no solver sweep. CG also stops when r.z = 0: C0 has mapped a residual
-    of rounding alone to zero, so p would be 0 and the step 0/0.
+    no solver sweep. CG returns F0 at once when the projected right-hand
+    side is below eps / 1e-8 of G^T R^{-1} d, where rounding hides it, as
+    for data blind to the prior's admissible subspace. It stops when
+    r.z = 0: C0 has mapped a residual of rounding alone to zero, so p
+    would be 0 and the step 0/0.
 
     Returns
     -------
@@ -598,7 +580,8 @@ def map_estimate(problem: AssimilationProblem):
     # b, and the increment is scaled back on return
     d = problem.innovation
     _, scale = np.frexp(np.abs(d).max(initial=0.0))
-    rhs = project(g.T @ (np.ldexp(d, -scale) / r2))
+    b = g.T @ (np.ldexp(d, -scale) / r2)
+    rhs = project(b)
 
     def hessian(x):  # W C0^{-1} x + G^T R^{-1} G x, for admissible x
         return spec.grid.weights * prior_apply_inverse(spec, x) + g.T @ (g @ x / r2)
@@ -608,15 +591,18 @@ def map_estimate(problem: AssimilationProblem):
     r = rhs.copy()
     rhs_norm = float(np.linalg.norm(rhs))
     report = {"iterations": 0, "relative_residual": 0.0, "converged": True}
-    if rhs_norm == 0.0:
-        return FluxSignal(grid=spec.grid, values=spec.mean.values.copy()), report
     if not np.isfinite(rhs_norm):  # every relative residual would read 0
         raise ConditioningError(f"conjugate gradients overflowed: |b| = {rhs_norm}")
+    # projecting vectors of |b|'s size leaves rounding of about eps |b|, so
+    # CG's target tol |Pb| must lie above that or CG stalls; data blind to
+    # the admissible subspace leave Pb that rounding alone, as good as b = 0
+    tol = 1e-8
+    if rhs_norm * tol <= np.finfo(float).eps * float(np.linalg.norm(b)):
+        return FluxSignal(grid=spec.grid, values=spec.mean.values.copy()), report
 
     z = project(precond(r))
     p = z.copy()
     rz = float(np.dot(r, z))
-    tol = 1e-8
     max_iter = 2 * n
     steps, rel = 0, 0.0
     while rz != 0.0:
@@ -656,17 +642,16 @@ def map_estimate(problem: AssimilationProblem):
 def representer_rows(problem: AssimilationProblem) -> np.ndarray:
     """Observation representers as nodal time functions, one row each.
 
-    Row i is the adjoint-solve row of the forward map (the problem's
-    ``adjoint_rows``, shared with the oracle) divided by r_i and by the
-    trapezoid weights of the interval [0, t_i] (so the node at t_i carries
-    the half weight of a subinterval endpoint and the value there is the
-    one-sided limit). Entries beyond t_i are zero. Raises NumericalError if
-    the adjoint and impulse rows differ by over 1e-8 (``forward_map_rel_gap``).
+    Row i is row i of the problem's checked forward map (``forward_rows``,
+    shared with the estimators) divided by r_i and by the trapezoid weights
+    of the interval [0, t_i] (so the node at t_i carries the half weight of
+    a subinterval endpoint and the value there is the one-sided limit).
+    Entries beyond t_i are zero. Raises NumericalError if the forward map
+    fails its sketched check.
     """
-    _check_gap(problem.forward_map_rel_gap, "full")
-    rows = problem.adjoint_rows
+    rows = problem.forward_rows
     dt = problem.prior.grid.spacing
-    # adjoint rows are exactly zero beyond t_i, whatever w holds there
+    # the rows are exactly zero beyond t_i, whatever w holds there
     w = np.full(rows.shape, dt)
     w[:, 0] = w[np.arange(len(rows)), problem.obs_indices] = 0.5 * dt
     return rows / (problem.observations.noise_levels[:, None] * w)

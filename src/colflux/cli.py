@@ -305,7 +305,7 @@ def _scenario_oracle_check(ws: _Workspace) -> None:
     max_rel = float(np.max(rels))
 
     payload = {
-        "forward_map_rel_gap": problem.forward_map_rel_gap,
+        "forward_map_sketch_rel_gap": problem.forward_map_sketch_rel_gap,
         # CG's MAP against the dense oracle's posterior mean
         "map_vs_oracle_mean_rel": _rel_gap(flux_map.values, mean),
         "max_representer_vs_gain_rel_l2": max_rel,
