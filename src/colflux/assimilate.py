@@ -51,11 +51,18 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import CapacityError, ConditioningError, DomainError, NumericalError
 from .model import CoefficientProfile
-from .numerics import _flapack, _frozen, _nodal, _normal_square, factor_tridiagonal, trapezoid
+from .numerics import (
+    _flapack,
+    _frozen,
+    _nodal,
+    _normal_square,
+    _PhiloxStream,
+    factor_tridiagonal,
+    trapezoid,
+)
 from .observe import ObservationSet, Weight, add_noise, synthesize_data
 from .transport import FluxSignal, flux_sensitivity, impulse_response
 
@@ -404,12 +411,12 @@ class AssimilationProblem:
     def forward_map_sketch_rel_gap(self) -> float:
         """Freivalds' check of the impulse rows, by one transposed sweep.
 
-        For c uniform in [1, 2] from a fixed Philox key, ``flux_sensitivity``
-        gives c^T G, so one entry wrong by d max|G| reads at least about d/2,
-        whatever N is. The gap is the largest difference from c times the
-        impulse rows over max(c) max|G|.
+        For c uniform in [1, 2] from Philox key 1 (NumPy's ``uniform(1.0, 2.0)``
+        of that stream, 1 + u), ``flux_sensitivity`` gives c^T G, so one entry
+        wrong by d max|G| reads at least about d/2, whatever N is. The gap is
+        the largest difference from c times the impulse rows over max(c) max|G|.
         """
-        c = Generator(Philox(key=1)).uniform(1.0, 2.0, len(self.observations))
+        c = 1.0 + _PhiloxStream(1).random(len(self.observations))
         swept = flux_sensitivity(*self._sweep_args, c)
         rows = self._impulse_rows
         if not rows.size:

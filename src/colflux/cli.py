@@ -17,7 +17,6 @@ carry a config hash and library versions but no timestamps.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -25,6 +24,13 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
+
+# CPython's own SHA-256, the one hashlib falls back to without OpenSSL:
+# hashlib would load OpenSSL (3.4 MB of RSS) for one config hash per run.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    from _sha256 import sha256
 
 # Every scenario runs on one BLAS thread (run_scenario). Where this module
 # is the first to import NumPy, as in every colflux process, OpenBLAS loads
@@ -40,7 +46,6 @@ finally:
         os.environ.pop("OPENBLAS_NUM_THREADS", None)
     else:
         os.environ["OPENBLAS_NUM_THREADS"] = _caller_threads
-from numpy.random import Generator, Philox
 
 from . import __version__
 from .assimilate import (
@@ -67,6 +72,7 @@ from .numerics import (
     _csv_text,
     _flapack,
     _normal_square,
+    _PhiloxStream,
     _write_csv,
     trapezoid,
 )
@@ -329,8 +335,8 @@ def _scenario_blind(ws: _Workspace) -> None:
     g = blind_direction(ws.eig, t_obs, config.blind_m, ws.tgrid, seed_values)
     _write_csv(ws.path("blind.csv"), "t,G", (ws.tgrid.nodes, g))
 
-    rng = Generator(Philox(key=config.seed))
-    rows = [expand_weight(rng.random(ws.zgrid.n), ws.eig)[: config.blind_m] for _ in range(50)]
+    draws = _PhiloxStream(config.seed).rows(50, ws.zgrid.n)
+    rows = [expand_weight(w, ws.eig)[: config.blind_m] for w in draws]
     # np.max keeps a NaN, and the gate below fails on it
     worst = float(np.max(gain_projections(ws.eig, rows, t_obs, ws.tgrid, g)))
     _write_json(
@@ -721,7 +727,7 @@ def run_scenario(config: ExperimentConfig) -> int:
         canon = json.dumps(ident, sort_keys=True)
         manifest = {
             "blas_threads": _flapack.blas_threads(),
-            "config_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
+            "config_hash": sha256(canon.encode("utf-8")).hexdigest(),
             "outputs": sorted(ws.written),
             "scenario": config.scenario,
             "seed": config.seed,

@@ -7,12 +7,14 @@ weight, which is what the assimilation sweeps inject backward in time.
 
 Noise generator
 ---------------
-Synthetic data uses the Philox 4x64 counter-based generator keyed by the
-user seed, one counter block per observation (the observation index in the
-first counter word). Each draw turns two uniforms into one normal by the
-Box-Muller map xi = sqrt(-2 log(1 - u1)) * cos(2 pi u2). Both the generator
-and the map are spelled out here so another implementation can reproduce
-the data stream bit for bit from (seed, i).
+Synthetic data uses the Philox4x64-10 counter-based generator keyed by the
+user seed, one counter block per observation: observation i takes the first
+two words of the block after counter [i, 0, 0, 0], as uniforms u1 and u2.
+Each draw turns them into one normal by the Box-Muller map
+xi = sqrt(-2 log(1 - u1)) * cos(2 pi u2). The map is spelled out here and the
+generator in ``numerics._philox_uniforms`` (the stream of NumPy's
+``Generator(Philox(key=seed, counter=[i, 0, 0, 0]))``), so another
+implementation can reproduce the data stream bit for bit from (seed, i).
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .model import CoefficientProfile
-from .numerics import ColumnGrid, _frozen, _nodal, _write_csv, trapezoid
+from .numerics import ColumnGrid, _frozen, _nodal, _philox_uniforms, _write_csv, trapezoid
 from .spectral import EigenSystem
 from .transport import FluxSignal, solve_forward
 
@@ -139,22 +140,28 @@ def canonical_weights(eig: EigenSystem) -> tuple[Weight, Weight]:
     return tuple(pair)
 
 
-def _standard_normal(seed: int, index: int) -> float:
-    """One reproducible N(0,1) draw from the (seed, observation) substream.
+def _standard_normals(seed: int, index: int, count: int) -> np.ndarray:
+    """The N(0,1) draws of observations ``index``, ..., ``index + count - 1``.
 
-    Philox 4x64 keyed by the seed, counter block [index, 0, 0, 0]; two
-    uniforms through Box-Muller (cosine branch). See the module docstring.
+    Philox4x64-10 keyed by the seed; observation i's two uniforms are the
+    first words of the block after counter [i, 0, 0, 0], one block per
+    observation, through Box-Muller (cosine branch). See the module docstring.
     """
-    gen = Generator(Philox(key=seed, counter=[index, 0, 0, 0]))
-    u = gen.random(2)
-    return float(np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1]))
+    u = _philox_uniforms(seed, index, count)
+    return np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
+
+
+def _standard_normal(seed: int, index: int) -> float:
+    """One reproducible N(0,1) draw from the (seed, observation) substream:
+    :func:`_standard_normals` for the one observation ``index``."""
+    return float(_standard_normals(seed, index, 1)[0])
 
 
 def add_noise(clean, noise_levels, seed: int) -> np.ndarray:
     """``clean[i] + noise_levels[i] * xi_i`` for the (seed, i) draw xi_i;
     an observation with zero noise level stays clean."""
-    pairs = enumerate(zip(clean, noise_levels))
-    return np.array([u if r == 0.0 else u + r * _standard_normal(seed, i) for i, (u, r) in pairs])
+    clean, r = np.asarray(clean, dtype=float), np.asarray(noise_levels, dtype=float)
+    return np.where(r == 0.0, clean, clean + r * _standard_normals(seed, 0, clean.size))
 
 
 def synthesize_data(

@@ -1,6 +1,7 @@
 """Config parsing, scenario runs, exit codes, and output determinism."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -40,6 +41,9 @@ from colflux.errors import (
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
 SRC = str(Path(colflux.__file__).resolve().parents[1])
+# NumPy 1.x imports numpy.random, and through secrets and hmac OpenSSL's
+# _hashlib, on ``import numpy`` itself
+NUMPY_LOADS_OPENSSL = np.lib.NumpyVersion(np.__version__) < "2.0.0"
 
 
 def run_python(args, **kwargs):
@@ -1040,10 +1044,22 @@ class TestRunScenarioDirect:
 
 
 @pytest.mark.parametrize(
-    "module", ["scipy", "scipy.integrate", "scipy.linalg", "numpy.f2py", "numpy.testing"]
+    "module",
+    [
+        "scipy",
+        "scipy.integrate",
+        "scipy.linalg",
+        "numpy.f2py",
+        "numpy.testing",
+        "numpy.random",
+        "_hashlib",
+    ],
 )
 def test_cli_import_does_not_load(module):
-    # each of these costs tens of milliseconds in every colflux process
+    # each of these costs milliseconds in every colflux process; numpy.random
+    # and OpenSSL's _hashlib also 6 MB of RSS between them
+    if module in ("numpy.random", "_hashlib") and NUMPY_LOADS_OPENSSL:
+        pytest.skip("NumPy 1.x loads it on import")
     prefix = module.split(".")
     code = (
         "import sys, colflux.cli; "
@@ -1071,6 +1087,38 @@ def test_one_openblas_per_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     status, libraries = json.loads(proc.stdout)
     assert status == 0 and len(libraries) == 1, libraries
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.skipif(NUMPY_LOADS_OPENSSL, reason="NumPy 1.x loads numpy.random on import")
+def test_scenarios_load_neither_numpy_random_nor_openssl(tmp_path):
+    # the noise, the forward-map sketch and the blind weights draw from
+    # numerics' own Philox stream, and the config hash is CPython's built-in
+    # SHA-256, so no run maps libcrypto or libssl
+    argvs = []
+    for scenario in ("assimilate", "oracle_check", "blind"):
+        path = tmp_path / f"{scenario}.json"
+        config = small_config(scenario, tmp_path / scenario, blind={"m": 4})
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argvs.append([scenario, "--config", str(path)])
+    code = (
+        "import json, sys, colflux.cli; "
+        f"codes = [colflux.cli.main(argv) for argv in {argvs!r}]; "
+        "maps = open('/proc/self/maps').read().splitlines(); "
+        "ssl = sorted({m.split()[-1] for m in maps if 'libcrypto' in m or 'libssl' in m}); "
+        "loaded = [m for m in ('numpy.random', '_hashlib') if m in sys.modules]; "
+        "print(json.dumps([codes, loaded, ssl]))"
+    )
+    proc = run_python(["-c", code], timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], [], []]
+
+
+@pytest.mark.parametrize("size", [0, 55, 56, 63, 64, 65])
+def test_config_hash_is_sha256_at_the_padding_edges(size):
+    # a message of 56 or more bytes modulo 64 takes one more padding block
+    data = bytes(range(7, 7 + size))
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")

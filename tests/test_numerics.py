@@ -1,4 +1,5 @@
-"""Grids, quadrature, exponential inner products, tridiagonal solves, CSV."""
+"""Grids, quadrature, exponential inner products, tridiagonal solves, the
+Philox stream, CSV."""
 
 import _ctypes
 import ctypes
@@ -18,6 +19,7 @@ import scipy.integrate
 import scipy.linalg.lapack as scipy_lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 from scipy.linalg import eigh_tridiagonal
 
 import colflux.numerics as numerics
@@ -34,6 +36,8 @@ from colflux.numerics import (
     _csv_text,
     _nodal,
     _normal_square,
+    _philox_uniforms,
+    _PhiloxStream,
     _write_csv,
     trapezoid,
 )
@@ -610,6 +614,78 @@ class TestLapackModule:
         threads = numerics._flapack.blas_threads()
         lapack.set_blas_threads(threads + 1)  # no setter: nothing changes
         assert numerics._flapack.blas_threads() == threads
+
+
+PHILOX_KEYS = [0, 1, 2**64 - 1, 2**64 + 5, 2**128 - 1]
+
+
+class TestPhiloxStream:
+    # NumPy's Generator(Philox(...)) is the reference: the stream must be it,
+    # word for word, since the noise, the sketch and the blind weights of every
+    # artifact come from it
+
+    @pytest.mark.parametrize("key", PHILOX_KEYS)
+    @pytest.mark.parametrize("counter", [0, 3, 17])
+    def test_successive_draws_are_numpys(self, key, counter):
+        for n in [*range(1, 10), 4001]:
+            stream = _PhiloxStream(key, counter)
+            reference = Generator(Philox(key=key, counter=[counter, 0, 0, 0]))
+            for _ in range(3):  # unused words of a block carry over
+                assert np.array_equal(stream.random(n), reference.random(n)), n
+
+    @pytest.mark.parametrize("key", PHILOX_KEYS)
+    def test_the_counter_carries_into_its_second_word(self, key):
+        counter = 2**64 - 3
+        drawn = _philox_uniforms(key, counter, 5)
+        reference = Generator(Philox(key=key, counter=counter)).random(20)
+        assert np.array_equal(drawn.T.ravel(), reference)
+
+    def test_known_answers(self):
+        # Random123's known-answer vectors for Philox4x64-10 (counter, key,
+        # the block's four words), as uniforms of the block after counter - 1
+        vectors = [
+            (0, 0, "16554d9eca36314c db20fe9d672d0fdc d7e772cee186176b 7e68b68aec7ba23b"),
+            (
+                2**256 - 1,
+                2**128 - 1,
+                "87b092c3013fe90b 438c3c67be8d0224 9cc7d7c69cd777b6 a09caebf594f0ba0",
+            ),
+            (
+                0x082EFA98EC4E6C89A4093822299F31D013198A2E03707344243F6A8885A308D3,
+                0xBE5466CF34E90C6C452821E638D01377,
+                "a528f45403e61d95 38c72dbd566e9788 a5a1610e72fd18b5 57bd43b5e52b7fe6",
+            ),
+        ]
+        for counter, key, words in vectors:
+            expected = [(int(w, 16) >> 11) * 2.0**-53 for w in words.split()]
+            got = _philox_uniforms(key, (counter - 1) % 2**256, 1)[:, 0]
+            assert got.tolist() == expected
+
+    @pytest.mark.parametrize("width", [7, 4001, 20000])
+    def test_rows_are_successive_draws(self, width):
+        # the blind weights: 50 rows drawn several at a time, one row per
+        # draw, or 50 at once, crossing block boundaries in every case
+        rows = np.array(list(_PhiloxStream(5).rows(50, width)))
+        assert np.array_equal(rows, Generator(Philox(key=5)).random((50, width)))
+
+    def test_uniform_one_two_is_one_plus_the_draw(self):
+        # the forward-map sketch's weights
+        for n in (1, 3, 16, 1001):
+            c = 1.0 + _PhiloxStream(1).random(n)
+            assert np.array_equal(c, Generator(Philox(key=1)).uniform(1.0, 2.0, n))
+
+    def test_memory_of_the_blind_draws_stays_bounded(self):
+        # 50 rows of the diagnose column (4001 nodes): about one draw's
+        # worth is held at a time, never the 1.6 MB of all 200k uniforms
+        stream = _PhiloxStream(3)
+        tracemalloc.start()
+        try:
+            for _ in stream.rows(50, 4001):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"the draws peaked at {peak / 1e6:.2f} MB"
 
 
 def reference_csv(header, columns):

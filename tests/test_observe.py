@@ -12,6 +12,7 @@ from colflux.observe import (
     ObservationSet,
     Weight,
     _standard_normal,
+    add_noise,
     apply_observation,
     canonical_weights,
     synthesize_data,
@@ -100,6 +101,19 @@ class TestNoiseStream:
         draws = np.array([_standard_normal(123, i) for i in range(2000)])
         assert abs(draws.mean()) < 0.08
         assert abs(draws.std() - 1.0) < 0.05
+
+    def test_one_draw_for_all_observations_is_each_ones_recipe(self):
+        # add_noise draws every observation's block at once; entry i is
+        # still observation i's own (seed, i) draw, bit for bit, and a zero
+        # noise level leaves its observation clean
+        clean = np.linspace(-1.0, 1.0, 40)
+        noise = np.where(np.arange(40) % 3, 0.3, 0.0)
+        noisy = add_noise(clean, noise, 42)
+        for i, (y, r) in enumerate(zip(clean, noise)):
+            gen = np.random.Generator(np.random.Philox(key=42, counter=[i, 0, 0, 0]))
+            u = gen.random(2)
+            xi = np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
+            assert noisy[i] == (y if r == 0.0 else y + r * xi)
 
 
 class TestSynthesizeData:
