@@ -59,7 +59,7 @@ from .numerics import (
     _frozen,
     _nodal,
     _normal_square,
-    _PhiloxStream,
+    _philox_random,
     factor_tridiagonal,
     trapezoid,
 )
@@ -411,12 +411,13 @@ class AssimilationProblem:
     def forward_map_sketch_rel_gap(self) -> float:
         """Freivalds' check of the impulse rows, by one transposed sweep.
 
-        For c uniform in [1, 2] from Philox key 1 (NumPy's ``uniform(1.0, 2.0)``
-        of that stream, 1 + u), ``flux_sensitivity`` gives c^T G, so one entry
-        wrong by d max|G| reads at least about d/2, whatever N is. The gap is
-        the largest difference from c times the impulse rows over max(c) max|G|.
+        For c = 1 + the first N uniforms of the Philox stream of key 1 (NumPy's
+        ``Generator(Philox(key=1)).uniform(1.0, 2.0, N)``), ``flux_sensitivity``
+        gives c^T G, so one entry wrong by d max|G| reads at least about d/2,
+        whatever N is. The gap is the largest difference from c times the
+        impulse rows over max(c) max|G|.
         """
-        c = 1.0 + _PhiloxStream(1).random(len(self.observations))
+        c = 1.0 + _philox_random(1, len(self.observations))
         swept = flux_sensitivity(*self._sweep_args, c)
         rows = self._impulse_rows
         if not rows.size:

@@ -72,7 +72,7 @@ from .numerics import (
     _csv_text,
     _flapack,
     _normal_square,
-    _PhiloxStream,
+    _philox_random,
     _write_csv,
     trapezoid,
 )
@@ -328,6 +328,22 @@ def _scenario_oracle_check(ws: _Workspace) -> None:
         raise DiagnosticError(msg)
 
 
+# Random weights `blind` projects onto its direction, drawn whole rows at a
+# time, about _PHILOX_DRAW uniforms per draw (temporaries of about 0.8 MB).
+# For 50 rows of 4001 nodes, one draw per row took 1.6x the time, and one
+# draw of all 200k raised the run's peak RSS 0.8 MB.
+_BLIND_WEIGHTS = 50
+_PHILOX_DRAW = 16384
+
+
+def _blind_weights(seed: int, width: int):
+    """The rows of ``Generator(Philox(seed)).random((_BLIND_WEIGHTS, width))``."""
+    per_draw = max(1, _PHILOX_DRAW // width)
+    for r in range(0, _BLIND_WEIGHTS, per_draw):
+        k = min(per_draw, _BLIND_WEIGHTS - r)
+        yield from _philox_random(seed, k * width, r * width).reshape(k, width)
+
+
 def _scenario_blind(ws: _Workspace) -> None:
     config = ws.config
     t_obs = config.blind_t_obs if config.blind_t_obs is not None else config.t_end
@@ -335,7 +351,7 @@ def _scenario_blind(ws: _Workspace) -> None:
     g = blind_direction(ws.eig, t_obs, config.blind_m, ws.tgrid, seed_values)
     _write_csv(ws.path("blind.csv"), "t,G", (ws.tgrid.nodes, g))
 
-    draws = _PhiloxStream(config.seed).rows(50, ws.zgrid.n)
+    draws = _blind_weights(config.seed, ws.zgrid.n)
     rows = [expand_weight(w, ws.eig)[: config.blind_m] for w in draws]
     # np.max keeps a NaN, and the gate below fails on it
     worst = float(np.max(gain_projections(ws.eig, rows, t_obs, ws.tgrid, g)))
@@ -344,7 +360,7 @@ def _scenario_blind(ws: _Workspace) -> None:
         {
             "m": config.blind_m,
             "max_normalized_projection": worst,
-            "n_weights": 50,
+            "n_weights": _BLIND_WEIGHTS,
             "t_obs": float(t_obs),
         },
     )

@@ -49,11 +49,6 @@ _LOW32, _32, _11 = np.uint64(2**32 - 1), np.uint64(32), np.uint64(11)
 _PHILOX_MLO, _PHILOX_MHI = _PHILOX_M & _LOW32, _PHILOX_M >> _32
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
-# Uniforms per Philox draw of _PhiloxStream.rows, whose temporaries peak at
-# about 0.8 MB. For `blind`'s 50 rows of 4001 nodes, one draw per row took
-# 1.6x the time, and one draw of all 200k raised the run's peak RSS 0.8 MB.
-_PHILOX_DRAW = 16384
-
 # LAPACK routine r in the ILP64 OpenBLAS of NumPy 2 and of NumPy 1 wheels
 _NAMES = ("scipy_{}_64_", "{}_64_")
 # Each routine's arguments before ``info``: c a character, i an integer, d a
@@ -383,20 +378,22 @@ def factor_tridiagonal(diag, off):
     return solve
 
 
-def _philox_uniforms(key: int, counter: int, blocks: int) -> np.ndarray:
-    """Uniforms in [0, 1) from the Philox4x64-10 blocks ``counter + 1``, ...,
-    ``counter + blocks`` under ``key`` (integers below 2**128 and 2**256,
-    split into 64-bit words low word first, as NumPy's ``Philox`` does).
-
-    Entry [j, b] is word j of block b as (word >> 11) * 2**-53: the values
-    ``Generator(Philox(key, counter=counter)).random(4 * blocks)`` returns,
-    block after block, since NumPy advances the counter before each block.
+def _philox_random(key: int, n: int, start: int = 0) -> np.ndarray:
+    """Uniforms ``start``, ..., ``start + n - 1`` in [0, 1) of the stream
+    ``Generator(Philox(key)).random`` draws: uniform 4b + j is word j of the
+    Philox4x64-10 block at counter b + 1 (NumPy advances the counter before
+    each block), as (word >> 11) * 2**-53. The key is split into two 64-bit
+    words and the counter into four, low word first, as NumPy's ``Philox`` does.
     """
-    start = (counter + 1) & (2**256 - 1)
+    if not 0 <= key < 2**128:
+        raise ValueError("key must be positive and less than 2**128.")
+    first = start // 4
+    blocks = -(-(start + n) // 4) - first
+    counter = (first + 1) & (2**256 - 1)
     x = np.empty((4, blocks), np.uint64)
-    x[0] = np.arange(blocks, dtype=np.uint64) + np.uint64(start & _M64)
-    x[1], x[2], x[3] = (np.uint64(start >> 64 * i & _M64) for i in (1, 2, 3))
-    x[1] += x[0] < np.uint64(start & _M64)  # the carry of word 0
+    x[0] = np.arange(blocks, dtype=np.uint64) + np.uint64(counter & _M64)
+    x[1], x[2], x[3] = (np.uint64(counter >> 64 * i & _M64) for i in (1, 2, 3))
+    x[1] += x[0] < np.uint64(counter & _M64)  # the carry of word 0
     for r in range(10):
         # a round: with (h0, l0) = M0 x0 and (h1, l1) = M1 x2 as 128-bit
         # products, the words become (h1 ^ x1 ^ k0, l1, h0 ^ x3 ^ k1, l0), where
@@ -415,31 +412,8 @@ def _philox_uniforms(key: int, counter: int, blocks: int) -> np.ndarray:
         k = [[(key >> 64 * i) + r * w & _M64] for i, w in enumerate(_PHILOX_W)]
         x[0::2], x[1::2] = hi[::-1] ^ x[1::2] ^ np.array(k, np.uint64), low[::-1]
     x >>= _11
-    return x * 2.0**-53
-
-
-class _PhiloxStream:
-    """``Generator(Philox(key, counter=counter)).random``, spelled out: each
-    call takes the next uniforms of :func:`_philox_uniforms`' block stream,
-    carrying a block's unused words over to the next call."""
-
-    def __init__(self, key: int, counter: int = 0):
-        self._key, self._counter, self._left = key, counter, np.empty(0)
-
-    def random(self, n: int) -> np.ndarray:
-        blocks = -(-max(n - self._left.size, 0) // 4)
-        drawn = _philox_uniforms(self._key, self._counter, blocks)
-        self._counter += blocks
-        out = np.concatenate((self._left, drawn.T), axis=None)  # block after block
-        self._left = out[n:].copy()
-        return out[:n]
-
-    def rows(self, count: int, width: int):
-        """``count`` successive ``random(width)`` draws, made whole rows at a
-        time, about ``_PHILOX_DRAW`` uniforms per draw, so memory stays bounded."""
-        per_draw = max(1, _PHILOX_DRAW // width)
-        for start in range(0, count, per_draw):
-            yield from self.random(min(per_draw, count - start) * width).reshape(-1, width)
+    skip = start - 4 * first
+    return np.multiply(x.T, 2.0**-53, order="C").ravel()[skip : skip + n]  # block after block
 
 
 def _csv_text(column) -> list:

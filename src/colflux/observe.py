@@ -7,14 +7,15 @@ weight, which is what the assimilation sweeps inject backward in time.
 
 Noise generator
 ---------------
-Synthetic data uses the Philox4x64-10 counter-based generator keyed by the
-user seed, one counter block per observation: observation i takes the first
-two words of the block after counter [i, 0, 0, 0], as uniforms u1 and u2.
-Each draw turns them into one normal by the Box-Muller map
-xi = sqrt(-2 log(1 - u1)) * cos(2 pi u2). The map is spelled out here and the
-generator in ``numerics._philox_uniforms`` (the stream of NumPy's
-``Generator(Philox(key=seed, counter=[i, 0, 0, 0]))``), so another
-implementation can reproduce the data stream bit for bit from (seed, i).
+Observation i's noise takes uniforms u0 = 4i and u1 = 4i + 1 of the
+Philox4x64-10 stream keyed by the user seed (``numerics._philox_random``):
+words 0 and 1 of the block at counter i + 1, that is NumPy's
+``Generator(Philox(key=seed, counter=[i, 0, 0, 0])).random(2)``. The cosine
+Box-Muller branch turns them into one normal,
+xi = sqrt(-2 log(1 - u0)) * cos(2 pi u1). The generator and the map are
+spelled out in colflux, so another implementation can reproduce the data
+stream bit for bit from (seed, i), and adding an observation never moves
+the noise of earlier ones.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CoefficientProfile
-from .numerics import ColumnGrid, _frozen, _nodal, _philox_uniforms, _write_csv, trapezoid
+from .numerics import ColumnGrid, _frozen, _nodal, _philox_random, _write_csv, trapezoid
 from .spectral import EigenSystem
 from .transport import FluxSignal, solve_forward
 
@@ -140,28 +141,19 @@ def canonical_weights(eig: EigenSystem) -> tuple[Weight, Weight]:
     return tuple(pair)
 
 
-def _standard_normals(seed: int, index: int, count: int) -> np.ndarray:
-    """The N(0,1) draws of observations ``index``, ..., ``index + count - 1``.
-
-    Philox4x64-10 keyed by the seed; observation i's two uniforms are the
-    first words of the block after counter [i, 0, 0, 0], one block per
-    observation, through Box-Muller (cosine branch). See the module docstring.
-    """
-    u = _philox_uniforms(seed, index, count)
-    return np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
-
-
-def _standard_normal(seed: int, index: int) -> float:
-    """One reproducible N(0,1) draw from the (seed, observation) substream:
-    :func:`_standard_normals` for the one observation ``index``."""
-    return float(_standard_normals(seed, index, 1)[0])
+def _standard_normals(seed: int, count: int) -> np.ndarray:
+    """The N(0,1) draws of observations 0, ..., ``count - 1``: uniforms 4i
+    and 4i + 1 of key ``seed`` through Box-Muller (cosine branch). See the
+    module docstring."""
+    u = _philox_random(seed, 4 * count)
+    return np.sqrt(-2.0 * np.log1p(-u[0::4])) * np.cos(2.0 * np.pi * u[1::4])
 
 
 def add_noise(clean, noise_levels, seed: int) -> np.ndarray:
     """``clean[i] + noise_levels[i] * xi_i`` for the (seed, i) draw xi_i;
     an observation with zero noise level stays clean."""
     clean, r = np.asarray(clean, dtype=float), np.asarray(noise_levels, dtype=float)
-    return np.where(r == 0.0, clean, clean + r * _standard_normals(seed, 0, clean.size))
+    return np.where(r == 0.0, clean, clean + r * _standard_normals(seed, clean.size))
 
 
 def synthesize_data(

@@ -33,6 +33,7 @@ from colflux.numerics import ColumnGrid, TimeGrid, factor_tridiagonal, trapezoid
 from colflux.observe import (
     ObservationSet,
     Weight,
+    add_noise,
     apply_observation,
     canonical_weights,
     synthesize_data,
@@ -970,6 +971,22 @@ class TestSynthesized:
         if released:
             expected["solve_forward"] = 1
         assert counts == expected
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 7])
+    @pytest.mark.parametrize("call", ["add_noise", "synthesize_data", "synthesized"])
+    def test_seeds_outside_the_philox_key_range_raise(self, call, seed):
+        # NumPy's Philox refuses these keys too; 2**128 + 7 must not wrap to 7
+        base = small_problem(2, nt=33)
+        args, truth, _ = synthesized_from(base)
+        draw = {
+            "add_noise": lambda: add_noise([0.0, 0.0], [1.0, 1.0], seed),
+            "synthesize_data": lambda: synthesize_data(args[0], truth, *args[1:], seed=seed),
+            "synthesized": lambda: AssimilationProblem.synthesized(
+                *args, prior=base.prior, true_flux=truth, seed=seed
+            ),
+        }[call]
+        with pytest.raises(ValueError, match=r"^key must be positive and less than 2\*\*128\.$"):
+            draw()
 
     def test_the_true_flux_must_share_the_prior_grid(self, monkeypatch):
         base = small_problem(2, nt=33)

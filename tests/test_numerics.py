@@ -23,6 +23,7 @@ from numpy.random import Generator, Philox
 from scipy.linalg import eigh_tridiagonal
 
 import colflux.numerics as numerics
+from colflux.cli import _blind_weights
 from colflux.errors import SingularSystemError
 from colflux.model import CoefficientProfile
 from colflux.numerics import (
@@ -36,8 +37,7 @@ from colflux.numerics import (
     _csv_text,
     _nodal,
     _normal_square,
-    _philox_uniforms,
-    _PhiloxStream,
+    _philox_random,
     _write_csv,
     trapezoid,
 )
@@ -620,29 +620,30 @@ PHILOX_KEYS = [0, 1, 2**64 - 1, 2**64 + 5, 2**128 - 1]
 
 
 class TestPhiloxStream:
-    # NumPy's Generator(Philox(...)) is the reference: the stream must be it,
-    # word for word, since the noise, the sketch and the blind weights of every
-    # artifact come from it
+    # NumPy's Generator(Philox(...)) is the reference: every slice must be its
+    # stream, word for word, since the noise, the sketch and the blind weights
+    # of every artifact are slices of it
 
     @pytest.mark.parametrize("key", PHILOX_KEYS)
-    @pytest.mark.parametrize("counter", [0, 3, 17])
-    def test_successive_draws_are_numpys(self, key, counter):
-        for n in [*range(1, 10), 4001]:
-            stream = _PhiloxStream(key, counter)
-            reference = Generator(Philox(key=key, counter=[counter, 0, 0, 0]))
-            for _ in range(3):  # unused words of a block carry over
-                assert np.array_equal(stream.random(n), reference.random(n)), n
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 5, 13, 4002])
+    def test_a_slice_is_numpys_stream(self, key, start):
+        # starts inside a block, lengths that end inside one or cross several
+        reference = Generator(Philox(key=key)).random(start + 4010)
+        for n in [*range(0, 10), 4001]:
+            got = _philox_random(key, n, start)
+            assert np.array_equal(got, reference[start : start + n]), n
 
     @pytest.mark.parametrize("key", PHILOX_KEYS)
     def test_the_counter_carries_into_its_second_word(self, key):
         counter = 2**64 - 3
-        drawn = _philox_uniforms(key, counter, 5)
-        reference = Generator(Philox(key=key, counter=counter)).random(20)
-        assert np.array_equal(drawn.T.ravel(), reference)
+        for skip, n in [(0, 20), (3, 17)]:
+            drawn = _philox_random(key, n, 4 * counter + skip)
+            reference = Generator(Philox(key=key, counter=counter)).random(20)
+            assert np.array_equal(drawn, reference[skip : skip + n])
 
     def test_known_answers(self):
         # Random123's known-answer vectors for Philox4x64-10 (counter, key,
-        # the block's four words), as uniforms of the block after counter - 1
+        # the block's four words): block b of the stream is at counter b + 1
         vectors = [
             (0, 0, "16554d9eca36314c db20fe9d672d0fdc d7e772cee186176b 7e68b68aec7ba23b"),
             (
@@ -658,29 +659,37 @@ class TestPhiloxStream:
         ]
         for counter, key, words in vectors:
             expected = [(int(w, 16) >> 11) * 2.0**-53 for w in words.split()]
-            got = _philox_uniforms(key, (counter - 1) % 2**256, 1)[:, 0]
+            got = _philox_random(key, 4, 4 * ((counter - 1) % 2**256))
             assert got.tolist() == expected
 
-    @pytest.mark.parametrize("width", [7, 4001, 20000])
+    @pytest.mark.parametrize("key", [-1, 2**128, 2**128 + 7])
+    def test_keys_outside_the_range_raise_as_numpy_does(self, key):
+        with pytest.raises(ValueError) as numpy_error:
+            Philox(key=key)
+        with pytest.raises(ValueError, match="less than 2\\*\\*128") as error:
+            _philox_random(key, 4)
+        assert str(error.value) == str(numpy_error.value)
+
+    @pytest.mark.parametrize("width", [7, 4001, 5461, 20000])
     def test_rows_are_successive_draws(self, width):
         # the blind weights: 50 rows drawn several at a time, one row per
-        # draw, or 50 at once, crossing block boundaries in every case
-        rows = np.array(list(_PhiloxStream(5).rows(50, width)))
+        # draw, or 50 at once, crossing block boundaries in every case; at
+        # width 5461 a draw of three rows starts inside a block
+        rows = np.array(list(_blind_weights(5, width)))
         assert np.array_equal(rows, Generator(Philox(key=5)).random((50, width)))
 
     def test_uniform_one_two_is_one_plus_the_draw(self):
         # the forward-map sketch's weights
         for n in (1, 3, 16, 1001):
-            c = 1.0 + _PhiloxStream(1).random(n)
+            c = 1.0 + _philox_random(1, n)
             assert np.array_equal(c, Generator(Philox(key=1)).uniform(1.0, 2.0, n))
 
     def test_memory_of_the_blind_draws_stays_bounded(self):
         # 50 rows of the diagnose column (4001 nodes): about one draw's
         # worth is held at a time, never the 1.6 MB of all 200k uniforms
-        stream = _PhiloxStream(3)
         tracemalloc.start()
         try:
-            for _ in stream.rows(50, 4001):
+            for _ in _blind_weights(3, 4001):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:

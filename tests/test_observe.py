@@ -11,7 +11,7 @@ from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.observe import (
     ObservationSet,
     Weight,
-    _standard_normal,
+    _standard_normals,
     add_noise,
     apply_observation,
     canonical_weights,
@@ -90,15 +90,22 @@ class TestNoiseStream:
             )
             u = gen.random(2)
             expected = np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
-            assert _standard_normal(seed, index) == expected
+            assert _standard_normals(seed, index + 1)[index] == expected
 
     def test_substreams_are_distinct_and_stable(self):
-        draws = [_standard_normal(7, i) for i in range(50)]
+        draws = _standard_normals(7, 50).tolist()
         assert len(set(draws)) == 50
-        assert draws == [_standard_normal(7, i) for i in range(50)]
+        assert draws == _standard_normals(7, 50).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, 2**128 - 1])
+    def test_an_added_observation_never_moves_earlier_noise(self, seed):
+        # the draws for N observations are the first N of those for N + 5
+        for n in (0, 1, 2, 3, 4, 5, 17, 40):
+            more = _standard_normals(seed, n + 5)
+            assert np.array_equal(_standard_normals(seed, n), more[:n]), n
 
     def test_moments_are_roughly_normal(self):
-        draws = np.array([_standard_normal(123, i) for i in range(2000)])
+        draws = _standard_normals(123, 2000)
         assert abs(draws.mean()) < 0.08
         assert abs(draws.std() - 1.0) < 0.05
 
@@ -150,7 +157,7 @@ class TestSynthesizeData:
             np.full(3, 0.2), seed=11,
         )
         for i in range(3):
-            expected = clean.values[i] + 0.2 * _standard_normal(11, i)
+            expected = clean.values[i] + 0.2 * _standard_normals(11, 3)[i]
             assert noisy.values[i] == expected
 
     def test_seed_controls_the_bytes(self):
