@@ -34,8 +34,10 @@ with the Woodbury identity): with S = G C0 G^T + R,
 response) and the variance diag(C0) - diag(C0 G^T S^-1 G C0) in O(N nt),
 applying C0 by the CG preconditioner and taking diag(C0) in closed form.
 ``oracle_bayes`` instead factors the dense nt x nt posterior precision, on
-the subspace the kind's projection admits, by Cholesky in one buffer, and
-``oracle_covariance`` inverts it there; they are the check, capped at 2048.
+the subspace the kind's projection admits, by Cholesky, keeping its lower
+triangle in rectangular full packed storage (nt (nt + 1) / 2 doubles), and
+``oracle_covariance`` inverts it in the prefix of the nt x nt result; they
+are the check, capped at 2048.
 
 Conventions: arrays indexed by time nodes are "nodal functions"; the
 Euclidean gradient (sensitivity per nodal value) is converted to a nodal
@@ -55,11 +57,15 @@ import numpy as np
 from .errors import CapacityError, ConditioningError, DomainError, NumericalError
 from .model import CoefficientProfile
 from .numerics import (
+    _check_philox_key,
     _flapack,
     _frozen,
     _nodal,
     _normal_square,
     _philox_random,
+    _rfp_columns,
+    _rfp_index,
+    _rfp_unpack,
     factor_tridiagonal,
     trapezoid,
 )
@@ -136,13 +142,15 @@ class _DiagonalPrior:
         return self.s2 / self.w
 
     def add_form(self, a: np.ndarray) -> None:
-        """Add W C0^{-1}, the n x n Euclidean form matrix, onto a."""
-        a.flat[:: self.n + 1] += self.w / self.s2
+        """Add W C0^{-1}, the n x n Euclidean form matrix, onto the symmetric
+        matrix whose RFP array (``numerics._rfp_index``) is a."""
+        i = np.arange(self.n)
+        a[_rfp_index(self.n, i, i)] += self.w / self.s2
 
     def reduce(self, a: np.ndarray, c: float) -> None:
-        """P a P + c (I - P) in place, for a symmetric n x n a: a on the
-        admissible subspace and c across it, so a solve with a projected
-        right-hand side stays in the subspace."""
+        """P a P + c (I - P) in place, for the symmetric n x n matrix whose
+        RFP array is a: a on the admissible subspace and c across it, so a
+        solve with a projected right-hand side stays in the subspace."""
 
 
 class _DirichletPrior(_DiagonalPrior):
@@ -186,18 +194,18 @@ class _DirichletPrior(_DiagonalPrior):
     def add_form(self, a):
         # <g, W C0^{-1} g> = sum (delta g)^2 / (s2 dt) over the intervals:
         # tridiagonal, with one interval at each end node
-        coef, n = 1.0 / (self.s2 * self.dt), self.n
+        coef, n, i = 1.0 / (self.s2 * self.dt), self.n, np.arange(self.n)
         diag = np.full(n, 2.0 * coef)
         diag[[0, -1]] = coef
-        a.flat[:: n + 1] += diag
-        a.flat[1 :: n + 1] -= coef
-        a.flat[n :: n + 1] -= coef
+        a[_rfp_index(n, i, i)] += diag
+        a[_rfp_index(n, i[1:], i[:-1])] -= coef
 
     def reduce(self, a, c):
         # P zeroes the end rows and columns: P a P + c (I - P) pins them
         # with no arithmetic, and leaves every interior entry as it is
-        a[[0, -1]] = a[:, [0, -1]] = 0.0
-        a[0, 0] = a[-1, -1] = c
+        n, i = self.n, np.arange(self.n)
+        a[_rfp_index(n, i, 0)] = a[_rfp_index(n, n - 1, i)] = 0.0
+        a[_rfp_index(n, [0, n - 1], [0, n - 1])] = c
 
 
 class _PeriodicPrior(_DiagonalPrior):
@@ -286,18 +294,30 @@ class _PeriodicPrior(_DiagonalPrior):
         # P = I - V G V^T with V = [e_0 - e_{n-1}, ones on the distinct
         # nodes] and G = (V^T V)^-1, as in ``project``. With Y = a V G,
         # P a P + c V G V^T = a - V Y^T - (Y - V (G V^T Y + c G)) V^T: a
-        # rank-2 update, made a block of rows at a time; no entry is shifted
+        # rank-2 update, made on the stored lower triangle; no entry is
+        # shifted. Entry (i, j), i >= j, loses row j of left times row i of
+        # right, summed in order: the triangle the n x n code factored, and
+        # no BLAS kernel's rounding. Off column 0 and row n - 1, where V
+        # holds 0 and 1, that sum is Y[i, 1] + left[j, 3] bit for bit
         n, m = self.n, self.n - 1
         v = np.zeros((n, 2))
         v[[0, -1], 0] = 1.0, -1.0
         v[:-1, 1] = 1.0
         gram_inv = np.array([[m, -1.0], [-1.0, 2.0]]) / (2.0 * m - 1.0)
-        y = a @ v @ gram_inv
+        i = np.arange(n)
+        at_first, at_last = _rfp_index(n, i, 0), _rfp_index(n, m, i)  # column 0, row n - 1
+        distinct = np.zeros(n)  # a times the ones on the distinct nodes
+        for j, col in zip(range(m), _rfp_columns(a, n)):
+            distinct[j:] += col
+            distinct[j] += col[1:-1].sum()
+        y = np.column_stack([a[at_first] - a[at_last], distinct]) @ gram_inv
         left = np.hstack([v, y - v @ (gram_inv @ (v.T @ y) + c * gram_inv)])
         right = np.hstack([y, v])
-        rows = max(1, 16384 // n)  # 128 kB of temporaries per block
-        for start in range(0, n, rows):
-            a[start : start + rows] -= left[start : start + rows] @ right.T
+        for j, col in enumerate(_rfp_columns(a, n)):
+            if 0 < j < m:
+                col[:-1] -= y[j:-1, 1] + left[j, 3]
+        for at, t in ((at_first[:-1], right[:-1] * left[0]), (at_last, right[-1] * left)):
+            a[at] -= t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
 
 
 _KINDS = {
@@ -447,7 +467,8 @@ class AssimilationProblem:
     def synthesized(cls, profile, q0, weights, times, noise_levels, prior, true_flux, seed):
         """The problem whose data are G ``true_flux`` + free_response plus the noise
         ``synthesize_data`` adds for ``seed``; G is built after every argument is
-        checked, checked itself, and kept."""
+        checked, the seed included, checked itself, and kept."""
+        _check_philox_key(seed)
         noise = np.asarray(noise_levels, dtype=float)
         blank = ObservationSet(times=times, values=np.zeros(noise.size), noise_levels=noise)
         problem = cls(profile=profile, q0=q0, observations=blank, weights=weights, prior=prior)
@@ -673,29 +694,31 @@ def check_oracle_capacity(n: int) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises
-def _dense_posterior(problem: AssimilationProblem):
+def _dense_posterior(problem: AssimilationProblem, square: bool = False):
     """The posterior mean, by the Cholesky factor of the kind's ``reduce`` of
     A = W C0^{-1} + G^T R^{-1} G, solved with the projected
-    G^T R^{-1} (y - G F0 - free response); and that factor, in the lower
-    triangle of the one n x n Fortran-order buffer A was formed in."""
+    G^T R^{-1} (y - G F0 - free response); and the buffer A was formed and
+    factored in: its RFP array (``numerics._rfp_index``), n(n+1)/2 doubles,
+    or with ``square`` the n * n doubles that array is the prefix of."""
     n = problem.prior.grid.n
     check_oracle_capacity(n)
     family = problem.prior._family
     g, noise = problem.forward_rows, problem.observations.noise_levels
     rhs = family.project(g.T @ (problem.innovation / noise**2))
-    h = g / noise[:, None]
-    # h^T h is symmetric: the C-order buffer is the Fortran-order matrix LAPACK overwrites
-    a = np.matmul(h.T, h, out=np.empty((n, n)))
+    h = g / noise[:, None]  # C order: h.T is the n x N Fortran-order matrix of h^T h
+    buffer = np.empty(n * n if square else n * (n + 1) // 2)
+    a = _flapack.dsfrk(n, len(h), 1.0, h.T, 0.0, buffer[: n * (n + 1) // 2])
     family.add_form(a)
     # A is positive semidefinite, so no entry exceeds its diagonal's largest
-    if not (np.isfinite(a.diagonal()).all() and np.isfinite(rhs).all()):
+    diagonal = a[_rfp_index(n, np.arange(n), np.arange(n))]
+    if not (np.isfinite(diagonal).all() and np.isfinite(rhs).all()):
         raise NumericalError("the dense posterior precision overflows")
-    family.reduce(a, a.diagonal().min())
-    factor, info = _flapack.dpotrf(a.T)
+    family.reduce(a, diagonal.min())
+    factor, info = _flapack.dpftrf(n, a)
     if info > 0:
         msg = f"not positive definite: leading minor {info} is not positive"
         raise NumericalError(f"the dense posterior precision is {msg}")
-    return problem.prior.mean.values + _flapack.dpotrs(factor, rhs)[0], factor
+    return problem.prior.mean.values + _flapack.dpftrs(n, factor, rhs)[0], buffer
 
 
 def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
@@ -718,15 +741,14 @@ def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
 
 
 def oracle_covariance(problem: AssimilationProblem) -> np.ndarray:
-    """The dense nt x nt posterior covariance, the factor of ``oracle_bayes``
-    inverted in place; it raises as ``oracle_bayes`` does."""
-    factor = _dense_posterior(problem)[1]
-    _flapack.dpotri(factor)
-    inv = factor.T  # C order, with the inverse in its upper triangle
-    for i in range(1, len(inv)):
-        inv[i, :i] = inv[:i, i]
-    problem.prior._family.reduce(inv, 0.0)
-    return inv
+    """The dense nt x nt posterior covariance: the factor of ``oracle_bayes``,
+    formed in the prefix of the result, inverted there in place and unpacked;
+    it raises as ``oracle_bayes`` does."""
+    n = problem.prior.grid.n
+    buffer = _dense_posterior(problem, square=True)[1]
+    factor = _flapack.dpftri(n, buffer[: n * (n + 1) // 2])[0]
+    problem.prior._family.reduce(factor, 0.0)
+    return _rfp_unpack(buffer, n)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises

@@ -55,9 +55,11 @@ _NAMES = ("scipy_{}_64_", "{}_64_")
 # double, D and I arrays of doubles and integers, passed as they are (so the
 # routine can write into them) where of that type and in Fortran order.
 _SIGNATURES = {
-    "dpotrf": "ciDi", "dpotri": "ciDi", "dpotrs": "ciiDiDi", "dpttrf": "iDD", "dpttrs": "iiDDDi",
-    "dstevx": "cciDDddiidIDDiDII",
+    "dpftrf": "cciD", "dpftri": "cciD", "dpftrs": "cciiDDi", "dpttrf": "iDD", "dpttrs": "iiDDDi",
+    "dsfrk": "ccciidDidD", "dstevx": "cciDDddiidIDDiDII",
 }
+# A BLAS-like routine with no ``info`` argument
+_NO_INFO = {"dsfrk"}
 _CONVERT = {
     "c": lambda a: a,
     "i": lambda a: ctypes.byref(ctypes.c_int64(a)),
@@ -67,12 +69,23 @@ _CONVERT = {
 }
 
 
+def _rfp_array(a, n) -> np.ndarray:
+    """``a`` as a contiguous float RFP array of order n (see :func:`_rfp_index`),
+    the caller's array where it is one, so LAPACK can work in place."""
+    a = np.asfortranarray(a, float)
+    size = n * (n + 1) // 2
+    if a.shape != (size,):
+        raise ValueError(f"an RFP array of order {n} needs {size} entries, got shape {a.shape}")
+    return a
+
+
 class _Lapack:
     """LAPACK from the library NumPy links (``dlsym`` on its ``_umath_linalg``
-    extension searches it). The Cholesky routines take ``scipy.linalg.lapack``'s
-    argument order and the lower triangle; ``dpotrf`` and ``dpotri`` work in
-    place on a float Fortran-order array. ``factor_tridiagonal`` binds
-    ``dpttrf`` and ``dpttrs`` itself."""
+    extension searches it). The routines on rectangular full packed (RFP)
+    storage take ``scipy.linalg.lapack``'s argument order and its layout
+    ``transr='N'``, ``uplo='L'`` (see :func:`_rfp_index`); ``dsfrk``,
+    ``dpftrf`` and ``dpftri`` work in place on a contiguous float RFP array.
+    ``factor_tridiagonal`` binds ``dpttrf`` and ``dpttrs`` itself."""
 
     def __init__(self, path=_umath_linalg.__file__):
         lib = ctypes.CDLL(path)
@@ -103,20 +116,31 @@ class _Lapack:
         1.7 us (15%) of a sweep's step at nz = 1001 on an x86-64 Xeon."""
         kinds, fn, info = _SIGNATURES[routine], self._fn[routine], ctypes.c_int64()
         refs = [_CONVERT[k](a) for k, a in zip(kinds, args, strict=True)]
-        refs += [ctypes.byref(info)] + [ctypes.c_size_t(1)] * kinds.count("c")
+        refs += [ctypes.byref(info)] * (routine not in _NO_INFO)
+        refs += [ctypes.c_size_t(1)] * kinds.count("c")
         return lambda: fn(*refs) or info.value
 
-    def dpotrf(self, a):
-        c = np.asfortranarray(a, float)
-        return c, self._bind("dpotrf", b"L", len(c), c, max(len(c), 1))()
+    def dsfrk(self, n, k, alpha, a, beta, c):
+        """c := alpha a a^T + beta c for the n x k matrix ``a``; no ``info``."""
+        if np.shape(a) != (n, k):
+            raise ValueError(f"a needs shape {(n, k)}, got {np.shape(a)}")
+        c = _rfp_array(c, n)
+        self._bind("dsfrk", b"N", b"L", b"N", n, k, alpha, a, max(n, 1), beta, c)()
+        return c
 
-    def dpotri(self, c):
-        c = np.asfortranarray(c, float)
-        return c, self._bind("dpotri", b"L", len(c), c, max(len(c), 1))()
+    def dpftrf(self, n, a):
+        a = _rfp_array(a, n)
+        return a, self._bind("dpftrf", b"N", b"L", n, a)()
 
-    def dpotrs(self, c, b):
-        x, n = np.array(b, float, order="F"), max(len(c), 1)
-        return x, self._bind("dpotrs", b"L", len(c), x.size // n, c, n, x, n)()
+    def dpftri(self, n, a):
+        a = _rfp_array(a, n)
+        return a, self._bind("dpftri", b"N", b"L", n, a)()
+
+    def dpftrs(self, n, a, b):
+        x, ldb = np.array(b, float, order="F"), max(n, 1)
+        if x.shape[:1] != (n,):
+            raise ValueError(f"b needs leading dimension {n}, got shape {x.shape}")
+        return x, self._bind("dpftrs", b"N", b"L", n, x.size // ldb, _rfp_array(a, n), x, ldb)()
 
     def dstevx(self, d, e, n_modes):
         """The ``n_modes`` smallest eigenvalues of the symmetric tridiagonal
@@ -133,6 +157,47 @@ class _Lapack:
 
 
 _flapack = _Lapack()
+
+
+def _rfp_index(n, i, j):
+    """Where the RFP array of a symmetric n x n matrix keeps its lower entry
+    (i, j), i >= j: LAPACK's ``transr='N'``, ``uplo='L'`` layout
+    (Gustavson et al., ACM TOMS 37(2), 2010), n(n+1)/2 doubles. With
+    k = (n + 1) // 2, it is an (n + s) x k Fortran-order array, s = 1 for
+    even n and 0 for odd: columns j < k of the lower triangle sit in its
+    columns, s rows down, and the trailing triangle, rows and columns k on,
+    transposed above them."""
+    k, s = (n + 1) // 2, 1 - n % 2
+    i, j = np.asarray(i), np.asarray(j)
+    return np.where(j < k, i + s + j * (n + s), j - k + (i - k + 1 - s) * (n + s))
+
+
+def _rfp_columns(a, n):
+    """Views into the RFP array ``a`` of its matrix's columns on and below
+    the diagonal, A[j:, j] for j = 0, ..., n - 1, one at a time."""
+    j = np.arange(n)
+    first = _rfp_index(n, j, j)
+    step = _rfp_index(n, j + 1, j) - first  # 1, or the leading dimension
+    for c in range(n):
+        f, s = int(first[c]), int(step[c])
+        yield a[f : f + s * (n - c) : s]
+
+
+def _rfp_unpack(buffer, n) -> np.ndarray:
+    """The symmetric n x n matrix whose RFP array is the prefix of the n * n
+    float ``buffer``, expanded in place: ``buffer`` as a C-order n x n array."""
+    k, s = (n + 1) // 2, 1 - n % 2
+    rfp, full = buffer[: (n + s) * k].reshape(k, n + s), buffer.reshape(n, n)
+    # row j of ``full`` is column j of the matrix, so its upper triangle takes
+    # the lower one. The trailing triangle moves first: its place lies past
+    # the RFP array's end. Column j < k of an odd order is in place already
+    full[k:, k:] = rfp[1 - s : n - k + 1 - s, : n - k].T
+    if s:  # even order: column j sits j + 1 entries on
+        for j in range(k):
+            full[j, j:] = rfp[j, j + 1 :]
+    for i in range(1, n):
+        full[i, :i] = full[:i, i]
+    return full
 
 
 def _nodal(values, shape: tuple, name: str) -> np.ndarray:
@@ -378,6 +443,12 @@ def factor_tridiagonal(diag, off):
     return solve
 
 
+def _check_philox_key(key: int) -> None:
+    """NumPy's ``Philox`` ValueError for a key outside [0, 2**128)."""
+    if not 0 <= key < 2**128:
+        raise ValueError("key must be positive and less than 2**128.")
+
+
 def _philox_random(key: int, n: int, start: int = 0) -> np.ndarray:
     """Uniforms ``start``, ..., ``start + n - 1`` in [0, 1) of the stream
     ``Generator(Philox(key)).random`` draws: uniform 4b + j is word j of the
@@ -385,8 +456,7 @@ def _philox_random(key: int, n: int, start: int = 0) -> np.ndarray:
     each block), as (word >> 11) * 2**-53. The key is split into two 64-bit
     words and the counter into four, low word first, as NumPy's ``Philox`` does.
     """
-    if not 0 <= key < 2**128:
-        raise ValueError("key must be positive and less than 2**128.")
+    _check_philox_key(key)
     first = start // 4
     blocks = -(-(start + n) // 4) - first
     counter = (first + 1) & (2**256 - 1)

@@ -29,7 +29,7 @@ from colflux.assimilate import (
 )
 from colflux.errors import CapacityError, ConditioningError, DomainError, NumericalError
 from colflux.model import CoefficientProfile
-from colflux.numerics import ColumnGrid, TimeGrid, factor_tridiagonal, trapezoid
+from colflux.numerics import ColumnGrid, TimeGrid, _rfp_index, factor_tridiagonal, trapezoid
 from colflux.observe import (
     ObservationSet,
     Weight,
@@ -988,6 +988,15 @@ class TestSynthesized:
         with pytest.raises(ValueError, match=r"^key must be positive and less than 2\*\*128\.$"):
             draw()
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 7])
+    def test_a_seed_outside_the_key_range_stops_before_any_sweep(self, counts, seed):
+        base = small_problem(2, nt=33)
+        args, truth, _ = synthesized_from(base)
+        counts.clear()
+        with pytest.raises(ValueError, match=r"^key must be positive and less than 2\*\*128\.$"):
+            AssimilationProblem.synthesized(*args, prior=base.prior, true_flux=truth, seed=seed)
+        assert counts == Counter()
+
     def test_the_true_flux_must_share_the_prior_grid(self, monkeypatch):
         base = small_problem(2, nt=33)
         tgrid = TimeGrid(t_end=2.0, n=33)
@@ -1129,11 +1138,12 @@ class TestOracleBayes:
         class Factoring(Exception):
             pass
 
-        def dpotrf(a, **kwargs):  # keep the block, and stop before factoring it
-            factored.append(a.copy())
+        def dpftrf(n, a):  # keep the block, and stop before factoring it
+            factored.append(unpacked(a, n))
             raise Factoring
 
-        monkeypatch.setattr(assimilate, "_flapack", SimpleNamespace(dpotrf=dpotrf))
+        lapack = SimpleNamespace(dsfrk=assimilate._flapack.dsfrk, dpftrf=dpftrf)
+        monkeypatch.setattr(assimilate, "_flapack", lapack)
         with pytest.raises(Factoring):
             oracle_bayes(problem)
         h = problem.forward_rows / problem.observations.noise_levels[:, None]
@@ -1147,12 +1157,13 @@ class TestOracleBayes:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
-        "oracle, bound", [(oracle_bayes, 1.05), (oracle_covariance, 1.15)], ids=["mean", "cov"]
+        "oracle, bound", [(oracle_bayes, 0.55), (oracle_covariance, 1.15)], ids=["mean", "cov"]
     )
     def test_holds_one_nt_x_nt_buffer(self, kind, oracle, bound):
-        # at 1025 nodes the precision is formed, reduced, factored and, for
-        # the covariance, inverted in one n x n buffer, with no n x n
-        # temporaries beside it
+        # at 1025 nodes the precision is formed, reduced and factored in its
+        # packed lower triangle, n(n+1)/2 doubles; the covariance inverts it
+        # in the prefix of the n x n result and unpacks it there. No n x n
+        # temporaries beside either
         problem = released_problem(kind, nodes=1025)
         problem.innovation
         tracemalloc.start()
@@ -1162,6 +1173,23 @@ class TestOracleBayes:
         finally:
             tracemalloc.stop()
         assert peak <= bound * 1025**2 * 8, f"peaked at {peak / 1e6:.2f} MB"
+
+
+def packed(a):
+    """The RFP array of the symmetric matrix ``a``, entry by entry."""
+    n = len(a)
+    i, j = np.tril_indices(n)
+    out = np.full(n * (n + 1) // 2, np.nan)
+    out[_rfp_index(n, i, j)] = a[i, j]
+    return out
+
+
+def unpacked(rfp, n):
+    """The symmetric n x n matrix whose RFP array is ``rfp``, entry by entry."""
+    i, j = np.tril_indices(n)
+    full = np.empty((n, n))
+    full[i, j] = full[j, i] = rfp[_rfp_index(n, i, j)]
+    return full
 
 
 def column_loop_prior_precision(problem):
@@ -1184,8 +1212,9 @@ class TestDensePriorPrecision:
         # agree as forms on the admissible subspace
         problem = released_problem(kind, nodes=nodes)
         family = problem.prior._family
-        banded = np.zeros((nodes, nodes))
-        family.add_form(banded)
+        stored = np.zeros(nodes * (nodes + 1) // 2)
+        family.add_form(stored)
+        banded = unpacked(stored, nodes)
         proj = family.project(np.eye(nodes))
         expected = proj @ column_loop_prior_precision(problem) @ proj
         atol = 1e-13 * np.abs(expected).max(initial=0.0)
@@ -1197,12 +1226,25 @@ class TestDensePriorPrecision:
         # diagonal, and touches no interior entry
         family = released_problem(KINDS[0], nodes=nodes).prior._family
         x = np.random.default_rng(5).standard_normal((nodes, nodes))
-        a, before = x + x.T, x + x.T
-        family.reduce(a, 3.5)
+        stored, before = packed(x + x.T), x + x.T
+        family.reduce(stored, 3.5)
+        a = unpacked(stored, nodes)
         ends = np.zeros((2, nodes))
         ends[0, 0] = ends[1, -1] = 3.5
         assert a[1:-1, 1:-1].tobytes() == before[1:-1, 1:-1].tobytes()
         assert np.array_equal(a[[0, -1]], ends) and np.array_equal(a[:, [0, -1]], ends.T)
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 65, 1024, 1025])
+    def test_periodic_reduce_is_the_projection_on_the_stored_triangle(self, nodes):
+        # P a P + c (I - P), made on the packed lower triangle alone
+        family = released_problem(KINDS[1], nodes=nodes).prior._family
+        x = np.random.default_rng(7).standard_normal((nodes, nodes))
+        stored = packed(x + x.T)
+        family.reduce(stored, 3.5)
+        proj = family.project(np.eye(nodes))
+        expected = proj @ (x + x.T) @ proj + 3.5 * (np.eye(nodes) - proj)
+        atol = 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(unpacked(stored, nodes), expected, rtol=0.0, atol=atol)
 
     @pytest.mark.parametrize("nodes", [2, 3, 4, 65, 1025])
     def test_dirichlet_covariance_is_the_interior_solve_bit_for_bit(self, nodes):

@@ -270,7 +270,7 @@ class TestExitCodes:
         self, tmp_path, capsys, monkeypatch
     ):
         # a precision Cholesky finds is not positive definite gives no mean
-        failing = SimpleNamespace(dpotrf=lambda a, **kwargs: (a, 5))
+        failing = SimpleNamespace(dsfrk=numerics._flapack.dsfrk, dpftrf=lambda n, a: (a, 5))
         monkeypatch.setattr(colflux.assimilate, "_flapack", failing)
         out = tmp_path / "out"
         code = run_cli(tmp_path, small_config("oracle_check", out))

@@ -405,7 +405,7 @@ class TestFactorTridiagonal:
 
 
 #: The routines colflux binds from the LAPACK NumPy links, sorted.
-LAPACK_ROUTINES = ["dpotrf", "dpotri", "dpotrs", "dpttrf", "dpttrs", "dstevx"]
+LAPACK_ROUTINES = ["dpftrf", "dpftri", "dpftrs", "dpttrf", "dpttrs", "dsfrk", "dstevx"]
 
 
 def openblas_version(module) -> str | None:
@@ -430,9 +430,13 @@ class HidingLibrary:
         return getattr(self.lib, self.renamed.get(name, name))
 
 
-def spd_matrix(n, seed=13):
-    a = np.random.default_rng(seed).standard_normal((n, n))
-    return a @ a.T / n + np.eye(n)
+def assert_same_openblas_result(ours, ref, n, scale):
+    """Bit for bit where NumPy and SciPy bundle the same OpenBLAS. Releases
+    differ in their blocked kernels' rounding: within n eps of ``scale``."""
+    if openblas_version(np) == openblas_version(scipy):
+        np.testing.assert_array_equal(ours, ref)
+    else:
+        assert np.abs(ours - ref).max(initial=0.0) <= n * np.finfo(float).eps * scale
 
 
 def symmetric_bands(n, seed=14):
@@ -444,34 +448,91 @@ class TestLapackModule:
     """``numerics._flapack`` binds LAPACK from the library NumPy links, in
     SciPy's argument order; ``scipy.linalg.lapack`` is the reference."""
 
-    @pytest.mark.parametrize("n", [513, 1023])
-    def test_dpotrf_matches_scipy(self, n):
-        a = spd_matrix(n)
-        ref, info = scipy_lapack.dpotrf(a, lower=1, clean=0)
-        buffer = np.array(a, order="F")  # the dense oracle's call: in place
-        ours, our_info = numerics._flapack.dpotrf(buffer)
-        assert info == our_info == 0 and ours is buffer
-        if openblas_version(np) == openblas_version(scipy):
-            np.testing.assert_array_equal(ours, ref)
-        else:
-            # SciPy and NumPy ship different OpenBLAS releases, whose blocked
-            # factorizations may round differently: the backward-error bound
-            eps = np.finfo(float).eps
-            assert np.abs(ours - ref).max() <= n * eps * np.abs(a).max()
-
-    @pytest.mark.parametrize("n", [513, 1023])
-    def test_dpotrs_and_dpotri_match_scipy(self, n):
-        factor = scipy_lapack.dpotrf(spd_matrix(n), lower=1)[0]
-        rhs = np.random.default_rng(n).standard_normal((n, 3))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 1024, 1025])
+    def test_rfp_routines_match_scipy(self, n):
+        # the dense oracle's calls, each on the same input as SciPy's: the Gram
+        # matrix of h^T, plus the identity, factored, solved with and inverted
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((3, n))  # C order: h.T is the n x 3 Fortran-order matrix
+        size = n * (n + 1) // 2
+        buffer = np.full(size, np.nan)  # beta = 0: its old entries are never read
+        gram = numerics._flapack.dsfrk(n, 3, 1.0, h.T, 0.0, buffer)
+        ref = scipy_lapack.dsfrk(n, 3, 1.0, h.T, 0.0, np.zeros(size), uplo="L")
+        assert gram is buffer
+        assert_same_openblas_result(gram, ref, n, 3 * np.abs(h).max() ** 2)
+        ref[numerics._rfp_index(n, np.arange(n), np.arange(n))] += 1.0
+        expected, info = scipy_lapack.dpftrf(n, ref, uplo="L")
+        buffer = ref.copy()
+        factor, our_info = numerics._flapack.dpftrf(n, buffer)
+        assert info == our_info == 0 and factor is buffer
+        assert_same_openblas_result(factor, expected, n, np.abs(ref).max())
+        cond = 1.0 + (h**2).sum()  # bounds the condition number of I + h^T h
+        rhs = rng.standard_normal((n, 3))
         for b in (rhs[:, 0], rhs):
-            ours, info = numerics._flapack.dpotrs(factor, b)
+            ours, info = numerics._flapack.dpftrs(n, expected, b)
             assert info == 0 and ours.shape == b.shape
-            np.testing.assert_array_equal(ours, scipy_lapack.dpotrs(factor, b, lower=1)[0])
-        expected = scipy_lapack.dpotri(factor, lower=1)[0]
-        buffer = factor.copy(order="F")
-        ours, info = numerics._flapack.dpotri(buffer)
+            x = scipy_lapack.dpftrs(n, expected, b.reshape(n, -1), uplo="L")[0]
+            assert_same_openblas_result(ours.reshape(n, -1), x, n, cond * np.abs(x).max())
+        inverse = scipy_lapack.dpftri(n, expected, uplo="L")[0]
+        buffer = expected.copy()
+        ours, info = numerics._flapack.dpftri(n, buffer)
         assert info == 0 and ours is buffer
-        np.testing.assert_array_equal(ours, expected)
+        assert_same_openblas_result(ours, inverse, n, cond * np.abs(inverse).max())
+
+    @pytest.mark.parametrize("n", [2, 5, 1024])
+    def test_rfp_factorization_names_the_failing_minor(self, n):
+        a = scipy_lapack.dtrttf(np.eye(n), transr="N", uplo="L")[0]
+        a[numerics._rfp_index(n, n // 2, n // 2)] = -1.0
+        expected = scipy_lapack.dpftrf(n, a, uplo="L")[1]
+        assert numerics._flapack.dpftrf(n, a)[1] == expected == n // 2 + 1
+
+    def test_rfp_routines_refuse_arrays_of_the_wrong_size(self):
+        # LAPACK would read or write past the end of a short array
+        lapack, h = numerics._flapack, np.ones((4, 2))
+        with pytest.raises(ValueError, match="RFP array of order 4 needs 10 entries, got shape"):
+            lapack.dsfrk(4, 2, 1.0, h, 0.0, np.empty(9))
+        with pytest.raises(ValueError, match=r"a needs shape \(4, 3\), got \(4, 2\)"):
+            lapack.dsfrk(4, 3, 1.0, h, 0.0, np.empty(10))
+        for call in (lapack.dpftrf, lapack.dpftri):
+            with pytest.raises(ValueError, match="RFP array of order 5 needs 15 entries"):
+                call(5, np.empty(10))
+        with pytest.raises(ValueError, match="b needs leading dimension 4, got shape"):
+            lapack.dpftrs(4, np.empty(10), np.ones(3))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rfp_index_is_lapacks_layout(self, n):
+        # dtrttf packs the lower triangle; the helper must find every entry
+        # there, each at its own place
+        a = np.random.default_rng(n).standard_normal((n, n))
+        rfp = scipy_lapack.dtrttf(a, transr="N", uplo="L")[0]
+        i, j = np.tril_indices(n)
+        at = numerics._rfp_index(n, i, j)
+        np.testing.assert_array_equal(rfp[at], a[i, j])
+        assert sorted(at.tolist()) == list(range(n * (n + 1) // 2))
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 1024, 1025])
+    def test_rfp_columns_and_unpacking_are_lapacks(self, n):
+        x = np.random.default_rng(n).standard_normal((n, n))
+        a = x + x.T
+        rfp = scipy_lapack.dtrttf(a, transr="N", uplo="L")[0]
+        columns = list(numerics._rfp_columns(rfp, n))
+        assert len(columns) == n
+        for j, column in enumerate(columns):
+            assert np.shares_memory(column, rfp)
+            np.testing.assert_array_equal(column, a[j:, j])
+        buffer = np.full(n * n, np.nan)
+        buffer[: rfp.size] = rfp
+        tracemalloc.start()
+        try:  # in place: no n x n or half-size temporary
+            full = numerics._rfp_unpack(buffer, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * n * n * 8 + 4096
+        assert full.shape == (n, n) and np.shares_memory(full, buffer)
+        np.testing.assert_array_equal(full, a)
+        lower = scipy_lapack.dtfttr(n, rfp, transr="N", uplo="L")[0]
+        np.testing.assert_array_equal(np.tril(full), np.tril(lower))
 
     @pytest.mark.parametrize("n", [41, 1001, 4001])
     def test_tridiagonal_routines_match_scipy(self, n):
@@ -576,7 +637,7 @@ class TestLapackModule:
         # present this NumPy's symbols under the names of ``layout`` only
         names = numerics._NAMES
         lib = HidingLibrary.CDLL(_umath_linalg.__file__)
-        real = next(n for n in names if hasattr(lib, n.format("dpotrf")))
+        real = next(n for n in names if hasattr(lib, n.format("dpftrf")))
         symbols = ["openblas_get_num_threads", "openblas_set_num_threads", *LAPACK_ROUTINES]
         renamed = {names[layout].format(r): real.format(r) for r in symbols}
         hidden = {real.format(r) for r in symbols} - set(renamed)
@@ -589,8 +650,17 @@ class TestLapackModule:
             assert numerics._flapack.blas_threads() == threads + 1
         finally:
             numerics._flapack.set_blas_threads(threads)
-        a = spd_matrix(41)
-        np.testing.assert_array_equal(lapack.dpotrf(a)[0], numerics._flapack.dpotrf(a)[0])
+        # the dense oracle's four calls, through each naming
+        h, b = np.random.default_rng(41).standard_normal((2, 5, 41))
+
+        def oracle_calls(bound):
+            a = bound.dsfrk(41, 5, 1.0, h.T, 0.0, np.empty(41 * 21))
+            a[numerics._rfp_index(41, np.arange(41), np.arange(41))] += 1.0
+            factor = bound.dpftrf(41, a)[0]
+            return bound.dpftrs(41, factor, b.T)[0], bound.dpftri(41, factor)[0]
+
+        for ours, theirs in zip(oracle_calls(lapack), oracle_calls(numerics._flapack)):
+            np.testing.assert_array_equal(ours, theirs)
 
     def test_thread_count_is_openblas_own(self):
         code = "from colflux.numerics import _flapack; print(_flapack.blas_threads())"
