@@ -83,7 +83,7 @@ from .observe import (
     write_weight_csv,
 )
 from .posterior import analyze_gain, blind_direction, gain_direction, gain_projections
-from .spectral import eigensystem, expand_weight, expansion_residual
+from .spectral import check_n_modes, eigensystem, expand_weight, expansion_residual
 from .transport import (
     FluxSignal,
     energy_fit,
@@ -132,7 +132,14 @@ class _Workspace:
 
     @cached_property
     def eig(self):
-        return eigensystem(self.profile, self.config.n_modes)
+        """The config's modes, or only the lowest two where the scenario reads
+        nothing beyond the canonical pair p0 +- p1; n_modes is checked either way."""
+        n_modes, scenario = check_n_modes(self.zgrid, self.config.n_modes), self.config.scenario
+        pair = scenario == "compare_altitude" or (
+            scenario in ("assimilate", "oracle_check")
+            and all(w in ("rho_plus", "rho_minus") for w in self.config.obs_weights)
+        )
+        return eigensystem(self.profile, min(2, n_modes) if pair else n_modes)
 
     @property
     def flux(self) -> FluxSignal:

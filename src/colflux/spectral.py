@@ -25,11 +25,12 @@ import numpy as np
 
 from .errors import DomainError, NormalizationError, NumericalError
 from .model import CoefficientProfile, mu_weight
-from .numerics import _flapack, _nodal
+from .numerics import ColumnGrid, _flapack, _nodal
 
 __all__ = [
     "EigenSystem",
     "MuntzSums",
+    "check_n_modes",
     "eigensystem",
     "expand_weight",
     "expansion_residual",
@@ -89,6 +90,19 @@ class MuntzSums(NamedTuple):
     limit_estimate: float
 
 
+def check_n_modes(grid: ColumnGrid, n_modes) -> int:
+    """``n_modes`` as an int, or DomainError unless it lies between 1 and an
+    eighth of the grid's node count, so every kept mode stays well resolved."""
+    n_modes = int(n_modes)
+    if n_modes < 1 or n_modes > grid.n // RESOLUTION_FACTOR:
+        msg = (
+            f"n_modes must be between 1 and n//{RESOLUTION_FACTOR} = "
+            f"{grid.n // RESOLUTION_FACTOR} for this grid, got {n_modes}"
+        )
+        raise DomainError(msg)
+    return n_modes
+
+
 def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     """Compute the lowest ``n_modes`` modes of the adjoint operator.
 
@@ -96,8 +110,8 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     ----------
     profile : CoefficientProfile
     n_modes : int
-        How many modes to keep, counting the constant mode. Limited to an
-        eighth of the node count so every kept mode stays well resolved.
+        How many modes to keep, counting the constant mode; see
+        ``check_n_modes``.
 
     Returns
     -------
@@ -114,13 +128,7 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
         modes.
     """
     grid = profile.grid
-    n_modes = int(n_modes)
-    if n_modes < 1 or n_modes > grid.n // RESOLUTION_FACTOR:
-        msg = (
-            f"n_modes must be between 1 and n//{RESOLUTION_FACTOR} = "
-            f"{grid.n // RESOLUTION_FACTOR} for this grid, got {n_modes}"
-        )
-        raise DomainError(msg)
+    n_modes = check_n_modes(grid, n_modes)
 
     dz = grid.spacing
     mu = mu_weight(profile)
@@ -159,8 +167,9 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     vals = np.maximum(vals, 0.0)
     vals[0] = 0.0
 
-    modes = vecs / sqrt_b[:, None]
-    sup = np.max(np.abs(modes), axis=0)
+    modes = vecs  # formed in place, in LAPACK's output buffer
+    modes /= sqrt_b[:, None]
+    sup = np.maximum(modes.max(axis=0), -modes.min(axis=0))
     surface = modes[0] / sup
     small = ~(np.abs(surface) >= SURFACE_GAUGE_TOL)
     if small.any():
@@ -170,7 +179,7 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
             "norm; the surface-one gauge is ill-defined"
         )
         raise NormalizationError(msg)
-    modes = modes / modes[0]
+    modes /= modes[0].copy()
 
     mu_norms = (grid.weights * mu) @ (modes**2)
     for arr in (vals, modes, mu_norms, mu):

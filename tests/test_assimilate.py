@@ -302,6 +302,23 @@ class TestProblemValidation:
                 prior=problem.prior,
             )
 
+    @pytest.mark.parametrize("weight", ["on-another-grid", "bare-array"])
+    def test_weights_must_live_on_the_profile_grid(self, weight):
+        problem = small_problem(2)
+        values = problem.weights[1].values
+        if weight == "on-another-grid":  # the same node count on a column twice as tall
+            stray = Weight(grid=ColumnGrid(h=2.0, n=values.size), values=values)
+        else:
+            stray = values
+        with pytest.raises(ValueError, match="^every weight must live on the profile's grid$"):
+            AssimilationProblem(
+                profile=problem.profile,
+                q0=problem.q0,
+                observations=problem.observations,
+                weights=(problem.weights[0], stray),
+                prior=problem.prior,
+            )
+
     def test_observation_times_must_be_grid_nodes(self):
         problem = small_problem(1)
         obs = ObservationSet(
@@ -1034,6 +1051,24 @@ KINDS = (
 
 
 class TestOracleBayes:
+    def test_an_overflowing_representer_product_raises(self):
+        # G's rows hold about 1e300, so S = G C0 G^T + R overflows; its
+        # Cholesky factor would hide that, so S itself is checked
+        problem = small_problem(2, nt=33)
+        grid = problem.profile.grid
+        huge = Weight(grid=grid, values=np.full(grid.n, 1e300))
+        problem = AssimilationProblem(
+            profile=problem.profile,
+            q0=problem.q0,
+            observations=problem.observations,
+            weights=(huge, problem.weights[1]),
+            prior=problem.prior,
+        )
+        assert np.isfinite(problem.forward_rows).all()
+        message = r"^the low-rank posterior overflows: G C0 G\^T is not finite$"
+        with pytest.raises(NumericalError, match=message):
+            lowrank_posterior(problem)
+
     def test_zero_observations_return_the_prior(self):
         problem = small_problem(0, nt=49)
         mean = oracle_bayes(problem)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -40,6 +41,7 @@ from colflux.errors import (
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
+BENCH = Path(__file__).parents[1] / "bench"
 SRC = str(Path(colflux.__file__).resolve().parents[1])
 # NumPy 1.x imports numpy.random, and through secrets and hmac OpenSSL's
 # _hashlib, on ``import numpy`` itself
@@ -78,6 +80,18 @@ def run_cli(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config), encoding="utf-8")
     return main([config["scenario"], "--config", str(path)])
+
+
+# weights that read nothing beyond the two lowest modes
+CANONICAL_PAIR = ["rho_plus", "rho_minus", "rho_plus"]
+
+
+def golden_config(scenario, out, **blocks) -> dict:
+    """tests/data/golden_config.json for ``scenario``, writing to ``out``,
+    with the given blocks replaced; it has a uniform weight."""
+    doc = json.loads((DATA / "golden_config.json").read_text(encoding="utf-8"))
+    doc.update(scenario=scenario, out=str(out), **blocks)
+    return doc
 
 
 class TestParseConfig:
@@ -266,6 +280,30 @@ class TestExitCodes:
         assert "periodic prior needs a periodic mean" in report["message"]
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
+    @pytest.mark.parametrize("scenario", ["assimilate", "oracle_check"])
+    def test_a_weight_off_the_column_grid_fails_before_any_sweep(
+        self, tmp_path, capsys, monkeypatch, scenario
+    ):
+        # planted: the workspace hands out a weight of the right length on a
+        # column twice as tall
+        original = cli._Workspace.weight_for
+
+        def stray(ws, i):
+            values = original(ws, i).values
+            return observe.Weight(grid=numerics.ColumnGrid(h=2.0, n=values.size), values=values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep ran before the weights were checked")
+
+        monkeypatch.setattr(cli._Workspace, "weight_for", stray)
+        monkeypatch.setattr(transport, "_cn_sweep", refuse)
+        out = tmp_path / "out"
+        assert run_cli(tmp_path, small_config(scenario, out)) == 2
+        report = error_report(capsys)
+        assert report["error"] == "ValueError"
+        assert report["message"] == "every weight must live on the profile's grid"
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_a_failed_factorization_stops_before_the_posterior_mean(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -340,14 +378,18 @@ class TestExitCodes:
         assert "forward_map_rel_gap" not in values  # no scenario runs N sweeps
 
     def test_both_gaps_are_at_rounding_on_the_golden_config(self, tmp_path):
-        golden = str(DATA / "golden_config.json")
-        for scenario in ("assimilate", "oracle_check"):
-            assert main([scenario, "--config", golden, "--out", str(tmp_path / scenario)]) == 0
-        sketch = json.loads((tmp_path / "assimilate" / "assimilate.json").read_text())
-        oracle = json.loads((tmp_path / "oracle_check" / "oracle_report.json").read_text())
-        assert sketch["forward_map_sketch_rel_gap"] < 1e-12
-        # the same problem, so the same check of the same map
-        assert oracle["forward_map_sketch_rel_gap"] == sketch["forward_map_sketch_rel_gap"]
+        # golden solves n_modes modes in both scenarios (it has a uniform
+        # weight), its all-canonical variant only the pair in both
+        observations = golden_config("assimilate", tmp_path)["observations"]
+        for label, weights in (("golden", observations["weights"]), ("pair", CANONICAL_PAIR)):
+            blocks, out = {"observations": {**observations, "weights": weights}}, tmp_path / label
+            for scenario in ("assimilate", "oracle_check"):
+                assert run_cli(tmp_path, golden_config(scenario, out / scenario, **blocks)) == 0
+            sketch = json.loads((out / "assimilate" / "assimilate.json").read_text())
+            oracle = json.loads((out / "oracle_check" / "oracle_report.json").read_text())
+            assert sketch["forward_map_sketch_rel_gap"] < 1e-12
+            # the same problem, so the same check of the same map
+            assert oracle["forward_map_sketch_rel_gap"] == sketch["forward_map_sketch_rel_gap"]
 
     def test_gains_and_the_representer_gate_use_the_same_gains(self, tmp_path, monkeypatch):
         # the gate checks each observation's gain_XX.csv: from the coefficients
@@ -455,6 +497,17 @@ BLIND_TO_THE_PRIOR = {
 }
 
 
+# the command line with every Crank-Nicolson sweep refused: one would exit 3
+REFUSING_SWEEPS = (
+    "import sys\n"
+    "import colflux.cli as cli, colflux.transport as transport\n"
+    "def refuse(*args, **kwargs):\n"
+    "    raise AssertionError('a sweep ran')\n"
+    "transport._cn_sweep = refuse\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
 def two_observations_at(times):
     return {"times": times, "weights": ["uniform", "uniform"], "noise": [0.1, 0.1]}
 
@@ -503,7 +556,7 @@ class TestFailClosed:
                 "assimilate",
                 {"observations": {"weights": [CONSTANT_1E300, "rho_plus", "rho_plus"]}},
                 3,
-                "the low-rank posterior overflows",
+                "the low-rank posterior overflows: G C0 G^T is not finite",
                 True,
                 id="assimilate-weight-1e300",
             ),
@@ -591,6 +644,30 @@ class TestFailClosed:
                 1e-12,
                 True,
                 id="oracle_check-blind-to-prior",
+            ),
+            *(
+                pytest.param(
+                    scenario,
+                    # these three solve only the lowest two modes here, but
+                    # the config's 4 must still fit the grid
+                    {"grid": {"nz": 17, "nt": 16}, "observations": {"weights": CANONICAL_PAIR}},
+                    2,
+                    "n_modes must be between 1 and n//8 = 2 for this grid, got 4",
+                    True,
+                    id=f"{scenario}-modes-past-the-grid",
+                )
+                for scenario in ("assimilate", "oracle_check", "compare_altitude")
+            ),
+            *(
+                pytest.param(
+                    scenario,
+                    {"spectral": {"n_modes": 1}, "observations": {"weights": CANONICAL_PAIR}},
+                    2,
+                    "canonical weights need at least 2 modes, got 1",
+                    True,
+                    id=f"{scenario}-one-mode",
+                )
+                for scenario in ("assimilate", "oracle_check", "compare_altitude")
             ),
             pytest.param(
                 "validate",
@@ -704,8 +781,9 @@ class TestFailClosed:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
-        args = ["-m", "colflux.cli", scenario, "--config", str(path), "--out", str(out)]
-        proc = run_python(args, timeout=30)
+        # a config error must stop the run before any Crank-Nicolson sweep
+        run = ["-c", REFUSING_SWEEPS] if code == 2 else ["-m", "colflux.cli"]
+        proc = run_python([*run, scenario, "--config", str(path), "--out", str(out)], timeout=30)
         assert proc.returncode == code, proc.stderr
         if code == 0:
             assert proc.stderr == ""
@@ -890,6 +968,87 @@ class TestScenarios:
         good = small_config("oracle_check", out, grid={"nz": 161, "nt": 128})
         assert run_cli(tmp_path, good, name="good.json") == 0
         assert not (out / "error.json").exists()
+
+
+class TestModesSolved:
+    """A scenario that reads nothing beyond the canonical pair p0 +- p1
+    solves only the two lowest modes; every other solves n_modes."""
+
+    @pytest.mark.parametrize(
+        "scenario, config, solved",
+        [
+            ("compare_altitude", "pair", 2),
+            ("compare_altitude", "golden", 2),
+            ("assimilate", "pair", 2),
+            ("oracle_check", "pair", 2),
+            ("assimilate", "golden", 12),
+            ("oracle_check", "golden", 12),
+            ("assimilate", "uniform", 10),
+            ("oracle_check", "uniform", 10),
+            ("eigen", "pair", 10),
+            ("weights", "pair", 10),
+            ("gains", "pair", 10),
+            ("blind", "pair", 10),
+        ],
+    )
+    def test_modes_solved_by_each_scenario(self, tmp_path, monkeypatch, scenario, config, solved):
+        original, asked = cli.eigensystem, []
+
+        def spy(profile, n_modes):
+            asked.append(n_modes)
+            return original(profile, n_modes)
+
+        monkeypatch.setattr(cli, "eigensystem", spy)
+        out = tmp_path / "out"
+        if config == "golden":  # 12 modes and a uniform weight
+            doc = golden_config(scenario, out)
+        else:  # 10 modes
+            weights = ["uniform", *CANONICAL_PAIR[1:]] if config == "uniform" else CANONICAL_PAIR
+            doc = small_config(
+                scenario, out, observations={"weights": weights}, blind={"m": 8}
+            )
+        assert run_cli(tmp_path, doc) == 0
+        assert asked == [solved]
+
+    @pytest.mark.parametrize("grid", [None, {"nz": 2001, "nt": 64}], ids=["golden", "nz-2001"])
+    def test_lambda_1_agrees_with_eig_csv(self, tmp_path, grid):
+        # two modes against n_modes: bisection's error is eps ||T|| absolute,
+        # so lambda_1 agrees to the eigensolver's tolerance, not bit for bit
+        # (1.0e-12 on golden, 1.5e-10 at nz = 2001 and 32 modes)
+        blocks = {} if grid is None else {"grid": grid, "spectral": {"n_modes": 32}}
+        for scenario in ("eigen", "compare_altitude"):
+            assert run_cli(tmp_path, golden_config(scenario, tmp_path / scenario, **blocks)) == 0
+        table = (tmp_path / "eigen" / "eig.csv").read_text(encoding="utf-8").splitlines()
+        eigen = float(table[2].split(",")[1])  # the row of mode 1
+        pair = json.loads((tmp_path / "compare_altitude" / "compare_altitude.json").read_text())
+        assert abs(pair["lambda_1"] - eigen) <= 1e-8 * eigen
+
+
+def bench_module(name: str):
+    """bench/<name>.py, loaded from its file without writing bytecode there."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_estimate_workload_passes_the_benchmark_checks(tmp_path, monkeypatch):
+    # the benchmark's estimate jobs take the canonical pair, and its checks
+    # (AC3 and AC8) must hold there as they do in the harness
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads, checks = bench_module("workloads"), bench_module("checks")
+    doc = workloads.config("estimate", 1)
+    original, asked = cli.eigensystem, []
+    monkeypatch.setattr(
+        cli, "eigensystem", lambda profile, n: asked.append(n) or original(profile, n)
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for scenario in workloads.JOBS["estimate"]:
+        out = tmp_path / scenario
+        assert main([scenario, "--config", str(path), "--out", str(out)]) == 0
+        assert checks.check(scenario, doc, out) == []
+    assert asked == [2, 2]
 
 
 def test_every_csv_goes_through_the_one_formatter(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from colflux.errors import DomainError
 from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, _flapack
 from colflux.spectral import (
+    check_n_modes,
     eigensystem,
     expand_weight,
     expansion_residual,
@@ -112,6 +113,20 @@ class TestGeneralProfiles:
             eigensystem(profile, 0)
         assert eigensystem(profile, 10).n_modes == 10
 
+    def test_the_guard_is_one_check(self, monkeypatch):
+        # eigensystem asks check_n_modes, the guard the CLI asks too
+        grid = ColumnGrid(h=1.0, n=81)
+        message = "^n_modes must be between 1 and n//8 = 10 for this grid, got 11$"
+        with pytest.raises(DomainError, match=message):
+            check_n_modes(grid, 11)
+        assert check_n_modes(grid, 10.0) == 10 and check_n_modes(grid, 1) == 1
+        asked = []
+        monkeypatch.setattr(
+            spectral, "check_n_modes", lambda grid, n: asked.append(n) or check_n_modes(grid, n)
+        )
+        eigensystem(constant_profile(81), 3)
+        assert asked == [3]
+
 
 class ScipyEigensolver:
     """Stands in for the LAPACK module in ``spectral``: SciPy's
@@ -135,6 +150,8 @@ class PatchedLapack:
             w[:] = np.nan
         if self.fault == "nan mode":
             vecs[:, 2] = np.nan
+        if self.fault == "flat surface":  # mode 2 vanishes at z = 0
+            vecs[0, 2] = 0.0
         if self.fault == "too few":  # what a failed bisection leaves
             m, w, vecs = m - 1, w[:-1], vecs[:, :-1]
         return m, w, vecs, 1 if self.fault == "info" else info
@@ -172,8 +189,14 @@ class TestLapackEigensolve:
                 "NormalizationError",
                 "constant-mode eigenvalue nan exceeds rounding scale",
             ),
+            (
+                "flat surface",
+                "NormalizationError",
+                "mode 2 has surface value 0.000e+00 of its sup norm; "
+                "the surface-one gauge is ill-defined",
+            ),
         ],
-        ids=["info", "too-few", "nan-mode", "nan-eigenvalues"],
+        ids=["info", "too-few", "nan-mode", "nan-eigenvalues", "flat-surface"],
     )
     def test_planted_fault_exits_3_naming_its_cause(
         self, tmp_path, capsys, monkeypatch, fault, error, message
