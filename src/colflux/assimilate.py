@@ -8,8 +8,9 @@ The unknown is the surface flux F on the time grid. The cost is
 
 with the data-misfit term evaluated by the forward solver and the prior an
 inverse-Laplacian (Dirichlet or periodic zero-mean) or diagonal form on the
-time grid. One class per prior kind, named in ``_KINDS``, holds the kind's
-admissible set and projection, C0^{-1}, C0 and diag(C0). Gradients come
+time grid. Each PriorSpec is an object of its kind's class (``_KINDS``),
+which holds the kind's admissible set and projection, C0^{-1}, C0 and
+diag(C0), and the estimators call it directly. Gradients come
 from the exact discrete adjoint: the backward sweep uses the transposes of
 the Crank-Nicolson step matrices, so the directional-derivative identity
 holds to rounding and finite-difference checks are tight.
@@ -25,8 +26,8 @@ for all estimators, and CG costs O(N nt) per iteration with no sweep.
 ``cost``, ``gradient`` and ``hessian_form`` keep their own forward and
 adjoint sweeps, so they stay an independent check on the reused map.
 Every sweep is the one Crank-Nicolson loop of ``transport``; the forward
-solves (the free response and those of the cost) observe through
-``synthesize_data``, keeping only the N observed states, never the field.
+solves (the free response and those of the cost) keep only the N observed
+states, never the field.
 
 The posterior is the prior minus a rank-N update (the representer form
 with the Woodbury identity): with S = G C0 G^T + R,
@@ -69,8 +70,8 @@ from .numerics import (
     factor_tridiagonal,
     trapezoid,
 )
-from .observe import ObservationSet, Weight, add_noise, synthesize_data
-from .transport import FluxSignal, flux_sensitivity, impulse_response
+from .observe import ObservationSet, Weight, add_noise, apply_observation
+from .transport import FluxSignal, flux_sensitivity, impulse_response, solve_forward
 
 __all__ = [
     "PriorSpec",
@@ -102,19 +103,40 @@ ORACLE_MAX_NODES = 2048
 FORWARD_MAP_TOL = 1e-8
 
 
-class _DiagonalPrior:
-    """Covariance sigma^2 / w on each node; every nodal function is admissible.
+@dataclass(frozen=True)
+class PriorSpec:
+    """Gaussian prior on the flux: mean F0 and covariance family.
 
-    The base of the one class per prior kind, through which the estimators
-    reach C0; the other kinds override what their constraints change."""
+    ``kind`` selects the covariance: an inverse Laplacian with Dirichlet
+    endpoint conditions, an inverse Laplacian on periodic zero-mean
+    functions (the first and last node identified; the mean is removed
+    from F0 on construction), or a diagonal with variance sigma^2 / w on
+    each node. The spec is an object of its kind's class in ``_KINDS``:
+    this class is the diagonal kind, where every nodal function is
+    admissible, and the others override what their constraints change.
+    """
 
-    def __init__(self, grid, sigma: float):
-        self.n = grid.n
-        self.dt = grid.spacing
-        self.w = grid.weights
-        self.s2 = sigma**2
+    mean: FluxSignal
+    kind: str = "dirichlet_inverse_laplacian"
+    sigma: float = 1.0
 
-    def center(self, mean: FluxSignal) -> FluxSignal:
+    def __post_init__(self):
+        if self.kind not in PRIOR_KINDS:
+            msg = f"unknown prior kind {self.kind!r}; options are {PRIOR_KINDS}"
+            raise ValueError(msg)
+        if not _normal_square(self.sigma):
+            msg = f"sigma must be positive, with a normal-double square, got {self.sigma!r}"
+            raise ValueError(msg)
+        object.__setattr__(self, "__class__", _KINDS[self.kind])
+        grid = self.mean.grid
+        self.__dict__.update(n=grid.n, dt=grid.spacing, w=grid.weights, s2=self.sigma**2)
+        object.__setattr__(self, "mean", self._center(self.mean))
+
+    @property
+    def grid(self):
+        return self.mean.grid
+
+    def _center(self, mean: FluxSignal) -> FluxSignal:
         """F0, moved into the admissible set where the kind defines that."""
         return mean
 
@@ -153,7 +175,7 @@ class _DiagonalPrior:
         solve with a projected right-hand side stays in the subspace."""
 
 
-class _DirichletPrior(_DiagonalPrior):
+class _DirichletPrior(PriorSpec):
     """Inverse Laplacian -sigma^-2 d^2/dt^2 on functions vanishing at both ends."""
 
     def check(self, g):
@@ -208,10 +230,10 @@ class _DirichletPrior(_DiagonalPrior):
         a[_rfp_index(n, [0, n - 1], [0, n - 1])] = c
 
 
-class _PeriodicPrior(_DiagonalPrior):
+class _PeriodicPrior(PriorSpec):
     """Inverse Laplacian on periodic zero-mean functions; the last node is the first."""
 
-    def center(self, mean):
+    def _center(self, mean):
         v = mean.values
         scale = max(1.0, float(np.abs(v).max()))
         if abs(v[0] - v[-1]) > DOMAIN_TOL * scale:
@@ -323,40 +345,10 @@ class _PeriodicPrior(_DiagonalPrior):
 _KINDS = {
     "dirichlet_inverse_laplacian": _DirichletPrior,
     "periodic_zero_mean_inverse_laplacian": _PeriodicPrior,
-    "diagonal": _DiagonalPrior,
+    "diagonal": PriorSpec,
 }
 
 PRIOR_KINDS = tuple(_KINDS)
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Gaussian prior on the flux: mean F0 and covariance family.
-
-    ``kind`` selects the covariance: an inverse Laplacian with Dirichlet
-    endpoint conditions, an inverse Laplacian on periodic zero-mean
-    functions (the first and last node identified; the mean is removed
-    from F0 on construction), or a diagonal with variance sigma^2.
-    """
-
-    mean: FluxSignal
-    kind: str = "dirichlet_inverse_laplacian"
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            msg = f"unknown prior kind {self.kind!r}; options are {PRIOR_KINDS}"
-            raise ValueError(msg)
-        if not _normal_square(self.sigma):
-            msg = f"sigma must be positive, with a normal-double square, got {self.sigma!r}"
-            raise ValueError(msg)
-        family = _KINDS[self.kind](self.mean.grid, self.sigma)
-        object.__setattr__(self, "mean", family.center(self.mean))
-        object.__setattr__(self, "_family", family)
-
-    @property
-    def grid(self):
-        return self.mean.grid
 
 
 @dataclass(frozen=True)
@@ -499,8 +491,8 @@ def prior_apply_inverse(spec: PriorSpec, g) -> np.ndarray:
         1e-10 of its scale.
     """
     g = _nodal(g, (spec.grid.n,), "g")
-    spec._family.check(g)
-    return spec._family.apply_inverse(g)
+    spec.check(g)
+    return spec.apply_inverse(g)
 
 
 def prior_quadratic_form(spec: PriorSpec, g) -> float:
@@ -518,11 +510,8 @@ def _forward_map(problem: AssimilationProblem, flux_values: np.ndarray, q0=None)
     """Observations of the forward solution driven by nodal flux values."""
     flux = FluxSignal(grid=problem.prior.grid, values=flux_values)
     q0 = problem.q0 if q0 is None else q0
-    obs = problem.observations
-    noiseless = np.zeros(len(obs))
-    return synthesize_data(
-        problem.profile, flux, q0, problem.weights, obs.times, noiseless, seed=0
-    ).values
+    states = solve_forward(problem.profile, flux, q0, nodes=problem.obs_indices)
+    return np.array([apply_observation(w, u) for w, u in zip(problem.weights, states.T)])
 
 
 def cost(problem: AssimilationProblem, flux: FluxSignal) -> float:
@@ -552,7 +541,7 @@ def gradient(problem: AssimilationProblem, flux: FluxSignal) -> np.ndarray:
     u = _forward_map(problem, flux.values)
     resid = (u - problem.observations.values) / problem.observations.noise_levels**2
     euclid = flux_sensitivity(*problem._sweep_args, resid)
-    return problem.prior._family.to_function(euclid) + prior_term
+    return problem.prior.to_function(euclid) + prior_term
 
 
 def hessian_form(problem: AssimilationProblem, g) -> float:
@@ -600,7 +589,7 @@ def map_estimate(problem: AssimilationProblem):
         If the forward map fails its sketched check.
     """
     spec = problem.prior
-    project = spec._family.project
+    project = spec.project
     n = spec.grid.n
     g = problem.forward_rows
     r2 = problem.observations.noise_levels**2
@@ -615,7 +604,7 @@ def map_estimate(problem: AssimilationProblem):
     def hessian(x):  # W C0^{-1} x + G^T R^{-1} G x, for admissible x
         return spec.grid.weights * prior_apply_inverse(spec, x) + g.T @ (g @ x / r2)
 
-    precond = spec._family.covariance()
+    precond = spec.covariance()
     x = np.zeros(n)
     r = rhs.copy()
     rhs_norm = float(np.linalg.norm(rhs))
@@ -700,25 +689,25 @@ def _dense_posterior(problem: AssimilationProblem, square: bool = False):
     G^T R^{-1} (y - G F0 - free response); and the buffer A was formed and
     factored in: its RFP array (``numerics._rfp_index``), n(n+1)/2 doubles,
     or with ``square`` the n * n doubles that array is the prefix of."""
-    n = problem.prior.grid.n
+    prior = problem.prior
+    n = prior.grid.n
     check_oracle_capacity(n)
-    family = problem.prior._family
     g, noise = problem.forward_rows, problem.observations.noise_levels
-    rhs = family.project(g.T @ (problem.innovation / noise**2))
+    rhs = prior.project(g.T @ (problem.innovation / noise**2))
     h = g / noise[:, None]  # C order: h.T is the n x N Fortran-order matrix of h^T h
     buffer = np.empty(n * n if square else n * (n + 1) // 2)
     a = _flapack.dsfrk(n, len(h), 1.0, h.T, 0.0, buffer[: n * (n + 1) // 2])
-    family.add_form(a)
+    prior.add_form(a)
     # A is positive semidefinite, so no entry exceeds its diagonal's largest
     diagonal = a[_rfp_index(n, np.arange(n), np.arange(n))]
     if not (np.isfinite(diagonal).all() and np.isfinite(rhs).all()):
         raise NumericalError("the dense posterior precision overflows")
-    family.reduce(a, diagonal.min())
+    prior.reduce(a, diagonal.min())
     factor, info = _flapack.dpftrf(n, a)
     if info > 0:
         msg = f"not positive definite: leading minor {info} is not positive"
         raise NumericalError(f"the dense posterior precision is {msg}")
-    return problem.prior.mean.values + _flapack.dpftrs(n, factor, rhs)[0], buffer
+    return prior.mean.values + _flapack.dpftrs(n, factor, rhs)[0], buffer
 
 
 def oracle_bayes(problem: AssimilationProblem) -> np.ndarray:
@@ -747,7 +736,7 @@ def oracle_covariance(problem: AssimilationProblem) -> np.ndarray:
     n = problem.prior.grid.n
     buffer = _dense_posterior(problem, square=True)[1]
     factor = _flapack.dpftri(n, buffer[: n * (n + 1) // 2])[0]
-    problem.prior._family.reduce(factor, 0.0)
+    problem.prior.reduce(factor, 0.0)
     return _rfp_unpack(buffer, n)
 
 
@@ -779,7 +768,7 @@ def lowrank_posterior(problem: AssimilationProblem):
     """
     g = problem.forward_rows
     spec = problem.prior
-    precond = spec._family.covariance()
+    precond = spec.covariance()
     # rows C0 g_i; the reshape keeps the (0, nt) shape with no observations
     c0g = np.array([precond(row) for row in g]).reshape(g.shape)
     r2 = problem.observations.noise_levels**2
@@ -790,7 +779,7 @@ def lowrank_posterior(problem: AssimilationProblem):
     chol = np.linalg.cholesky(s)
     v = np.linalg.solve(chol, c0g)
     mean = spec.mean.values + v.T @ np.linalg.solve(chol, problem.innovation)
-    variance = spec._family.variance() - np.einsum("ij,ij->j", v, v)
+    variance = spec.variance() - np.einsum("ij,ij->j", v, v)
     if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
         raise NumericalError("the low-rank posterior overflows")
     return mean, variance

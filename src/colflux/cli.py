@@ -114,6 +114,8 @@ class _Workspace:
         self.profile = CoefficientProfile(
             grid=self.zgrid, k=self.values("model.k"), w=self.values("model.w")
         )
+        # checked here, so every scenario refuses it before any sweep or eigensolve
+        self.n_modes = check_n_modes(self.zgrid, config.n_modes)
 
     def values(self, path: str) -> np.ndarray:
         """The function spec at ``path`` on its grid; ConfigError unless finite."""
@@ -133,13 +135,13 @@ class _Workspace:
     @cached_property
     def eig(self):
         """The config's modes, or only the lowest two where the scenario reads
-        nothing beyond the canonical pair p0 +- p1; n_modes is checked either way."""
-        n_modes, scenario = check_n_modes(self.zgrid, self.config.n_modes), self.config.scenario
+        nothing beyond the canonical pair p0 +- p1."""
+        scenario = self.config.scenario
         pair = scenario == "compare_altitude" or (
             scenario in ("assimilate", "oracle_check")
             and all(w in ("rho_plus", "rho_minus") for w in self.config.obs_weights)
         )
-        return eigensystem(self.profile, min(2, n_modes) if pair else n_modes)
+        return eigensystem(self.profile, min(2, self.n_modes) if pair else self.n_modes)
 
     @property
     def flux(self) -> FluxSignal:
@@ -322,7 +324,7 @@ def _scenario_oracle_check(ws: _Workspace) -> None:
         # CG's MAP against the dense oracle's posterior mean
         "map_vs_oracle_mean_rel": _rel_gap(flux_map.values, mean),
         "max_representer_vs_gain_rel_l2": max_rel,
-        "n_modes": ws.config.n_modes,
+        "n_modes": ws.eig.n_modes,
         "n_observations": len(problem.observations),
     }
     _write_json(ws.path("oracle_report.json"), payload)

@@ -231,7 +231,7 @@ class TestPriorKinds:
             mean=FluxSignal(grid=tgrid, values=np.zeros(nodes)), kind=kind, sigma=0.7
         )
         x, y = np.random.default_rng(nodes).standard_normal((2, nodes))
-        return spec._family, tgrid, x, y
+        return spec, tgrid, x, y
 
     @pytest.fixture(params=PRIOR_KINDS)
     def kind(self, request):
@@ -239,21 +239,21 @@ class TestPriorKinds:
 
     def test_projection_is_idempotent_and_orthogonal(self, case):
         # conjugate gradients relies on <P x, y> = <x, P y>
-        family, _, x, y = case
-        px, py = family.project(x), family.project(y)
-        assert max_rel(family.project(px), px) <= 1e-14
+        prior, _, x, y = case
+        px, py = prior.project(x), prior.project(y)
+        assert max_rel(prior.project(px), px) <= 1e-14
         scale = np.linalg.norm(x) * np.linalg.norm(y)
         assert abs(np.dot(px, y) - np.dot(x, py)) <= 1e-14 * scale
 
     def test_projected_and_converted_vectors_are_admissible(self, case):
-        family, _, x, _ = case
-        family.check(family.project(x))
-        family.check(family.to_function(x))
+        prior, _, x, _ = case
+        prior.check(prior.project(x))
+        prior.check(prior.to_function(x))
 
     def test_covariance_inverts_the_weighted_precision(self, case):
-        family, tgrid, x, _ = case
-        px = family.project(x)
-        restored = family.covariance()(tgrid.weights * family.apply_inverse(px))
+        prior, tgrid, x, _ = case
+        px = prior.project(x)
+        restored = prior.covariance()(tgrid.weights * prior.apply_inverse(px))
         assert max_rel(restored, px) <= 1e-12
 
 
@@ -1069,6 +1069,16 @@ class TestOracleBayes:
         with pytest.raises(NumericalError, match=message):
             lowrank_posterior(problem)
 
+    def test_an_overflowing_result_raises_while_s_is_finite(self, monkeypatch):
+        # a planted infinite diag(C0) leaves S = G C0 G^T + R finite, so
+        # only the gate on the returned mean and variance can see it
+        problem = small_problem(2, nt=33)
+        monkeypatch.setattr(
+            type(problem.prior), "variance", lambda prior: np.full(prior.n, np.inf)
+        )
+        with pytest.raises(NumericalError, match="^the low-rank posterior overflows$"):
+            lowrank_posterior(problem)
+
     def test_zero_observations_return_the_prior(self):
         problem = small_problem(0, nt=49)
         mean = oracle_bayes(problem)
@@ -1183,7 +1193,7 @@ class TestOracleBayes:
             oracle_bayes(problem)
         h = problem.forward_rows / problem.observations.noise_levels[:, None]
         a = column_loop_prior_precision(problem) + h.T @ h
-        kept = problem.prior._family.project(np.ones(len(a))) != 0.0
+        kept = problem.prior.project(np.ones(len(a))) != 0.0
         block = a[np.ix_(kept, kept)]
         eps = np.finfo(float).eps
         assert factored[0].shape == a.shape
@@ -1230,12 +1240,11 @@ def unpacked(rfp, n):
 def column_loop_prior_precision(problem):
     """Dense W C0^{-1} one projected unit column at a time."""
     spec = problem.prior
-    family = spec._family
     n = spec.grid.n
     p = np.zeros((n, n))
     basis = np.eye(n)
     for j in range(n):
-        p[:, j] = spec.grid.weights * family.apply_inverse(family.project(basis[:, j]))
+        p[:, j] = spec.grid.weights * spec.apply_inverse(spec.project(basis[:, j]))
     return p
 
 
@@ -1246,11 +1255,11 @@ class TestDensePriorPrecision:
         # the oracle's tridiagonal form and the projected stencil columns
         # agree as forms on the admissible subspace
         problem = released_problem(kind, nodes=nodes)
-        family = problem.prior._family
+        prior = problem.prior
         stored = np.zeros(nodes * (nodes + 1) // 2)
-        family.add_form(stored)
+        prior.add_form(stored)
         banded = unpacked(stored, nodes)
-        proj = family.project(np.eye(nodes))
+        proj = prior.project(np.eye(nodes))
         expected = proj @ column_loop_prior_precision(problem) @ proj
         atol = 1e-13 * np.abs(expected).max(initial=0.0)
         np.testing.assert_allclose(proj @ banded @ proj, expected, rtol=0.0, atol=atol)
@@ -1259,10 +1268,10 @@ class TestDensePriorPrecision:
     def test_dirichlet_reduce_pins_the_end_nodes_and_keeps_the_interior(self, nodes):
         # P a P + c (I - P) zeroes the end rows and columns, puts c on their
         # diagonal, and touches no interior entry
-        family = released_problem(KINDS[0], nodes=nodes).prior._family
+        prior = released_problem(KINDS[0], nodes=nodes).prior
         x = np.random.default_rng(5).standard_normal((nodes, nodes))
         stored, before = packed(x + x.T), x + x.T
-        family.reduce(stored, 3.5)
+        prior.reduce(stored, 3.5)
         a = unpacked(stored, nodes)
         ends = np.zeros((2, nodes))
         ends[0, 0] = ends[1, -1] = 3.5
@@ -1272,11 +1281,11 @@ class TestDensePriorPrecision:
     @pytest.mark.parametrize("nodes", [2, 3, 4, 65, 1024, 1025])
     def test_periodic_reduce_is_the_projection_on_the_stored_triangle(self, nodes):
         # P a P + c (I - P), made on the packed lower triangle alone
-        family = released_problem(KINDS[1], nodes=nodes).prior._family
+        prior = released_problem(KINDS[1], nodes=nodes).prior
         x = np.random.default_rng(7).standard_normal((nodes, nodes))
         stored = packed(x + x.T)
-        family.reduce(stored, 3.5)
-        proj = family.project(np.eye(nodes))
+        prior.reduce(stored, 3.5)
+        proj = prior.project(np.eye(nodes))
         expected = proj @ (x + x.T) @ proj + 3.5 * (np.eye(nodes) - proj)
         atol = 1e-12 * np.abs(expected).max()
         np.testing.assert_allclose(unpacked(stored, nodes), expected, rtol=0.0, atol=atol)
@@ -1285,9 +1294,9 @@ class TestDensePriorPrecision:
     def test_dirichlet_covariance_is_the_interior_solve_bit_for_bit(self, nodes):
         # the preconditioner solves all n nodes, with unit end rows decoupled
         # from the interior; it must give the interior block's solve, padded
-        family = released_problem(KINDS[0], nodes=nodes).prior._family
-        coef = family.w[1:-1] / (family.s2 * family.dt**2)
-        apply = family.covariance()
+        prior = released_problem(KINDS[0], nodes=nodes).prior
+        coef = prior.w[1:-1] / (prior.s2 * prior.dt**2)
+        apply = prior.covariance()
         for r in np.random.default_rng(6).standard_normal((3, nodes)):
             interior = r[1:-1]
             if interior.size:
@@ -1298,9 +1307,7 @@ class TestDensePriorPrecision:
     def test_in_place_stencils_keep_their_rounding(self, nodes):
         # the stencils CG applies, bit-equal to their reference expressions
         rng = np.random.default_rng(8)
-        dirichlet, periodic = (
-            released_problem(kind, nodes).prior._family for kind in KINDS[:2]
-        )
+        dirichlet, periodic = (released_problem(kind, nodes).prior for kind in KINDS[:2])
         g = dirichlet.project(rng.standard_normal(nodes))
         expected = np.zeros(nodes)
         k = dirichlet.s2 * dirichlet.dt**2
@@ -1406,7 +1413,7 @@ class TestLowRankPosterior:
     def test_observing_never_adds_uncertainty(self, kind):
         problem = released_problem(kind, nodes=257)
         _, variance = lowrank_posterior(problem)
-        prior = problem.prior._family.variance()
+        prior = problem.prior.variance()
         assert np.all(variance >= 0.0)
         assert np.all(variance <= prior)
         # and it removes some wherever the prior leaves the flux free
@@ -1417,14 +1424,14 @@ class TestLowRankPosterior:
     @pytest.mark.parametrize("nodes", [2, 3, 4, 65])
     def test_prior_variance_is_the_dense_pseudo_inverse_diagonal(self, kind, nodes):
         problem = released_problem(kind, nodes=nodes)
-        prior = problem.prior._family.variance()
+        prior = problem.prior.variance()
         assert max_rel(prior, dense_prior_variance(problem)) <= 1e-12
 
     def test_zero_observations_return_the_prior(self):
         problem = small_problem(0, nt=49)
         mean, variance = lowrank_posterior(problem)
         np.testing.assert_array_equal(mean, problem.prior.mean.values)
-        np.testing.assert_array_equal(variance, problem.prior._family.variance())
+        np.testing.assert_array_equal(variance, problem.prior.variance())
 
     def test_disagreeing_constructions_raise(self, bumped_impulse_rows):
         problem = small_problem(2, nt=33)

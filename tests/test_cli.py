@@ -107,9 +107,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grid.bogus"):
             parse_config('{"scenario": "validate", "grid": {"nz": 65, "bogus": 1}}')
 
-    def test_invalid_json(self):
-        with pytest.raises(ConfigError, match="JSON"):
-            parse_config("{not json")
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "^config is not valid JSON"), ("[]", "^config must be a JSON object$")],
+        ids=["not-json", "not-an-object"],
+    )
+    def test_invalid_json(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -569,6 +574,21 @@ class TestFailClosed:
                 id="oracle_check-weight-1e300",
             ),
             pytest.param(
+                # the state released from q0 stays finite, but its weighted
+                # average overflows: a numerical failure, not a config error
+                "assimilate",
+                {
+                    "initial": {"kind": "constant", "value": 1e306},
+                    "observations": {
+                        "weights": [{"kind": "constant", "value": 1e3}, "rho_plus", "rho_plus"]
+                    },
+                },
+                3,
+                "the synthesized observations overflow",
+                True,
+                id="assimilate-free-response-overflows",
+            ),
+            pytest.param(
                 "simulate",
                 # observation times must be nodes of the grid: the default
                 # quarter points are not at t_end 1000 and nt 64
@@ -657,6 +677,22 @@ class TestFailClosed:
                     id=f"{scenario}-modes-past-the-grid",
                 )
                 for scenario in ("assimilate", "oracle_check", "compare_altitude")
+            ),
+            *(
+                pytest.param(
+                    scenario,
+                    # checked before any work, also where a scenario reads no
+                    # mode or reads them only after its sweeps
+                    {
+                        "grid": {"nz": 17, "nt": 16},
+                        "observations": {"weights": ["uniform", "uniform", "uniform"]},
+                    },
+                    2,
+                    "n_modes must be between 1 and n//8 = 2 for this grid, got 4",
+                    True,
+                    id=f"{scenario}-modes-past-the-grid-uniform",
+                )
+                for scenario in ("validate", "simulate", "assimilate", "oracle_check")
             ),
             *(
                 pytest.param(
@@ -1009,6 +1045,8 @@ class TestModesSolved:
             )
         assert run_cli(tmp_path, doc) == 0
         assert asked == [solved]
+        if scenario == "oracle_check":  # the report names the modes its gains used
+            assert json.loads((out / "oracle_report.json").read_text())["n_modes"] == solved
 
     @pytest.mark.parametrize("grid", [None, {"nz": 2001, "nt": 64}], ids=["golden", "nz-2001"])
     def test_lambda_1_agrees_with_eig_csv(self, tmp_path, grid):
@@ -1364,6 +1402,8 @@ class TestSchemaRegressions:
             ('{"seed": -1}', "seed"),
             ('{"prior": {"sigma": 1e-300}}', "prior.sigma"),
             ('{"observations": {"noise": [0.1, 1e200, 0.1]}}', "observations.noise[1]"),
+            ('{"flux": {"kind": "sine", "amplitude": 1, "cycles": 1, "phase": 0}}', "flux.phase"),
+            ('{"flux": {"kind": "sine", "amplitude": 1}}', "flux.cycles"),
         ],
     )
     def test_bad_document_exits_2_naming_the_path(self, tmp_path, capsys, text, path):

@@ -268,6 +268,10 @@ class TestExpInner:
         c = exp_inner_coefficients(grid, 2.0, 0.5)
         assert np.all(c[grid.index_of(0.5) + 1 :] == 0.0)
 
+    def test_a_zero_limit_integrates_over_nothing(self):
+        grid = TimeGrid(t_end=1.0, n=17)
+        assert np.array_equal(exp_inner_coefficients(grid, 2.0, 0.0), np.zeros(17))
+
     def test_series_branch_accuracy_across_cutoff(self):
         # both branches must reproduce cancellation-free references: expm1
         # for a constant signal, the alternating series for a ramp

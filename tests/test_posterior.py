@@ -327,10 +327,18 @@ class TestMonotoneWeightCheck:
         rho = Weight(grid=grid, values=grid.nodes)
         assert monotone_weight_check(profile, eig, rho, 0.75)
 
-    def test_non_monotone_weight_rejected(self, eig):
-        grid = eig.profile.grid
-        rho = Weight(grid=grid, values=np.sin(np.pi * grid.nodes))
-        with pytest.raises(ValueError, match="monotone"):
+    @pytest.mark.parametrize(
+        "n, shape, message",
+        [
+            (401, lambda z: np.sin(np.pi * z), "^weight is not monotone on the grid$"),
+            (201, lambda z: 1.0 - z, "^weight and profile grids differ$"),
+        ],
+        ids=["non-monotone", "other-grid"],
+    )
+    def test_weight_rejected(self, eig, n, shape, message):
+        grid = ColumnGrid(h=1.0, n=n)
+        rho = Weight(grid=grid, values=shape(grid.nodes))
+        with pytest.raises(ValueError, match=message):
             monotone_weight_check(eig.profile, eig, rho, 0.5)
 
 

@@ -242,6 +242,11 @@ class TestExpansion:
         rho = np.cos(20 * np.pi * z)  # orthogonal to all six kept modes
         assert expansion_residual(rho, eig) > 0.99
 
+    def test_zero_weight_has_zero_residual(self):
+        # the residual is relative to the weight's norm, which is 0 here
+        eig = eigensystem(constant_profile(161), 4)
+        assert expansion_residual(np.zeros(161), eig) == 0.0
+
     def test_shape_checks(self):
         eig = eigensystem(constant_profile(161), 4)
         with pytest.raises(ValueError, match="nodal"):
