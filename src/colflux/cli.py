@@ -427,68 +427,44 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _number(value, path: str) -> float:
-    """A finite real; JSON booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the double range
-        number = math.inf
-    if not math.isfinite(number):
-        _fail(path, f"expected a finite number, got {value!r}")
-    return number
+def _rule(condition, message: str, base=None, cast=None):
+    """A value check: ``base``'s, if any, then ``condition`` on what that returned,
+    failing with ``message`` and the value as given; returns ``cast(value)`` or that."""
 
-
-def _positive(value, path: str) -> float:
-    number = _number(value, path)
-    if number <= 0:
-        _fail(path, f"must be positive, got {value!r}")
-    return number
-
-
-def _scale(value, path: str) -> float:
-    """A standard deviation: positive, and its square a normal double."""
-    number = _number(value, path)
-    if not _normal_square(number):
-        message = f"must be positive, with a square that is a normal double, got {value!r}"
-        _fail(path, message)
-    return number
-
-
-def _integer(value, path: str) -> int:
-    _number(value, path)
-    if int(value) != value:
-        _fail(path, f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _count(value, path: str) -> int:
-    _positive(value, path)
-    return _integer(value, path)
-
-
-def _seed(value, path: str) -> int:
-    """A Philox key: an integer in [0, 2**128)."""
-    seed = _integer(value, path)
-    if not 0 <= seed < 2**128:
-        _fail(path, f"must lie in [0, 2**128), got {value!r}")
-    return seed
-
-
-def _choice(options: tuple):
     def check(value, path: str):
-        if value not in options:
-            _fail(path, f"expected one of {options}, got {value!r}")
-        return value
+        checked = base(value, path) if base else value
+        if not condition(checked):
+            _fail(path, f"{message}, got {value!r}")
+        return cast(value) if cast else checked
 
     return check
 
 
-def _nonempty_string(value, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        _fail(path, f"expected a nonempty string, got {value!r}")
-    return value
+def _real(value) -> float:
+    """``value`` as a double; an integer beyond the double range is inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+_numeric = _rule(  # JSON booleans are not numbers
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "expected a number",
+    cast=_real,
+)
+_number = _rule(math.isfinite, "expected a finite number", _numeric)
+_positive = _rule(lambda x: x > 0, "must be positive", _number)
+_scale = _rule(_normal_square, "must be positive, with a square that is a normal double", _number)
+_integer = _rule(float.is_integer, "expected an integer", _number, int)
+_count = _rule(float.is_integer, "expected an integer", _positive, int)
+# a Philox key, compared as the exact integer
+_seed = _rule(lambda n: 0 <= n < 2**128, "must lie in [0, 2**128)", _integer)
+_nonempty_string = _rule(lambda v: isinstance(v, str) and v != "", "expected a nonempty string")
+
+
+def _choice(options: tuple):
+    return _rule(lambda v: v in options, f"expected one of {options}")
 
 
 def _list_of(check):
@@ -740,6 +716,8 @@ def run_scenario(config: ExperimentConfig) -> int:
     try:
         _flapack.set_blas_threads(1)
         out.mkdir(parents=True, exist_ok=True)
+        for name in ("manifest.json", "error.json"):  # only this run's verdict stays
+            (out / name).unlink(missing_ok=True)
         try:
             ws = _Workspace(config, out)
         except AssumptionError as exc:
@@ -763,7 +741,6 @@ def run_scenario(config: ExperimentConfig) -> int:
             },
         }
         _write_json(out / "manifest.json", manifest)
-        (out / "error.json").unlink(missing_ok=True)
         return 0
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps errors to codes
         return _report_error(type(exc).__name__, _exit_code_for(exc), str(exc), out)

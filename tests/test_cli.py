@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -176,6 +177,44 @@ class TestExitCodes:
         assert _exit_code_for(StabilityError(step=3)) == 3
         assert _exit_code_for(DiagnosticError("x")) == 3
         assert _exit_code_for(CapacityError("x")) == 4
+        assert _exit_code_for(OSError("x")) == 2
+        assert _exit_code_for(RuntimeError("x")) == 3  # anything else
+
+    def test_an_unforeseen_error_exits_3_with_its_report(self, tmp_path, capsys, monkeypatch):
+        def boom(ws):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._SCENARIO_IMPL, "validate", boom)
+        out = tmp_path / "out"
+        assert run_cli(tmp_path, small_config("validate", out)) == 3
+        report = {"error": "RuntimeError", "exit_code": 3, "message": "boom"}
+        assert capsys.readouterr().err == json.dumps(report, indent=2) + "\n"
+        assert json.loads((out / "error.json").read_text(encoding="utf-8")) == report
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("second", ["fails", "interrupted"])
+    def test_only_the_last_runs_verdict_stays(self, tmp_path, capsys, monkeypatch, second):
+        # exit 0 means a manifest was written, so a later run into the same
+        # directory that fails, or is cut short, must not leave the earlier one
+        out = tmp_path / "out"
+        doc = {"grid": {"nz": 65, "nt": 64}, "spectral": {"n_modes": 4}, "blind": {"m": 3}}
+        assert run_cli(tmp_path, small_config("blind", out, **doc)) == 0
+        assert (out / "manifest.json").exists()
+        if second == "fails":
+            doc["blind"]["seed_function"] = {"kind": "constant", "value": 1e300}
+            assert run_cli(tmp_path, small_config("blind", out, **doc)) == 2
+            assert "seed's squared norm overflows" in error_report(capsys)["message"]
+            assert (out / "error.json").exists()
+        else:
+
+            def interrupt(ws):
+                raise KeyboardInterrupt
+
+            monkeypatch.setitem(cli._SCENARIO_IMPL, "blind", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(tmp_path, small_config("blind", out, **doc))
+            assert not (out / "error.json").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_missing_config_file(self, capsys):
         code = main(["validate", "--config", "/nonexistent/nowhere.json"])
@@ -502,15 +541,30 @@ BLIND_TO_THE_PRIOR = {
 }
 
 
-# the command line with every Crank-Nicolson sweep refused: one would exit 3
-REFUSING_SWEEPS = (
+# the command line with every Crank-Nicolson sweep refused, and the
+# eigensolve too unless the first argument is "allow-eigensolve": either
+# would exit 3
+REFUSING_WORK = (
     "import sys\n"
     "import colflux.cli as cli, colflux.transport as transport\n"
     "def refuse(*args, **kwargs):\n"
-    "    raise AssertionError('a sweep ran')\n"
+    "    raise AssertionError('a sweep or an eigensolve ran')\n"
     "transport._cn_sweep = refuse\n"
+    "if sys.argv.pop(1) != 'allow-eigensolve':\n"
+    "    cli.eigensystem = refuse\n"
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
+# the rows of TestFailClosed.test_table whose config error is raised only
+# after the eigensolve, by the code that reads the modes; ROADMAP item 4 is
+# to refuse them before it
+REFUSED_AFTER_THE_EIGENSOLVE = {
+    "blind-seed-norm-overflows",  # blind_direction: the seed against the exponentials
+    "blind-m-past-n_modes",  # blind_direction's guards on m
+    "blind-m-past-the-cap",
+    "assimilate-one-mode",  # canonical_weights
+    "oracle_check-one-mode",
+    "compare_altitude-one-mode",
+}
 
 
 def two_observations_at(times):
@@ -540,6 +594,22 @@ class TestFailClosed:
                 "seed's squared norm overflows",
                 True,
                 id="blind-seed-norm-overflows",
+            ),
+            pytest.param(
+                "blind",
+                {"blind": {"m": 5}},
+                2,
+                "m must be between 1 and n_modes = 4, got 5",
+                True,
+                id="blind-m-past-n_modes",
+            ),
+            pytest.param(
+                "blind",
+                {"grid": {"nz": 401, "nt": 64}, "spectral": {"n_modes": 41}, "blind": {"m": 41}},
+                2,
+                "m = 41 exceeds the conditioning cap 40; ",
+                True,
+                id="blind-m-past-the-cap",
             ),
             pytest.param(
                 "simulate",
@@ -810,15 +880,21 @@ class TestFailClosed:
             ),
         ],
     )
-    def test_table(self, tmp_path, scenario, extra, code, cause, clean):
+    def test_table(self, tmp_path, request, scenario, extra, code, cause, clean):
         # cause: a text of the error message; for an oracle_check that exits
         # 0, the bound its representer gap must meet
         doc = {"grid": {"nz": 65, "nt": 64}, "spectral": {"n_modes": 4}, **extra}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
-        # a config error must stop the run before any Crank-Nicolson sweep
-        run = ["-c", REFUSING_SWEEPS] if code == 2 else ["-m", "colflux.cli"]
+        # a config error must stop the run before any Crank-Nicolson sweep,
+        # and before the eigensolve but where the allowlist says otherwise
+        if code != 2:
+            run = ["-m", "colflux.cli"]
+        elif request.node.callspec.id in REFUSED_AFTER_THE_EIGENSOLVE:
+            run = ["-c", REFUSING_WORK, "allow-eigensolve"]
+        else:
+            run = ["-c", REFUSING_WORK, "refuse-eigensolve"]
         proc = run_python([*run, scenario, "--config", str(path), "--out", str(out)], timeout=30)
         assert proc.returncode == code, proc.stderr
         if code == 0:
@@ -1506,6 +1582,63 @@ class TestSchemaRegressions:
     def test_integral_floats_are_counts(self):
         config = parse_config('{"grid": {"nz": 65.0}}', overrides={"scenario": "eigen"})
         assert config.nz == 65 and isinstance(config.nz, int)
+
+
+# Every value rule of the schema over edge values: each entry is the type of
+# what the rule returns, which must equal that type made from the value (so
+# an integer comes back exact), or the message it fails with before ", got
+# {value!r}". The column order is RULE_VALUES's.
+RULE_VALUES = {
+    "true": True,
+    "zero": 0,
+    "negative": -1.5,
+    "half": 0.5,
+    "integral-float": 65.0,
+    "1e300": 1e300,
+    "10**400": 10**400,
+    "2**127+1": 2**127 + 1,
+    "2**128-1": 2**128 - 1,
+    "2**128": 2**128,
+    "nan": math.nan,
+    "empty": "",
+    "rho_top": "rho_top",
+    "uniform": "uniform",
+}
+NUM, FIN, POS = "expected a number", "expected a finite number", "must be positive"
+SCALE = "must be positive, with a square that is a normal double"
+INT, SEED = "expected an integer", "must lie in [0, 2**128)"
+ONE_OF = "expected one of ('uniform', 'rho_plus', 'rho_minus')"
+STR = "expected a nonempty string"
+RULE_TABLE = {
+    "_number": (NUM, float, float, float, float, float, FIN, float, float, float, FIN, NUM, NUM, NUM),
+    "_positive": (NUM, POS, POS, float, float, float, FIN, float, float, float, FIN, NUM, NUM, NUM),
+    "_scale": (NUM, SCALE, SCALE, float, float, SCALE, FIN, float, float, float, FIN, NUM, NUM, NUM),
+    "_integer": (NUM, int, INT, INT, int, int, FIN, int, int, int, FIN, NUM, NUM, NUM),
+    "_count": (NUM, POS, POS, INT, int, int, FIN, int, int, int, FIN, NUM, NUM, NUM),
+    "_seed": (NUM, int, INT, INT, int, SEED, FIN, int, int, SEED, FIN, NUM, NUM, NUM),
+    "_choice": (ONE_OF,) * 13 + (str,),
+    "_nonempty_string": (STR,) * 12 + (str, str),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, value, expected",
+    [
+        pytest.param(rule, value, expected, id=f"{rule[1:]}-{label}")
+        for rule, row in RULE_TABLE.items()
+        for (label, value), expected in zip(RULE_VALUES.items(), row, strict=True)
+    ],
+)
+def test_rule_table(rule, value, expected):
+    check = cli._choice(cli.WEIGHT_LABELS) if rule == "_choice" else getattr(cli, rule)
+    if isinstance(expected, type):
+        result = check(value, "p")
+        assert type(result) is expected
+        assert result == expected(value)
+    else:
+        with pytest.raises(ConfigError) as info:
+            check(value, "p")
+        assert str(info.value) == f"p: {expected}, got {value!r}"
 
 
 # any JSON value, including the non-finite floats Python's json reads and writes
