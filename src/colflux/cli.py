@@ -82,7 +82,13 @@ from .observe import (
     write_observations_csv,
     write_weight_csv,
 )
-from .posterior import analyze_gain, blind_direction, gain_direction, gain_projections
+from .posterior import (
+    BLIND_MAX_MODES,
+    analyze_gain,
+    blind_direction,
+    gain_direction,
+    gain_projections,
+)
 from .spectral import check_n_modes, eigensystem, expand_weight, expansion_residual
 from .transport import (
     FluxSignal,
@@ -137,7 +143,7 @@ class _Workspace:
         """The config's modes, or only the lowest two where the scenario reads
         nothing beyond the canonical pair p0 +- p1."""
         scenario = self.config.scenario
-        pair = scenario == "compare_altitude" or (
+        pair = scenario in ("compare_altitude", "weights") or (
             scenario in ("assimilate", "oracle_check")
             and all(w in ("rho_plus", "rho_minus") for w in self.config.obs_weights)
         )
@@ -421,6 +427,7 @@ SCENARIOS = tuple(_SCENARIO_IMPL)
 
 WEIGHT_LABELS = ("uniform", "rho_plus", "rho_minus")
 _ZERO = {"kind": "constant", "value": 0.0}  # the default of three function specs
+_MAX_NODES = 2**24  # the most grid nodes or modes: one nodal array is then 128 MiB
 
 
 def _fail(path: str, message: str):
@@ -461,6 +468,10 @@ _count = _rule(float.is_integer, "expected an integer", _positive, int)
 # a Philox key, compared as the exact integer
 _seed = _rule(lambda n: 0 <= n < 2**128, "must lie in [0, 2**128)", _integer)
 _nonempty_string = _rule(lambda v: isinstance(v, str) and v != "", "expected a nonempty string")
+
+
+def _count_to(cap: int):
+    return _rule(lambda n: n <= cap, f"must be at most {cap}", _count)
 
 
 def _choice(options: tuple):
@@ -556,9 +567,9 @@ class ExperimentConfig:
     scenario: str = _key("scenario", _choice(SCENARIOS))
     h: float = _key("model.h", _positive, 1.0)
     t_end: float = _key("grid.t_end", _positive, 1.0)
-    nz: int = _key("grid.nz", _count, 1001)
-    nt: int = _key("grid.nt", _count, 1024)
-    n_modes: int = _key("spectral.n_modes", _count, 32)
+    nz: int = _key("grid.nz", _count_to(_MAX_NODES), 1001)
+    nt: int = _key("grid.nt", _count_to(_MAX_NODES), 1024)
+    n_modes: int = _key("spectral.n_modes", _count_to(_MAX_NODES), 32)
     seed: int = _key("seed", _seed, 0)
     out_dir: str = _key("out", _nonempty_string, "colflux_out")
     k_spec: dict = _key("model.k", _function_spec, {"kind": "constant", "value": 1.0}, "column")
@@ -570,7 +581,7 @@ class ExperimentConfig:
     prior_kind: str = _key("prior.kind", _choice(PRIOR_KINDS), "dirichlet_inverse_laplacian")
     prior_sigma: float = _key("prior.sigma", _scale, 1.0)
     prior_mean_spec: dict = _key("prior.mean", _function_spec, _ZERO, "time")
-    blind_m: int = _key("blind.m", _count, 20)
+    blind_m: int = _key("blind.m", _count_to(BLIND_MAX_MODES), 20)
     blind_t_obs: float | None = _key("blind.t_obs", _positive, None)
     blind_seed_spec: dict = _key(
         "blind.seed_function", _function_spec, {"kind": "parabola", "amplitude": 1.0}, "time"

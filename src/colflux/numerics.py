@@ -56,7 +56,7 @@ _NAMES = ("scipy_{}_64_", "{}_64_")
 # routine can write into them) where of that type and in Fortran order.
 _SIGNATURES = {
     "dpftrf": "cciD", "dpftri": "cciD", "dpftrs": "cciiDDi", "dpttrf": "iDD", "dpttrs": "iiDDDi",
-    "dsfrk": "ccciidDidD", "dstevx": "cciDDddiidIDDiDII",
+    "dsfrk": "ccciidDidD", "dstebz": "cciddiidDDIIDIIDI", "dstein": "iDDiDIIDiDII",
 }
 # A BLAS-like routine with no ``info`` argument
 _NO_INFO = {"dsfrk"}
@@ -142,18 +142,31 @@ class _Lapack:
             raise ValueError(f"b needs leading dimension {n}, got shape {x.shape}")
         return x, self._bind("dpftrs", b"N", b"L", n, x.size // ldb, _rfp_array(a, n), x, ldb)()
 
-    def dstevx(self, d, e, n_modes):
-        """The ``n_modes`` smallest eigenvalues of the symmetric tridiagonal
-        (``d``, ``e``), increasing, with unit eigenvectors: bisection to full
-        accuracy, inverse iteration and a sort, on copies of ``d`` and ``e``
-        (LAPACK may scale them). Returns the count found too."""
-        n, m = len(d), np.zeros(1, np.int64)
-        w, z, work = np.empty(n), np.empty((n, n_modes), order="F"), np.empty(5 * n)
-        iwork, ifail = np.empty(5 * n, np.int64), np.empty(n, np.int64)
-        d, e = np.array(d, float), np.array(e, float)
-        args = (n, d, e, 0.0, 0.0, 1, n_modes, 0.0, m, w, z, max(n, 1), work, iwork, ifail)
-        info = self._bind("dstevx", b"V", b"I", *args)()
-        return int(m[0]), w[: m[0]], z[:, : m[0]], info
+    def dstebz(self, d, e, count, abstol):
+        """Bisection for the ``count`` smallest eigenvalues of the symmetric
+        tridiagonal (``d``, ``e``) to within ``abstol``, grouped by the blocks
+        the matrix splits into (order ``'B'``, which ``dstein`` takes), with
+        each one's block and the blocks' last rows; and ``info``. A short
+        count shows as fewer eigenvalues."""
+        n, m, nsplit = len(d), np.zeros(1, np.int64), np.zeros(1, np.int64)
+        if np.shape(e) != (n - 1,):
+            raise ValueError(f"e needs shape {(n - 1,)}, got {np.shape(e)}")
+        w, iblock, isplit = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+        work, iwork = np.empty(4 * n), np.empty(3 * n, np.int64)
+        args = (n, 0.0, 0.0, 1, count, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork)
+        info = self._bind("dstebz", b"I", b"B", *args)()
+        return w[: m[0]], iblock[: m[0]], isplit, info
+
+    def dstein(self, d, e, w, iblock, isplit):
+        """Unit eigenvectors of (``d``, ``e``) by inverse iteration, one per
+        eigenvalue in ``w`` as ``dstebz`` returns them; and ``info``, the
+        count of vectors that did not converge."""
+        n, m = len(d), len(w)
+        if np.shape(e) != (n - 1,) or np.shape(iblock) != (m,) or np.shape(isplit) != (n,):
+            raise ValueError("dstein needs n - 1 off-diagonals, m blocks and n splits")
+        z, ifail = np.empty((n, m), order="F"), np.empty(m, np.int64)
+        args = (n, d, e, m, w, iblock, isplit, z, max(n, 1), np.empty(5 * n))
+        return z, self._bind("dstein", *args, np.empty(n, np.int64), ifail)()
 
 
 _flapack = _Lapack()

@@ -48,7 +48,8 @@ class Weight:
     The modeling assumption downstream (monotonicity analysis, canonical
     pairs) is that weights are nonnegative; truncated or synthesized
     weights can dip below zero, so that is recorded in ``is_nonnegative``
-    rather than rejected here.
+    rather than rejected here. A weight built from computed modes is
+    nonnegative if no value lies below ``-tolerance``, their rounding.
 
     Parameters
     ----------
@@ -58,12 +59,15 @@ class Weight:
         Mode-basis coefficients when the weight was built from (or expanded
         in) an eigensystem.
     label : str
+    tolerance : float, optional
+        How far the values may lie from the exact ones (default 0).
     """
 
     grid: ColumnGrid
     values: np.ndarray
     coefficients: np.ndarray | None = None
     label: str = ""
+    tolerance: float = 0.0
 
     def __post_init__(self):
         v = _frozen(self.values, (self.grid.n,), "weight")
@@ -73,7 +77,7 @@ class Weight:
 
     @property
     def is_nonnegative(self) -> bool:
-        return bool(self.values.min() >= 0.0)
+        return bool(self.values.min() >= -self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,8 @@ def canonical_weights(eig: EigenSystem) -> tuple[Weight, Weight]:
     near the top (it vanishes at the surface). Coefficient vectors (1, 1)
     and (1, -1) ride along. For variable coefficients the first mode can
     dip below the constant mode, making rho_minus negative somewhere; that
-    is reported by the weights' ``is_nonnegative`` flag, not raised.
+    is reported by the weights' ``is_nonnegative`` flag, not raised; the
+    flag allows for the two modes' rounding (``EigenSystem.mode_errors``).
     """
     if eig.n_modes < 2:
         msg = f"canonical weights need at least 2 modes, got {eig.n_modes}"
@@ -137,7 +142,7 @@ def canonical_weights(eig: EigenSystem) -> tuple[Weight, Weight]:
         coeff = np.zeros(eig.n_modes)
         coeff[:2] = (1.0, sign)
         values = eig.modes[:, 0] + sign * eig.modes[:, 1]
-        pair.append(Weight(grid=grid, values=values, coefficients=coeff, label=label))
+        pair.append(Weight(grid, values, coeff, label, float(eig.mode_errors[:2].sum())))
     return tuple(pair)
 
 

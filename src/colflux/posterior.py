@@ -41,6 +41,7 @@ from .observe import Weight
 from .spectral import EigenSystem, expand_weight
 
 __all__ = [
+    "BLIND_MAX_MODES",
     "GainDirection",
     "PosteriorModel",
     "GainAnalysis",

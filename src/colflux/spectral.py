@@ -44,6 +44,12 @@ RESOLUTION_FACTOR = 8
 #: to the surface-one convention without blowing up.
 SURFACE_GAUGE_TOL = 1e-8
 
+EPS = np.finfo(float).eps
+
+#: Bisection's absolute tolerance on the tridiagonal scaled to a largest
+#: diagonal in [1/2, 1): as far as inverse iteration needs to converge.
+BISECTION_TOL = 2.0**12 * EPS
+
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -60,6 +66,12 @@ class EigenSystem:
         Squared mu-weighted norms of the columns (trapezoid quadrature).
     mu : numpy.ndarray
         Nodal samples of the weight mu = exp(int w/k).
+    mode_errors : numpy.ndarray
+        Each mode's rounding: its residual plus eps times the operator's
+        norm, over the gap to its nearest eigenvalue, which bounds the angle
+        between the computed and the exact discrete mode (Davis-Kahan). That
+        is the size of a smooth nodal error of the surface-one mode. The
+        constant mode's is 0: it is set exactly.
     """
 
     profile: CoefficientProfile
@@ -67,6 +79,7 @@ class EigenSystem:
     modes: np.ndarray
     mu_norms: np.ndarray
     mu: np.ndarray
+    mode_errors: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -106,6 +119,12 @@ def check_n_modes(grid: ColumnGrid, n_modes) -> int:
 def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     """Compute the lowest ``n_modes`` modes of the adjoint operator.
 
+    Bisection brackets the lowest ``n_modes + 1`` eigenvalues only as
+    tightly as inverse iteration needs; each eigenvalue is then its mode's
+    Rayleigh quotient in the stiffness form, accurate to |r|^2/gap for the
+    mode's residual r (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    The extra mode gives the top kept mode its gap for ``mode_errors``.
+
     Parameters
     ----------
     profile : CoefficientProfile
@@ -124,11 +143,12 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     NumericalError
         NormalizationError if a computed mode (nearly) vanishes at the
         surface, so the surface-one gauge cannot be applied; NumericalError
-        itself if LAPACK fails, finds too few eigenvalues or returns non-finite
-        modes.
+        itself if LAPACK fails or finds too few eigenvalues, a mode is not
+        finite, or a quotient leaves its bisection bracket or its residual
+        exceeds the bisection tolerance.
     """
     grid = profile.grid
-    n_modes = check_n_modes(grid, n_modes)
+    count = check_n_modes(grid, n_modes) + 1
 
     dz = grid.spacing
     mu = mu_weight(profile)
@@ -139,36 +159,25 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     a_diag = np.zeros(grid.n)
     a_diag[:-1] += face
     a_diag[1:] += face
-    a_off = -face
     b = grid.weights * mu
 
-    # similarity transform to an ordinary symmetric tridiagonal problem
+    # similarity transform to an ordinary symmetric tridiagonal problem,
+    # scaled by a power of two (exact) to a largest diagonal in [1/2, 1)
     sqrt_b = np.sqrt(b)
     d = _nodal(a_diag / b, (grid.n,), "eigenproblem diagonal")
-    e = _nodal(a_off / (sqrt_b[:-1] * sqrt_b[1:]), (grid.n - 1,), "eigenproblem band")
-    # eigh_tridiagonal(select="i")'s bisection, inverse iteration and sort in
-    # one call, which drops the bisection's info: a short count shows it
-    m, vals, vecs, info = _flapack.dstevx(d, e, n_modes)
-    scale = f"largest diagonal {np.abs(d).max():.3e}; lower model.k or grid.nz"
-    if info != 0 or m < n_modes:
-        msg = f"LAPACK dstevx failed with info={info}, {m} of {n_modes} eigenvalues"
-        raise NumericalError(f"{msg} found at {scale}")
-    if not np.isfinite(vecs.sum()):  # NaN modes with info=0; unit columns sum finitely
-        raise NumericalError(f"LAPACK dstevx gave non-finite modes at {scale}")
+    where = f"largest diagonal {np.abs(d).max():.3e}; lower model.k or grid.nz"
+    power = np.frexp(np.abs(d).max())[1]
+    d, face = np.ldexp(d, -power), np.ldexp(face, -power)
+    e = _nodal(-face / (sqrt_b[:-1] * sqrt_b[1:]), (grid.n - 1,), "eigenproblem band")
+    bracket, modes = _eigenpairs(d, e, count, BISECTION_TOL, where)
+    if not np.isfinite(modes.sum()):  # NaN modes with info=0; unit columns sum finitely
+        raise NumericalError(f"LAPACK dstein gave non-finite modes at {where}")
 
-    # the operator is positive semidefinite with an exact null vector: the
-    # stiffness rows sum to zero, so constants are annihilated in exact
-    # arithmetic and the first eigenvalue is zero up to solver rounding.
-    # Pin it, and treat anything beyond backward-error scale as a failure.
-    tol = 100.0 * np.finfo(float).eps * max(float(np.abs(d).max()), 1.0)
-    if not abs(vals[0]) <= tol:
-        msg = f"constant-mode eigenvalue {float(vals[0])} exceeds rounding scale"
-        raise NormalizationError(msg)
-    vals = np.maximum(vals, 0.0)
-    vals[0] = 0.0
-
-    modes = vecs  # formed in place, in LAPACK's output buffer
+    # the stiffness rows sum to zero, so the constants are the null space:
+    # mode 0 is set to them exactly, and the others made B-orthogonal to it
     modes /= sqrt_b[:, None]
+    modes[:, 0] = 1.0
+    modes[:, 1:] -= (b @ modes[:, 1:]) / b.sum()
     sup = np.maximum(modes.max(axis=0), -modes.min(axis=0))
     surface = modes[0] / sup
     small = ~(np.abs(surface) >= SURFACE_GAUGE_TOL)
@@ -181,12 +190,61 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
         raise NormalizationError(msg)
     modes /= modes[0].copy()
 
-    mu_norms = (grid.weights * mu) @ (modes**2)
-    for arr in (vals, modes, mu_norms, mu):
+    # Rayleigh quotients and residual norms |T v - q v| of the unit vectors
+    # v = sqrt(B) p, one column at a time: no n x count temporaries
+    mu_norms, vals, residuals = np.empty((3, count))
+    for k in range(count):
+        p = modes[:, k]
+        flux = face * np.diff(p)
+        mu_norms[k] = b @ p**2
+        vals[k] = flux @ np.diff(p) / mu_norms[k]
+        r = vals[k] * b * p
+        r[:-1] += flux
+        r[1:] -= flux
+        residuals[k] = np.linalg.norm(r / sqrt_b) / np.sqrt(mu_norms[k])
+    outside = ~(np.abs(vals - bracket) <= BISECTION_TOL)
+    loose = ~(residuals <= BISECTION_TOL)
+    for bad, value, what in (
+        (outside, vals, "Rayleigh quotient {:.6e} lies outside its bisection bracket"),
+        (loose, residuals, "residual {:.3e} exceeds the bisection tolerance {:.3e}"),
+    ):
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = what.format(*np.ldexp([value[k], BISECTION_TOL], power))
+            raise NumericalError(f"mode {k}'s {what} at {where}")
+
+    # each mode's angle bound: its residual and a rounding of the matrix
+    # norm, over its distance to the neighbouring eigenvalues
+    gaps = np.abs(np.diff(vals))
+    rounding = EPS * (d.max() + 2.0 * np.abs(e).max())  # eps times a bound on |T|
+    with np.errstate(divide="ignore"):  # a zero gap: the mode is undetermined
+        errors = (residuals[1:-1] + rounding) / np.minimum(gaps[:-1], gaps[1:])
+    vals = np.ldexp(vals[: count - 1], power)
+    modes, mu_norms = modes[:, : count - 1], mu_norms[: count - 1]
+    errors = np.concatenate(([0.0], errors))
+    for arr in (vals, modes, mu_norms, mu, errors):
         arr.setflags(write=False)
-    return EigenSystem(
-        profile=profile, eigenvalues=vals, modes=modes, mu_norms=mu_norms, mu=mu
-    )
+    return EigenSystem(profile, vals, modes, mu_norms, mu, errors)
+
+
+def _eigenpairs(d, e, count, tol, where):
+    """The ``count`` lowest eigenvalues of the symmetric tridiagonal (``d``,
+    ``e``), increasing, bisected to within ``tol``, and their unit
+    eigenvectors by inverse iteration: ``dstebz``, ``dstein`` and a sort,
+    the calls of SciPy's ``eigh_tridiagonal(select="i", tol=tol)``.
+    NumericalError, ending in ``where``, if either routine fails."""
+    w, iblock, isplit, info = _flapack.dstebz(d, e, count, tol)
+    if info != 0 or len(w) < count:
+        msg = f"LAPACK dstebz failed with info={info}, {len(w)} of {count} eigenvalues"
+        raise NumericalError(f"{msg} found at {where}")
+    vecs, info = _flapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        msg = f"LAPACK dstein failed with info={info}: eigenvectors did not converge"
+        raise NumericalError(f"{msg} at {where}")
+    order = np.argsort(w)  # ordered within each block the matrix splits into
+    if (order != np.arange(count)).any():  # split: a sorted copy
+        w, vecs = w[order], vecs[:, order]
+    return w, vecs
 
 
 def _mu_dot(eig: EigenSystem, f, g) -> np.ndarray:

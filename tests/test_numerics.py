@@ -20,7 +20,6 @@ import scipy.linalg.lapack as scipy_lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
-from scipy.linalg import eigh_tridiagonal
 
 import colflux.numerics as numerics
 from colflux.cli import _blind_weights
@@ -409,7 +408,9 @@ class TestFactorTridiagonal:
 
 
 #: The routines colflux binds from the LAPACK NumPy links, sorted.
-LAPACK_ROUTINES = ["dpftrf", "dpftri", "dpftrs", "dpttrf", "dpttrs", "dsfrk", "dstevx"]
+LAPACK_ROUTINES = [
+    "dpftrf", "dpftri", "dpftrs", "dpttrf", "dpttrs", "dsfrk", "dstebz", "dstein",
+]
 
 
 def openblas_version(module) -> str | None:
@@ -441,6 +442,19 @@ def assert_same_openblas_result(ours, ref, n, scale):
         np.testing.assert_array_equal(ours, ref)
     else:
         assert np.abs(ours - ref).max(initial=0.0) <= n * np.finfo(float).eps * scale
+
+
+def assert_same_eigenpairs(lapack, diag, off, count, tol):
+    """``lapack``'s dstebz and dstein give SciPy's answers, bit for bit."""
+    w, iblock, isplit, info = lapack.dstebz(diag, off, count, tol)
+    m, *ref, ref_info = scipy_lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, count, tol, "B")
+    assert (len(w), info) == (m, ref_info) == (count, 0)
+    for ours, theirs in zip((w, iblock), ref):
+        np.testing.assert_array_equal(ours, theirs[:m])
+    z, info = lapack.dstein(diag, off, w, iblock, isplit)
+    ref_z, ref_info = scipy_lapack.dstein(diag, off, ref[0][:m], *ref[1:])
+    assert info == ref_info == 0
+    np.testing.assert_array_equal(z, ref_z)
 
 
 def symmetric_bands(n, seed=14):
@@ -503,6 +517,20 @@ class TestLapackModule:
         with pytest.raises(ValueError, match="b needs leading dimension 4, got shape"):
             lapack.dpftrs(4, np.empty(10), np.ones(3))
 
+    def test_eigen_routines_refuse_arrays_of_the_wrong_size(self):
+        # LAPACK would read past the end of a short band or block list
+        lapack, ones = numerics._flapack, np.ones(4)
+        with pytest.raises(ValueError, match=r"e needs shape \(3,\), got \(4,\)"):
+            lapack.dstebz(ones, ones, 2, 0.0)
+        blocks, splits = np.ones(2, np.int64), np.full(4, 4)
+        for e, iblock, isplit in [
+            (ones, blocks, splits),
+            (ones[:3], blocks[:1], splits),
+            (ones[:3], blocks, splits[:1]),
+        ]:
+            with pytest.raises(ValueError, match="dstein needs n - 1 off-diagonals, m blocks"):
+                lapack.dstein(ones, e, ones[:2], iblock, isplit)
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_rfp_index_is_lapacks_layout(self, n):
         # dtrttf packs the lower triangle; the helper must find every entry
@@ -553,26 +581,17 @@ class TestLapackModule:
             x = solve(b)
             assert x.shape == b.shape
             np.testing.assert_array_equal(x, scipy_lapack.dpttrs(*ref[:2], b)[0])
-        modes = min(n, 40)  # one call for eigh_tridiagonal(select="i")'s three
-        m, w, z, info = numerics._flapack.dstevx(diag, off, modes)
-        ref_w, ref_z = eigh_tridiagonal(diag, off, select="i", select_range=(0, modes - 1))
-        assert (m, info) == (modes, 0)
-        np.testing.assert_array_equal(w, ref_w)
-        np.testing.assert_array_equal(z, ref_z)
+        assert_same_eigenpairs(numerics._flapack, diag, off, min(n, 40), 2.0**-40)
 
-    def test_dstevx_scales_copies_of_its_bands(self):
-        # past a norm of about 8e76 LAPACK scales the bands in place; the
-        # caller's arrays must stay as they were
-        diag, off = symmetric_bands(101)
-        big = (1e150 * diag, 1e150 * off)
-        kept = [band.copy() for band in big]
-        m, w, z, info = numerics._flapack.dstevx(*big, 8)
-        assert (m, info) == (8, 0)
-        for band, copy in zip(big, kept):
-            np.testing.assert_array_equal(band, copy)
-        ref_w, ref_z = numerics._flapack.dstevx(diag, off, 8)[1:3]
-        np.testing.assert_allclose(w, 1e150 * ref_w, rtol=1e-13)
-        np.testing.assert_allclose(np.abs(z), np.abs(ref_z), rtol=0, atol=1e-12)
+    def test_eigen_routines_only_read_their_bands(self):
+        # eigensystem scales its own copies of the bands; the routines must
+        # leave them, even past the norm (about 8e76) where dstevx scaled in place
+        for scale in (1.0, 1e150):
+            diag, off = (scale * band for band in symmetric_bands(101))
+            kept = diag.copy(), off.copy()
+            assert_same_eigenpairs(numerics._flapack, diag, off, 8, 0.0)
+            for band, copy in zip((diag, off), kept):
+                np.testing.assert_array_equal(band, copy)
 
     def test_sweep_step_in_place_equals_the_solver(self):
         diag, off = cn_left_bands(nz=1001)
@@ -665,6 +684,8 @@ class TestLapackModule:
 
         for ours, theirs in zip(oracle_calls(lapack), oracle_calls(numerics._flapack)):
             np.testing.assert_array_equal(ours, theirs)
+        # and the eigensolve's two
+        assert_same_eigenpairs(lapack, *symmetric_bands(41), 5, 2.0**-40)
 
     def test_thread_count_is_openblas_own(self):
         code = "from colflux.numerics import _flapack; print(_flapack.blas_threads())"

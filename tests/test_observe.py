@@ -74,6 +74,18 @@ class TestCanonicalWeights:
         for w in canonical_weights(eig):
             assert w.is_nonnegative
 
+    @pytest.mark.parametrize("nz, n_modes", [(1001, 2), (1001, 32), (4001, 2), (4001, 40)])
+    def test_the_sign_allows_for_the_modes_rounding_only(self, nz, n_modes):
+        # 1 + cos(pi z) is 0 at the bottom; its computed value may fall below
+        # 0 by rounding, within the two modes' bound, and never further
+        eig = eigensystem(constant_profile(nz), n_modes)
+        plus, minus = canonical_weights(eig)
+        assert plus.tolerance == minus.tolerance == eig.mode_errors[1] > 0.0
+        assert plus.is_nonnegative and minus.is_nonnegative
+        lower = plus.values - 2 * plus.tolerance  # below 0 by more than the bound
+        assert not Weight(plus.grid, lower, tolerance=plus.tolerance).is_nonnegative
+        assert not Weight(plus.grid, np.minimum(plus.values, -1e-300)).is_nonnegative
+
     def test_needs_two_modes(self):
         eig = eigensystem(constant_profile(), 1)
         with pytest.raises(ValueError, match="2 modes"):

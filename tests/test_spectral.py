@@ -1,6 +1,7 @@
 """Adjoint eigensystem, weight expansions, and the mode-density sums."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,75 +129,164 @@ class TestGeneralProfiles:
         assert asked == [3]
 
 
-class ScipyEigensolver:
-    """Stands in for the LAPACK module in ``spectral``: SciPy's
-    ``eigh_tridiagonal(select="i")``, the slower, independent reference,
-    answers the ``dstevx`` request."""
-
-    def dstevx(self, d, e, n_modes):
-        w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, n_modes - 1))
-        return len(w), w, v, 0
+def scipy_eigenpairs(d, e, count, tol, where):
+    """Stands in for ``spectral._eigenpairs``: SciPy's
+    ``eigh_tridiagonal(select="i")`` at the same tolerance, the slower,
+    independent reference, makes the ``dstebz`` and ``dstein`` calls."""
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), tol=tol)
 
 
 class PatchedLapack:
-    """The real routine, with one fault planted in what it returns."""
+    """The real routines, with one fault planted in what they return."""
 
     def __init__(self, fault):
         self.fault = fault
 
-    def dstevx(self, d, e, n_modes):
-        m, w, vecs, info = _flapack.dstevx(d, e, n_modes)
-        if self.fault == "nan eigenvalues":
+    def dstebz(self, d, e, count, abstol):
+        w, iblock, isplit, info = _flapack.dstebz(d, e, count, abstol)
+        if self.fault == "too few":  # what a failed bisection leaves
+            w, iblock = w[:-1], iblock[:-1]
+        return w, iblock, isplit, 1 if self.fault == "info" else info
+
+    def dstein(self, d, e, w, iblock, isplit):
+        vecs, info = _flapack.dstein(d, e, w, iblock, isplit)
+        if self.fault == "nan eigenvalues":  # in the caller's array
             w[:] = np.nan
+        if self.fault == "outside bracket":  # mode 3's bisection, 1e-6 off
+            w[3] += 1e-6
         if self.fault == "nan mode":
             vecs[:, 2] = np.nan
-        if self.fault == "flat surface":  # mode 2 vanishes at z = 0
-            vecs[0, 2] = 0.0
-        if self.fault == "too few":  # what a failed bisection leaves
-            m, w, vecs = m - 1, w[:-1], vecs[:, :-1]
-        return m, w, vecs, 1 if self.fault == "info" else info
+        if self.fault == "flat surface":  # mode 2, less the mode 1 that cancels it at z = 0
+            vecs[:, 2] -= vecs[0, 2] / vecs[0, 1] * vecs[:, 1]
+        if self.fault == "residual":  # mode 3 turned 1e-7 towards mode 4
+            vecs[:, 3] = np.cos(1e-7) * vecs[:, 3] + np.sin(1e-7) * vecs[:, 4]
+        return vecs, 2 if self.fault == "dstein info" else info
+
+
+def longdouble_quotients(eig):
+    """The stiffness Rayleigh quotient of each mode, in extended precision."""
+    mu = eig.mu.astype(np.longdouble)
+    km = eig.profile.k.astype(np.longdouble) * mu
+    face = (km[:-1] + km[1:]) / 2 / np.longdouble(eig.profile.grid.spacing)
+    b = eig.profile.grid.weights.astype(np.longdouble) * mu
+    modes = eig.modes.astype(np.longdouble)
+    return (face @ np.diff(modes, axis=0) ** 2) / (b @ modes**2)
+
+
+PROFILES = pytest.mark.parametrize(
+    "profile, n_modes",
+    [
+        (lambda: constant_profile(65), 8),
+        (lambda: smooth_profile(3), 20),
+        (lambda: smooth_profile(11, nz=1001), 32),
+        (lambda: smooth_profile(5, nz=4001), 40),
+    ],
+    ids=["constant-65", "advective-161", "advective-1001", "diagnose-4001"],
+)
 
 
 class TestLapackEigensolve:
-    """``eigensystem`` makes SciPy's calls in one ``dstevx``."""
+    """``eigensystem`` makes SciPy's ``dstebz`` and ``dstein`` calls, and
+    takes each eigenvalue from its mode's stiffness Rayleigh quotient."""
 
-    @pytest.mark.parametrize(
-        "profile, n_modes",
-        [
-            (lambda: constant_profile(65), 8),
-            (lambda: smooth_profile(3), 20),
-            (lambda: smooth_profile(11, nz=1001), 32),
-            (lambda: smooth_profile(5, nz=4001), 40),
-        ],
-        ids=["constant-65", "advective-161", "advective-1001", "diagnose-4001"],
-    )
+    @PROFILES
     def test_bit_identical_to_scipy_eigh_tridiagonal(self, monkeypatch, profile, n_modes):
         profile = profile()
         ours = eigensystem(profile, n_modes)
-        monkeypatch.setattr(spectral, "_flapack", ScipyEigensolver())
+        monkeypatch.setattr(spectral, "_eigenpairs", scipy_eigenpairs)
         ref = eigensystem(profile, n_modes)
-        for name in ("eigenvalues", "modes", "mu_norms", "mu"):
+        for name in ("eigenvalues", "modes", "mu_norms", "mu", "mode_errors"):
             assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+
+    @PROFILES
+    def test_eigenvalues_are_the_quotients_to_rounding(self, profile, n_modes):
+        eig = eigensystem(profile(), n_modes)
+        assert eig.eigenvalues[0] == 0.0 and np.all(eig.modes[:, 0] == 1.0)
+        exact = longdouble_quotients(eig)[1:]
+        assert np.abs(eig.eigenvalues[1:] - exact).max() <= 1e-14 * exact.max()
+        assert np.all(np.abs(eig.eigenvalues[1:] / exact - 1) <= 1e-14)
+
+    def test_constant_coefficients_give_the_discrete_eigenvalues(self):
+        # 4 sin^2(n pi dz / 2) / dz^2, with no cancellation
+        nz, n_modes = 201, 12
+        eig = eigensystem(constant_profile(nz), n_modes)
+        dz = 1.0 / (nz - 1)
+        expected = 4.0 * np.sin(np.arange(n_modes) * np.pi * dz / 2) ** 2 / dz**2
+        np.testing.assert_allclose(eig.eigenvalues, expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("power", [-40, 40])
+    def test_a_power_of_two_in_k_scales_the_eigenvalues_exactly(self, power):
+        # the tridiagonal is scaled to a largest diagonal in [1/2, 1) before
+        # LAPACK sees it, so 2**power k gives the same bands, bit for bit
+        base = eigensystem(constant_profile(161), 10)
+        scaled = eigensystem(constant_profile(161, k=2.0**power), 10)
+        assert np.array_equal(scaled.eigenvalues, 2.0**power * base.eigenvalues)
+        for name in ("modes", "mu_norms", "mu", "mode_errors"):
+            assert np.array_equal(getattr(scaled, name), getattr(base, name)), name
+
+    def test_mode_errors_bound_the_rounding_of_the_modes(self):
+        # against the sampled cosines, the exact discrete modes of constant k
+        for nz, n_modes in [(1001, 2), (1001, 32), (4001, 2), (4001, 40)]:
+            eig = eigensystem(constant_profile(nz), n_modes)
+            z = eig.profile.grid.nodes
+            exact = np.cos(np.arange(n_modes) * np.pi * z[:, None])
+            errors = np.abs(eig.modes - exact).max(axis=0)
+            assert eig.mode_errors[0] == errors[0] == 0.0
+            assert np.all(errors[1:] <= eig.mode_errors[1:])
+            # eps ||T|| / lambda_1: 1.5e-10 at nz = 1001, 2.3e-9 at nz = 4001
+            assert eig.mode_errors[1] <= 1e-11 * nz
 
     @pytest.mark.parametrize(
         "fault, error, message",
         [
-            ("info", "NumericalError", "failed with info=1, 6 of 6 eigenvalues found"),
-            ("too few", "NumericalError", "failed with info=0, 5 of 6 eigenvalues found"),
-            ("nan mode", "NumericalError", "gave non-finite modes"),
+            (
+                "info",
+                "NumericalError",
+                "LAPACK dstebz failed with info=1, 7 of 7 eigenvalues found",
+            ),
+            (
+                "too few",
+                "NumericalError",
+                "LAPACK dstebz failed with info=0, 6 of 7 eigenvalues found",
+            ),
+            (
+                "dstein info",
+                "NumericalError",
+                "LAPACK dstein failed with info=2: eigenvectors did not converge",
+            ),
+            ("nan mode", "NumericalError", "LAPACK dstein gave non-finite modes"),
             (
                 "nan eigenvalues",
-                "NormalizationError",
-                "constant-mode eigenvalue nan exceeds rounding scale",
+                "NumericalError",
+                "mode 0's Rayleigh quotient 0.000000e+00 lies outside its bisection bracket",
+            ),
+            (
+                "outside bracket",
+                "NumericalError",
+                "mode 3's Rayleigh quotient 8.880076e+01 lies outside its bisection bracket",
+            ),
+            (
+                "residual",
+                "NumericalError",
+                "mode 3's residual 6.903e-06 exceeds the bisection tolerance 5.960e-08",
             ),
             (
                 "flat surface",
                 "NormalizationError",
-                "mode 2 has surface value 0.000e+00 of its sup norm; "
+                "mode 2 has surface value <rounding> of its sup norm; "
                 "the surface-one gauge is ill-defined",
             ),
         ],
-        ids=["info", "too-few", "nan-mode", "nan-eigenvalues", "flat-surface"],
+        ids=[
+            "info",
+            "too-few",
+            "dstein-info",
+            "nan-mode",
+            "nan-eigenvalues",
+            "outside-bracket",
+            "residual",
+            "flat-surface",
+        ],
     )
     def test_planted_fault_exits_3_naming_its_cause(
         self, tmp_path, capsys, monkeypatch, fault, error, message
@@ -209,9 +299,10 @@ class TestLapackEigensolve:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == error
         if error == "NumericalError":  # with the eigenproblem's scale and what to change
-            message = f"LAPACK dstevx {message} at largest diagonal 5.120e+04; "
-            message += "lower model.k or grid.nz"
-        assert report["message"] == message
+            message += " at largest diagonal 5.120e+04; lower model.k or grid.nz"
+        # a value that is zero but for rounding shows as some number below 1e-8
+        pattern = re.escape(message).replace("<rounding>", r"-?\d\.\d{3}e-(09|[1-9]\d)")
+        assert re.fullmatch(pattern, report["message"]), report["message"]
 
     def test_non_finite_bands_are_rejected(self, monkeypatch):
         # the profile's constructor rejects a weight that leaves the double
