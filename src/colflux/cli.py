@@ -63,6 +63,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DiagnosticError,
+    DomainError,
     NumericalError,
 )
 from .model import CoefficientProfile
@@ -86,6 +87,7 @@ from .posterior import (
     BLIND_MAX_MODES,
     analyze_gain,
     blind_direction,
+    check_blind,
     gain_direction,
     gain_projections,
 )
@@ -104,7 +106,10 @@ from .transport import (
 
 
 class _Workspace:
-    """Objects shared by the scenarios, built lazily, and the artifact paths they write."""
+    """Objects shared by the scenarios, built lazily, and the artifact paths they write.
+    Construction is the run's plan: the modes to solve, and the config refusals that
+    depend on what the scenario reads. Every config refusal fires before any eigensolve
+    or sweep but blind's resolution guard, which reads a computed eigenvalue."""
 
     def __init__(self, config: ExperimentConfig, out: Path):
         self.config = config
@@ -120,8 +125,25 @@ class _Workspace:
         self.profile = CoefficientProfile(
             grid=self.zgrid, k=self.values("model.k"), w=self.values("model.w")
         )
-        # checked here, so every scenario refuses it before any sweep or eigensolve
-        self.n_modes = check_n_modes(self.zgrid, config.n_modes)
+        n_modes, scenario = check_n_modes(self.zgrid, config.n_modes), config.scenario
+        if scenario == "oracle_check":
+            check_oracle_capacity(self.tgrid.n)
+        # rho+- = p0 +- p1: where a scenario reads nothing else, only two modes are solved
+        pair = [w in ("rho_plus", "rho_minus") for w in config.obs_weights]
+        estimate = scenario in ("assimilate", "oracle_check")
+        pair_only = scenario in ("weights", "compare_altitude") or estimate and all(pair)
+        if (pair_only or (estimate or scenario == "gains") and any(pair)) and n_modes < 2:
+            _fail("spectral.n_modes", f"canonical weights need at least 2 modes, got {n_modes}")
+        self.modes_solved = 2 if pair_only else n_modes
+        self.blind_t_obs = config.blind_t_obs or config.t_end
+        if scenario == "blind":
+            seed = self.values("blind.seed_function")
+            try:
+                check_blind(n_modes, config.blind_m, self.tgrid, self.blind_t_obs, seed)
+            except DomainError as exc:
+                _fail("blind.m", str(exc))
+            except ValueError as exc:
+                _fail("blind.seed_function", str(exc))
 
     def values(self, path: str) -> np.ndarray:
         """The function spec at ``path`` on its grid; ConfigError unless finite."""
@@ -140,14 +162,7 @@ class _Workspace:
 
     @cached_property
     def eig(self):
-        """The config's modes, or only the lowest two where the scenario reads
-        nothing beyond the canonical pair p0 +- p1."""
-        scenario = self.config.scenario
-        pair = scenario in ("compare_altitude", "weights") or (
-            scenario in ("assimilate", "oracle_check")
-            and all(w in ("rho_plus", "rho_minus") for w in self.config.obs_weights)
-        )
-        return eigensystem(self.profile, min(2, self.n_modes) if pair else self.n_modes)
+        return eigensystem(self.profile, self.modes_solved)
 
     @property
     def flux(self) -> FluxSignal:
@@ -309,7 +324,6 @@ def _scenario_assimilate(ws: _Workspace) -> None:
 
 
 def _scenario_oracle_check(ws: _Workspace) -> None:
-    check_oracle_capacity(ws.tgrid.n)  # before the eigensolve and the data
     problem = ws.problem()
     mean = oracle_bayes(problem)
     flux_map, report = map_estimate(problem)
@@ -360,10 +374,8 @@ def _blind_weights(seed: int, width: int):
 
 
 def _scenario_blind(ws: _Workspace) -> None:
-    config = ws.config
-    t_obs = config.blind_t_obs if config.blind_t_obs is not None else config.t_end
-    seed_values = ws.values("blind.seed_function")
-    g = blind_direction(ws.eig, t_obs, config.blind_m, ws.tgrid, seed_values)
+    config, t_obs = ws.config, ws.blind_t_obs
+    g = blind_direction(ws.eig, t_obs, config.blind_m, ws.tgrid, ws.values("blind.seed_function"))
     _write_csv(ws.path("blind.csv"), "t,G", (ws.tgrid.nodes, g))
 
     draws = _blind_weights(config.seed, ws.zgrid.n)

@@ -52,6 +52,7 @@ __all__ = [
     "analyze_gain",
     "monotone_weight_check",
     "blind_direction",
+    "check_blind",
 ]
 
 #: Orthogonalizing more exponentials than this is numerically meaningless
@@ -349,26 +350,11 @@ def blind_direction(
         If the seed is not finite, or its squared norm overflows.
     """
     m = int(m)
-    if m < 1 or m > eig.n_modes:
-        msg = f"m must be between 1 and n_modes = {eig.n_modes}, got {m}"
+    g, seed_norm = check_blind(eig.n_modes, m, grid, t_obs, seed_function)
+    lam_dt = float(eig.eigenvalues[m - 1]) * grid.spacing
+    if lam_dt > BLIND_RESOLUTION:
+        msg = f"time grid too coarse: lambda_{m - 1} * dt = {lam_dt:.2f} > {BLIND_RESOLUTION:g}"
         raise DomainError(msg)
-    if m > BLIND_MAX_MODES:
-        msg = (
-            f"m = {m} exceeds the conditioning cap {BLIND_MAX_MODES}; the "
-            "exponential Gram matrix is numerically rank-deficient beyond it"
-        )
-        raise DomainError(msg)
-    lam_top = float(eig.eigenvalues[min(m, eig.n_modes) - 1])
-    if lam_top * grid.spacing > BLIND_RESOLUTION:
-        msg = (
-            f"time grid too coarse: lambda_{m - 1} * dt = "
-            f"{lam_top * grid.spacing:.2f} > {BLIND_RESOLUTION:g}"
-        )
-        raise DomainError(msg)
-
-    if callable(seed_function):
-        seed_function = [float(seed_function(t)) for t in grid.nodes]
-    seed = _nodal(seed_function, (grid.n,), "seed")
 
     idx = grid.index_of(t_obs)
     w = grid.weights
@@ -390,12 +376,6 @@ def blind_direction(
             np.divide(f, norm, out=basis[kept])
             kept += 1
 
-    g = seed.copy()
-    g[idx + 1 :] = 0.0
-    with np.errstate(over="ignore"):  # an infinite norm would pass every check
-        seed_norm = np.sqrt(wdot(g, g))
-    if not np.isfinite(seed_norm):
-        raise ValueError("seed's squared norm overflows")
     project_out(g)
     g[idx + 1 :] = 0.0
 
@@ -417,3 +397,20 @@ def blind_direction(
         )
         raise ConditioningError(msg)
     return g
+
+
+def check_blind(n_modes: int, m: int, grid: TimeGrid, t_obs: float, seed_function):
+    """``blind_direction``'s checks that read no eigenvalue, of ``m`` (DomainError) and
+    the seed (ValueError); returns the seed, zero past ``t_obs``, and its trapezoid norm."""
+    if not 1 <= m <= min(n_modes, BLIND_MAX_MODES):
+        msg = f"m must be between 1 and n_modes = {n_modes}, at most the conditioning cap"
+        raise DomainError(f"{msg} {BLIND_MAX_MODES}, got {m}")
+    if callable(seed_function):
+        seed_function = [float(seed_function(t)) for t in grid.nodes]
+    g = _nodal(seed_function, (grid.n,), "seed").copy()
+    g[grid.index_of(t_obs) + 1 :] = 0.0
+    with np.errstate(over="ignore"):  # an infinite norm would pass every check
+        seed_norm = np.sqrt(float(np.dot(grid.weights * g, g)))
+    if not np.isfinite(seed_norm):
+        raise ValueError("seed's squared norm overflows")
+    return g, seed_norm

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -507,7 +508,11 @@ class TestExitCodes:
         config["spectral"] = {"n_modes": 4}
         code = run_cli(tmp_path, config)
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "ConfigError"
+        assert report["message"] == (
+            "blind.m: m must be between 1 and n_modes = 4, at most the conditioning cap 40, got 19"
+        )
 
 
 OVERFLOWING = {"kind": "linear", "base": 1e308, "slope": 1e308}
@@ -555,15 +560,9 @@ REFUSING_WORK = (
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 # the rows of TestFailClosed.test_table whose config error is raised only
-# after the eigensolve, by the code that reads the modes; ROADMAP item 4 is
-# to refuse them before it
-REFUSED_AFTER_THE_EIGENSOLVE = {
-    "blind-seed-norm-overflows",  # blind_direction: the seed against the exponentials
-    "blind-m-past-n_modes",  # blind_direction's guard on m
-    "assimilate-one-mode",  # canonical_weights
-    "oracle_check-one-mode",
-    "compare_altitude-one-mode",
-}
+# after the eigensolve: blind's resolution guard reads a computed eigenvalue,
+# lambda_{m-1}, so no check before the eigensolve can make it
+REFUSED_AFTER_THE_EIGENSOLVE = {"blind-m-past-the-resolution"}
 
 
 def two_observations_at(times):
@@ -590,7 +589,7 @@ class TestFailClosed:
                 "blind",
                 {"blind": {"m": 3, "seed_function": {"kind": "parabola", "amplitude": 1e160}}},
                 2,
-                "seed's squared norm overflows",
+                "blind.seed_function: seed's squared norm overflows",
                 True,
                 id="blind-seed-norm-overflows",
             ),
@@ -598,7 +597,8 @@ class TestFailClosed:
                 "blind",
                 {"blind": {"m": 5}},
                 2,
-                "m must be between 1 and n_modes = 4, got 5",
+                "blind.m: m must be between 1 and n_modes = 4, at most the conditioning cap 40, "
+                "got 5",
                 True,
                 id="blind-m-past-n_modes",
             ),
@@ -609,6 +609,14 @@ class TestFailClosed:
                 "blind.m: must be at most 40, got 41",
                 True,
                 id="blind-m-past-the-cap",
+            ),
+            pytest.param(
+                "blind",
+                {"grid": {"nz": 401, "nt": 64}, "spectral": {"n_modes": 40}, "blind": {"m": 20}},
+                2,
+                "time grid too coarse: lambda_19 * dt = 55.57 > 20",
+                True,
+                id="blind-m-past-the-resolution",
             ),
             pytest.param(
                 "simulate",
@@ -768,11 +776,28 @@ class TestFailClosed:
                     scenario,
                     {"spectral": {"n_modes": 1}, "observations": {"weights": CANONICAL_PAIR}},
                     2,
-                    "canonical weights need at least 2 modes, got 1",
+                    "spectral.n_modes: canonical weights need at least 2 modes, got 1",
                     True,
                     id=f"{scenario}-one-mode",
                 )
-                for scenario in ("assimilate", "oracle_check", "compare_altitude")
+                for scenario in (
+                    "assimilate", "oracle_check", "compare_altitude", "gains", "weights"
+                )
+            ),
+            *(
+                pytest.param(
+                    scenario,
+                    # one canonical weight among others that need expanding
+                    {
+                        "spectral": {"n_modes": 1},
+                        "observations": {"weights": ["uniform", "rho_plus", "uniform"]},
+                    },
+                    2,
+                    "spectral.n_modes: canonical weights need at least 2 modes, got 1",
+                    True,
+                    id=f"{scenario}-one-mode-mixed",
+                )
+                for scenario in ("assimilate", "oracle_check")
             ),
             pytest.param(
                 "validate",
@@ -1123,6 +1148,13 @@ class TestModesSolved:
         assert asked == [solved]
         if scenario == "oracle_check":  # the report names the modes its gains used
             assert json.loads((out / "oracle_report.json").read_text())["n_modes"] == solved
+
+    def test_the_plan_is_made_once_in_the_workspace(self):
+        # the modes solved and the capacity check are the plan's, made in
+        # _Workspace.__init__: no scenario and no eig tests a scenario name
+        for fn in (cli._Workspace.eig.func, *cli._SCENARIO_IMPL.values()):
+            source = inspect.getsource(fn)
+            assert ".scenario" not in source and "capacity" not in source, fn.__name__
 
     @pytest.mark.parametrize(
         "grid, n_modes",

@@ -16,6 +16,7 @@ from colflux.posterior import (
     PosteriorModel,
     analyze_gain,
     blind_direction,
+    check_blind,
     gain_direction,
     gain_projections,
     monotone_weight_check,
@@ -503,3 +504,20 @@ class TestBlindDirection:
         tgrid = TimeGrid(t_end=1.0, n=65)
         with pytest.raises(DomainError, match="too coarse"):
             blind_direction(eig, 0.5, 20, tgrid, lambda t: t)
+
+    def test_check_blind_is_the_check_blind_direction_makes(self, eig):
+        # the CLI refuses m and the seed with this check before the
+        # eigensolve; blind_direction calls it too, so the two cannot disagree
+        tgrid = TimeGrid(t_end=1.0, n=129)
+        seed = tgrid.nodes * (1.0 - tgrid.nodes)
+        g, norm = check_blind(eig.n_modes, 4, tgrid, 0.5, seed)
+        np.testing.assert_array_equal(g[:65], seed[:65])
+        assert not g[65:].any()
+        assert norm == pytest.approx(np.sqrt(trapezoid(g**2, tgrid)), rel=1e-14)
+        for m, bad in ((0, seed), (eig.n_modes + 1, seed), (4, 1e160 * seed)):
+            with pytest.raises(ValueError) as plan:
+                check_blind(eig.n_modes, m, tgrid, 0.5, bad)
+            with pytest.raises(ValueError) as library:
+                blind_direction(eig, 0.5, m, tgrid, bad)
+            assert type(plan.value) is type(library.value)
+            assert str(plan.value) == str(library.value)
