@@ -109,7 +109,7 @@ class _Workspace:
     """Objects shared by the scenarios, built lazily, and the artifact paths they write.
     Construction is the run's plan: the modes to solve, and the config refusals that
     depend on what the scenario reads. Every config refusal fires before any eigensolve
-    or sweep but blind's resolution guard, which reads a computed eigenvalue."""
+    or sweep but blind's resolution guard and span check, which read eigenvalues."""
 
     def __init__(self, config: ExperimentConfig, out: Path):
         self.config = config
@@ -135,6 +135,8 @@ class _Workspace:
         if (pair_only or (estimate or scenario == "gains") and any(pair)) and n_modes < 2:
             _fail("spectral.n_modes", f"canonical weights need at least 2 modes, got {n_modes}")
         self.modes_solved = 2 if pair_only else n_modes
+        if estimate:
+            self.prior()
         self.blind_t_obs = config.blind_t_obs or config.t_end
         if scenario == "blind":
             seed = self.values("blind.seed_function")
@@ -197,14 +199,13 @@ class _Workspace:
         return gain_direction(self.eig, a, t_obs, r, self.tgrid)
 
     def prior(self) -> PriorSpec:
-        return PriorSpec(
-            mean=FluxSignal(grid=self.tgrid, values=self.values("prior.mean")),
-            kind=self.config.prior_kind,
-            sigma=self.config.prior_sigma,
-        )
+        mean = FluxSignal(grid=self.tgrid, values=self.values("prior.mean"))
+        try:  # the schema checks the kind and sigma: what is left is a periodic kind's mean
+            return PriorSpec(mean=mean, kind=self.config.prior_kind, sigma=self.config.prior_sigma)
+        except ValueError as exc:
+            _fail("prior.mean", str(exc))
 
     def problem(self) -> AssimilationProblem:
-        # the prior first: a bad one fails before the eigensolve and any sweep
         return AssimilationProblem.synthesized(
             prior=self.prior(),
             profile=self.profile,

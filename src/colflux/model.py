@@ -1,7 +1,12 @@
 """Coefficient profiles of the column model and their admissibility checks.
 
 A profile carries the diffusion coefficient k(z) and vertical velocity w(z)
-sampled on a column grid. Its constructor checks four standing assumptions:
+sampled on a column grid, and the discrete column operator's arrays that
+transport and spectral read, formed once: face coefficients kf = (k_j +
+k_{j+1}) / (2 dz) and wf = (w_j + w_{j+1}) / 4, the scale d[0] = 1, d[j+1] =
+d[j] sqrt((kf + wf) / (kf - wf)) that makes the transport step symmetric, and
+the eigenproblem's weight mu = exp(int w/k). Its constructor checks four
+standing assumptions:
 
 * A1, smoothness: k and w are finite, and their second divided differences
   (the sampled proxy for twice-differentiability) are bounded.
@@ -9,8 +14,8 @@ sampled on a column grid. Its constructor checks four standing assumptions:
   k / dz and k / dz**2 at every face have squares that are normal doubles.
 * A3, closed boundaries: w vanishes at the surface and at the column top.
 * A4, resolved advection: every cell Peclet number P = |w| dz / (2 k) is
-  below 1; prod sqrt((1 + P) / (1 - P)), mu = exp(int w/k), k mu, k mu / dz
-  and the mass weights times mu are finite, nonzero doubles.
+  below 1; d and 1 / d are finite, and mu, k mu, k mu / dz and the mass
+  weights times mu are finite, nonzero doubles, all as formed.
 """
 
 from __future__ import annotations
@@ -30,17 +35,14 @@ SMOOTHNESS_BOUND = 1e6
 #: Absolute tolerance (scaled by max(1, |w|_inf)) for the A3 boundary check.
 BOUNDARY_W_TOL = 1e-12
 
-#: Logs of the least normal double and of half the largest (room for a face
-#: sum): the A4 range of mu, k mu, k mu / dz and the mass weights times mu.
-_LOG_RANGE = (np.log(np.finfo(float).tiny), np.log(np.finfo(float).max / 2.0))
-
 
 @dataclass(frozen=True)
 class CoefficientProfile:
     """Diffusion/velocity profile on a column grid, checked against A1-A4.
 
-    ``k`` and ``w`` take one sample per grid node and are stored as
-    read-only float arrays.
+    ``k`` and ``w`` take one sample per grid node. They are stored as
+    read-only float arrays, and so are ``kf``, ``wf``, ``d`` and ``mu``
+    (see the module docstring).
 
     Raises
     ------
@@ -76,16 +78,18 @@ class CoefficientProfile:
                 "A2", f"k must be strictly positive; k={kmin} at node {node}"
             )
         dz = self.grid.spacing
-        # what the solvers form from k, w and dz, with transport's and
-        # mu_weight's arithmetic; an overflow gives inf or NaN, which fails
-        # its check below without a warning
+        # the arrays the solvers read; an overflow gives inf or NaN, which
+        # fails its check below without a warning
         with np.errstate(all="ignore"):
             kf = 0.5 * (k[:-1] + k[1:]) / dz
+            wf = 0.25 * (w[:-1] + w[1:])
             faces = (kf, kf / dz)
-            peclet = 0.25 * (w[:-1] + w[1:]) / kf
+            peclet = wf / kf
+            d = np.cumprod(np.append(1.0, np.sqrt((kf + wf) / (kf - wf))))
+            scales = (d, 1.0 / d)
             log_mu = cumulative_trapezoid(w / k, dz)
-            log_km = np.log(k) + log_mu
-            logs = (log_mu, log_km, log_km - np.log(dz), np.log(self.grid.weights) + log_mu)
+            mu = np.exp(log_mu)
+            weighted = (mu, k * mu, k * mu / dz, self.grid.weights * mu)
             second = [np.abs(np.diff(v, n=2)) / dz**2 for v in (k, w)]
         if not all(_normal_square(x) for x in faces):
             spans = [f"[{x.min():.3e}, {x.max():.3e}]" for x in faces]
@@ -103,11 +107,10 @@ class CoefficientProfile:
         if not abs(peclet[face]) < 1.0:
             msg = f"cell Peclet number |w| dz / (2 k) is {abs(peclet[face]):.3e} >= 1"
             raise AssumptionError("A4", f"{msg} between nodes {face} and {face + 1}")
-        # transport's scaling in log space: 0.5 log((1 + P) / (1 - P)) = arctanh(P)
-        if np.abs(np.cumsum(np.arctanh(peclet))).max() >= np.log(np.finfo(float).max):
+        if not all(np.isfinite(x).all() for x in scales):
             raise AssumptionError("A4", "the symmetrizing scaling leaves the double range")
-        lo, hi = _LOG_RANGE
-        if not all(((x >= lo) & (x < hi)).all() for x in logs):
+        lo, hi = np.finfo(float).tiny, np.finfo(float).max / 2.0  # room for a face sum
+        if not all(((x >= lo) & (x < hi)).all() for x in weighted):
             msg = f"log mu ranges over [{log_mu.min():.3e}, {log_mu.max():.3e}]"
             raise AssumptionError(
                 "A4", f"mu = exp(int w/k), k mu / dz or the mass weights times mu "
@@ -121,15 +124,11 @@ class CoefficientProfile:
         object.__setattr__(self, "k", _frozen(k))
         object.__setattr__(self, "w", _frozen(w))
         object.__setattr__(self, "epsilon", kmin)
+        self.__dict__.update(kf=_frozen(kf), wf=_frozen(wf), d=_frozen(d), mu=_frozen(mu))
 
 
 def mu_weight(profile: CoefficientProfile) -> np.ndarray:
-    """Density making the mode operator self-adjoint.
-
-    Returns exp of the cumulative integral of w/k from the surface, so the
-    value at z=0 is exactly 1 and the result is strictly positive. For w=0
-    the weight is identically 1.
-    """
-    ratio = profile.w / profile.k
-    inner = cumulative_trapezoid(ratio, profile.grid.spacing)
-    return np.exp(inner)
+    """Density making the mode operator self-adjoint: the profile's ``mu``,
+    exp of the cumulative integral of w/k from the surface. Its value at z=0 is
+    exactly 1, it is strictly positive, and for w=0 it is identically 1."""
+    return profile.mu

@@ -344,8 +344,8 @@ def blind_direction(
         If ``m`` is out of range or the grid cannot resolve the fastest
         retained exponential.
     DegenerateSeedError
-        If the seed lies in the exponential span (residual below 1e-10 of
-        the seed's norm).
+        If the seed's norm on [0, t_obs] is 0, or the seed lies in the
+        exponential span (residual below 1e-10 of the seed's norm).
     ValueError
         If the seed is not finite, or its squared norm overflows.
     """
@@ -401,7 +401,8 @@ def blind_direction(
 
 def check_blind(n_modes: int, m: int, grid: TimeGrid, t_obs: float, seed_function):
     """``blind_direction``'s checks that read no eigenvalue, of ``m`` (DomainError) and
-    the seed (ValueError); returns the seed, zero past ``t_obs``, and its trapezoid norm."""
+    the seed (ValueError, DegenerateSeedError if its norm is 0); returns the
+    seed, zero past ``t_obs``, and its trapezoid norm."""
     if not 1 <= m <= min(n_modes, BLIND_MAX_MODES):
         msg = f"m must be between 1 and n_modes = {n_modes}, at most the conditioning cap"
         raise DomainError(f"{msg} {BLIND_MAX_MODES}, got {m}")
@@ -413,4 +414,6 @@ def check_blind(n_modes: int, m: int, grid: TimeGrid, t_obs: float, seed_functio
         seed_norm = np.sqrt(float(np.dot(grid.weights * g, g)))
     if not np.isfinite(seed_norm):
         raise ValueError("seed's squared norm overflows")
+    if seed_norm == 0.0:
+        raise DegenerateSeedError(f"seed's trapezoid norm on [0, t_obs = {t_obs:g}] is 0")
     return g, seed_norm

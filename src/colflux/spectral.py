@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NormalizationError, NumericalError
-from .model import CoefficientProfile, mu_weight
+from .model import CoefficientProfile
 from .numerics import ColumnGrid, _flapack, _nodal
 
 __all__ = [
@@ -151,7 +151,7 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     count = check_n_modes(grid, n_modes) + 1
 
     dz = grid.spacing
-    mu = mu_weight(profile)
+    mu = profile.mu
     km = profile.k * mu
     face = 0.5 * (km[:-1] + km[1:]) / dz
 
@@ -222,7 +222,7 @@ def eigensystem(profile: CoefficientProfile, n_modes: int) -> EigenSystem:
     vals = np.ldexp(vals[: count - 1], power)
     modes, mu_norms = modes[:, : count - 1], mu_norms[: count - 1]
     errors = np.concatenate(([0.0], errors))
-    for arr in (vals, modes, mu_norms, mu, errors):
+    for arr in (vals, modes, mu_norms, errors):
         arr.setflags(write=False)
     return EigenSystem(profile, vals, modes, mu_norms, mu, errors)
 

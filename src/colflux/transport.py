@@ -11,7 +11,8 @@ consequence the discrete column total obeys
     trapz(q(., t)) - trapz(q0) = k(0) * cumtrapz(F)(t)
 
 exactly (to accumulation rounding), which is the model's physical anchor.
-Time stepping is Crank-Nicolson, second order and unconditionally stable.
+Time stepping is Crank-Nicolson, second order and unconditionally stable,
+on the face coefficients and the symmetrizing scale the profile forms.
 
 Every sweep of the package runs the one private loop ``_cn_sweep``:
 ``solve_forward`` (the whole field, or only the states at given nodes),
@@ -93,44 +94,31 @@ class MixingRatioField:
         return self.values[:, time_index]
 
 
-def _symmetric_flux_divergence(profile: CoefficientProfile):
-    """Diagonals of D^-1 S D for the flux-difference operator S, and d = diag(D).
-
-    (S q)_j collects the interface fluxes k q_z - w q around node j, with
-    the two boundary fluxes excluded (they enter as forcing). Interface
-    coefficients are arithmetic means of the nodal samples. The columns of
-    S sum to zero, which is what makes the discrete mass balance exact.
-    S has kf + wf below the diagonal and kf - wf above it, so with d[0] = 1
-    and d[j+1] / d[j] = sqrt((kf + wf) / (kf - wf)) both off-diagonals of
-    D^-1 S D are sqrt(kf^2 - wf^2). A4 keeps kf > |wf| and d finite.
-    """
-    dz = profile.grid.spacing
-    kf = 0.5 * (profile.k[:-1] + profile.k[1:]) / dz
-    wf = 0.25 * (profile.w[:-1] + profile.w[1:])
-    diag = np.zeros(profile.grid.n)
-    # flux through face j+1/2 adds to row j, subtracts from row j+1
-    diag[:-1] -= kf + wf
-    diag[1:] -= kf - wf
-    d = np.cumprod(np.append(1.0, np.sqrt((kf + wf) / (kf - wf))))
-    return diag, np.sqrt((kf + wf) * (kf - wf)), d
-
-
 def _cn_sweep(profile, dt, q, steps, forcing, transpose=False):
     """The one Crank-Nicolson loop: L q' = R q + b_n for each step n in ``steps``.
 
     L = M - dt/2 S and R = M + dt/2 S = 2M - L (transposed if ``transpose``),
-    so q' = L^-1 (2 M q + b_n) - q. With D from ``_symmetric_flux_divergence``,
-    L = D Ls D^-1 and L^T = D^-1 Ls D for one SPD Ls, factored once: the loop
-    runs on u = D^-1 q (D q if ``transpose``), u' = Ls^-1 (2 M u + c_n) - u.
-    ``forcing(n, rhs)`` adds c_n = D^-1 b_n (D b_n) in place. The loop yields
-    ``(n, u')`` after each step, and the next step overwrites u': nothing is
-    stored. d[0] = 1: surface entries are unscaled.
+    so q' = L^-1 (2 M q + b_n) - q. (S q)_j collects the interface fluxes
+    k q_z - w q around node j, the two boundary fluxes excluded (they enter
+    as forcing): S has the profile's kf + wf below the diagonal and kf - wf
+    above it, and its columns sum to zero, which makes the discrete mass
+    balance exact. With D = diag(profile.d), both off-diagonals of D^-1 S D
+    are sqrt(kf^2 - wf^2), so L = D Ls D^-1 and L^T = D^-1 Ls D for one SPD
+    Ls, factored once: the loop runs on u = D^-1 q (D q if ``transpose``),
+    u' = Ls^-1 (2 M u + c_n) - u. ``forcing(n, rhs)`` adds c_n = D^-1 b_n
+    (D b_n) in place. The loop yields ``(n, u')`` after each step, and the
+    next step overwrites u': nothing is stored. d[0] = 1: surface entries
+    are unscaled.
     """
-    diag, off, d = _symmetric_flux_divergence(profile)
+    kf, wf, d = profile.kf, profile.wf, profile.d
+    diag = np.zeros(profile.grid.n)
+    # flux through face j+1/2 adds to row j, subtracts from row j+1
+    diag[:-1] -= kf + wf
+    diag[1:] -= kf - wf
     half = 0.5 * dt
     m = profile.grid.weights
     try:
-        solve = factor_tridiagonal(m - half * diag, -half * off)
+        solve = factor_tridiagonal(m - half * diag, -half * np.sqrt((kf + wf) * (kf - wf)))
     except SingularSystemError as exc:
         ratio = dt / profile.grid.spacing * float(np.max(profile.k)) / profile.grid.spacing
         msg = f"M - dt/2 S is not positive definite at dt k / dz**2 = {ratio:.3e}"
@@ -193,7 +181,6 @@ def solve_forward(
         columns.setdefault(n, []).append(j)
     out = np.empty((grid.n, len(kept)))
     out[:, columns.get(0, [])] = q0[:, None]
-    d = _symmetric_flux_divergence(profile)[2]
 
     def forcing(n, rhs):
         rhs[0] += 0.5 * dt * k0 * (f[n] + f[n + 1])
@@ -201,7 +188,7 @@ def solve_forward(
     # overflow surfaces as a StabilityError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n, u in _cn_sweep(profile, dt, q0, range(max(kept, default=0)), forcing):
-            q = d * u
+            q = profile.d * u
             if not np.isfinite(q).all():
                 raise StabilityError(step=n + 1)
             for j in columns.get(n + 1, ()):
@@ -227,7 +214,7 @@ def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
     dt = tgrid.spacing
     steps = max(nodes, default=0)
     a = np.empty((len(functionals), steps))
-    observe = functionals * _symmetric_flux_divergence(profile)[2]  # of u = D^-1 q
+    observe = functionals * profile.d  # of u = D^-1 q
 
     def forcing(n, rhs):
         if n == 0:
@@ -258,11 +245,10 @@ def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
     for row, n_i, c_i in zip(functionals, nodes, c):
         if c_i != 0.0:
             impulses[n_i] = impulses.get(n_i, 0.0) + row * c_i
-    d = _symmetric_flux_divergence(profile)[2]
 
     def forcing(n, rhs):
         if n + 1 in impulses:
-            rhs += d * impulses[n + 1]
+            rhs += profile.d * impulses[n + 1]
 
     steps = range(max(impulses, default=0) - 1, -1, -1)
     zero = np.zeros(profile.grid.n)

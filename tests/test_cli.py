@@ -312,9 +312,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("scenario", ["assimilate", "oracle_check"])
     def test_a_bad_prior_fails_before_any_sweep(self, tmp_path, capsys, monkeypatch, scenario):
         def refuse(*args, **kwargs):
-            raise AssertionError("a sweep ran before the prior was checked")
+            raise AssertionError("a sweep or an eigensolve ran before the prior was checked")
 
         monkeypatch.setattr(transport, "_cn_sweep", refuse)
+        monkeypatch.setattr(cli, "eigensystem", refuse)
         prior = {
             "kind": "periodic_zero_mean_inverse_laplacian",
             "mean": {"kind": "linear", "base": 0.0, "slope": 1.0},
@@ -322,7 +323,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli(tmp_path, small_config(scenario, out, prior=prior)) == 2
         report = error_report(capsys)
-        assert "periodic prior needs a periodic mean" in report["message"]
+        assert report["error"] == "ConfigError"
+        assert report["message"].startswith("prior.mean: periodic prior needs a periodic mean")
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
     @pytest.mark.parametrize("scenario", ["assimilate", "oracle_check"])
@@ -592,6 +594,27 @@ class TestFailClosed:
                 "blind.seed_function: seed's squared norm overflows",
                 True,
                 id="blind-seed-norm-overflows",
+            ),
+            pytest.param(
+                "blind",
+                {"blind": {"m": 3, "seed_function": {"kind": "constant", "value": 0.0}}},
+                2,
+                "blind.seed_function: seed's trapezoid norm on [0, t_obs = 1] is 0",
+                True,
+                id="blind-seed-zero",
+            ),
+            pytest.param(
+                "blind",
+                # the default parabola vanishes at both nodes of a one-step grid
+                {
+                    "grid": {"nz": 65, "nt": 1},
+                    "observations": {"times": [1.0], "weights": ["uniform"], "noise": [0.1]},
+                    "blind": {"m": 3},
+                },
+                2,
+                "blind.seed_function: seed's trapezoid norm on [0, t_obs = 1] is 0",
+                True,
+                id="blind-seed-zero-on-one-step",
             ),
             pytest.param(
                 "blind",

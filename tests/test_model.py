@@ -7,7 +7,7 @@ from colflux.errors import AssumptionError
 from colflux.model import CoefficientProfile, mu_weight
 from colflux.numerics import ColumnGrid, TimeGrid
 from colflux.spectral import eigensystem
-from colflux.transport import FluxSignal, _symmetric_flux_divergence, solve_forward
+from colflux.transport import FluxSignal, solve_forward
 
 
 @pytest.fixture
@@ -87,8 +87,7 @@ class TestValidation:
         grid = ColumnGrid(h=1.0, n=65)
         peak = 0.999 * 2.0 / grid.spacing  # |w| dz / (2 k) <= 0.999 at every face
         w = peak * np.sin(np.pi * grid.nodes)
-        profile = CoefficientProfile(grid=grid, k=np.ones(grid.n), w=w)
-        d = _symmetric_flux_divergence(profile)[2]
+        d = CoefficientProfile(grid=grid, k=np.ones(grid.n), w=w).d
         assert d[0] == 1.0 and np.all(d[1:] / d[:-1] >= 1.0) and np.isfinite(d).all()
 
     def test_scaling_beyond_the_double_range_is_rejected(self):
@@ -102,7 +101,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("n", range(266, 274))
     def test_accepted_scalings_are_finite_both_ways(self, n):
-        # the A4 bound in log space against the scaling transport builds:
+        # the A4 check of the scaling the profile forms and transport reads:
         # at cell Peclet 0.99 it reaches 2.3e307 at 270 nodes, 3.3e308 at 271.
         # k and w carry a factor 2**-10, which leaves every Peclet number
         # bit for bit and keeps the step of w at the ends within the A1 bound
@@ -114,8 +113,7 @@ class TestValidation:
         except AssumptionError as err:
             assert err.assumption == "A4" and n >= 271
             return
-        d = _symmetric_flux_divergence(profile)[2]
-        assert np.isfinite(d).all() and np.isfinite(1.0 / d).all()
+        assert np.isfinite(profile.d).all() and np.isfinite(1.0 / profile.d).all()
 
     @pytest.mark.parametrize("amplitude", [0.0, 1.0, 1e3, 1e6, 1e300])
     @pytest.mark.parametrize("k", [1e-300, 1e-10, 1.0, 1e300, 1e306, 1e307, 1e308])
@@ -140,6 +138,8 @@ class TestValidation:
             (65, 1e-300, 1e300, "A2", "k / dz at the faces ranges over [6.400e-299"),
             (1001, 1e150, 0.0, "A2", "k / dz**2 over [1.000e+156, 1.000e+156]"),
             (1001, 1.0, 1200.0, "A4", "log mu ranges over [0.000e+00, 7.639e+02]"),
+            # mu is a normal double, but k mu underflows
+            (1001, 1e-100, -9.42e-98, "A4", "log mu ranges over [-5.997e+02, 0.000e+00]"),
         ],
     )
     def test_out_of_range_profiles_name_their_quantity(self, n, k, amplitude, tag, cause):
@@ -152,7 +152,7 @@ class TestValidation:
 
     def test_arrays_are_frozen(self, grid):
         profile = CoefficientProfile(grid=grid, k=np.ones(grid.n), w=np.zeros(grid.n))
-        for values in (profile.k, profile.w):
+        for values in (profile.k, profile.w, profile.kf, profile.wf, profile.d, profile.mu):
             with pytest.raises(ValueError):
                 values[0] = 3.0
 
@@ -176,6 +176,11 @@ class TestMuWeight:
         # pi * dz^2 / 12; allow 10% headroom over the asymptotic bound
         rtol = 1.1 * np.pi * grid.spacing**2 / 12.0
         np.testing.assert_allclose(mu_weight(profile), expected, rtol=rtol)
+
+    def test_is_the_profiles_array_that_the_eigensystem_reads(self, grid):
+        profile = CoefficientProfile(grid=grid, k=1.0 + grid.nodes, w=closed_w(grid, 0.7))
+        assert mu_weight(profile) is profile.mu
+        assert np.shares_memory(eigensystem(profile, 4).mu, profile.mu)
 
     def test_positivity_under_downdraft(self, grid):
         profile = CoefficientProfile(grid=grid, k=np.ones(grid.n), w=-closed_w(grid, 3.0))

@@ -40,7 +40,7 @@ from colflux.numerics import (
     _write_csv,
     trapezoid,
 )
-from colflux.transport import _cn_sweep, _symmetric_flux_divergence
+from colflux.transport import _cn_sweep
 from numpy.linalg import _umath_linalg
 
 SRC = str(Path(numerics.__file__).resolve().parents[1])
@@ -342,13 +342,23 @@ class TestSolveTridiagonal:
         np.testing.assert_allclose(x, expected, rtol=1e-9, atol=1e-12)
 
 
+def flux_difference_bands(profile):
+    """Diagonal and off-diagonal of D^-1 S D for the flux-difference operator
+    S, from the face coefficients the profile forms."""
+    kf, wf = profile.kf, profile.wf
+    diag = np.zeros(profile.grid.n)
+    diag[:-1] -= kf + wf
+    diag[1:] -= kf - wf
+    return diag, np.sqrt((kf + wf) * (kf - wf))
+
+
 def cn_left_bands(nz=201, nt=256):
     """Symmetrized left Crank-Nicolson bands of a variable, advective profile."""
     grid = ColumnGrid(h=1.0, n=nz)
     z = grid.nodes
     w = 0.3 * np.sin(np.pi * z)
     profile = CoefficientProfile(grid=grid, k=0.5 + z * (1.0 - z), w=w)
-    diag, off, _ = _symmetric_flux_divergence(profile)
+    diag, off = flux_difference_bands(profile)
     half = 0.5 / (nt - 1)
     return grid.weights - half * diag, -half * off
 
@@ -623,7 +633,7 @@ class TestLapackModule:
         grid = ColumnGrid(h=1.0, n=201)
         z = grid.nodes
         profile = CoefficientProfile(grid=grid, k=0.5 + z * (1.0 - z), w=0.3 * np.sin(np.pi * z))
-        diag, off, d = _symmetric_flux_divergence(profile)
+        (diag, off), d = flux_difference_bands(profile), profile.d
         dt, q0 = 1.0 / 255, np.cos(np.pi * z)
         solve = factor_tridiagonal(grid.weights - 0.5 * dt * diag, -0.5 * dt * off)
 

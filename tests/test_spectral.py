@@ -306,11 +306,12 @@ class TestLapackEigensolve:
 
     def test_non_finite_bands_are_rejected(self, monkeypatch):
         # the profile's constructor rejects a weight that leaves the double
-        # range, so plant one: every band is then infinite
-        monkeypatch.setattr(spectral, "mu_weight", lambda profile: np.full(65, np.inf))
+        # range, so plant one on a built profile: every band is then infinite
+        profile = constant_profile(65)
+        monkeypatch.setitem(profile.__dict__, "mu", np.full(65, np.inf))
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="eigenproblem diagonal values must be finite"):
-                eigensystem(constant_profile(65), 4)
+                eigensystem(profile, 4)
 
 
 class TestExpansion:

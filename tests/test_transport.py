@@ -76,6 +76,17 @@ class TestSolveForward:
             solve_forward(profile, flux, np.zeros(11))
         assert err.value.step == 1
 
+    def test_a_non_finite_scale_fails_closed(self, monkeypatch):
+        # the constructor refuses such a scale, so plant one on a built
+        # profile: the sweep reads the profile's d, and its states turn NaN
+        profile = constant_profile(11)
+        monkeypatch.setitem(profile.__dict__, "d", np.full(11, np.inf))
+        tgrid = TimeGrid(t_end=1.0, n=9)
+        flux = FluxSignal(grid=tgrid, values=np.ones(9))
+        with pytest.raises(StabilityError) as err:
+            solve_forward(profile, flux, np.ones(11))
+        assert err.value.step == 1
+
     def test_shape_validation(self):
         profile = constant_profile(11)
         tgrid = TimeGrid(t_end=1.0, n=9)
@@ -163,7 +174,7 @@ class TestCrankNicolsonStep:
             left, right = left.T, right.T
         expected = np.linalg.solve(left, right @ q + b)
 
-        d = transport._symmetric_flux_divergence(profile)[2]
+        d = profile.d
         scale = d if transpose else 1.0 / d  # u = scale q
 
         def forcing(n, rhs):
