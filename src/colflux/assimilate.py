@@ -18,8 +18,10 @@ holds to rounding and finite-difference checks are tight.
 The estimators work on the discrete forward map G (observations per nodal
 flux value), which each AssimilationProblem builds at most once by one
 impulse-response sweep of ``transport``. ``forward_rows`` hands out G only
-once one sketched transposed sweep agrees with it (Freivalds' check), so
-neither an estimator, the representers nor the data of
+once each row's z-transform at a few random frequencies agrees with its
+closed form from the sweep's state at the row's node (one complex
+tridiagonal solve per frequency, no second sweep), so neither an
+estimator, the representers nor the data of
 ``AssimilationProblem.synthesized`` can use an unchecked map.
 ``innovation`` forms the prior-mean misfit y - G F0 - free response once
 for all estimators, and CG costs O(N nt) per iteration with no sweep.
@@ -59,6 +61,7 @@ from .errors import CapacityError, ConditioningError, DomainError, NumericalErro
 from .model import CoefficientProfile
 from .numerics import (
     _check_philox_key,
+    _circle_powers,
     _flapack,
     _frozen,
     _nodal,
@@ -71,7 +74,13 @@ from .numerics import (
     trapezoid,
 )
 from .observe import ObservationSet, Weight, add_noise, apply_observation
-from .transport import FluxSignal, flux_sensitivity, impulse_response, solve_forward
+from .transport import (
+    FluxSignal,
+    flux_sensitivity,
+    impulse_response,
+    impulse_transform,
+    solve_forward,
+)
 
 __all__ = [
     "PriorSpec",
@@ -98,9 +107,15 @@ DOMAIN_TOL = 1e-10
 #: a desk-scale check.
 ORACLE_MAX_NODES = 2048
 
-#: The impulse rows and a sketched transposed sweep of the forward map
-#: must agree to this, relative to the largest entry, before it is used.
+#: The impulse rows of the forward map and their z-transforms in closed form
+#: must agree to this, relative to each row's largest entry, before it is used.
 FORWARD_MAP_TOL = 1e-8
+
+# The z-transform check's rounding floor is about eps rho / t, with rho =
+# dt max(k) / dz**2 and t = tan(theta / 2) for z = e^(i theta): t is drawn
+# at least tan(0.15) and large enough that the floor lies this far below
+# FORWARD_MAP_TOL. Near z = 1 the resolvent is singular (mass is conserved).
+_SKETCH_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -396,12 +411,14 @@ class AssimilationProblem:
 
     @property
     def _sweep_args(self) -> tuple:
-        """The forward map's arguments to ``impulse_response`` and ``flux_sensitivity``."""
+        """The forward map's arguments to the ``transport`` sweeps."""
         return (self.profile, self.prior.grid, self.functionals, self.obs_indices)
 
     @cached_property
-    def _impulse_rows(self) -> np.ndarray:
-        return _frozen(impulse_response(*self._sweep_args))
+    def _impulse_sweep(self) -> tuple:
+        """The impulse rows and the sweep's state at each row's node."""
+        rows, states = impulse_response(*self._sweep_args)
+        return _frozen(rows), states
 
     @cached_property
     def forward_rows(self) -> np.ndarray:
@@ -414,28 +431,44 @@ class AssimilationProblem:
         """
         gap = self.forward_map_sketch_rel_gap
         if not gap <= FORWARD_MAP_TOL:
-            msg = "impulse-response and adjoint-solve maps disagree"
+            msg = "impulse rows and their closed-form z-transforms disagree"
             raise NumericalError(f"{msg} (sketched relative gap {gap:.3e})")
-        return self._impulse_rows
+        return self._impulse_sweep[0]
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite gap fails the check
     def forward_map_sketch_rel_gap(self) -> float:
-        """Freivalds' check of the impulse rows, by one transposed sweep.
+        """Each impulse row's z-transform against its closed form.
 
-        For c = 1 + the first N uniforms of the Philox stream of key 1 (NumPy's
-        ``Generator(Philox(key=1)).uniform(1.0, 2.0, N)``), ``flux_sensitivity``
-        gives c^T G, so one entry wrong by d max|G| reads at least about d/2,
-        whatever N is. The gap is the largest difference from c times the
-        impulse rows over max(c) max|G|.
+        At three frequencies z = e^(i theta), sum_m G[i, m] z^(n_i - m) is
+        compared with ``impulse_transform``'s value from the sweep's state at
+        node n_i. The gap is the largest difference over the row's largest
+        entry, so one entry wrong by d times it reads d at every frequency; a
+        smooth relative error d of the states reads about d / (2t), t =
+        tan(theta / 2). With u the first three uniforms of the Philox stream
+        of key 1, theta = pi - 2 psi for psi = lo + u (hi - lo), rounded to
+        single precision: hi = arctan(1 / t_min), with t_min = max(tan 0.15,
+        100 eps rho / 1e-8) and rho = dt max(k) / dz**2, and lo = min(5e-4,
+        hi / 2). On grids with rho below about 7e4 that is theta in [0.3,
+        pi - 1e-3].
         """
-        c = 1.0 + _philox_random(1, len(self.observations))
-        swept = flux_sensitivity(*self._sweep_args, c)
-        rows = self._impulse_rows
+        rows, states = self._impulse_sweep
         if not rows.size:
             return 0.0
-        gap = float(np.abs(swept - c @ rows).max())
-        return gap / float(c.max()) / max(float(np.abs(rows).max()), 1e-300)
+        dz = self.profile.grid.spacing
+        rho = self.prior.grid.spacing * float(np.max(self.profile.k)) / dz / dz
+        t_min = max(np.tan(0.15), np.finfo(float).eps * rho * _SKETCH_MARGIN / FORWARD_MAP_TOL)
+        hi = np.arctan(1.0 / t_min)
+        lo = min(5e-4, hi / 2.0)
+        psi = (lo + _philox_random(1, 3) * (hi - lo)).astype(np.float32).astype(float)
+        closed = impulse_transform(*self._sweep_args, states, psi)
+        m, nodes = np.arange(rows.shape[1]), np.array(self.obs_indices)
+        swept = []
+        for p in psi:  # two real products: a complex one maps 0.1-0.3 MB more of OpenBLAS in
+            z = _circle_powers(p, -m)
+            swept.append(_circle_powers(p, nodes) * (rows @ z.real + 1j * (rows @ z.imag)))
+        scale = np.maximum(np.abs(rows).max(axis=1), 1e-300)
+        return float(np.max(np.abs(np.array(swept) - closed) / scale))
 
     @cached_property
     def free_response(self) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import AssumptionError
 from .numerics import ColumnGrid, _frozen, _normal_square, cumulative_trapezoid
 
-__all__ = ["CoefficientProfile", "mu_weight"]
+__all__ = ["CoefficientProfile"]
 
 #: Bound on second divided differences used as the A1 proxy.
 SMOOTHNESS_BOUND = 1e6
@@ -126,9 +126,3 @@ class CoefficientProfile:
         object.__setattr__(self, "epsilon", kmin)
         self.__dict__.update(kf=_frozen(kf), wf=_frozen(wf), d=_frozen(d), mu=_frozen(mu))
 
-
-def mu_weight(profile: CoefficientProfile) -> np.ndarray:
-    """Density making the mode operator self-adjoint: the profile's ``mu``,
-    exp of the cumulative integral of w/k from the surface. Its value at z=0 is
-    exactly 1, it is strictly positive, and for w=0 it is identically 1."""
-    return profile.mu

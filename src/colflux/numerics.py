@@ -52,11 +52,13 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 # LAPACK routine r in the ILP64 OpenBLAS of NumPy 2 and of NumPy 1 wheels
 _NAMES = ("scipy_{}_64_", "{}_64_")
 # Each routine's arguments before ``info``: c a character, i an integer, d a
-# double, D and I arrays of doubles and integers, passed as they are (so the
-# routine can write into them) where of that type and in Fortran order.
+# double, D, Z and I arrays of doubles, complex doubles and integers, passed
+# as they are (so the routine can write into them) where of that type and in
+# Fortran order.
 _SIGNATURES = {
     "dpftrf": "cciD", "dpftri": "cciD", "dpftrs": "cciiDDi", "dpttrf": "iDD", "dpttrs": "iiDDDi",
     "dsfrk": "ccciidDidD", "dstebz": "cciddiidDDIIDIIDI", "dstein": "iDDiDIIDiDII",
+    "zgtsv": "iiZZZZi",
 }
 # A BLAS-like routine with no ``info`` argument
 _NO_INFO = {"dsfrk"}
@@ -65,6 +67,7 @@ _CONVERT = {
     "i": lambda a: ctypes.byref(ctypes.c_int64(a)),
     "d": lambda a: ctypes.byref(ctypes.c_double(a)),
     "D": lambda a: np.require(a, float, "F").ctypes.data_as(ctypes.c_void_p),
+    "Z": lambda a: np.require(a, complex, "F").ctypes.data_as(ctypes.c_void_p),
     "I": lambda a: np.require(a, np.int64, "F").ctypes.data_as(ctypes.c_void_p),
 }
 
@@ -167,6 +170,18 @@ class _Lapack:
         z, ifail = np.empty((n, m), order="F"), np.empty(m, np.int64)
         args = (n, d, e, m, w, iblock, isplit, z, max(n, 1), np.empty(5 * n))
         return z, self._bind("dstein", *args, np.empty(n, np.int64), ifail)()
+
+    def zgtsv(self, dl, d, du, b):
+        """x = A^-1 b for the complex tridiagonal A with sub-, main and
+        superdiagonals ``dl``, ``d`` and ``du``, by Gaussian elimination with
+        partial pivoting, for ``b`` of shape (n,) or (n, k); and ``info``,
+        positive where a pivot is exactly zero and x is not computed. The
+        arguments are copied."""
+        dl, d, du = (np.array(band, complex) for band in (dl, d, du))
+        x, n = np.array(b, complex, order="F"), d.shape[0]
+        if dl.shape != (n - 1,) or du.shape != (n - 1,) or x.shape[:1] != (n,):
+            raise ValueError(f"zgtsv needs n - 1 off-diagonals and b of leading dimension {n}")
+        return x, self._bind("zgtsv", n, x.size // max(n, 1), dl, d, du, x, max(n, 1))()
 
 
 _flapack = _Lapack()
@@ -454,6 +469,14 @@ def factor_tridiagonal(diag, off):
 
     solve.in_place = in_place
     return solve
+
+
+def _circle_powers(psi: float, n) -> np.ndarray:
+    """z**n for z = -exp(-2i psi) = exp(i (pi - 2 psi)) and integers n, as
+    (-1)**n exp(-2i psi n): each phase 2 psi n is exact where psi has at
+    most 24 significant bits (a single-precision value) and |n| < 2**29."""
+    n = np.asarray(n, dtype=np.int64)
+    return (1 - 2 * (n % 2)) * np.exp(1j * (-2.0 * psi * n))
 
 
 def _check_philox_key(key: int) -> None:

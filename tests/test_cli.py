@@ -84,6 +84,45 @@ def run_cli(tmp_path, config, name="config.json"):
     return main([config["scenario"], "--config", str(path)])
 
 
+#: Faults in the forward map's construction that its check must catch: an
+#: entry of G off by 1e-6 of its row's largest (of G's largest, in every
+#: entry) or NaN, the off-diagonal the sweep factors 1e-6 too high, and one
+#: state of the sweep scaled by 1 + 1e-6.
+PLANTED_FAULTS = ["first-row", "last-row", "every-entry", "nan", "factor", "state"]
+
+
+def plant_fault(monkeypatch, fault):
+    if fault == "factor":
+        factor = transport.factor_tridiagonal
+        monkeypatch.setattr(
+            transport, "factor_tridiagonal", lambda diag, off: factor(diag, off + 1e-6)
+        )
+        return
+    if fault == "state":
+        sweep = transport._cn_sweep
+
+        def scaled(*args, **kwargs):
+            for n, u in sweep(*args, **kwargs):
+                if n == 40:
+                    u *= 1.0 + 1e-6  # the next step starts from it
+                yield n, u
+
+        monkeypatch.setattr(transport, "_cn_sweep", scaled)
+        return
+    original = colflux.assimilate.impulse_response
+
+    def planted(*args):
+        rows, states = original(*args)
+        if fault == "every-entry":
+            rows += 1e-6 * np.abs(rows).max()
+        else:
+            row, value = {"first-row": (0, 1e-6), "last-row": (-1, 1e-6), "nan": (1, np.nan)}[fault]
+            rows[row, 5] += value * np.abs(rows[row]).max()
+        return rows, states
+
+    monkeypatch.setattr(colflux.assimilate, "impulse_response", planted)
+
+
 # weights that read nothing beyond the two lowest modes
 CANONICAL_PAIR = ["rho_plus", "rho_minus", "rho_plus"]
 
@@ -267,27 +306,16 @@ class TestExitCodes:
         assert report["error"] == error
         assert report["exit_code"] == 3
 
-    @pytest.mark.parametrize(
-        "row, value",
-        [(None, 1e-6), (0, 1e-6), (-1, 1e-6), (1, np.nan)],
-        ids=["every-entry", "first-row", "last-row", "nan"],
-    )
+    @pytest.mark.parametrize("fault", PLANTED_FAULTS)
+    @pytest.mark.parametrize("scenario", ["assimilate", "oracle_check"])
     def test_forward_map_disagreement_stops_before_any_artifact(
-        self, tmp_path, capsys, monkeypatch, row, value
+        self, tmp_path, capsys, monkeypatch, scenario, fault
     ):
         # neither the data nor an estimator read a forward map that fails
-        # the sketched check, so such a map must not reach any artifact
-        original = colflux.assimilate.impulse_response
-
-        def planted(*args):
-            rows = original(*args)
-            entries = ... if row is None else (row, 5)
-            rows[entries] += value * np.abs(rows).max()
-            return rows
-
-        monkeypatch.setattr(colflux.assimilate, "impulse_response", planted)
+        # its check, so such a map must not reach any artifact
+        plant_fault(monkeypatch, fault)
         out = tmp_path / "out"
-        code = run_cli(tmp_path, small_config("assimilate", out))
+        code = run_cli(tmp_path, small_config(scenario, out))
         report = error_report(capsys)
         assert code == 3
         assert report["error"] == "NumericalError"
@@ -298,16 +326,42 @@ class TestExitCodes:
         # the representers read the checked map, so a bumped one stops the
         # run before the oracle, CG or the representers see it
         original = colflux.assimilate.impulse_response
-        monkeypatch.setattr(
-            colflux.assimilate, "impulse_response",
-            lambda *args: original(*args) * (1.0 + 1e-6),
-        )
+
+        def scaled(*args):
+            rows, states = original(*args)
+            return rows * (1.0 + 1e-6), states
+
+        monkeypatch.setattr(colflux.assimilate, "impulse_response", scaled)
         out = tmp_path / "out"
         code = run_cli(tmp_path, small_config("oracle_check", out))
         report = error_report(capsys)
         assert code == 3
         assert "disagree (sketched relative gap" in report["message"]
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize(
+        "nt, k",
+        [
+            (32, {"kind": "constant", "value": 1.0}),
+            (32, {"kind": "constant", "value": 1e3}),
+            (32, {"kind": "linear", "base": 1.1e5, "slope": 1.1e5}),
+            (32, {"kind": "linear", "base": 1.0, "slope": 1e10 - 1.0}),
+            (64, {"kind": "constant", "value": 2e10}),
+        ],
+        ids=["rho-2e3", "rho-2e6", "rho-4.5e8", "rho-2e13", "rho-2e13-constant"],
+    )
+    def test_stiff_grids_pass_the_forward_map_check(self, tmp_path, nt, k):
+        # the check's rounding floor grows as eps rho / t, rho = dt max(k) /
+        # dz**2: the band of t keeps it 100 times below the gate. With t
+        # drawn from tan 0.15 up whatever rho is, the last two exit 3 and
+        # the third reads 4.4e-9
+        out = tmp_path / "out"
+        config = small_config(
+            "assimilate", out, grid={"nz": 257, "nt": nt}, spectral={"n_modes": 4},
+            model={"k": k},
+        )
+        assert run_cli(tmp_path, config) == 0
+        assert json.loads((out / "assimilate.json").read_text())["forward_map_sketch_rel_gap"] <= 1e-10
 
     @pytest.mark.parametrize("scenario", ["assimilate", "oracle_check"])
     def test_a_bad_prior_fails_before_any_sweep(self, tmp_path, capsys, monkeypatch, scenario):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from colflux.errors import AssumptionError
-from colflux.model import CoefficientProfile, mu_weight
+from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, TimeGrid
 from colflux.spectral import eigensystem
 from colflux.transport import FluxSignal, solve_forward
@@ -126,7 +126,6 @@ class TestValidation:
             profile = CoefficientProfile(grid=grid, k=np.full(n, k), w=w)
         except AssumptionError:
             return
-        mu_weight(profile)
         eigensystem(profile, 4)
         tgrid = TimeGrid(t_end=1.0, n=9)
         solve_forward(profile, FluxSignal(grid=tgrid, values=np.ones(9)), np.zeros(n))
@@ -160,11 +159,11 @@ class TestValidation:
 class TestMuWeight:
     def test_no_advection_gives_unit_density(self, grid):
         profile = CoefficientProfile(grid=grid, k=np.ones(grid.n), w=np.zeros(grid.n))
-        np.testing.assert_array_equal(mu_weight(profile), np.ones(grid.n))
+        np.testing.assert_array_equal(profile.mu, np.ones(grid.n))
 
     def test_surface_value_is_exactly_one(self, grid):
         profile = CoefficientProfile(grid=grid, k=1.0 + grid.nodes, w=closed_w(grid, 0.7))
-        assert mu_weight(profile)[0] == 1.0
+        assert profile.mu[0] == 1.0
 
     def test_closed_form_for_sine_squared(self, grid):
         # w = sin(pi z)^2, k = 1: the antiderivative of w/k is
@@ -175,15 +174,14 @@ class TestMuWeight:
         # cumulative trapezoid error for this integrand peaks at
         # pi * dz^2 / 12; allow 10% headroom over the asymptotic bound
         rtol = 1.1 * np.pi * grid.spacing**2 / 12.0
-        np.testing.assert_allclose(mu_weight(profile), expected, rtol=rtol)
+        np.testing.assert_allclose(profile.mu, expected, rtol=rtol)
 
     def test_is_the_profiles_array_that_the_eigensystem_reads(self, grid):
         profile = CoefficientProfile(grid=grid, k=1.0 + grid.nodes, w=closed_w(grid, 0.7))
-        assert mu_weight(profile) is profile.mu
         assert np.shares_memory(eigensystem(profile, 4).mu, profile.mu)
 
     def test_positivity_under_downdraft(self, grid):
         profile = CoefficientProfile(grid=grid, k=np.ones(grid.n), w=-closed_w(grid, 3.0))
-        mu = mu_weight(profile)
+        mu = profile.mu
         assert np.all(mu > 0.0)
         assert mu[-1] < 1.0

@@ -419,7 +419,7 @@ class TestFactorTridiagonal:
 
 #: The routines colflux binds from the LAPACK NumPy links, sorted.
 LAPACK_ROUTINES = [
-    "dpftrf", "dpftri", "dpftrs", "dpttrf", "dpttrs", "dsfrk", "dstebz", "dstein",
+    "dpftrf", "dpftri", "dpftrs", "dpttrf", "dpttrs", "dsfrk", "dstebz", "dstein", "zgtsv",
 ]
 
 
@@ -470,6 +470,30 @@ def assert_same_eigenpairs(lapack, diag, off, count, tol):
 def symmetric_bands(n, seed=14):
     rng = np.random.default_rng(seed)
     return 2.0 + rng.random(n), -rng.random(n - 1)
+
+
+def complex_system(n, seed=15):
+    """A complex tridiagonal system's three bands and three right-hand sides."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return draw(n - 1), draw(n), draw(n - 1), draw(n, 3)
+
+
+def assert_same_complex_solve(lapack, dl, d, du, b):
+    """``lapack``'s zgtsv gives SciPy's answer and ``info``, bit for bit, and
+    leaves its arguments as they were."""
+    kept = [a.copy() for a in (dl, d, du, b)]
+    *_, ref, ref_info = scipy_lapack.zgtsv(dl, d, du, b)
+    for rhs, expected in ((b, ref), (b[:, 0], ref[:, 0])):
+        x, info = lapack.zgtsv(dl, d, du, rhs)
+        assert info == ref_info and x.shape == rhs.shape
+        if not info:
+            np.testing.assert_array_equal(x, expected)
+    for a, copy in zip((dl, d, du, b), kept):
+        np.testing.assert_array_equal(a, copy)
 
 
 class TestLapackModule:
@@ -540,6 +564,23 @@ class TestLapackModule:
         ]:
             with pytest.raises(ValueError, match="dstein needs n - 1 off-diagonals, m blocks"):
                 lapack.dstein(ones, e, ones[:2], iblock, isplit)
+
+    @pytest.mark.parametrize("n", [2, 3, 41, 1001])
+    def test_complex_tridiagonal_solve_matches_scipy(self, n):
+        dl, d, du, b = complex_system(n)
+        assert_same_complex_solve(numerics._flapack, dl, d, du, b)
+        # b in C order above, in Fortran order here: the same solve
+        assert_same_complex_solve(numerics._flapack, dl, d, du, np.asfortranarray(b))
+        # an exactly zero pivot in the first column: info names it
+        dl[0] = d[0] = 0.0
+        assert_same_complex_solve(numerics._flapack, dl, d, du, b)
+        assert numerics._flapack.zgtsv(dl, d, du, b)[1] == 1
+
+    def test_complex_tridiagonal_solve_refuses_arrays_of_the_wrong_size(self):
+        dl, d, du, b = complex_system(5)
+        for args in ((dl[:3], d, du, b), (dl, d, du[:3], b), (dl, d, du, b[:4])):
+            with pytest.raises(ValueError, match="zgtsv needs n - 1 off-diagonals and b of"):
+                numerics._flapack.zgtsv(*args)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_rfp_index_is_lapacks_layout(self, n):
@@ -694,8 +735,9 @@ class TestLapackModule:
 
         for ours, theirs in zip(oracle_calls(lapack), oracle_calls(numerics._flapack)):
             np.testing.assert_array_equal(ours, theirs)
-        # and the eigensolve's two
+        # the eigensolve's two, and the forward map check's one
         assert_same_eigenpairs(lapack, *symmetric_bands(41), 5, 2.0**-40)
+        assert_same_complex_solve(lapack, *complex_system(41))
 
     def test_thread_count_is_openblas_own(self):
         code = "from colflux.numerics import _flapack; print(_flapack.blas_threads())"

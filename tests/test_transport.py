@@ -133,10 +133,32 @@ class TestFluxSensitivity:
         functionals = rng.random((len(nodes), 49)) * profile.grid.weights
         c = rng.standard_normal(len(nodes))
         c[-1] = 0.0
-        expected = c @ transport.impulse_response(profile, tgrid, functionals, nodes)
+        expected = c @ transport.impulse_response(profile, tgrid, functionals, nodes)[0]
         got = transport.flux_sensitivity(profile, tgrid, functionals, nodes, c)
         assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
         assert not got[41:].any()
+
+
+class TestImpulseTransform:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_is_the_z_transform_of_the_rows(self, seed):
+        # rows at node 0, at a repeated node and at the last node; the sum
+        # taken term by term, with z^k = exp(i k theta)
+        rng = np.random.default_rng(seed)
+        profile = random_profile(rng, 49)
+        tgrid = TimeGrid(t_end=0.5, n=65)
+        nodes = (0, 5, 20, 20, 64)
+        functionals = rng.random((len(nodes), 49)) * profile.grid.weights
+        rows, states = transport.impulse_response(profile, tgrid, functionals, nodes)
+        assert not rows[0].any() and not states[0].any()
+        psi = np.float32([1e-3, 0.4, 1.4]).astype(float)
+        closed = transport.impulse_transform(profile, tgrid, functionals, nodes, states, psi)
+        lags = np.subtract.outer(nodes, np.arange(tgrid.n))
+        scale = np.maximum(np.abs(rows).max(axis=1), 1e-300)
+        for p, got in zip(psi, closed):
+            expected = (rows * np.exp(1j * (np.pi - 2.0 * p) * lags)).sum(axis=1)
+            assert got[0] == 0.0
+            assert (np.abs(got - expected) <= 1e-12 * scale).all()
 
 
 def dense_cn_matrices(profile, dt):
