@@ -1,6 +1,8 @@
 """The nodal-function conventions: one uniform grid body, the one check of
 nodal inputs, trapezoid quadrature and the one exponential-segment kernel;
-plus tridiagonal solves and the one CSV formatter every artifact goes through.
+plus tridiagonal solves, the Crank-Nicolson bands and the z-transform
+check of the forward map's rows, and the one CSV formatter every artifact
+goes through.
 
 Everything downstream (time stepping, eigensolves, covariance updates)
 reduces to the kernels in this module, so they are kept pure,
@@ -471,12 +473,95 @@ def factor_tridiagonal(diag, off):
     return solve
 
 
+def _cn_bands(profile, dt):
+    """M and the diagonal and off-diagonal of Ls, the symmetric form of
+    M - dt/2 S that ``transport._cn_sweep`` factors (see there), for a
+    ``CoefficientProfile``."""
+    kf, wf = profile.kf, profile.wf
+    diag = np.zeros(profile.grid.n)
+    # flux through face j+1/2 adds to row j, subtracts from row j+1
+    diag[:-1] -= kf + wf
+    diag[1:] -= kf - wf
+    half = 0.5 * dt
+    m = profile.grid.weights
+    return m, m - half * diag, -half * np.sqrt((kf + wf) * (kf - wf))
+
+
 def _circle_powers(psi: float, n) -> np.ndarray:
     """z**n for z = -exp(-2i psi) = exp(i (pi - 2 psi)) and integers n, as
     (-1)**n exp(-2i psi n): each phase 2 psi n is exact where psi has at
     most 24 significant bits (a single-precision value) and |n| < 2**29."""
     n = np.asarray(n, dtype=np.int64)
     return (1 - 2 * (n % 2)) * np.exp(1j * (-2.0 * psi * n))
+
+
+# The check takes the rows in at most this many blocks, one complex solve
+# per block and frequency: its temporaries, about seven block-by-nz arrays,
+# stay under half of an N x nz array for N >= 16.
+_CHECK_BLOCKS = 16
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite gap fails the check
+def _impulse_transform_gap(profile, tgrid, functionals, nodes, rows, states, psi, share):
+    """Each impulse row's z-transform against its closed form, at
+    z = -exp(-2i psi) for each angle psi: the row's largest difference.
+
+    The sweep steps Ls u' = Rs u + c_n with Rs = 2M - Ls and c_n = c0 =
+    0.5 dt k(0) e_0 in step 0 only, so the transform sum_m row_i[m]
+    z^(n_i - m) of u_1, u_2, ... is a geometric series of Ls^-1 Rs, summed to
+
+        (1 + z) (functionals_i * d)^T (Ls - z Rs)^-1 (c0 - z^(n_i) Rs u_(n_i))
+
+    for n_i >= 1, from the state at the row's node (``transport.impulse_response``'s
+    ``states``); a row at node 0 is zero. (1 + z) (Ls - z Rs)^-1 is
+    A^-1 = (Ls - (1 + i t) M)^-1 with t = tan(theta / 2) = cot(psi), theta
+    the angle of z, and A is complex symmetric, so the form is c0 y_i[0] -
+    z^(n_i) (Rs y_i)^T u_(n_i) with y_i = A^-1 (functionals_i * d): one
+    complex tridiagonal solve (LAPACK ``zgtsv``, with pivoting) per
+    frequency, with one right-hand side per row. It reads the bands, not
+    the sweep's factor, and no time recursion. Taking the angle as
+    pi - 2 psi keeps z and t exact near z = -1, and the powers of z are
+    exact for psi of single precision (``_circle_powers``).
+
+    The difference is taken over the largest of the row's largest entry,
+    ``share`` times the form's size under rounding, |c0 y_i[0]| +
+    |Rs y_i|^T |u_(n_i)|, and tiny / eps (below which a row is underflow):
+    where a weight is read before the response has reached it, the row is
+    far smaller than the two terms that cancel to it, and the sweep's
+    rounding is relative to them.
+
+    Returns
+    -------
+    numpy.ndarray, shape (N,)
+        NaN for a row with a non-finite entry, or where a solve meets an
+        exactly zero pivot.
+    """
+    m, ls_diag, ls_off = _cn_bands(profile, tgrid.spacing)
+    rs_diag, c0 = (2.0 * m - ls_diag)[:, None], 0.5 * tgrid.spacing * profile.k[0]
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)  # N = 0 too
+    which = np.searchsorted(np.unique(nodes), nodes)
+    lags = -np.arange(tgrid.n)
+    gap, step = np.zeros(len(nodes)), max(1, -(-len(nodes) // _CHECK_BLOCKS))
+    for a in range(0, len(nodes), step):
+        block = slice(a, a + step)
+        u, n_b, g = states[which[block]], nodes[block], rows[block]
+        floor = np.maximum(np.abs(g).max(axis=1), np.finfo(float).tiny / np.finfo(float).eps)
+        for p in psi:
+            shifted = ls_diag - (1.0 + 1j / np.tan(p)) * m
+            y, info = _flapack.zgtsv(ls_off, shifted, ls_off, (functionals[block] * profile.d).T)
+            rs_y = rs_diag * y  # Rs y = 2M y - Ls y, column by column
+            rs_y[:-1] -= ls_off[:, None] * y[1:]
+            rs_y[1:] -= ls_off[:, None] * y[:-1]
+            zn, head = _circle_powers(p, n_b), c0 * y[0]
+            # real products: complex ones map more of OpenBLAS and NumPy in
+            tail = np.einsum("ji,ij->i", rs_y.real, u) + 1j * np.einsum("ji,ij->i", rs_y.imag, u)
+            size = np.abs(head) + np.einsum("ji,ij->i", np.abs(rs_y), np.abs(u))
+            z = _circle_powers(p, lags)
+            swept = zn * (g @ z.real + 1j * (g @ z.imag))
+            diff = np.abs(swept - np.where(n_b == 0, 0.0, head - zn * tail))
+            diff = np.nan if info else diff / np.maximum(floor, share * size)
+            gap[block] = np.maximum(gap[block], diff)
+    return gap
 
 
 def _check_philox_key(key: int) -> None:

@@ -22,8 +22,8 @@ sweep assembled by the flux hats, and the states at their nodes) and
 sweep of the adjoint, which serves the library's ``gradient`` only). The
 loop keeps O(nz) state and yields each new state, which the next step
 overwrites; its callers iterate it and store what they read.
-``impulse_transform`` checks G's rows against those states in closed form,
-with no sweep.
+``numerics._impulse_transform_gap`` checks G's rows against those states
+in closed form, with no sweep.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .model import CoefficientProfile
 from .numerics import (
     ColumnGrid,
     TimeGrid,
-    _circle_powers,
+    _cn_bands,
     _csv_text,
-    _flapack,
     _frozen,
     _nodal,
     _write_csv,
@@ -53,7 +52,6 @@ __all__ = [
     "MixingRatioField",
     "solve_forward",
     "impulse_response",
-    "impulse_transform",
     "flux_sensitivity",
     "mass_balance_residual",
     "energy_fit",
@@ -98,19 +96,6 @@ class MixingRatioField:
 
     def column(self, time_index: int) -> np.ndarray:
         return self.values[:, time_index]
-
-
-def _cn_bands(profile, dt):
-    """M and the diagonal and off-diagonal of Ls, the symmetric form of
-    M - dt/2 S that ``_cn_sweep`` factors (see there)."""
-    kf, wf = profile.kf, profile.wf
-    diag = np.zeros(profile.grid.n)
-    # flux through face j+1/2 adds to row j, subtracts from row j+1
-    diag[:-1] -= kf + wf
-    diag[1:] -= kf - wf
-    half = 0.5 * dt
-    m = profile.grid.weights
-    return m, m - half * diag, -half * np.sqrt((kf + wf) * (kf - wf))
 
 
 def _cn_sweep(profile, dt, q, steps, forcing, transpose=False):
@@ -213,7 +198,7 @@ def solve_forward(
 
 def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, nodes):
     """Rows of the discrete forward map from one impulse-response sweep, and
-    the sweep's scaled state u = D^-1 q at each row's node.
+    the sweep's scaled state u = D^-1 q at each distinct node of ``nodes``.
 
     Row i, entry m is ``functionals[i] @ q`` at time node ``nodes[i]`` for
     the state driven from zero by the flux hat at node m. The stepper's
@@ -225,17 +210,16 @@ def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
 
         row_i[m] = a_i[n_i - m] [m >= 1] + a_i[n_i - 1 - m] [m <= n_i - 1].
 
-    Row i of the states (N x nz) is the state at node n_i, zero at node 0:
-    ``impulse_transform`` checks the rows against them.
+    Row j of the states is the state at the j-th smallest distinct node
+    (``numpy.unique(nodes)[j]``), zero at node 0:
+    ``numerics._impulse_transform_gap`` checks the rows against them.
     """
     dt = tgrid.spacing
     steps = max(nodes, default=0)
     a = np.empty((len(functionals), steps))
-    states = np.zeros((len(functionals), profile.grid.n))
+    kept = {n_i: j for j, n_i in enumerate(np.unique(np.asarray(nodes, dtype=np.int64)))}
+    states = np.zeros((len(kept), profile.grid.n))
     observe = functionals * profile.d  # of u = D^-1 q
-    kept = {}
-    for i, n_i in enumerate(nodes):
-        kept.setdefault(n_i, []).append(i)
 
     def forcing(n, rhs):
         if n == 0:
@@ -251,48 +235,6 @@ def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
         rows[i, 1 : n_i + 1] += response
         rows[i, :n_i] += response
     return rows, states
-
-
-def impulse_transform(
-    profile: CoefficientProfile, tgrid: TimeGrid, functionals, nodes, states, psi
-):
-    """The z-transform sum_m row_i[m] z^(n_i - m) of each impulse row at
-    z = -exp(-2i psi), in closed form from the state u_(n_i) at its node.
-
-    The sweep steps Ls u' = Rs u + c_n with Rs = 2M - Ls and c_n = c0 =
-    0.5 dt k(0) e_0 in step 0 only, so the transform of u_1, u_2, ... is
-    a geometric series of Ls^-1 Rs, summed to
-
-        (1 + z) (functionals_i * d)^T (Ls - z Rs)^-1 (c0 - z^(n_i) Rs u_(n_i))
-
-    for n_i >= 1; a row at node 0 is zero. (1 + z) (Ls - z Rs)^-1 is
-    (Ls - (1 + i t) M)^-1 with t = tan(theta / 2) = cot(psi), theta the
-    angle of z: one complex tridiagonal solve (LAPACK ``zgtsv``, with
-    pivoting) per frequency, with a right-hand side per row. It reads the
-    bands, not the sweep's factor, and no time recursion. Taking the angle
-    as pi - 2 psi keeps z and t exact near z = -1, and the powers of z are
-    exact for psi of single precision (``numerics._circle_powers``).
-
-    Returns
-    -------
-    numpy.ndarray of complex, shape (len(psi), N)
-        NaN for a frequency whose solve meets an exactly zero pivot.
-    """
-    m, ls_diag, ls_off = _cn_bands(profile, tgrid.spacing)
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)  # N = 0 too
-    rs_u = (2.0 * m - ls_diag) * states  # Rs u = 2M u - Ls u, row by row
-    rs_u[:, :-1] -= ls_off * states[:, 1:]
-    rs_u[:, 1:] -= ls_off * states[:, :-1]
-    c0 = 0.5 * tgrid.spacing * profile.k[0]
-    observe = functionals * profile.d
-    out = np.empty((len(psi), len(nodes)), complex)
-    for f, p in enumerate(psi):
-        rhs = -(_circle_powers(p, nodes)[:, None] * rs_u)
-        rhs[:, 0] += c0
-        rhs[nodes == 0] = 0.0
-        x, info = _flapack.zgtsv(ls_off, ls_diag - (1.0 + 1j / np.tan(p)) * m, ls_off, rhs.T)
-        out[f] = np.nan if info else (observe * x.T).sum(axis=1)
-    return out
 
 
 def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, functionals, nodes, c):

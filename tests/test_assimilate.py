@@ -3,6 +3,7 @@
 import json
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from colflux import assimilate, cli, transport
+from colflux import assimilate, cli, numerics, transport
 from colflux.assimilate import (
     PRIOR_KINDS,
     AssimilationProblem,
@@ -1439,25 +1440,27 @@ class TestLowRankPosterior:
     def test_the_checked_map_reports_its_gap(self, monkeypatch):
         # the frequencies are key 1's first three uniforms, in the band of a
         # grid this far from stiff (rho = dt k / dz**2 = 36), and the gap is
-        # the largest difference of the two z-transforms, each row's over its
-        # largest entry; the term-by-term sums agree with it to rounding
-        drawn = []
-        original = assimilate.impulse_transform
-        monkeypatch.setattr(
-            assimilate, "impulse_transform", lambda *args: drawn.append(args[-1]) or original(*args)
-        )
+        # the largest of the check's per-row gaps; the sweep's states are
+        # dropped once it has read them
+        seen = {}
+        original = assimilate._impulse_transform_gap
+
+        def spy(*args):
+            *_, rows, states, seen["psi"], seen["share"] = args
+            seen["rows"], seen["states"] = rows, weakref.ref(states)
+            seen["gap"] = original(*args)
+            return seen["gap"]
+
+        monkeypatch.setattr(assimilate, "_impulse_transform_gap", spy)
         problem = released_problem("diagonal")
         fwd = problem.forward_rows
         gap = problem.forward_map_sketch_rel_gap
-        (psi,) = drawn
         hi = np.arctan(1.0 / np.tan(0.15))
         band = 5e-4 + Generator(Philox(key=1)).random(3) * (hi - 5e-4)
-        np.testing.assert_array_equal(psi, band.astype(np.float32).astype(float))
-        closed = original(*problem._sweep_args, problem._impulse_sweep[1], psi)
-        lags = np.subtract.outer(problem.obs_indices, np.arange(fwd.shape[1]))
-        swept = [(fwd * np.exp(1j * (np.pi - 2.0 * p) * lags)).sum(axis=1) for p in psi]
-        direct = (np.abs(np.array(swept) - closed) / np.abs(fwd).max(axis=1)).max()
-        assert 0.0 <= gap <= 1e-12 and abs(gap - direct) <= 1e-13
+        np.testing.assert_array_equal(seen["psi"], band.astype(np.float32).astype(float))
+        np.testing.assert_array_equal(seen["rows"], fwd)
+        assert seen["share"] == 0.01 and seen["states"]() is None
+        assert 0.0 <= gap <= 1e-12 and gap == seen["gap"].max()
         assert np.abs(fwd - transposed_rows(problem)).max() <= 1e-8 * np.abs(fwd).max()
 
 
@@ -1573,11 +1576,10 @@ class TestForwardMapKernel:
         # n_i >= 1 would give (f_i d)^T (Ls - (1 + i t) M)^-1 c0 there
         problem = kernel_problem(obs_indices, nt=nt)
         assert problem.forward_map_sketch_rel_gap <= 1e-13
-        closed = transport.impulse_transform(
-            *problem._sweep_args, problem._impulse_sweep[1], [0.3]
-        )
-        for value, n_i in zip(closed[0], obs_indices):
-            assert (value == 0.0) == (n_i == 0)
+        rows, states = transport.impulse_response(*problem._sweep_args)
+        gap = numerics._impulse_transform_gap(*problem._sweep_args, rows, states, [0.3], 0.01)
+        for value, n_i in zip(gap, obs_indices):
+            assert value <= 1e-13 and (value == 0.0) == (n_i == 0)
 
     def test_rows_vanish_beyond_the_observation_time(self):
         problem = kernel_problem((0, 9, 20))

@@ -363,6 +363,61 @@ class TestExitCodes:
         assert run_cli(tmp_path, config) == 0
         assert json.loads((out / "assimilate.json").read_text())["forward_map_sketch_rel_gap"] <= 1e-10
 
+    @pytest.mark.parametrize(
+        "nt, k, t_obs, lowest",
+        [
+            (32, 1e-3, 0.25, 0.05),
+            (64, 1e-2, 0.25, 0.02),
+            (32, 1e-2, 0.0625, 0.1),
+            (256, 1e-3, 0.25, 0.3),
+        ],
+    )
+    def test_weights_the_response_has_not_reached_pass_the_forward_map_check(
+        self, tmp_path, nt, k, t_obs, lowest
+    ):
+        # a weight on the lowest part of a slow column, read early: its row
+        # (largest entry 1e-116 to 1e-33) is the difference of two terms of
+        # the closed form many orders larger, and over the row alone the
+        # sweep's rounding of them reads 8e-5 to 2e26. Over the terms' size
+        # it reads at most 5e-16, and the run exits 0 as it did under
+        # Freivalds' check
+        nz = 257
+        deep = [float(j >= (1.0 - lowest) * (nz - 1)) for j in range(nz)]
+        observations = {
+            "times": [t_obs, 0.5, 0.75],
+            "noise": [0.1, 0.1, 0.1],
+            "weights": [{"kind": "samples", "values": deep}, "rho_plus", "uniform"],
+        }
+        out = tmp_path / "out"
+        config = small_config(
+            "assimilate", out, grid={"nz": nz, "nt": nt}, spectral={"n_modes": 4},
+            model={"k": {"kind": "constant", "value": k}}, observations=observations,
+        )
+        assert run_cli(tmp_path, config) == 0
+        report = json.loads((out / "assimilate.json").read_text())
+        assert report["forward_map_sketch_rel_gap"] <= 1e-12
+
+    def test_a_smooth_fault_below_the_stiff_floor_goes_unseen(self, tmp_path, monkeypatch):
+        # the detection limit: at rho = 2e13 the band puts t above 4e7, and
+        # G scaled by 1 + 1e-6, which the check reads at 1.6e-6 on the
+        # small config, reads below the gate; the run exits 0
+        original = colflux.assimilate.impulse_response
+
+        def scaled(*args):
+            rows, states = original(*args)
+            return rows * (1.0 + 1e-6), states
+
+        monkeypatch.setattr(colflux.assimilate, "impulse_response", scaled)
+        out = tmp_path / "out"
+        k = {"kind": "linear", "base": 1.0, "slope": 1e10 - 1.0}
+        config = small_config(
+            "assimilate", out, grid={"nz": 257, "nt": 32}, spectral={"n_modes": 4},
+            model={"k": k},
+        )
+        assert run_cli(tmp_path, config) == 0
+        report = json.loads((out / "assimilate.json").read_text())
+        assert report["forward_map_sketch_rel_gap"] <= 1e-8
+
     @pytest.mark.parametrize("scenario", ["assimilate", "oracle_check"])
     def test_a_bad_prior_fails_before_any_sweep(self, tmp_path, capsys, monkeypatch, scenario):
         def refuse(*args, **kwargs):

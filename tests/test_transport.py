@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import colflux.numerics as numerics
 import colflux.transport as transport
 from colflux.errors import DiagnosticError, StabilityError
 from colflux.model import CoefficientProfile
@@ -139,26 +140,71 @@ class TestFluxSensitivity:
         assert not got[41:].any()
 
 
-class TestImpulseTransform:
+class TestImpulseTransformGap:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_is_the_z_transform_of_the_rows(self, seed):
+    def test_the_closed_form_is_the_z_transform_of_the_rows(self, seed):
         # rows at node 0, at a repeated node and at the last node; the sum
-        # taken term by term, with z^k = exp(i k theta)
+        # taken term by term, with z^k = exp(i k theta), against the closed
+        # form in the unscaled state q = D u with the dense L and R
         rng = np.random.default_rng(seed)
         profile = random_profile(rng, 49)
         tgrid = TimeGrid(t_end=0.5, n=65)
         nodes = (0, 5, 20, 20, 64)
         functionals = rng.random((len(nodes), 49)) * profile.grid.weights
         rows, states = transport.impulse_response(profile, tgrid, functionals, nodes)
-        assert not rows[0].any() and not states[0].any()
+        # one state per distinct node, in ascending order
+        assert states.shape == (4, 49) and not rows[0].any() and not states[0].any()
+        left, right = dense_cn_matrices(profile, tgrid.spacing)
+        c0 = np.eye(49)[0] * 0.5 * tgrid.spacing * profile.k[0]
         psi = np.float32([1e-3, 0.4, 1.4]).astype(float)
-        closed = transport.impulse_transform(profile, tgrid, functionals, nodes, states, psi)
         lags = np.subtract.outer(nodes, np.arange(tgrid.n))
         scale = np.maximum(np.abs(rows).max(axis=1), 1e-300)
-        for p, got in zip(psi, closed):
+        for p in psi:
+            z = np.exp(1j * (np.pi - 2.0 * p))
             expected = (rows * np.exp(1j * (np.pi - 2.0 * p) * lags)).sum(axis=1)
-            assert got[0] == 0.0
-            assert (np.abs(got - expected) <= 1e-12 * scale).all()
+            for i, n_i in enumerate(nodes[1:], start=1):
+                q = profile.d * states[[0, 5, 20, 64].index(n_i)]
+                rhs = c0 - np.exp(1j * (np.pi - 2.0 * p) * n_i) * (right @ q)
+                closed = (1.0 + z) * functionals[i] @ np.linalg.solve(left - z * right, rhs)
+                assert abs(closed - expected[i]) <= 1e-12 * scale[i]
+        gap = numerics._impulse_transform_gap(
+            profile, tgrid, functionals, nodes, rows, states, psi, 0.01
+        )
+        assert gap.shape == (5,) and gap[0] == 0.0 and (gap <= 1e-12).all()
+
+    @pytest.mark.parametrize("row", [1, 2, 3, 4])
+    def test_one_wrong_entry_reads_its_size(self, row):
+        # an entry off by d times its row's largest reads d at every
+        # frequency: the response has reached each of these weights
+        rng = np.random.default_rng(4)
+        profile = random_profile(rng, 49)
+        tgrid = TimeGrid(t_end=0.5, n=65)
+        nodes = (0, 5, 20, 20, 64)
+        functionals = rng.random((len(nodes), 49)) * profile.grid.weights
+        rows, states = transport.impulse_response(profile, tgrid, functionals, nodes)
+        rows[row, 3] += 1e-6 * np.abs(rows[row]).max()
+        for p in (1e-3, 0.4, 1.4):
+            gap = numerics._impulse_transform_gap(
+                profile, tgrid, functionals, nodes, rows, states, [p], 0.01
+            )
+            assert abs(gap[row] - 1e-6) <= 1e-11
+            assert np.delete(gap, row).max() <= 1e-12
+
+    def test_a_weight_the_response_has_not_reached_reads_rounding(self):
+        # a weight on the lowest 30% of a slow column, read at t = 0.25: its
+        # row (largest entry about 1e-116) is the difference of two terms
+        # about 1e6 times larger, which the sweep's rounding perturbs
+        # relative to their own size. Over the row the gap is far past the
+        # gate; over the closed form's size under rounding it is rounding
+        grid = ColumnGrid(h=1.0, n=257)
+        profile = CoefficientProfile(grid=grid, k=np.full(257, 1e-3), w=np.zeros(257))
+        tgrid = TimeGrid(t_end=1.0, n=256)
+        functionals = (grid.weights * (grid.nodes >= 0.7))[None, :]
+        rows, states = transport.impulse_response(profile, tgrid, functionals, (64,))
+        assert 0.0 < np.abs(rows).max() < 1e-100
+        args = (profile, tgrid, functionals, (64,), rows, states, [1.2059179544448853])
+        assert numerics._impulse_transform_gap(*args, 0.01)[0] <= 1e-13
+        assert numerics._impulse_transform_gap(*args, 0.0)[0] > 1.0
 
 
 def dense_cn_matrices(profile, dt):
