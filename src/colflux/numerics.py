@@ -538,8 +538,9 @@ def _impulse_transform_gap(profile, tgrid, functionals, nodes, rows, states, psi
     """
     m, ls_diag, ls_off = _cn_bands(profile, tgrid.spacing)
     rs_diag, c0 = (2.0 * m - ls_diag)[:, None], 0.5 * tgrid.spacing * profile.k[0]
+    kept = {n_i: j for j, n_i in enumerate(sorted(set(nodes)))}
+    which = np.array([kept[n_i] for n_i in nodes], dtype=np.intp)
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)  # N = 0 too
-    which = np.searchsorted(np.unique(nodes), nodes)
     lags = -np.arange(tgrid.n)
     gap, step = np.zeros(len(nodes)), max(1, -(-len(nodes) // _CHECK_BLOCKS))
     for a in range(0, len(nodes), step):
@@ -553,12 +554,14 @@ def _impulse_transform_gap(profile, tgrid, functionals, nodes, rows, states, psi
             rs_y[:-1] -= ls_off[:, None] * y[1:]
             rs_y[1:] -= ls_off[:, None] * y[:-1]
             zn, head = _circle_powers(p, n_b), c0 * y[0]
-            # real products: complex ones map more of OpenBLAS and NumPy in
-            tail = np.einsum("ji,ij->i", rs_y.real, u) + 1j * np.einsum("ji,ij->i", rs_y.imag, u)
-            size = np.abs(head) + np.einsum("ji,ij->i", np.abs(rs_y), np.abs(u))
+            # real products, and hypot for |.|: complex matmul, einsum and
+            # abs each map more of OpenBLAS or NumPy in
+            tail = (rs_y.real.T * u).sum(axis=1) + 1j * (rs_y.imag.T * u).sum(axis=1)
+            size = np.hypot(head.real, head.imag)
+            size += (np.hypot(rs_y.real, rs_y.imag).T * np.abs(u)).sum(axis=1)
             z = _circle_powers(p, lags)
-            swept = zn * (g @ z.real + 1j * (g @ z.imag))
-            diff = np.abs(swept - np.where(n_b == 0, 0.0, head - zn * tail))
+            diff = zn * (g @ z.real + 1j * (g @ z.imag)) - np.where(n_b == 0, 0.0, head - zn * tail)
+            diff = np.hypot(diff.real, diff.imag)
             diff = np.nan if info else diff / np.maximum(floor, share * size)
             gap[block] = np.maximum(gap[block], diff)
     return gap

@@ -211,13 +211,13 @@ def impulse_response(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
         row_i[m] = a_i[n_i - m] [m >= 1] + a_i[n_i - 1 - m] [m <= n_i - 1].
 
     Row j of the states is the state at the j-th smallest distinct node
-    (``numpy.unique(nodes)[j]``), zero at node 0:
+    (``sorted(set(nodes))[j]``), zero at node 0:
     ``numerics._impulse_transform_gap`` checks the rows against them.
     """
     dt = tgrid.spacing
     steps = max(nodes, default=0)
     a = np.empty((len(functionals), steps))
-    kept = {n_i: j for j, n_i in enumerate(np.unique(np.asarray(nodes, dtype=np.int64)))}
+    kept = {n_i: j for j, n_i in enumerate(sorted(set(nodes)))}
     states = np.zeros((len(kept), profile.grid.n))
     observe = functionals * profile.d  # of u = D^-1 q
 
