@@ -77,12 +77,7 @@ from .numerics import (
     _write_csv,
     trapezoid,
 )
-from .observe import (
-    Weight,
-    canonical_weights,
-    write_observations_csv,
-    write_weight_csv,
-)
+from .observe import Weight, canonical_weights
 from .posterior import (
     BLIND_MAX_MODES,
     analyze_gain,
@@ -92,13 +87,7 @@ from .posterior import (
     gain_projections,
 )
 from .spectral import check_n_modes, eigensystem, expand_weight, expansion_residual
-from .transport import (
-    FluxSignal,
-    energy_fit,
-    mass_balance_residual,
-    solve_forward,
-    write_field_csv,
-)
+from .transport import FluxSignal, energy_fit, mass_balance_residual, solve_forward
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +230,11 @@ def _scenario_validate(ws: _Workspace) -> None:
 def _scenario_simulate(ws: _Workspace) -> None:
     flux = ws.flux
     field_ = solve_forward(ws.profile, flux, ws.q0)
-    write_field_csv(field_, ws.path("field.csv"))
+    header = ",".join(["z", *_csv_text(ws.tgrid.nodes)])
+    _write_csv(ws.path("field.csv"), header, (ws.zgrid.nodes, field_))
     resid = mass_balance_residual(field_, ws.profile, flux)
     _write_csv(ws.path("mass_residual.csv"), "t,residual", (ws.tgrid.nodes, resid))
-    constant = energy_fit(field_, flux, ws.q0)
+    constant = energy_fit(field_, ws.profile, flux, ws.q0)
     _write_json(
         ws.path("energy.json"),
         {"energy_constant": constant, "max_abs_mass_residual": float(np.abs(resid).max())},
@@ -264,7 +254,7 @@ def _scenario_eigen(ws: _Workspace) -> None:
 def _scenario_weights(ws: _Workspace) -> None:
     records = {}
     for weight in canonical_weights(ws.eig):
-        write_weight_csv(weight, ws.path(f"{weight.label}.csv"))
+        _write_csv(ws.path(f"{weight.label}.csv"), "z,rho", (ws.zgrid.nodes, weight.values))
         records[weight.label] = {
             "is_nonnegative": weight.is_nonnegative,
             "expansion_residual": expansion_residual(weight.values, ws.eig),
@@ -310,7 +300,8 @@ def _scenario_assimilate(ws: _Workspace) -> None:
     times = _csv_text(ws.tgrid.nodes)
     _write_csv(ws.path("map_flux.csv"), "t,F", (times, flux_map.values))
     _write_csv(ws.path("posterior_variance.csv"), "t,variance", (times, variance))
-    write_observations_csv(problem.observations, ws.path("observations.csv"))
+    obs = problem.observations
+    _write_csv(ws.path("observations.csv"), "t,y,r", (obs.times, obs.values, obs.noise_levels))
     _write_json(
         ws.path("assimilate.json"),
         {

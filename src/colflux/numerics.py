@@ -230,8 +230,9 @@ def _rfp_unpack(buffer, n) -> np.ndarray:
     return full
 
 
-def _nodal(values, shape: tuple, name: str) -> np.ndarray:
-    """``values`` as a float array of ``shape`` with finite entries.
+def _nodal(values, shape: tuple, name: str, finite: bool = True) -> np.ndarray:
+    """``values`` as a float array of ``shape``, with finite entries if
+    ``finite`` (a caller that passes False checks them itself, in blocks).
 
     The one check of a nodal input; the ValueError names the array.
     """
@@ -239,7 +240,7 @@ def _nodal(values, shape: tuple, name: str) -> np.ndarray:
     if out.shape != shape:
         msg = f"{name} needs nodal values of shape {shape}, got shape {out.shape}"
         raise ValueError(msg)
-    if not np.isfinite(out).all():
+    if finite and not np.isfinite(out).all():
         raise ValueError(f"{name} values must be finite")
     return out
 
@@ -624,20 +625,18 @@ def _csv_text(column) -> list:
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """Write ``columns`` under ``header`` as CSV, one block of rows at a time.
+    """Write ``columns`` under ``header`` to the file ``path`` as CSV, one
+    block of rows at a time.
 
-    ``path`` is a file path or an open text stream. Each column is a 1-d
-    array, a 2-d array (several adjacent columns) or a list of cells
-    already formatted by :func:`_csv_text`, for a column that several files
-    share. All columns have the same number of rows.
+    Each column is a 1-d array, a 2-d array (several adjacent columns) or a
+    list of cells already formatted by :func:`_csv_text`, for a column that
+    several files share. All columns have the same number of rows.
     """
-    if not hasattr(path, "write"):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            return _write_csv(fh, header, columns)
     width = sum(c.shape[1] if getattr(c, "ndim", 1) == 2 else 1 for c in columns)
     rows = max(1, _CSV_BLOCK_CELLS // max(1, width))
-    path.write(header + "\n")
-    for start in range(0, len(columns[0]), rows):
-        cells = [_csv_text(c[start : start + rows]) for c in columns]
-        path.write("\n".join(map(",".join, zip(*cells))))
-        path.write("\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), rows):
+            cells = [_csv_text(c[start : start + rows]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CoefficientProfile
-from .numerics import ColumnGrid, _frozen, _nodal, _philox_random, _write_csv, trapezoid
+from .numerics import ColumnGrid, _frozen, _nodal, _philox_random, trapezoid
 from .spectral import EigenSystem
 from .transport import FluxSignal, solve_forward
 
@@ -36,8 +36,6 @@ __all__ = [
     "apply_observation",
     "canonical_weights",
     "synthesize_data",
-    "write_observations_csv",
-    "write_weight_csv",
 ]
 
 
@@ -208,13 +206,3 @@ def synthesize_data(
     clean = [apply_observation(w, states[:, i]) for i, w in enumerate(weights)]
     y = add_noise(clean, noise_levels, seed)
     return ObservationSet(times=times, values=y, noise_levels=noise_levels)
-
-
-def write_observations_csv(obs: ObservationSet, path) -> None:
-    """Write observations as CSV with columns t, y, r to a path or text stream."""
-    _write_csv(path, "t,y,r", (obs.times, obs.values, obs.noise_levels))
-
-
-def write_weight_csv(weight: Weight, path) -> None:
-    """Write a weight as CSV with columns z, rho."""
-    _write_csv(path, "z,rho", (weight.grid.nodes, weight.values))

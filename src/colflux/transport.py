@@ -35,13 +35,10 @@ import numpy as np
 from .errors import DiagnosticError, SingularSystemError, StabilityError
 from .model import CoefficientProfile
 from .numerics import (
-    ColumnGrid,
     TimeGrid,
     _cn_bands,
-    _csv_text,
     _frozen,
     _nodal,
-    _write_csv,
     cumulative_trapezoid,
     factor_tridiagonal,
     trapezoid,
@@ -49,13 +46,11 @@ from .numerics import (
 
 __all__ = [
     "FluxSignal",
-    "MixingRatioField",
     "solve_forward",
     "impulse_response",
     "flux_sensitivity",
     "mass_balance_residual",
     "energy_fit",
-    "write_field_csv",
 ]
 
 #: Bisection cap for the energy-bound constant; exceeding it is treated as a
@@ -80,22 +75,6 @@ class FluxSignal:
     def __post_init__(self):
         v = _frozen(self.values, (self.grid.n,), "flux")
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class MixingRatioField:
-    """Tracer field q(z, t) on the tensor grid, one column per time node."""
-
-    grid: ColumnGrid
-    time_grid: TimeGrid
-    values: np.ndarray  # shape (nz, nt)
-
-    def __post_init__(self):
-        shape = (self.grid.n, self.time_grid.n)
-        object.__setattr__(self, "values", _frozen(self.values, shape, "field"))
-
-    def column(self, time_index: int) -> np.ndarray:
-        return self.values[:, time_index]
 
 
 def _cn_sweep(profile, dt, q, steps, forcing, transpose=False):
@@ -151,13 +130,15 @@ def solve_forward(
     q0 : array_like
         Initial condition on the column grid.
     nodes : sequence of int, optional
-        Time-node indices to keep. The solve then stops at the latest of
-        them and stores only those states, in O(nz) memory per node.
+        Time-node indices to keep (default: every node). The solve then
+        stops at the latest of them and stores only those states, in O(nz)
+        memory per node.
 
     Returns
     -------
-    MixingRatioField, or numpy.ndarray of shape (nz, len(nodes))
-        The whole field, or the state at each of ``nodes``.
+    numpy.ndarray of shape (nz, len(nodes))
+        The state q(., t_n) at each kept node n, one column per node: the
+        whole field q(z, t) when ``nodes`` is None.
 
     Raises
     ------
@@ -191,8 +172,6 @@ def solve_forward(
                 raise StabilityError(step=n + 1)
             for j in columns.get(n + 1, ()):
                 out[:, j] = q
-    if nodes is None:
-        return MixingRatioField(grid=grid, time_grid=tgrid, values=out)
     return out
 
 
@@ -265,26 +244,28 @@ def flux_sensitivity(profile: CoefficientProfile, tgrid: TimeGrid, functionals, 
     return out
 
 
-def mass_balance_residual(
-    field: MixingRatioField, profile: CoefficientProfile, flux: FluxSignal
-) -> np.ndarray:
+def mass_balance_residual(field, profile: CoefficientProfile, flux: FluxSignal) -> np.ndarray:
     """Residual of the discrete column-mass identity at every time node.
 
-    Returns r(t) = trapz(q(., t)) - trapz(q(., 0)) - k(0) * int_0^t F, with
-    the time integral taken by the cumulative trapezoid rule (the one the
-    stepper conserves exactly). For fields produced by
-    :func:`solve_forward`, every entry sits at the accumulation-rounding
-    level, below 1e-10 * (1 + |q0| + |F|).
+    ``field`` holds q(., t_n) in column n on the profile's column grid and
+    the flux's time grid, as :func:`solve_forward` returns it. Returns
+    r(t) = trapz(q(., t)) - trapz(q(., 0)) - k(0) * int_0^t F, with the time
+    integral taken by the cumulative trapezoid rule (the one the stepper
+    conserves exactly). For fields produced by :func:`solve_forward`, every
+    entry sits at the accumulation-rounding level, below
+    1e-10 * (1 + |q0| + |F|).
     """
-    totals = trapezoid(field.values, field.grid, axis=0)
+    field = _nodal(field, (profile.grid.n, flux.grid.n), "field")
+    totals = trapezoid(field, profile.grid, axis=0)
     injected = profile.k[0] * cumulative_trapezoid(flux.values, flux.grid.spacing)
     return totals - totals[0] - injected
 
 
-def energy_fit(field: MixingRatioField, flux: FluxSignal, q0) -> float:
+def energy_fit(field, profile: CoefficientProfile, flux: FluxSignal, q0) -> float:
     """Smallest constant K certifying the energy envelope of the solution.
 
-    Finds, by bisection to relative 1e-3, the smallest K >= 0 such that
+    ``field`` is laid out as for :func:`mass_balance_residual`. Finds, by
+    bisection to relative 1e-3, the smallest K >= 0 such that
 
         ||q(., t)||^2 <= K e^{K t} [(1+t) ||q0||^2 + (1+t^2) ||F||^2_{L2(0,t)}]
 
@@ -297,17 +278,19 @@ def energy_fit(field: MixingRatioField, flux: FluxSignal, q0) -> float:
         If a squared norm overflows, or no K below the cap 1e3 satisfies
         the bound, which signals an unstable or inconsistent solve.
     """
-    q0 = _nodal(q0, (field.grid.n,), "q0")
-    t = field.time_grid.nodes
-    # square a block of columns at a time: nz x _ENERGY_BLOCK extra memory,
-    # not a squared copy of the whole field
-    norms2 = np.empty(field.time_grid.n)
+    grid, t = profile.grid, flux.grid.nodes
+    field = _nodal(field, (grid.n, t.size), "field", finite=False)
+    q0 = _nodal(q0, (grid.n,), "q0")
+    # check and square a block of columns at a time: nz x _ENERGY_BLOCK
+    # extra memory, not a squared copy (or a mask) of the whole field
+    norms2 = np.empty(t.size)
     # a square that overflows leaves every K admissible: stop on it instead
     with np.errstate(over="ignore"):
-        for start in range(0, norms2.size, _ENERGY_BLOCK):
-            block = field.values[:, start : start + _ENERGY_BLOCK] ** 2
-            norms2[start : start + _ENERGY_BLOCK] = trapezoid(block, field.grid, axis=0)
-        q0n2 = trapezoid(q0**2, field.grid)
+        for start in range(0, t.size, _ENERGY_BLOCK):
+            block = field[:, start : start + _ENERGY_BLOCK]
+            block = _nodal(block, block.shape, "field") ** 2
+            norms2[start : start + _ENERGY_BLOCK] = trapezoid(block, grid, axis=0)
+        q0n2 = trapezoid(q0**2, grid)
         fcum2 = cumulative_trapezoid(flux.values**2, flux.grid.spacing)
         budget = (1.0 + t) * q0n2 + (1.0 + t**2) * fcum2
     if not (np.isfinite(norms2).all() and np.isfinite(budget).all()):
@@ -334,9 +317,3 @@ def energy_fit(field: MixingRatioField, flux: FluxSignal, q0) -> float:
         else:
             lo = mid
     return hi
-
-
-def write_field_csv(field: MixingRatioField, path) -> None:
-    """Write a field as CSV: header row of times, first column of heights."""
-    header = ",".join(["z", *_csv_text(field.time_grid.nodes)])
-    _write_csv(path, header, (field.grid.nodes, field.values))

@@ -344,7 +344,7 @@ class TestCostAndGradient:
         field = solve_forward(problem.profile, truth, problem.q0)
         y = np.array(
             [
-                apply_observation(w, field.column(i))
+                apply_observation(w, field[:, i])
                 for w, i in zip(problem.weights, problem.obs_indices)
             ]
         )
@@ -449,7 +449,7 @@ class TestRepresenters:
                 problem.profile, FluxSignal(grid=tgrid, values=g), np.zeros(33)
             )
             for i, n_i in enumerate(problem.obs_indices):
-                u = apply_observation(problem.weights[i], field.column(n_i))
+                u = apply_observation(problem.weights[i], field[:, n_i])
                 w = np.full(n_i + 1, dt)
                 w[0] = 0.5 * dt
                 w[-1] = 0.5 * dt
@@ -620,7 +620,7 @@ class TestMapEstimate:
         field = solve_forward(problem.profile, problem.prior.mean, problem.q0)
         y = np.array(
             [
-                apply_observation(w, field.column(i))
+                apply_observation(w, field[:, i])
                 for w, i in zip(problem.weights, problem.obs_indices)
             ]
         )
@@ -776,7 +776,7 @@ class TestMapEstimate:
         flux, _ = map_estimate(problem)
         field = solve_forward(profile, flux, np.zeros(49))
         for w, t, y in zip(weights, times, obs.values):
-            u = apply_observation(w, field.column(tgrid.index_of(t)))
+            u = apply_observation(w, field[:, tgrid.index_of(t)])
             assert abs(u - y) < 1e-4 * max(1.0, abs(y))
 
 
@@ -946,7 +946,7 @@ class TestForwardMapReuse:
         zero = FluxSignal(grid=problem.prior.grid, values=np.zeros(problem.prior.grid.n))
         field = solve_forward(problem.profile, zero, problem.q0)
         expected = [
-            apply_observation(w, field.column(i))
+            apply_observation(w, field[:, i])
             for w, i in zip(problem.weights, problem.obs_indices)
         ]
         np.testing.assert_array_equal(problem.free_response, expected)
@@ -1505,7 +1505,7 @@ def brute_force_rows(problem):
         hat = FluxSignal(grid=tgrid, values=np.eye(tgrid.n)[m])
         field = solve_forward(problem.profile, hat, q0)
         for i, (w, n_i) in enumerate(zip(problem.weights, problem.obs_indices)):
-            rows[i, m] = apply_observation(w, field.column(n_i))
+            rows[i, m] = apply_observation(w, field[:, n_i])
     return rows
 
 

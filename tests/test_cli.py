@@ -1,10 +1,10 @@
 """Config parsing, scenario runs, exit codes, and output determinism."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib.util
 import inspect
-import io
 import json
 import math
 import os
@@ -40,6 +40,8 @@ from colflux.errors import (
     NumericalError,
     StabilityError,
 )
+from colflux.observe import canonical_weights
+from colflux.transport import solve_forward
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
@@ -1314,6 +1316,28 @@ def test_weights_on_the_default_config_are_nonnegative(tmp_path):
     assert [r["is_nonnegative"] for r in records.values()] == [True, True]
 
 
+def test_the_dense_oracle_cannot_factor_what_assimilate_estimates_at_very_high_k(tmp_path):
+    # a documented limit, not a guard: the observed response G^T R^-1 G
+    # outweighs the prior's W C0^-1 beyond what a double resolves, so the
+    # dense precision is not positive definite in rounding, while the
+    # low-rank path and CG, which never form that sum, estimate
+    grid, spectral = {"nz": 19, "nt": 40}, {"n_modes": 2}
+    model = {"k": {"kind": "constant", "value": 2.8e9}}
+    reports = {}
+    for scenario in ("assimilate", "oracle_check"):
+        out = tmp_path / scenario
+        config = {"scenario": scenario, "out": str(out), "grid": grid, "spectral": spectral}
+        reports[scenario] = (run_cli(tmp_path, dict(config, model=model)), out)
+    code, out = reports["assimilate"]
+    assert code == 0
+    assert strict_json(out / "assimilate.json")["forward_map_sketch_rel_gap"] <= 1e-10
+    code, out = reports["oracle_check"]
+    error = strict_json(out / "error.json")
+    assert (code, error["error"]) == (3, "NumericalError")
+    message = "the dense posterior precision is not positive definite: leading minor"
+    assert error["message"].startswith(message)
+
+
 def bench_module(name: str):
     """bench/<name>.py, loaded from its file without writing bytecode there."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
@@ -1348,22 +1372,65 @@ def test_every_csv_goes_through_the_one_formatter(tmp_path, monkeypatch):
         written.append(path)
         numerics._write_csv(path, header, columns)
 
-    for module in (cli, observe, transport):
-        monkeypatch.setattr(module, "_write_csv", recording)
+    monkeypatch.setattr(cli, "_write_csv", recording)
     golden = DATA / "golden_config.json"
     for scenario in cli.SCENARIOS:
         out = tmp_path / scenario
         assert main([scenario, "--config", str(golden), "--out", str(out)]) == 0
     csvs = set(tmp_path.rglob("*.csv"))
     assert len(csvs) >= 10
-    assert csvs <= {Path(p) for p in written if not hasattr(p, "write")}
-    # the library's text form and the artifact are one format
-    config = parse_config(golden.read_text(encoding="utf-8"), overrides={"scenario": "assimilate"})
-    ws = cli._Workspace(config, tmp_path / "assimilate")
-    stream = io.StringIO()
-    observe.write_observations_csv(ws.problem().observations, stream)
-    text = stream.getvalue()
-    assert (tmp_path / "assimilate" / "observations.csv").read_text(encoding="utf-8") == text
+    assert csvs <= {Path(p) for p in written}
+
+
+def test_only_the_cli_lays_out_csv_files():
+    # the artifact format is one decision: numerics formats, cli names the
+    # columns, and no library module writes a file
+    users = set()
+    for path in Path(colflux.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "_write_csv" in names or getattr(node, "name", None) == "_write_csv":
+                users.add(path.stem)
+    assert users == {"cli", "numerics"}
+
+
+class TestArtifactFormats:
+    """The column layout of the CSV artifacts the library once wrote itself."""
+
+    def run(self, tmp_path, scenario):
+        golden = DATA / "golden_config.json"
+        out = tmp_path / scenario
+        assert main([scenario, "--config", str(golden), "--out", str(out)]) == 0
+        config = parse_config(golden.read_text(encoding="utf-8"), overrides={"scenario": scenario})
+        return out, cli._Workspace(config, tmp_path / "ws")
+
+    @staticmethod
+    def table(path):
+        header, *rows = path.read_text(encoding="utf-8").strip().split("\n")
+        return header, np.array([[float(s) for s in row.split(",")] for row in rows])
+
+    def test_field_has_a_row_of_times_and_a_column_of_heights(self, tmp_path):
+        out, ws = self.run(tmp_path, "simulate")
+        header, rows = self.table(out / "field.csv")
+        assert header.split(",")[0] == "z"
+        np.testing.assert_array_equal([float(s) for s in header.split(",")[1:]], ws.tgrid.nodes)
+        np.testing.assert_array_equal(rows[:, 0], ws.zgrid.nodes)
+        np.testing.assert_array_equal(rows[:, 1:], solve_forward(ws.profile, ws.flux, ws.q0))
+
+    def test_weight_has_heights_and_values(self, tmp_path):
+        out, ws = self.run(tmp_path, "weights")
+        header, rows = self.table(out / "rho_plus.csv")
+        assert header == "z,rho"
+        rho_plus = canonical_weights(ws.eig)[0]
+        np.testing.assert_array_equal(rows, np.column_stack([ws.zgrid.nodes, rho_plus.values]))
+
+    def test_observations_round_trip_their_floats(self, tmp_path):
+        out, ws = self.run(tmp_path, "assimilate")
+        header, rows = self.table(out / "observations.csv")
+        assert header == "t,y,r"
+        obs = ws.problem().observations
+        np.testing.assert_array_equal(rows, np.column_stack([obs.times, obs.values, obs.noise_levels]))
 
 
 class TestDeterminism:

@@ -19,7 +19,7 @@ from colflux.numerics import ColumnGrid, TimeGrid, _frozen
 from colflux.observe import Weight, apply_observation
 from colflux.posterior import blind_direction
 from colflux.spectral import eigensystem, expand_weight
-from colflux.transport import FluxSignal, solve_forward
+from colflux.transport import FluxSignal, energy_fit, mass_balance_residual, solve_forward
 
 SRC = Path(colflux.__file__).parent
 TESTS = Path(__file__).parent
@@ -192,6 +192,12 @@ def nodal_inputs():
         "expand_weight": ("weight", zgrid.n, lambda v: expand_weight(v, eig)),
         "apply_observation": ("column", zgrid.n, lambda v: apply_observation(weight, v)),
         "solve_forward.q0": ("q0", zgrid.n, lambda v: solve_forward(profile, flux, v)),
+        "mass_balance_residual.field": (
+            "field", (zgrid.n, tgrid.n), lambda v: mass_balance_residual(v, profile, flux)
+        ),
+        "energy_fit.field": (
+            "field", (zgrid.n, tgrid.n), lambda v: energy_fit(v, profile, flux, np.zeros(zgrid.n))
+        ),
         "blind_direction": ("seed", tgrid.n, lambda v: blind_direction(eig, 1.0, 2, tgrid, v)),
     }
 

@@ -207,7 +207,7 @@ class TestGainInner:
             field = solve_forward(
                 profile, FluxSignal(grid=tgrid, values=f), np.zeros(401)
             )
-            u = apply_observation(weight, field.column(idx))
+            u = apply_observation(weight, field[:, idx])
             inner = gain_pairing(gain, f)
             scale = max(abs(u / r), 1e-3)
             assert abs(inner - u / r) <= 1e-2 * scale, (

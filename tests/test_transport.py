@@ -1,4 +1,4 @@
-"""Forward solver: accuracy, exact mass accounting, energy envelope, I/O."""
+"""Forward solver: accuracy, exact mass accounting, energy envelope."""
 
 import tracemalloc
 
@@ -12,11 +12,9 @@ from colflux.model import CoefficientProfile
 from colflux.numerics import ColumnGrid, TimeGrid, trapezoid
 from colflux.transport import (
     FluxSignal,
-    MixingRatioField,
     energy_fit,
     mass_balance_residual,
     solve_forward,
-    write_field_csv,
 )
 
 
@@ -45,7 +43,7 @@ class TestSolveForward:
         q0 = np.cos(np.pi * profile.grid.nodes)
         field = solve_forward(profile, flux, q0)
         expected = np.exp(-np.pi**2 * 0.1) * q0
-        err = np.abs(field.column(nt) - expected).max()
+        err = np.abs(field[:, nt] - expected).max()
         assert err < 2e-4, f"max error {err:.3e}"
 
     def test_pure_mode_second_order(self):
@@ -57,7 +55,7 @@ class TestSolveForward:
             q0 = np.cos(np.pi * profile.grid.nodes)
             field = solve_forward(profile, flux, q0)
             expected = np.exp(-np.pi**2 * 0.1) * q0
-            errors.append(np.abs(field.column(nt) - expected).max())
+            errors.append(np.abs(field[:, nt] - expected).max())
         order = np.log2(errors[0] / errors[1])
         assert order > 1.9, f"observed order {order:.2f}, errors {errors}"
 
@@ -66,7 +64,7 @@ class TestSolveForward:
         tgrid = TimeGrid(t_end=1.0, n=9)
         flux = FluxSignal(grid=tgrid, values=np.zeros(9))
         field = solve_forward(profile, flux, np.zeros(11))
-        assert np.all(field.values == 0.0)
+        assert np.all(field == 0.0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_forcing_reports_the_step(self):
@@ -106,7 +104,7 @@ class TestSolveForward:
         nodes = [0, 1500, 1500, nt]
         states = solve_forward(profile, flux, q0, nodes=nodes)
         full = solve_forward(profile, flux, q0)
-        np.testing.assert_array_equal(states, full.values[:, nodes])
+        np.testing.assert_array_equal(states, full[:, nodes])
 
     def test_kept_nodes_validation(self):
         profile = constant_profile(11)
@@ -259,7 +257,7 @@ class TestMassBalance:
         tgrid = TimeGrid(t_end=1.0, n=65)
         flux = FluxSignal(grid=tgrid, values=np.full(65, 0.3))
         field = solve_forward(profile, flux, np.zeros(51))
-        totals = trapezoid(field.values, profile.grid, axis=0)
+        totals = trapezoid(field, profile.grid, axis=0)
         np.testing.assert_allclose(totals, 2.0 * 0.3 * tgrid.nodes, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -278,6 +276,22 @@ class TestMassBalance:
         assert np.abs(residual).max() <= 1e-10 * scale
         assert residual[0] == 0.0
 
+    @pytest.mark.parametrize("check", [mass_balance_residual, energy_fit])
+    @pytest.mark.parametrize("nz, nt", [(17, 9), (33, 5)])
+    def test_a_field_off_the_profile_or_flux_grid_is_refused(self, check, nz, nt):
+        # a field solved on 33 nodes read against a 17-node profile gave a
+        # residual of 1.0 with no error; a shorter time grid failed to broadcast
+        profile = constant_profile(33)
+        tgrid = TimeGrid(t_end=1.0, n=9)
+        flux = FluxSignal(grid=tgrid, values=np.full(9, 0.5))
+        field = solve_forward(profile, flux, np.ones(33))
+        profile = constant_profile(nz)
+        flux = FluxSignal(grid=TimeGrid(t_end=1.0, n=nt), values=np.full(nt, 0.5))
+        args = (field, profile, flux) + ((np.ones(nz),) if check is energy_fit else ())
+        shape = rf"\({nz}, {nt}\), got shape \(33, 9\)$"
+        with pytest.raises(ValueError, match=rf"^field needs nodal values of shape {shape}"):
+            check(*args)
+
 
 class TestEnergyFit:
     def test_decaying_mode_needs_exactly_one(self):
@@ -288,14 +302,14 @@ class TestEnergyFit:
         flux = FluxSignal(grid=tgrid, values=np.zeros(33))
         q0 = np.cos(np.pi * profile.grid.nodes)
         field = solve_forward(profile, flux, q0)
-        assert abs(energy_fit(field, flux, q0) - 1.0) < 1e-9
+        assert abs(energy_fit(field, profile, flux, q0) - 1.0) < 1e-9
 
     def test_zero_solution_needs_zero(self):
         profile = constant_profile(11)
         tgrid = TimeGrid(t_end=1.0, n=5)
         flux = FluxSignal(grid=tgrid, values=np.zeros(5))
         field = solve_forward(profile, flux, np.zeros(11))
-        assert energy_fit(field, flux, np.zeros(11)) == 0.0
+        assert energy_fit(field, profile, flux, np.zeros(11)) == 0.0
 
     def test_forced_solve_admits_modest_constant(self):
         rng = np.random.default_rng(3)
@@ -304,7 +318,7 @@ class TestEnergyFit:
         flux = FluxSignal(grid=tgrid, values=np.sin(4.0 * tgrid.nodes) + 0.5)
         q0 = np.ones(81)
         field = solve_forward(profile, flux, q0)
-        assert energy_fit(field, flux, q0) < 10.0
+        assert energy_fit(field, profile, flux, q0) < 10.0
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_column_blocks_match_the_whole_field(self, monkeypatch, block):
@@ -315,71 +329,57 @@ class TestEnergyFit:
         q0 = 0.5 + np.sin(np.pi * profile.grid.nodes)
         field = solve_forward(profile, flux, q0)
         monkeypatch.setattr(transport, "_ENERGY_BLOCK", tgrid.n)
-        whole = energy_fit(field, flux, q0)
+        whole = energy_fit(field, profile, flux, q0)
         monkeypatch.setattr(transport, "_ENERGY_BLOCK", block)
-        assert abs(energy_fit(field, flux, q0) - whole) <= 1e-3 * whole
+        assert abs(energy_fit(field, profile, flux, q0) - whole) <= 1e-3 * whole
 
     def test_column_norms_need_no_squared_field(self):
         # squaring the whole field first took 32.9 MB beside this 32.8 MB one
         nz, nt = 1001, 4096
-        grid = ColumnGrid(h=1.0, n=nz)
+        profile = constant_profile(nz)
         tgrid = TimeGrid(t_end=1.0, n=nt + 1)
-        q0 = np.cos(np.pi * grid.nodes)
-        field = MixingRatioField(
-            grid=grid, time_grid=tgrid, values=np.outer(q0, np.exp(-tgrid.nodes))
-        )
+        q0 = np.cos(np.pi * profile.grid.nodes)
+        field = np.outer(q0, np.exp(-tgrid.nodes))
         flux = FluxSignal(grid=tgrid, values=np.zeros(nt + 1))
         tracemalloc.start()
         try:
-            constant = energy_fit(field, flux, q0)
+            constant = energy_fit(field, profile, flux, q0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert constant == 1.0
         assert peak < 2e6, f"energy_fit peaked at {peak / 1e6:.1f} MB"
 
+    @pytest.mark.parametrize("column", [0, 63, 64, 200])
+    def test_every_block_is_checked_before_squaring(self, column):
+        # the finiteness check runs block by block; NaN in any column, first
+        # or last of its block, is refused by name
+        profile = constant_profile(9)
+        tgrid = TimeGrid(t_end=1.0, n=201)
+        field = np.ones((9, 201))
+        field[4, column] = np.nan
+        flux = FluxSignal(grid=tgrid, values=np.zeros(201))
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            energy_fit(field, profile, flux, np.ones(9))
+
     def test_unbudgeted_energy_is_diagnosed(self):
         # a nonzero field with zero initial state and zero forcing has an
         # empty budget, so no finite constant can certify it
-        grid = ColumnGrid(h=1.0, n=5)
+        profile = constant_profile(5)
         tgrid = TimeGrid(t_end=1.0, n=3)
-        field = MixingRatioField(
-            grid=grid, time_grid=tgrid, values=np.ones((5, 3))
-        )
+        field = np.ones((5, 3))
         flux = FluxSignal(grid=tgrid, values=np.zeros(3))
         with pytest.raises(DiagnosticError):
-            energy_fit(field, flux, np.zeros(5))
+            energy_fit(field, profile, flux, np.zeros(5))
 
     @pytest.mark.parametrize("where", ["field", "flux", "q0"])
     def test_overflowing_squares_are_diagnosed(self, where):
         # an infinite squared norm makes every K > 0 admissible, and the
         # bisection then never ended; no overflow warning may escape either
-        grid = ColumnGrid(h=1.0, n=5)
-        tgrid = TimeGrid(t_end=1.0, n=3)
-        big = {name: 1e200 if name == where else 1.0 for name in ("field", "flux", "q0")}
-        field = MixingRatioField(
-            grid=grid, time_grid=tgrid, values=np.full((5, 3), big["field"])
-        )
-        flux = FluxSignal(grid=tgrid, values=np.full(3, big["flux"]))
-        with pytest.raises(DiagnosticError, match="overflow"):
-            energy_fit(field, flux, np.full(5, big["q0"]))
-
-
-class TestFieldCsv:
-    def test_round_trip_bytes(self, tmp_path):
         profile = constant_profile(5)
         tgrid = TimeGrid(t_end=1.0, n=3)
-        flux = FluxSignal(grid=tgrid, values=np.array([0.0, 1.0, 0.5]))
-        field = solve_forward(profile, flux, np.linspace(0, 1, 5))
-        path = tmp_path / "field.csv"
-        write_field_csv(field, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].split(",")[0] == "z"
-        assert len(lines) == 6
-        header_times = [float(s) for s in lines[0].split(",")[1:]]
-        np.testing.assert_array_equal(header_times, tgrid.nodes)
-        row = lines[3].split(",")
-        assert float(row[0]) == profile.grid.nodes[2]
-        np.testing.assert_array_equal(
-            [float(s) for s in row[1:]], field.values[2]
-        )
+        big = {name: 1e200 if name == where else 1.0 for name in ("field", "flux", "q0")}
+        field = np.full((5, 3), big["field"])
+        flux = FluxSignal(grid=tgrid, values=np.full(3, big["flux"]))
+        with pytest.raises(DiagnosticError, match="overflow"):
+            energy_fit(field, profile, flux, np.full(5, big["q0"]))
